@@ -142,13 +142,17 @@ def read_points(path, net: LinearNetwork, max_snap_dist: float):
 
     Returns (pattern, report); records farther than ``max_snap_dist`` from the
     network are dropped and counted.  CSV needs header columns x,y; GeoJSON
-    needs Point features.
+    needs Point features.  A non-finite coordinate is a ParseError naming its
+    record (counted from 1).
     """
     name = str(path)
     if name.endswith((".geojson", ".json")):
         rows = _read_points_geojson(path)
     else:
         rows = _read_points_csv(path)
+    for i, (x, y) in enumerate(rows, 1):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ParseError(f"record {i}: non-finite coordinate ({x}, {y})")
 
     points = []
     dropped = 0
@@ -259,6 +263,8 @@ def read_lattice_function(path, lattice: Lattice) -> LatticeFunction:
 
     values = np.full(lattice.n_nodes, np.nan)
     for e, rows in per_edge.items():
+        if not 0 <= e < lattice.network.n_edges:
+            raise ParseError(f"edge_id {e} out of range [0, {lattice.network.n_edges})")
         chain = lattice.edge_chains[e]
         if len(rows) != len(chain):
             raise ParseError(

@@ -10,13 +10,13 @@ exactly.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .network import LinearNetwork, NetworkLocation
+from .network import LinearNetwork, NetworkLocation, _adjacency, _graph_distances
 
 
 class Lattice:
@@ -96,7 +96,6 @@ class Lattice:
             self.link_h,
         ):
             a.setflags(write=False)
-        self._neighbors = None
         self._cells = None
 
     @property
@@ -173,19 +172,9 @@ class Lattice:
 
     # -- shortest-path distances over the lattice graph -----------------------
 
-    def _neighbor_csr(self):
-        if self._neighbors is None:
-            n = self.n_nodes
-            i = np.concatenate([self.link_i, self.link_j])
-            j = np.concatenate([self.link_j, self.link_i])
-            h = np.concatenate([self.link_h, self.link_h])
-            order = np.argsort(i, kind="stable")
-            i, j, h = i[order], j[order], h[order]
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            np.add.at(indptr, i + 1, 1)
-            np.cumsum(indptr, out=indptr)
-            self._neighbors = (indptr, j, h)
-        return self._neighbors
+    @cached_property
+    def _graph(self):
+        return _adjacency(self.n_nodes, self.link_i, self.link_j, self.link_h)
 
     def distance_field(self, source: NetworkLocation, cutoff: float = math.inf):
         """Shortest-path distance from ``source`` to every lattice node.
@@ -194,34 +183,11 @@ class Lattice:
         arc length, so graph distances equal network distances.  Entries beyond
         ``cutoff`` stay inf.
         """
-        indptr, nbr, nbh = self._neighbor_csr()
-        dist = np.full(self.n_nodes, math.inf)
-        heap: list[tuple[float, int]] = []
         left, right, theta, h = self.bracket(source)
-        if left == right or theta == 0.0:
-            dist[left] = 0.0
-            heap.append((0.0, left))
-        elif theta == 1.0:
-            dist[right] = 0.0
-            heap.append((0.0, right))
-        else:
-            dl = theta * h
-            dr = h - dl
-            dist[left] = dl
-            dist[right] = dr
-            heapq.heappush(heap, (dl, left))
-            heapq.heappush(heap, (dr, right))
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u] or d > cutoff:
-                continue
-            for k in range(indptr[u], indptr[u + 1]):
-                w = int(nbr[k])
-                nd = d + nbh[k]
-                if nd < dist[w] and nd <= cutoff:
-                    dist[w] = nd
-                    heapq.heappush(heap, (nd, w))
-        return dist
+        if left == right:
+            return _graph_distances(self._graph, [(left, 0.0)], cutoff)
+        dl = theta * h
+        return _graph_distances(self._graph, [(left, dl), (right, h - dl)], cutoff)
 
 
 @dataclass

@@ -7,12 +7,13 @@ are shortest-path (arc length along edges); positions are linear-referenced as
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
 from .errors import (
@@ -86,8 +87,6 @@ class LinearNetwork:
         self.degrees = np.asarray([len(lst) for lst in incident], dtype=np.int64)
 
         self._validate_no_interior_intersections()
-        self.vertex_component = self._label_components()
-        self.n_components = int(self.vertex_component.max()) + 1
 
     # -- construction-time validation -------------------------------------
 
@@ -143,27 +142,20 @@ class LinearNetwork:
                 f"edges {e} and {f} intersect away from a shared endpoint"
             )
 
-    def _label_components(self):
-        labels = np.full(len(self.vertex_xy), -1, dtype=np.int64)
-        comp = 0
-        for start in range(len(labels)):
-            if labels[start] >= 0:
-                continue
-            stack = [start]
-            labels[start] = comp
-            while stack:
-                u = stack.pop()
-                for e in self.incident_edges[u]:
-                    a, b = self.edge_vertices[e]
-                    w = int(b if a == u else a)
-                    if labels[w] < 0:
-                        labels[w] = comp
-                        stack.append(w)
-            comp += 1
+    # -- basic queries -----------------------------------------------------
+
+    @cached_property
+    def vertex_component(self) -> np.ndarray:
+        """Component label of every vertex; components are numbered by lowest vertex id."""
+        from scipy.sparse.csgraph import connected_components
+
+        labels = connected_components(self._graph, directed=False)[1].astype(np.int64)
         labels.setflags(write=False)
         return labels
 
-    # -- basic queries -----------------------------------------------------
+    @property
+    def n_components(self) -> int:
+        return int(self.vertex_component.max()) + 1
 
     @property
     def n_vertices(self) -> int:
@@ -214,34 +206,49 @@ class LinearNetwork:
 
     # -- metric ------------------------------------------------------------
 
+    @cached_property
+    def _graph(self) -> csr_matrix:
+        ev = self.edge_vertices
+        return _adjacency(self.n_vertices, ev[:, 0], ev[:, 1], self.edge_lengths)
+
     def vertex_distances(self, source: NetworkLocation, cutoff: float = math.inf):
         """Shortest-path distance from ``source`` to every vertex (inf beyond cutoff)."""
-        dist = np.full(self.n_vertices, math.inf)
-        heap: list[tuple[float, int]] = []
         kind = self.canonical_location(source)
         if kind[0] == "v":
-            dist[kind[1]] = 0.0
-            heap.append((0.0, kind[1]))
+            seeds = [(kind[1], 0.0)]
         else:
             u, v = self.edge_vertices[source.edge]
-            du = source.offset
-            dv = self.edge_lengths[source.edge] - source.offset
-            for d0, w in ((du, int(u)), (dv, int(v))):
-                if d0 < dist[w]:
-                    dist[w] = d0
-                    heapq.heappush(heap, (d0, w))
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u] or d > cutoff:
-                continue
-            for e in self.incident_edges[u]:
-                a, b = self.edge_vertices[e]
-                w = int(b if a == u else a)
-                nd = d + self.edge_lengths[e]
-                if nd < dist[w] and nd <= cutoff:
-                    dist[w] = nd
-                    heapq.heappush(heap, (nd, w))
-        return dist
+            seeds = [(u, source.offset), (v, self.edge_lengths[source.edge] - source.offset)]
+        return _graph_distances(self._graph, seeds, cutoff)
+
+
+def _adjacency(n: int, tail, head, length) -> csr_matrix:
+    """Symmetric n x n CSR adjacency of an undirected graph with edge lengths."""
+    return csr_matrix(
+        (np.concatenate([length, length]),
+         (np.concatenate([tail, head]), np.concatenate([head, tail]))),
+        shape=(n, n),
+    )
+
+
+def _graph_distances(graph: csr_matrix, seeds, cutoff: float = math.inf) -> np.ndarray:
+    """Shortest-path distance from a source to every node of ``graph``.
+
+    ``seeds`` lists (node, distance from the source) for the nodes next to
+    the source.  The source joins the graph as one extra node with an edge to
+    each seed, so every distance is summed from the source offset along the
+    path, left to right.  Nodes farther than ``cutoff`` stay inf.
+    """
+    from scipy.sparse.csgraph import dijkstra
+
+    nodes, starts = zip(*seeds)
+    n = graph.shape[0]
+    extended = csr_matrix(
+        (np.append(graph.data, starts), np.append(graph.indices, nodes),
+         np.append(graph.indptr, graph.nnz + len(seeds))),
+        shape=(n + 1, n + 1),
+    )
+    return dijkstra(extended, indices=n, limit=cutoff)[:n]
 
 
 def build_network(vertices: Sequence, segments: Sequence) -> LinearNetwork:

@@ -92,6 +92,18 @@ class TestEstimate:
         assert proc.returncode == 2
         assert "1/delta must be an integer" in proc.stderr
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_coordinate_exits_2(self, toy, tmp_path, value):
+        _, net_path, _ = toy
+        pts = tmp_path / "bad.csv"
+        pts.write_text(f"x,y\n0.1,0.0\n{value},0.0\n")
+        proc = run_cli(
+            "estimate", "--net", net_path, "--points", pts,
+            "--method", "heat", "--bw", "0.2", "--out", tmp_path / "est.csv",
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [f"error: record 2: non-finite coordinate ({value}, 0.0)"]
+
     def test_adaptive_partition_runs(self, toy, tmp_path):
         _, net_path, pts_path = toy
         out = tmp_path / "ad.csv"

@@ -155,6 +155,28 @@ class TestReadPoints:
         with pytest.raises(ParseError):
             read_points(p, net, max_snap_dist=0.5)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_csv_non_finite_coordinate_rejected(self, tmp_path, value):
+        net = segment_network(2.0)
+        p = tmp_path / "pts.csv"
+        p.write_text(f"x,y\n0.2,0\n{value},0\n")
+        with pytest.raises(ParseError, match="record 2"):
+            read_points(p, net, max_snap_dist=math.inf)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_geojson_non_finite_coordinate_rejected(self, tmp_path, value):
+        net = segment_network(2.0)
+        p = tmp_path / "pts.geojson"
+        _write_geojson(
+            p,
+            [
+                {"type": "Feature", "properties": {}, "geometry": {"type": "Point", "coordinates": xy}}
+                for xy in ([0.5, 0.0], [0.5, value])
+            ],
+        )
+        with pytest.raises(ParseError, match="record 2"):
+            read_points(p, net, max_snap_dist=math.inf)
+
     def test_snap_never_exceeds_max_dist(self, tmp_path):
         rng = np.random.default_rng(7)
         net = grid_network(3, 3, rng=rng)
@@ -194,6 +216,18 @@ class TestLatticeCsv:
         write_lattice_function(f, p, "lattice-csv")
         g = read_lattice_function(p, lat)
         assert np.array_equal(f.values, g.values)
+
+    @pytest.mark.parametrize("bad_id", [-1, 1])
+    def test_edge_id_out_of_range_rejected(self, tmp_path, bad_id):
+        # one edge: without the check -1 would wrap around to edge 0
+        lat = discretize(segment_network(1.0), 0.25)
+        p = tmp_path / "f.csv"
+        write_lattice_function(LatticeFunction(lat, np.ones(lat.n_nodes)), p, "lattice-csv")
+        header, *rows = p.read_text().splitlines()
+        rows = [f"{bad_id},{row.split(',', 1)[1]}" for row in rows]
+        p.write_text("\n".join([header, *rows]) + "\n")
+        with pytest.raises(ParseError, match=f"edge_id {bad_id} out of range"):
+            read_lattice_function(p, lat)
 
     def test_integral_preserved_through_cells(self, tmp_path):
         net = grid_network(3, 2, rng=np.random.default_rng(1))

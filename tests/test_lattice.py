@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 
 from lineheat.lattice import LatticeFunction, discretize
-from lineheat.network import NetworkLocation, shortest_path_distance
+from lineheat.network import NetworkLocation
 
-from nets import random_location, random_network, segment_network, y_network
+from nets import (
+    brute_force_distance,
+    random_location,
+    random_network,
+    segment_network,
+    y_network,
+)
 
 
 class TestDiscretize:
@@ -63,28 +69,65 @@ class TestDiscretize:
         assert np.allclose(per_node, lat.node_weight, rtol=1e-12)
 
 
+def _source_kind(lat, src):
+    left, right, theta, _ = lat.bracket(src)
+    if left == right:
+        return "vertex"
+    if theta == 0.0:
+        return "chain node"
+    if theta == 1.0:
+        return "far node"
+    return "inside a link"
+
+
+def _candidate_sources(lat, rng):
+    net = lat.network
+    yield net.vertex_location(int(rng.integers(net.n_vertices)))
+    interior = np.nonzero(lat.node_vertex < 0)[0]
+    if len(interior):
+        yield lat.node_location(int(rng.choice(interior)))
+    yield random_location(net, rng)
+    # just below an edge's end the bracket can clamp to the last link with
+    # theta == 1, so the source sits on that link's far node
+    for e in range(net.n_edges):
+        off = float(net.edge_lengths[e])
+        for _ in range(4):
+            off = float(np.nextafter(off, 0.0))
+            yield NetworkLocation(e, off)
+
+
 class TestDistanceField:
-    def test_matches_pairwise_distance(self):
+    def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(31)
-        for _ in range(8):
+        seen = set()
+        for _ in range(10):
             net = random_network(rng)
             lat = discretize(net, 0.4)
-            src = random_location(net, rng)
-            field = lat.distance_field(src)
-            for i in rng.choice(lat.n_nodes, size=min(6, lat.n_nodes), replace=False):
-                want = shortest_path_distance(net, src, lat.node_location(int(i)))
-                got = field[int(i)]
-                if math.isinf(want):
-                    assert math.isinf(got)
-                else:
-                    assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+            tested = set()
+            for src in _candidate_sources(lat, rng):
+                kind = _source_kind(lat, src)
+                if kind in tested:
+                    continue
+                tested.add(kind)
+                field = lat.distance_field(src)
+                for i in range(lat.n_nodes):
+                    want = brute_force_distance(net, src, lat.node_location(i))
+                    if math.isinf(want):
+                        assert math.isinf(field[i])
+                    else:
+                        assert field[i] == pytest.approx(want, rel=1e-9, abs=1e-12)
+            seen |= tested
+        assert seen == {"vertex", "chain node", "far node", "inside a link"}
 
     def test_cutoff(self):
         lat = discretize(segment_network(10.0), 0.5)
         field = lat.distance_field(NetworkLocation(0, 5.0), cutoff=1.0)
-        finite = np.isfinite(field)
-        assert field[finite].max() <= 1.0 + 1e-12
-        assert finite.sum() >= 3
+        finite = np.nonzero(np.isfinite(field))[0]
+        # nodes at exactly the cutoff distance are kept
+        assert sorted(lat.node_location(int(i)).offset for i in finite) == [
+            4.0, 4.5, 5.0, 5.5, 6.0
+        ]
+        assert sorted(field[finite]) == [0.0, 0.5, 0.5, 1.0, 1.0]
 
 
 class TestLatticeFunction:

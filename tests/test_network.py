@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from lineheat.errors import (
     TooFarFromNetwork,
     ZeroLengthEdge,
 )
+from lineheat.ingest import write_network_geojson
 from lineheat.network import (
     NetworkLocation,
     PointPattern,
@@ -22,6 +25,7 @@ from lineheat.network import (
 
 from nets import (
     brute_force_distance,
+    grid_network,
     random_location,
     random_network,
     segment_network,
@@ -227,3 +231,22 @@ class TestPointPattern:
         net = segment_network()
         pp = PointPattern(net, [NetworkLocation(0, 0.1), NetworkLocation(0, 0.9)])
         assert pp.n == 2
+
+
+class TestLazyGraphImport:
+    def test_heat_path_leaves_csgraph_unimported(self, tmp_path):
+        # importing scipy.sparse.csgraph adds ~4 MB of RSS; only distance and
+        # component queries may pay it, never a heat estimate
+        net_path = tmp_path / "net.geojson"
+        write_network_geojson(grid_network(3, 3, spacing=0.5), net_path)
+        code = f"""
+import sys
+import lineheat as lh
+net = lh.read_network_geojson({str(net_path)!r})
+pattern = lh.PointPattern(net, [lh.NetworkLocation(0, 0.1), lh.NetworkLocation(3, 0.2)])
+lh.estimate_heat(pattern, lh.discretize(net, 0.05), 0.2)
+print("scipy.sparse.csgraph" in sys.modules)
+"""
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
