@@ -13,8 +13,9 @@ exp(mean(log pilot^-2)), which is not scale-free and is kept for comparison.
 
 The direct adaptive estimate solves one diffusion per point at its own
 bandwidth.  The partition estimator approximates it by splitting the points
-into D = 1/delta quantile bins of the bandwidths and running one
-fixed-bandwidth estimate per bin at the bin midpoint.
+into D = 1/delta quantile bins of the bandwidths and diffusing every point at
+its bin's midpoint (one fixed-bandwidth estimate per bin), run as a single
+``heat.estimate_heat_batch`` pass.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDelta, EmptyPattern, NonpositivePilotWarning
-from .heat import DEFAULT_CONFIG, HeatConfig, estimate_heat, estimate_heat_batch, heat_solve, deposit_initial_mass
-from .lattice import Lattice, LatticeFunction
+from .heat import DEFAULT_CONFIG, HeatConfig, deposit_initial_mass, estimate_heat_batch, heat_solve
+from .lattice import Lattice, LatticeFunction, _require_points
 from .network import PointPattern
 
 PILOT_FLOOR = 1e-12
@@ -165,7 +166,7 @@ def estimate_adaptive_direct(
     grows with the number of points.  Contributions are summed in canonical
     point order, so the result is independent of input ordering.
     """
-    _check_pair(pattern, lattice)
+    _require_points(pattern, lattice)
     order = sorted(range(pattern.n), key=lambda i: (pattern.points[i].edge, pattern.points[i].offset))
     total = np.zeros(lattice.n_nodes)
     for i in order:
@@ -184,36 +185,13 @@ def estimate_adaptive_partition(
     bw: BandwidthSet,
     delta: float,
     cfg: HeatConfig = DEFAULT_CONFIG,
-    mode: str = "incremental",
-    plan: PartitionPlan | None = None,
 ) -> LatticeFunction:
-    """Partition approximation: one fixed-bandwidth estimate per quantile bin.
+    """Partition approximation: every point diffused at its bin's midpoint.
 
-    ``mode='incremental'`` runs all bins in a single solver pass (time governed
-    by the largest bin midpoint); ``mode='per-bin'`` runs the bins as separate
-    solves, which is what the timing harness measures.  Both agree to solver
-    rounding.
+    This is the sum of one fixed-bandwidth estimate per quantile bin, run as
+    a single batched solve whose full steps are governed by the largest
+    midpoint.
     """
-    _check_pair(pattern, lattice)
-    if plan is None:
-        plan = make_partition(bw, delta)
-    subsets = []
-    for d in range(plan.n_bins):
-        idx = plan.bin_indices(d)
-        if len(idx):
-            subsets.append(([pattern.points[i] for i in idx], float(plan.midpoints[d])))
-    if mode == "incremental":
-        return estimate_heat_batch(subsets, lattice, cfg)
-    if mode == "per-bin":
-        total = np.zeros(lattice.n_nodes)
-        for pts, sigma in subsets:
-            total += estimate_heat(PointPattern(pattern.network, pts), lattice, sigma, cfg).values
-        return LatticeFunction(lattice, total)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _check_pair(pattern, lattice):
-    if pattern.network is not lattice.network:
-        raise ValueError("pattern and lattice refer to different networks")
-    if pattern.n == 0:
-        raise EmptyPattern("estimator needs at least one data point")
+    _require_points(pattern, lattice)
+    plan = make_partition(bw, delta)
+    return estimate_heat_batch(pattern, lattice, plan.midpoints[plan.assignment], cfg)

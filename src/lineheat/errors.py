@@ -61,10 +61,6 @@ class StabilityViolation(NumericalError):
     """Requested time step exceeds the explicit-scheme stability bound."""
 
 
-class OverlappingSubsets(LineHeatError):
-    """Batched subsets must be disjoint."""
-
-
 class BadDelta(LineHeatError):
     """Quantile step must satisfy: 1/delta is an integer in [1, n]."""
 

@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import LocationOffNetwork, OverlappingSubsets, StabilityViolation
+from .errors import LocationOffNetwork, StabilityViolation
 from .lattice import Lattice, LatticeFunction
-from .network import LinearNetwork, NetworkLocation, PointPattern
+from .network import LinearNetwork, PointPattern
 
 #: Thermal diffusivity: time equals kernel variance (t = sigma^2).
 BETA = 0.5
@@ -35,12 +34,10 @@ class HeatConfig:
     """Solver controls.
 
     alpha scales the time step below the stability bound
-    dt = alpha * min_spacing^2 / (2 beta).  dx_target, when set, overrides the
-    default lattice rule min(sigma_min / 3, shortest edge length).
+    dt = alpha * min_spacing^2 / (2 beta).
     """
 
     alpha: float = 0.9
-    dx_target: float | None = None
 
     def __post_init__(self):
         if not 0 < self.alpha <= 1:
@@ -50,10 +47,8 @@ class HeatConfig:
 DEFAULT_CONFIG = HeatConfig()
 
 
-def default_dx(net: LinearNetwork, sigma_min: float, cfg: HeatConfig = DEFAULT_CONFIG) -> float:
+def default_dx(net: LinearNetwork, sigma_min: float) -> float:
     """Lattice spacing rule for a solve whose smallest bandwidth is ``sigma_min``."""
-    if cfg.dx_target is not None:
-        return cfg.dx_target
     return min(sigma_min / 3.0, float(net.edge_lengths.min()))
 
 
@@ -112,37 +107,50 @@ def heat_step(f: LatticeFunction, cfg: HeatConfig = DEFAULT_CONFIG, dt: float | 
     return LatticeFunction(f.lattice, _step_values(f.values, f.lattice, dt))
 
 
-def _split_time(t: float, dt: float) -> tuple[int, float]:
-    n = int(math.floor(t / dt))
-    r = t - n * dt
-    if r < 0.0:  # guard the floor/multiply rounding
-        r = 0.0
-    if r >= dt:
-        n += 1
-        r = 0.0
-    return n, r
+def _inject(lattice: Lattice, times, initial, cfg: HeatConfig) -> np.ndarray:
+    """Sum of heat solves, one per group, run as a single time-stepping loop.
+
+    Group k starts from ``initial(k)``, called when it joins, and diffuses
+    for ``times[k]``.  Each group is first advanced by its fractional
+    remainder step (it commutes with the full steps), then joins the running
+    solve when exactly its number of full steps is left; groups with equal
+    step counts join in the order given.  By linearity the sum costs the
+    largest group's steps plus one short step per group, and a single group
+    is the standalone solve.
+    """
+    dt = step_size(lattice, cfg)
+    _check_dt(lattice, dt)
+    joins: dict[int, list[tuple[int, float]]] = {}
+    for k, t in enumerate(times):
+        n = int(math.floor(t / dt))
+        r = t - n * dt
+        if r < 0.0:  # guard the floor/multiply rounding
+            r = 0.0
+        if r >= dt:
+            n, r = n + 1, 0.0
+        joins.setdefault(n, []).append((k, r))
+    values = np.zeros(lattice.n_nodes)
+    for left in range(max(joins, default=0), -1, -1):
+        for k, r in joins.get(left, ()):
+            group = initial(k)
+            if r > 0.0:
+                group = _step_values(group, lattice, r)
+            values = values + group
+            del group  # held through the steps, it makes each step page-fault
+        if left:
+            values = _step_values(values, lattice, dt)
+    return values
 
 
 def heat_solve(f0: LatticeFunction, t: float, cfg: HeatConfig = DEFAULT_CONFIG) -> LatticeFunction:
-    """Evolve ``f0`` to time ``t``.
+    """Evolve ``f0`` to time ``t`` with the uniform stable step.
 
-    Uses the uniform stable step; the fractional remainder of t is taken as a
-    single shortened step up front (it commutes with the full steps, and
-    leading with it keeps batched and standalone solves consistent).
+    The fractional remainder of t is taken as a single shortened step up
+    front, so batched and standalone solves agree.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    values = f0.values.copy()
-    if t == 0:
-        return LatticeFunction(f0.lattice, values)
-    dt = step_size(f0.lattice, cfg)
-    _check_dt(f0.lattice, dt)
-    n, r = _split_time(t, dt)
-    if r > 0.0:
-        values = _step_values(values, f0.lattice, r)
-    for _ in range(n):
-        values = _step_values(values, f0.lattice, dt)
-    return LatticeFunction(f0.lattice, values)
+    return LatticeFunction(f0.lattice, _inject(f0.lattice, [t], lambda k: f0.values, cfg))
 
 
 def estimate_heat(
@@ -160,58 +168,26 @@ def estimate_heat(
 
 
 def estimate_heat_batch(
-    subsets: Sequence[tuple[Sequence[NetworkLocation], float]],
-    lattice: Lattice,
-    cfg: HeatConfig = DEFAULT_CONFIG,
+    pattern: PointPattern, lattice: Lattice, bandwidths, cfg: HeatConfig = DEFAULT_CONFIG
 ) -> LatticeFunction:
-    """Sum of per-subset diffusion estimates, solved in a single pass.
+    """Sum of per-point diffusion estimates, each at its own bandwidth.
 
-    ``subsets`` are (points, sigma) pairs with sigma ascending and pairwise
-    disjoint points.  Exploits linearity: subsets are injected into one
-    running solve so that each receives exactly its own diffusion time, and
-    the total number of full steps is governed by the largest sigma rather
-    than the sum.  Each injected deposit is pre-advanced by its fractional
-    remainder step, which reproduces the standalone solves up to rounding.
+    ``bandwidths`` holds one positive bandwidth per point of ``pattern``.
+    Points with equal bandwidths are deposited together and every group is
+    injected into one running solve, so the full steps are governed by the
+    largest bandwidth rather than the sum.  Equals the per-point solves up
+    to rounding.
     """
-    sigmas = [float(s) for _, s in subsets]
-    if any(s <= 0 for s in sigmas):
+    h = np.asarray(bandwidths, dtype=float)
+    if h.shape != (pattern.n,):
+        raise ValueError(f"need one bandwidth per point ({pattern.n}), got shape {h.shape}")
+    if not np.all(h > 0):
         raise ValueError("all bandwidths must be positive")
-    if any(b < a for a, b in zip(sigmas, sigmas[1:])):
-        raise ValueError("subset bandwidths must be ascending")
-    _check_disjoint(subsets, lattice)
+    sigmas, group = np.unique(h, return_inverse=True)
+    order = np.argsort(group, kind="stable")
+    members = np.split(order, np.cumsum(np.bincount(group))[:-1])
 
-    values = np.zeros(lattice.n_nodes)
-    if not subsets:
-        return LatticeFunction(lattice, values)
-    dt = step_size(lattice, cfg)
-    _check_dt(lattice, dt)
-    plans = []
-    for pts, sigma in subsets:
-        n, r = _split_time(sigma * sigma, dt)
-        plans.append((n, r, pts))
-    total = max(n for n, _, _ in plans)
-    for step in range(total, -1, -1):
-        # inject every subset that needs exactly `step` full steps from here
-        for n, r, pts in plans:
-            if n == step:
-                dep = deposit_initial_mass(pts, lattice).values
-                if r > 0.0:
-                    dep = _step_values(dep, lattice, r)
-                values = values + dep
-        if step > 0:
-            values = _step_values(values, lattice, dt)
-    return LatticeFunction(lattice, values)
+    def group_mass(k):
+        return deposit_initial_mass(pattern.subset(members[k]), lattice).values
 
-
-def _check_disjoint(subsets, lattice):
-    seen: dict = {}
-    net = lattice.network
-    for k, (pts, _) in enumerate(subsets):
-        for p in pts:
-            key = net.canonical_location(p)
-            prev = seen.get(key)
-            if prev is not None and prev != k:
-                raise OverlappingSubsets(
-                    f"location {key} appears in subsets {prev} and {k}"
-                )
-            seen[key] = k
+    return LatticeFunction(lattice, _inject(lattice, sigmas * sigmas, group_mass, cfg))

@@ -50,37 +50,20 @@ class SnapReport:
 
 def read_network_geojson(path, merge_tolerance: float = 1e-8) -> LinearNetwork:
     """Read a network from GeoJSON, merging endpoints within ``merge_tolerance``."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read GeoJSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
-        raise ParseError("expected a GeoJSON FeatureCollection")
-
-    parts: list[list[list[float]]] = []
-    for feat in doc.get("features", []):
-        geom = feat.get("geometry") or {}
-        gtype = geom.get("type")
-        if gtype == "LineString":
-            parts.append(geom["coordinates"])
-        elif gtype == "MultiLineString":
-            parts.extend(geom["coordinates"])
-        else:
-            raise GeometryTypeError(
-                f"unsupported geometry type {gtype!r}; expected LineString/MultiLineString"
-            )
-
     coords: list[tuple[float, float]] = []
     raw_segments: list[tuple[int, int]] = []
-    for line in parts:
-        if len(line) < 2:
-            raise ParseError("LineString with fewer than 2 coordinates")
-        idx = []
-        for pt in line:
-            coords.append((float(pt[0]), float(pt[1])))
-            idx.append(len(coords) - 1)
-        raw_segments.extend(zip(idx[:-1], idx[1:]))
+    for i, gtype, lines in _features(path, ("LineString", "MultiLineString")):
+        for line in [lines] if gtype == "LineString" else lines:
+            if not isinstance(line, list) or len(line) < 2:
+                raise ParseError(f"feature {i}: LineString with fewer than 2 coordinates")
+            idx = []
+            for pt in line:
+                x, y = _position(pt, i)
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise ParseError(f"feature {i}: non-finite coordinate ({x}, {y})")
+                coords.append((x, y))
+                idx.append(len(coords) - 1)
+            raw_segments.extend(zip(idx[:-1], idx[1:]))
 
     if not raw_segments:
         raise ParseError("no line segments found")
@@ -184,6 +167,11 @@ def _read_points_csv(path):
 
 
 def _read_points_geojson(path):
+    return [_position(xy, i) for i, _, xy in _features(path, ("Point",))]
+
+
+def _features(path, types: tuple[str, ...]):
+    """Yield (number from 1, geometry type, coordinates) per GeoJSON feature."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -191,16 +179,30 @@ def _read_points_geojson(path):
         raise ParseError(f"cannot read GeoJSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise ParseError("expected a GeoJSON FeatureCollection")
-    rows = []
-    for feat in doc.get("features", []):
-        geom = feat.get("geometry") or {}
-        if geom.get("type") != "Point":
+    features = doc.get("features", [])
+    if not isinstance(features, list):
+        raise ParseError("FeatureCollection 'features' is not an array")
+    for i, feat in enumerate(features, 1):
+        if not isinstance(feat, dict):
+            raise ParseError(f"feature {i}: not a JSON object")
+        geom = feat.get("geometry")
+        gtype = geom.get("type") if isinstance(geom, dict) else None
+        if gtype not in types:
             raise GeometryTypeError(
-                f"unsupported geometry type {geom.get('type')!r}; expected Point"
+                f"feature {i}: unsupported geometry type {gtype!r}; expected {'/'.join(types)}"
             )
-        x, y = geom["coordinates"][:2]
-        rows.append((float(x), float(y)))
-    return rows
+        if not isinstance(geom.get("coordinates"), list):
+            raise ParseError(f"feature {i}: {gtype} without a coordinates array")
+        yield i, gtype, geom["coordinates"]
+
+
+def _position(pt, i: int) -> tuple[float, float]:
+    if isinstance(pt, list) and len(pt) >= 2:
+        try:
+            return float(pt[0]), float(pt[1])
+        except (TypeError, ValueError):
+            pass
+    raise ParseError(f"feature {i}: bad position {pt!r}")
 
 
 def write_points_csv(pattern: PointPattern, path) -> None:

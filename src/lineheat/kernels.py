@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyPattern, PathExplosion, UnboundedKernel
-from .lattice import Lattice, LatticeFunction
+from .errors import PathExplosion, UnboundedKernel
+from .lattice import Lattice, LatticeFunction, _require_points
 from .network import NetworkLocation, PointPattern
 
 GAUSSIAN_TRUNCATION = 4.0  # support radius in standard deviations
@@ -155,13 +155,6 @@ def _kernel_sum(pattern, lattice, kernel):
         m = np.isfinite(d)
         out[m] += kernel(d[m])
     return out
-
-
-def _require_points(pattern: PointPattern, lattice: Lattice):
-    if lattice.network is not pattern.network:
-        raise ValueError("pattern and lattice refer to different networks")
-    if pattern.n == 0:
-        raise EmptyPattern("estimator needs at least one data point")
 
 
 # -- equal-split path enumeration ---------------------------------------------

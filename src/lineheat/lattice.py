@@ -16,7 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .network import LinearNetwork, NetworkLocation, _adjacency, _graph_distances
+from .errors import EmptyPattern
+from .network import LinearNetwork, NetworkLocation, PointPattern, _adjacency, _graph_distances
 
 
 class Lattice:
@@ -226,3 +227,11 @@ class LatticeFunction:
 def discretize(net: LinearNetwork, dx_target: float) -> Lattice:
     """Build the quadrature lattice with per-edge spacing at most ``dx_target``."""
     return Lattice(net, dx_target)
+
+
+def _require_points(pattern: PointPattern, lattice: Lattice):
+    """Estimator input guard: same network as the lattice, at least one point."""
+    if lattice.network is not pattern.network:
+        raise ValueError("pattern and lattice refer to different networks")
+    if pattern.n == 0:
+        raise EmptyPattern("estimator needs at least one data point")

@@ -10,12 +10,12 @@ from lineheat.adaptive import (
     make_partition,
 )
 from lineheat.errors import BadDelta, EmptyPattern, NonpositivePilotWarning
-from lineheat.experiment import ise
-from lineheat.heat import estimate_heat
+from lineheat.experiment import ise, partition_per_bin
+from lineheat.heat import estimate_heat, estimate_heat_batch
 from lineheat.lattice import LatticeFunction, discretize
 from lineheat.network import NetworkLocation, PointPattern
 
-from nets import random_pattern, segment_network, y_network
+from nets import random_network, random_pattern, segment_network, y_network
 
 
 def _pattern_and_lattice(n=6, seed=3):
@@ -182,13 +182,30 @@ class TestAdaptiveEstimates:
         assert estimate_adaptive_direct(pat, lat, bw).integral() == pytest.approx(9, rel=1e-9)
         assert estimate_adaptive_partition(pat, lat, bw, 0.5).integral() == pytest.approx(9, rel=1e-9)
 
-    def test_modes_agree(self):
-        pat, lat = _pattern_and_lattice(n=12, seed=23)
-        pilot = estimate_heat(pat, lat, 0.5)
-        bw = abramson_bandwidths(pat, pilot, 0.5)
-        a = estimate_adaptive_partition(pat, lat, bw, 0.25, mode="incremental")
-        b = estimate_adaptive_partition(pat, lat, bw, 0.25, mode="per-bin")
-        assert np.abs(a.values - b.values).max() <= 1e-9 * b.values.max()
+    def test_batched_partition_matches_per_bin_reference(self):
+        rng = np.random.default_rng(23)
+        for _ in range(10):
+            net = random_network(rng)
+            lat = discretize(net, 0.1)
+            pat = random_pattern(net, int(rng.integers(5, 30)), rng)
+            bw = abramson_bandwidths(pat, estimate_heat(pat, lat, 0.5), 0.5)
+            for delta in (0.5, 0.25, 0.1):
+                a = estimate_adaptive_partition(pat, lat, bw, delta)
+                b = partition_per_bin(pat, lat, make_partition(bw, delta))
+                assert np.abs(a.values - b.values).max() <= 1e-9 * b.values.max()
+
+    def test_batch_matches_direct(self):
+        # the one-pass batch at the per-point bandwidths is the exact direct
+        # estimate, to rounding
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            net = random_network(rng)
+            lat = discretize(net, 0.1)
+            pat = random_pattern(net, int(rng.integers(1, 30)), rng)
+            bw = abramson_bandwidths(pat, estimate_heat(pat, lat, 0.5), 0.5)
+            direct = estimate_adaptive_direct(pat, lat, bw)
+            batch = estimate_heat_batch(pat, lat, bw.bandwidths)
+            assert np.abs(batch.values - direct.values).max() <= 1e-12 * direct.values.max()
 
     def test_permutation_invariance(self):
         pat, lat = _pattern_and_lattice(n=10, seed=29)

@@ -50,6 +50,20 @@ class TestValidate:
         assert proc.returncode == 2
         assert "error:" in proc.stderr
 
+    @pytest.mark.parametrize("features, message", [
+        ([1], "feature 1: not a JSON object"),
+        ([{"type": "Feature", "geometry": {"type": "LineString"}}],
+         "feature 1: LineString without a coordinates array"),
+        ([{"type": "Feature", "geometry": {"type": "LineString", "coordinates": [[0, 0], [1]]}}],
+         "feature 1: bad position [1]"),
+    ], ids=["not-an-object", "no-coordinates", "short-position"])
+    def test_malformed_feature_exits_2(self, tmp_path, features, message):
+        net_path = tmp_path / "bad.geojson"
+        net_path.write_text(json.dumps({"type": "FeatureCollection", "features": features}))
+        proc = run_cli("validate", net_path)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [f"error: {message}"]
+
 
 class TestEstimate:
     def test_heat_mass_surfaces_end_to_end(self, toy, tmp_path):

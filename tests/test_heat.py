@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lineheat.errors import OverlappingSubsets, StabilityViolation
+from lineheat.errors import StabilityViolation
 from lineheat.heat import (
     HeatConfig,
     default_dx,
@@ -196,51 +196,59 @@ class TestHeatBatch:
     def test_single_subset_matches_estimate_heat(self):
         net = y_network()
         lat = discretize(net, 0.05)
-        pts = [NetworkLocation(0, 0.4), NetworkLocation(2, 0.7)]
-        a = estimate_heat_batch([(pts, 0.21)], lat)
-        b = estimate_heat(PointPattern(net, pts), lat, 0.21)
+        pat = PointPattern(net, [NetworkLocation(0, 0.4), NetworkLocation(2, 0.7)])
+        a = estimate_heat_batch(pat, lat, [0.21, 0.21])
+        b = estimate_heat(pat, lat, 0.21)
         assert np.array_equal(a.values, b.values)
 
     def test_two_subsets_same_sigma_match_union(self):
+        # equal bandwidths are grouped even when their points are not adjacent
         net = y_network()
         lat = discretize(net, 0.05)
-        p1 = [NetworkLocation(0, 0.4)]
-        p2 = [NetworkLocation(1, 0.7)]
-        a = estimate_heat_batch([(p1, 0.17), (p2, 0.17)], lat)
-        b = estimate_heat(PointPattern(net, p1 + p2), lat, 0.17)
-        assert np.allclose(a.values, b.values, rtol=1e-12, atol=1e-15)
+        p1, q, p2 = NetworkLocation(0, 0.4), NetworkLocation(2, 0.2), NetworkLocation(1, 0.7)
+        a = estimate_heat_batch(PointPattern(net, [p1, q, p2]), lat, [0.17, 0.3, 0.17])
+        b = (
+            estimate_heat(PointPattern(net, [p1, p2]), lat, 0.17).values
+            + estimate_heat(PointPattern(net, [q]), lat, 0.3).values
+        )
+        assert np.allclose(a.values, b, rtol=1e-12, atol=1e-15)
 
     def test_incremental_matches_naive_three_bins(self):
         rng = np.random.default_rng(11)
         net = random_network(rng)
         lat = discretize(net, 0.2)
-        subsets = []
-        for sigma in (0.13, 0.24, 0.55):
-            pts = [p for p in random_pattern(net, 4, rng)]
-            subsets.append((pts, sigma))
-        batch = estimate_heat_batch(subsets, lat)
+        pts, bws = [], []
         naive = np.zeros(lat.n_nodes)
-        for pts, sigma in subsets:
-            naive += estimate_heat(PointPattern(net, pts), lat, sigma).values
+        for sigma in (0.13, 0.24, 0.55):
+            sub = random_pattern(net, 4, rng)
+            pts += sub.points
+            bws += [sigma] * sub.n
+            naive += estimate_heat(sub, lat, sigma).values
+        batch = estimate_heat_batch(PointPattern(net, pts), lat, bws)
         scale = naive.max()
         assert np.abs(batch.values - naive).max() <= 1e-9 * scale
         assert batch.integral() == pytest.approx(12.0, rel=1e-9)
 
-    def test_overlapping_subsets_rejected(self):
-        net = y_network()
-        lat = discretize(net, 0.1)
-        p = NetworkLocation(0, 0.5)
-        with pytest.raises(OverlappingSubsets):
-            estimate_heat_batch([([p], 0.1), ([p], 0.2)], lat)
+    def test_empty_pattern_gives_zero(self):
+        lat = discretize(y_network(), 0.1)
+        est = estimate_heat_batch(PointPattern(lat.network, []), lat, [])
+        assert np.array_equal(est.values, np.zeros(lat.n_nodes))
 
-    def test_unsorted_sigmas_rejected(self):
+    @pytest.mark.parametrize("bandwidths", [[0.2], [0.2, 0.3, 0.4]])
+    def test_wrong_length_rejected(self, bandwidths):
         net = y_network()
         lat = discretize(net, 0.1)
-        with pytest.raises(ValueError):
-            estimate_heat_batch(
-                [([NetworkLocation(0, 0.2)], 0.3), ([NetworkLocation(1, 0.2)], 0.1)],
-                lat,
-            )
+        pat = PointPattern(net, [NetworkLocation(0, 0.2), NetworkLocation(1, 0.2)])
+        with pytest.raises(ValueError, match="one bandwidth per point"):
+            estimate_heat_batch(pat, lat, bandwidths)
+
+    @pytest.mark.parametrize("bad", [0.0, -0.1, float("nan")])
+    def test_nonpositive_bandwidth_rejected(self, bad):
+        net = y_network()
+        lat = discretize(net, 0.1)
+        pat = PointPattern(net, [NetworkLocation(0, 0.2), NetworkLocation(1, 0.2)])
+        with pytest.raises(ValueError, match="positive"):
+            estimate_heat_batch(pat, lat, [0.2, bad])
 
 
 class TestDefaultDx:
@@ -248,8 +256,6 @@ class TestDefaultDx:
         net = y_network()
         assert default_dx(net, 0.3) == pytest.approx(0.1)
         assert default_dx(net, 9.0) == pytest.approx(1.0)  # shortest edge wins
-        cfg = HeatConfig(dx_target=0.025)
-        assert default_dx(net, 0.3, cfg) == 0.025
 
     def test_step_size(self):
         lat = discretize(segment_network(1.0), 0.25)

@@ -91,6 +91,32 @@ class TestReadNetwork:
         with pytest.raises(ParseError):
             read_network_geojson(p)
 
+    def test_linestring_without_coordinates_rejected(self, tmp_path):
+        p = tmp_path / "net.geojson"
+        bare = {"type": "Feature", "properties": {}, "geometry": {"type": "LineString"}}
+        _write_geojson(p, [_line([[0, 0], [1, 0]]), bare])
+        with pytest.raises(ParseError, match="feature 2: LineString without a coordinates array"):
+            read_network_geojson(p)
+
+    def test_feature_not_an_object_rejected(self, tmp_path):
+        p = tmp_path / "net.geojson"
+        _write_geojson(p, [1])
+        with pytest.raises(ParseError, match="feature 1: not a JSON object"):
+            read_network_geojson(p)
+
+    def test_short_position_rejected(self, tmp_path):
+        p = tmp_path / "net.geojson"
+        _write_geojson(p, [_line([[0, 0], [1]])])
+        with pytest.raises(ParseError, match=r"feature 1: bad position \[1\]"):
+            read_network_geojson(p)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_network_coordinate_rejected(self, tmp_path, value):
+        p = tmp_path / "net.geojson"
+        _write_geojson(p, [_line([[0, 0], [1, 0]]), _line([[1, 0], [value, 1]])])
+        with pytest.raises(ParseError, match="feature 2: non-finite coordinate"):
+            read_network_geojson(p)
+
     def test_roundtrip_idempotent_up_to_relabeling(self, tmp_path):
         net = grid_network(3, 3, spacing=1.0, keep=0.8, rng=np.random.default_rng(2))
         p = tmp_path / "rt.geojson"
@@ -147,6 +173,13 @@ class TestReadPoints:
         )
         pattern, _ = read_points(p, net, max_snap_dist=0.5)
         assert pattern.n == 1
+
+    def test_geojson_point_without_coordinates_rejected(self, tmp_path):
+        net = segment_network(2.0)
+        p = tmp_path / "pts.geojson"
+        _write_geojson(p, [{"type": "Feature", "properties": {}, "geometry": {"type": "Point"}}])
+        with pytest.raises(ParseError, match="feature 1: Point without a coordinates array"):
+            read_points(p, net, max_snap_dist=0.5)
 
     def test_missing_columns(self, tmp_path):
         net = segment_network(2.0)
