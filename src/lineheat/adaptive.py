@@ -72,11 +72,10 @@ def abramson_bandwidths(
     edge chain; values at or below ``PILOT_FLOOR`` are clamped (with a
     warning) so isolated points keep a finite bandwidth.
     """
-    if pattern.n == 0:
-        raise EmptyPattern("cannot compute bandwidths for an empty pattern")
+    _require_points(pattern, pilot.lattice)
     if global_bandwidth <= 0:
         raise ValueError("global bandwidth must be positive")
-    vals = np.array([pilot.value_at(p) for p in pattern])
+    vals = pilot.values_at(pattern.edge, pattern.offset)
     clamp = vals <= PILOT_FLOOR
     n_clamped = int(clamp.sum())
     if n_clamped:
@@ -167,11 +166,10 @@ def estimate_adaptive_direct(
     point order, so the result is independent of input ordering.
     """
     _require_points(pattern, lattice)
-    order = sorted(range(pattern.n), key=lambda i: (pattern.points[i].edge, pattern.points[i].offset))
     total = np.zeros(lattice.n_nodes)
-    for i in order:
+    for i in pattern.order:
         f = heat_solve(
-            deposit_initial_mass([pattern.points[i]], lattice),
+            deposit_initial_mass(pattern.subset([i]), lattice),
             float(bw.bandwidths[i]) ** 2,
             cfg,
         )

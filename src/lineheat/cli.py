@@ -28,7 +28,7 @@ from .adaptive import (
 )
 from .errors import LineHeatError
 from .experiment import SCENARIOS, STUDY_COLUMNS, run_partition_study, simulate_intensity
-from .heat import DEFAULT_CONFIG, default_dx, estimate_heat
+from .heat import DEFAULT_CONFIG, estimate_heat, resolve_dx
 from .ingest import (
     FLOAT_FMT,
     read_network_geojson,
@@ -144,7 +144,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_simulate(args) -> int:
     net = read_network_geojson(args.net)
-    dx = args.dx if args.dx else default_dx(net, net.edge_lengths.min())
+    dx = resolve_dx(args.dx, net, net.edge_lengths.min())
     _echo_config(args, resolved_dx=dx)
     lattice = discretize(net, dx)
     truth = simulate_intensity(
@@ -197,10 +197,10 @@ def _cmd_estimate(args) -> int:
             star = float(args.bw_global)
         if star <= 0:
             raise LineHeatError("global bandwidth must be positive")
-        pilot_lat = discretize(net, args.dx if args.dx else default_dx(net, star))
+        pilot_lat = discretize(net, resolve_dx(args.dx, net, star))
         pilot = estimate_heat(pattern, pilot_lat, star, cfg)
         bw = abramson_bandwidths(pattern, pilot, star, args.gamma_exponent)
-        dx = args.dx if args.dx else default_dx(net, float(bw.bandwidths.min()))
+        dx = resolve_dx(args.dx, net, float(bw.bandwidths.min()))
         _echo_config(args, resolved_dx=dx, resolved_bw_global=star)
         lattice = discretize(net, dx)
         if args.delta is not None:
@@ -210,7 +210,7 @@ def _cmd_estimate(args) -> int:
     else:
         if args.bw is None:
             raise LineHeatError("--bw is required for fixed-bandwidth estimation")
-        dx = args.dx if args.dx else default_dx(net, args.bw)
+        dx = resolve_dx(args.dx, net, args.bw)
         _echo_config(args, resolved_dx=dx)
         lattice = discretize(net, dx)
         est = _fixed_estimate(args, pattern, lattice, cfg)
@@ -285,7 +285,7 @@ def _cmd_study(args) -> int:
 def _cmd_bench(args) -> int:
     net, pattern = _load_pattern(args)
     _echo_config(args)
-    lattice = discretize(net, args.dx if args.dx else default_dx(net, args.bw))
+    lattice = discretize(net, resolve_dx(args.dx, net, args.bw))
     runs = []
     for _ in range(2):  # first run is the discarded warmup
         t0 = time.perf_counter()

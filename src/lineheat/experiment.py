@@ -23,7 +23,7 @@ from .adaptive import (
     make_partition,
 )
 from .errors import LatticeMismatch
-from .heat import DEFAULT_CONFIG, HeatConfig, default_dx, estimate_heat
+from .heat import DEFAULT_CONFIG, HeatConfig, default_dx, estimate_heat, resolve_dx
 from .lattice import LatticeFunction, discretize
 from .network import LinearNetwork
 from .sim import (
@@ -137,7 +137,7 @@ def _one_replicate(args) -> list[StudyRow]:
         cfg,
     ) = args
     rep_seed = seed + rep
-    if dx_override:
+    if dx_override is not None:
         truth_dx = dx_override
     elif eps_star:
         truth_dx = default_dx(net, eps_star)
@@ -154,10 +154,7 @@ def _one_replicate(args) -> list[StudyRow]:
         ]
 
     star = eps_star or heuristic_global_bandwidth(net.total_length, pattern.n)
-    if dx_override:
-        lat1 = discretize(net, dx_override)
-    else:
-        lat1 = discretize(net, default_dx(net, star))
+    lat1 = discretize(net, resolve_dx(dx_override, net, star))
     pilot = estimate_heat(pattern, lat1, star, cfg)
     bw = abramson_bandwidths(pattern, pilot, star, gamma_exponent)
     if bandwidth_override is not None:
@@ -166,8 +163,7 @@ def _one_replicate(args) -> list[StudyRow]:
         bw.bandwidths = np.full(pattern.n, float(bandwidth_override))
 
     # stage 2: estimation lattice resolves the smallest bandwidth
-    dx2 = dx_override if dx_override else default_dx(net, float(bw.bandwidths.min()))
-    lat2 = discretize(net, dx2)
+    lat2 = discretize(net, resolve_dx(dx_override, net, float(bw.bandwidths.min())))
 
     if timing:
         _warmup(lat2, pattern, bw, cfg)

@@ -52,32 +52,29 @@ def default_dx(net: LinearNetwork, sigma_min: float) -> float:
     return min(sigma_min / 3.0, float(net.edge_lengths.min()))
 
 
+def resolve_dx(dx: float | None, net: LinearNetwork, sigma_min: float) -> float:
+    """``dx`` when one is given (not None), else :func:`default_dx`."""
+    return default_dx(net, sigma_min) if dx is None else dx
+
+
 def step_size(lattice: Lattice, cfg: HeatConfig = DEFAULT_CONFIG) -> float:
     """Stable explicit time step for this lattice."""
     return cfg.alpha * lattice.min_spacing**2 / (2.0 * BETA)
 
 
-def deposit_initial_mass(points, lattice: Lattice) -> LatticeFunction:
+def deposit_initial_mass(pattern: PointPattern, lattice: Lattice) -> LatticeFunction:
     """Discrete density with unit mass per point.
 
     Each point splits its mass linearly between the two bracketing chain nodes
     and is divided by the node weights, so the discrete integral equals the
-    number of points.
+    number of points.  Points are added in ``pattern.order``.
     """
-    if isinstance(points, PointPattern):
-        if points.network is not lattice.network:
-            raise LocationOffNetwork("pattern bound to a different network")
-        pts = points.points
-    else:
-        pts = tuple(points)
-    mass = np.zeros(lattice.n_nodes)
-    for p in sorted(pts, key=lambda q: (q.edge, q.offset)):
-        left, right, theta, _ = lattice.bracket(p)
-        if theta == 0.0:
-            mass[left] += 1.0
-        else:
-            mass[left] += 1.0 - theta
-            mass[right] += theta
+    if pattern.network is not lattice.network:
+        raise LocationOffNetwork("pattern bound to a different network")
+    left, right, theta = lattice.bracket(pattern.edge[pattern.order], pattern.offset[pattern.order])
+    nodes = np.column_stack((left, right)).ravel()
+    share = np.column_stack((1.0 - theta, theta)).ravel()
+    mass = np.bincount(nodes, share, lattice.n_nodes)
     return LatticeFunction(lattice, mass / lattice.node_weight)
 
 
@@ -148,8 +145,8 @@ def heat_solve(f0: LatticeFunction, t: float, cfg: HeatConfig = DEFAULT_CONFIG) 
     The fractional remainder of t is taken as a single shortened step up
     front, so batched and standalone solves agree.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"t must be nonnegative and finite, got {t}")
     return LatticeFunction(f0.lattice, _inject(f0.lattice, [t], lambda k: f0.values, cfg))
 
 
@@ -162,8 +159,8 @@ def estimate_heat(
     sigma^2; the result integrates to the point count exactly (mass
     conservation of the scheme).
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     return heat_solve(deposit_initial_mass(pattern, lattice), sigma * sigma, cfg)
 
 
@@ -181,8 +178,8 @@ def estimate_heat_batch(
     h = np.asarray(bandwidths, dtype=float)
     if h.shape != (pattern.n,):
         raise ValueError(f"need one bandwidth per point ({pattern.n}), got shape {h.shape}")
-    if not np.all(h > 0):
-        raise ValueError("all bandwidths must be positive")
+    if not np.all((h > 0) & (h < np.inf)):
+        raise ValueError("all bandwidths must be positive and finite")
     sigmas, group = np.unique(h, return_inverse=True)
     order = np.argsort(group, kind="stable")
     members = np.split(order, np.cumsum(np.bincount(group))[:-1])

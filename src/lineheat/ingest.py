@@ -235,11 +235,10 @@ def write_lattice_function(
 
 def _write_lattice_csv(f: LatticeFunction, path) -> None:
     ce, cl, ch, cn = f.lattice.node_cells
-    order = np.lexsort((cl, ce))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["edge_id", "offset_start", "offset_end", "value"])
-        for k in order:
+        for k in range(len(ce)):
             w.writerow(
                 [
                     int(ce[k]),

@@ -82,13 +82,8 @@ class Kernel1D:
         return out if out.ndim else float(out)
 
 
-def _sorted_points(pattern: PointPattern):
-    return sorted(pattern.points, key=lambda p: (p.edge, p.offset))
-
-
 def edge_correction(lattice: Lattice, loc: NetworkLocation, kernel: Kernel1D) -> float:
     """Network integral of the kernel centered at ``loc`` (lattice quadrature)."""
-    lattice.network.check_location(loc)
     d = lattice.distance_field(loc, cutoff=kernel.support)
     m = np.isfinite(d)
     return float(lattice.node_weight[m] @ kernel(d[m]))
@@ -139,8 +134,8 @@ def estimate_jones_diggle(
     """
     _require_points(pattern, lattice)
     out = np.zeros(lattice.n_nodes)
-    for p in _sorted_points(pattern):
-        d = lattice.distance_field(p, cutoff=kernel.support)
+    for i in pattern.order:
+        d = lattice.distance_field(pattern[i], cutoff=kernel.support)
         m = np.isfinite(d)
         k = kernel(d[m])
         c = float(lattice.node_weight[m] @ k)
@@ -150,8 +145,8 @@ def estimate_jones_diggle(
 
 def _kernel_sum(pattern, lattice, kernel):
     out = np.zeros(lattice.n_nodes)
-    for p in _sorted_points(pattern):
-        d = lattice.distance_field(p, cutoff=kernel.support)
+    for i in pattern.order:
+        d = lattice.distance_field(pattern[i], cutoff=kernel.support)
         m = np.isfinite(d)
         out[m] += kernel(d[m])
     return out
@@ -198,8 +193,8 @@ def _equal_split(pattern, lattice, kernel, continuous, max_steps):
             "(epanechnikov or quartic)"
         )
     out = np.zeros(lattice.n_nodes)
-    for p in _sorted_points(pattern):
-        _deposit_from_point(lattice, p, kernel, out, continuous, [max_steps])
+    for i in pattern.order:
+        _deposit_from_point(lattice, pattern[i], kernel, out, continuous, [max_steps])
     return LatticeFunction(lattice, out)
 
 

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptyPattern
+from .errors import EmptyPattern, LatticeMismatch
 from .network import LinearNetwork, NetworkLocation, PointPattern, _adjacency, _graph_distances
 
 
@@ -28,65 +28,44 @@ class Lattice:
     """
 
     def __init__(self, network: LinearNetwork, dx_target: float):
-        if dx_target <= 0:
-            raise ValueError("dx_target must be positive")
+        if not (math.isfinite(dx_target) and dx_target > 0):
+            raise ValueError(f"dx_target must be positive and finite, got {dx_target}")
         self.network = network
         self.dx_target = float(dx_target)
 
+        if not network.total_length / self.dx_target < 2.0**62:
+            raise ValueError(f"dx_target {dx_target} asks for more lattice nodes than int64 can count")
+        pieces = np.ceil(network.edge_lengths / dx_target - 1e-12).astype(np.int64)
+        self._n_pieces = np.maximum(1, pieces)
+        self.edge_spacing = network.edge_lengths / self._n_pieces
         nv = network.n_vertices
-        n_pieces = np.maximum(
-            1, np.ceil(network.edge_lengths / dx_target - 1e-12).astype(np.int64)
-        )
-        self.edge_spacing = network.edge_lengths / n_pieces
+        self._first_interior = nv + np.cumsum(self._n_pieces - 1) - (self._n_pieces - 1)
+        self._chain_start = np.cumsum(self._n_pieces + 1) - (self._n_pieces + 1)
 
-        n_nodes = nv + int((n_pieces - 1).sum())
-        xy = np.empty((n_nodes, 2))
-        weight = np.zeros(n_nodes)
-        node_edge = np.full(n_nodes, -1, dtype=np.int64)
-        node_offset = np.full(n_nodes, np.nan)
-        node_vertex = np.full(n_nodes, -1, dtype=np.int64)
-
-        xy[:nv] = network.vertex_xy
-        node_vertex[:nv] = np.arange(nv)
-
-        chains: list[np.ndarray] = []
-        link_i: list[np.ndarray] = []
-        link_j: list[np.ndarray] = []
-        link_h: list[np.ndarray] = []
-        cursor = nv
-        for e in range(network.n_edges):
-            u, v = network.edge_vertices[e]
-            k = int(n_pieces[e])
-            h = float(self.edge_spacing[e])
-            interior = np.arange(cursor, cursor + k - 1, dtype=np.int64)
-            cursor += k - 1
-            chain = np.concatenate(([u], interior, [v]))
-            chains.append(chain)
-            if k > 1:
-                offs = h * np.arange(1, k)
-                t = offs / network.edge_lengths[e]
-                xy[interior] = (1 - t)[:, None] * network.vertex_xy[u] + t[
-                    :, None
-                ] * network.vertex_xy[v]
-                node_edge[interior] = e
-                node_offset[interior] = offs
-                weight[interior] = h
-            weight[u] += h / 2
-            weight[v] += h / 2
-            link_i.append(chain[:-1])
-            link_j.append(chain[1:])
-            link_h.append(np.full(k, h))
-
-        self.node_xy = xy
-        self.node_weight = weight
-        self.node_edge = node_edge
-        self.node_offset = node_offset
-        self.node_vertex = node_vertex
-        self.edge_chains = chains
-        self.link_i = np.concatenate(link_i)
-        self.link_j = np.concatenate(link_j)
-        self.link_h = np.concatenate(link_h)
+        # keep this allocation order: it sets the heap holes the solver's steps reuse
+        edge, j = self._chain_positions()
+        self._chain = self._node(edge, j)  # every edge's chain, edge by edge
+        tail, head = j == 0, j == self._n_pieces[edge]
+        # the inner chain positions are the interior nodes, in node-id order
+        inner = ~(tail | head)
+        self.node_edge = np.concatenate((np.full(nv, -1, dtype=np.int64), edge[inner]))
+        j = j[inner]
+        edge = self.node_edge[nv:]
+        h = self.edge_spacing[edge]
+        self.node_offset = np.concatenate((np.full(nv, np.nan), h * j))
+        ev = network.edge_vertices
+        half = np.repeat(self.edge_spacing / 2, 2)  # tail and head share of each edge
+        self.node_weight = np.concatenate((np.bincount(ev.ravel(), half, nv), h))
+        t = (self.node_offset[nv:] / network.edge_lengths[edge])[:, None]
+        xy = network.vertex_xy[ev[edge, 0]] * (1 - t)
+        xy += network.vertex_xy[ev[edge, 1]] * t
+        self.node_xy = np.concatenate((network.vertex_xy, xy))
+        self.node_vertex = np.concatenate((np.arange(nv), np.full(len(edge), -1, dtype=np.int64)))
+        self.edge_chains = np.split(self._chain, self._chain_start[1:])
+        self.link_i, self.link_j = self._chain[~head], self._chain[~tail]
+        self.link_h = np.repeat(self.edge_spacing, self._n_pieces)
         for a in (
+            self._chain,
             self.node_xy,
             self.node_weight,
             self.node_edge,
@@ -97,7 +76,20 @@ class Lattice:
             self.link_h,
         ):
             a.setflags(write=False)
-        self._cells = None
+
+    def _chain_positions(self):
+        """(edge, j) for every chain position j = 0..k of every edge, edge by edge."""
+        edge = np.repeat(np.arange(self.network.n_edges), self._n_pieces + 1)
+        return edge, np.arange(len(edge)) - self._chain_start[edge]
+
+    def _node(self, edge, j):
+        """Node id of position j on the chain of ``edge``: 0 is the tail vertex, k the head."""
+        ev = self.network.edge_vertices
+        node = self._first_interior[edge] + j - 1
+        tail, head = j == 0, j == self._n_pieces[edge]
+        node[tail] = ev[edge[tail], 0]
+        node[head] = ev[edge[head], 1]
+        return node
 
     @property
     def n_nodes(self) -> int:
@@ -122,54 +114,35 @@ class Lattice:
 
     # -- interpolation support ----------------------------------------------
 
-    def bracket(self, loc: NetworkLocation) -> tuple[int, int, float, float]:
-        """Chain nodes around a location: (left, right, fraction, spacing).
+    def bracket(self, edge, offset):
+        """Chain nodes around locations given as numpy arrays or scalars.
 
-        fraction is (offset - left offset) / spacing in [0, 1]; for a location
-        at a vertex the pair degenerates to (node, node, 0, spacing).
+        Returns (left, right, theta): theta is (offset - left offset) / spacing
+        in [0, 1]; a location at an edge end is that vertex: left == right,
+        theta == 0.  Unchecked.
         """
-        kind = self.network.canonical_location(loc)
-        if kind[0] == "v":
-            v = kind[1]
-            h = float(self.edge_spacing[self.network.incident_edges[v][0]])
-            return v, v, 0.0, h
-        e = kind[1]
-        h = float(self.edge_spacing[e])
-        chain = self.edge_chains[e]
-        j = min(int(loc.offset / h), len(chain) - 2)
-        theta = loc.offset / h - j
-        return int(chain[j]), int(chain[j + 1]), float(theta), h
+        x = offset / self.edge_spacing[edge]
+        at_head = offset == self.network.edge_lengths[edge]
+        j = np.minimum(x.astype(np.int64), self._n_pieces[edge] - 1) + at_head
+        inside = (offset > 0.0) & ~at_head
+        at = self._chain_start[edge] + j
+        return self._chain[at], self._chain[at + inside], np.where(inside, x - j, 0.0)
 
     # -- node cells -----------------------------------------------------------
 
-    @property
+    @cached_property
     def node_cells(self):
-        """Per-edge partition into quadrature cells.
+        """Per-edge partition into quadrature cells, edge by edge in ascending offset.
 
         Arrays (cell_edge, cell_lo, cell_hi, cell_node): each cell is the piece
         of one edge owned by one node; cell lengths per node sum to its weight.
         """
-        if self._cells is None:
-            ce, cl, ch, cn = [], [], [], []
-            for e in range(self.network.n_edges):
-                chain = self.edge_chains[e]
-                h = float(self.edge_spacing[e])
-                ell = float(self.network.edge_lengths[e])
-                k = len(chain) - 1
-                offs = h * np.arange(k + 1)
-                lo = np.concatenate(([0.0], offs[:-1] + h / 2))
-                hi = np.concatenate((offs[1:] - h / 2, [ell]))
-                ce.append(np.full(k + 1, e, dtype=np.int64))
-                cl.append(lo)
-                ch.append(hi)
-                cn.append(chain)
-            self._cells = (
-                np.concatenate(ce),
-                np.concatenate(cl),
-                np.concatenate(ch),
-                np.concatenate(cn),
-            )
-        return self._cells
+        edge, j = self._chain_positions()
+        h = self.edge_spacing[edge]
+        k = self._n_pieces[edge]
+        lo = np.where(j == 0, 0.0, h * (j - 1) + h / 2)
+        hi = np.where(j == k, self.network.edge_lengths[edge], h * (j + 1) - h / 2)
+        return edge, lo, hi, self._chain
 
     # -- shortest-path distances over the lattice graph -----------------------
 
@@ -184,9 +157,11 @@ class Lattice:
         arc length, so graph distances equal network distances.  Entries beyond
         ``cutoff`` stay inf.
         """
-        left, right, theta, h = self.bracket(source)
+        self.network.check_location(source)
+        left, right, theta = (x.item() for x in self.bracket(source.edge, source.offset))
         if left == right:
             return _graph_distances(self._graph, [(left, 0.0)], cutoff)
+        h = float(self.edge_spacing[source.edge])
         dl = theta * h
         return _graph_distances(self._graph, [(left, dl), (right, h - dl)], cutoff)
 
@@ -209,16 +184,22 @@ class LatticeFunction:
         """Arc-length integral via the node quadrature weights."""
         return float(self.lattice.node_weight @ self.values)
 
+    def values_at(self, edge, offset) -> np.ndarray:
+        """Linear interpolation along the containing edge chains (unchecked)."""
+        left, right, theta = self.lattice.bracket(edge, offset)
+        return (1.0 - theta) * self.values[left] + theta * self.values[right]
+
     def value_at(self, loc: NetworkLocation) -> float:
         """Linear interpolation along the containing edge chain."""
-        left, right, theta, _ = self.lattice.bracket(loc)
-        return float((1.0 - theta) * self.values[left] + theta * self.values[right])
+        self.lattice.network.check_location(loc)
+        return float(self.values_at(loc.edge, loc.offset))
 
     def resample_to(self, other: Lattice) -> "LatticeFunction":
-        vals = np.array(
-            [self.value_at(other.node_location(i)) for i in range(other.n_nodes)]
-        )
-        return LatticeFunction(other, vals)
+        if other.network is not self.lattice.network:
+            raise LatticeMismatch("cannot resample onto a lattice of another network")
+        nv = other.network.n_vertices  # vertices are the first nodes of every lattice
+        inner = self.values_at(other.node_edge[nv:], other.node_offset[nv:])
+        return LatticeFunction(other, np.concatenate((self.values[:nv], inner)))
 
     def copy(self) -> "LatticeFunction":
         return LatticeFunction(self.lattice, self.values.copy())

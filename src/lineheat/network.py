@@ -351,27 +351,36 @@ def snap_to_network(
 
 
 class PointPattern:
-    """Finite set of locations bound to one network."""
+    """Finite set of locations bound to one network, stored as columns.
+
+    ``edge`` and ``offset`` keep the input order; ``order`` is the canonical
+    (edge, offset) order in which estimators accumulate per-point terms.
+    Indexing (and so iteration) yields :class:`NetworkLocation`.
+    """
 
     def __init__(self, network: LinearNetwork, points: Sequence[NetworkLocation]):
         self.network = network
         pts = tuple(points)
         for p in pts:
             network.check_location(p)
-        self.points = pts
+        self.edge = np.array([p.edge for p in pts], dtype=np.int64)
+        self.offset = np.array([p.offset for p in pts], dtype=float)
+        self.order = np.lexsort((self.offset, self.edge))
+        for a in (self.edge, self.offset, self.order):
+            a.setflags(write=False)
 
     @property
     def n(self) -> int:
-        return len(self.points)
+        return len(self.edge)
 
     def subset(self, indices) -> "PointPattern":
-        return PointPattern(self.network, [self.points[i] for i in indices])
+        return PointPattern(self.network, [self[i] for i in indices])
 
-    def __iter__(self):
-        return iter(self.points)
+    def __getitem__(self, i) -> NetworkLocation:
+        return NetworkLocation(int(self.edge[i]), float(self.offset[i]))
 
     def __len__(self):
-        return len(self.points)
+        return self.n
 
     def __repr__(self):
         return f"PointPattern(n={self.n})"

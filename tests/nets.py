@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+from lineheat.lattice import Lattice
 from lineheat.network import (
     LinearNetwork,
     NetworkLocation,
@@ -88,6 +89,28 @@ def random_network(rng, max_side=3, keep=0.7, spacing=1.0):
         except ValueError:
             continue
     raise RuntimeError("could not generate a random network")
+
+
+def random_lattices(seed, count=40):
+    """Random networks of random scale, each with a random spacing."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        net = random_network(rng, max_side=4, spacing=float(rng.uniform(0.5, 3.0)))
+        yield Lattice(net, float(rng.uniform(0.03, 2.0))), rng
+
+
+def special_locations(lat, rng):
+    """Both ends of every edge, every chain node, random link interiors, and
+    offsets one ulp below an edge's end."""
+    net = lat.network
+    nv = net.n_vertices
+    e = rng.integers(net.n_edges, size=20)
+    edge = np.concatenate((np.tile(np.arange(net.n_edges), 3), lat.node_edge[nv:], e))
+    offset = np.concatenate((
+        np.zeros(net.n_edges), net.edge_lengths, np.nextafter(net.edge_lengths, 0.0),
+        lat.node_offset[nv:], rng.random(20) * net.edge_lengths[e],
+    ))
+    return [NetworkLocation(int(a), float(b)) for a, b in zip(edge, offset)]
 
 
 def random_location(net, rng):
@@ -234,3 +257,84 @@ def images_series(x, source, t, n_images=6):
 
 def _gauss_pdf(x, var):
     return np.exp(-0.5 * x * x / var) / math.sqrt(2 * math.pi * var)
+
+
+# -- loop references for the vectorized lattice paths (compared exactly) ------
+
+
+def reference_lattice(net: LinearNetwork, dx: float) -> dict:
+    """Lattice arrays, chains and cells built by the per-edge loop."""
+    nv = net.n_vertices
+    pieces = np.maximum(1, np.ceil(net.edge_lengths / dx - 1e-12).astype(np.int64))
+    spacing = net.edge_lengths / pieces
+    n = nv + int((pieces - 1).sum())
+    xy = np.empty((n, 2))
+    xy[:nv] = net.vertex_xy
+    weight = np.zeros(n)
+    node_edge = np.full(n, -1, dtype=np.int64)
+    node_offset = np.full(n, np.nan)
+    node_vertex = np.full(n, -1, dtype=np.int64)
+    node_vertex[:nv] = np.arange(nv)
+    cols = {k: [] for k in ("edge_chains", "link_i", "link_j", "link_h", "ce", "cl", "ch")}
+    cursor = nv
+    for e in range(net.n_edges):
+        u, v = net.edge_vertices[e]
+        k, h, ell = int(pieces[e]), float(spacing[e]), float(net.edge_lengths[e])
+        interior = np.arange(cursor, cursor + k - 1, dtype=np.int64)
+        cursor += k - 1
+        chain = np.concatenate(([u], interior, [v]))
+        if k > 1:
+            offs = h * np.arange(1, k)
+            t = offs / net.edge_lengths[e]
+            xy[interior] = (1 - t)[:, None] * net.vertex_xy[u] + t[:, None] * net.vertex_xy[v]
+            node_edge[interior] = e
+            node_offset[interior] = offs
+            weight[interior] = h
+        weight[u] += h / 2
+        weight[v] += h / 2
+        offs = h * np.arange(k + 1)
+        for key, val in (
+            ("edge_chains", chain), ("link_i", chain[:-1]), ("link_j", chain[1:]),
+            ("link_h", np.full(k, h)), ("ce", np.full(k + 1, e, dtype=np.int64)),
+            ("cl", np.concatenate(([0.0], offs[:-1] + h / 2))),
+            ("ch", np.concatenate((offs[1:] - h / 2, [ell]))),
+        ):
+            cols[key].append(val)
+    out = {key: np.concatenate(val) for key, val in cols.items() if key != "edge_chains"}
+    out["node_cells"] = (out.pop("ce"), out.pop("cl"), out.pop("ch"),
+                         np.concatenate(cols["edge_chains"]))
+    out.update(
+        edge_chains=cols["edge_chains"], edge_spacing=spacing, node_xy=xy, node_weight=weight,
+        node_edge=node_edge, node_offset=node_offset, node_vertex=node_vertex,
+    )
+    return out
+
+
+def assert_same(got, want):
+    """Exact equality of values and dtype (NaN equals NaN)."""
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+def reference_bracket(ref: dict, net: LinearNetwork, loc: NetworkLocation):
+    """Scalar (left, right, theta) through the canonical location."""
+    kind = net.canonical_location(loc)
+    if kind[0] == "v":
+        return kind[1], kind[1], 0.0
+    h = float(ref["edge_spacing"][loc.edge])
+    chain = ref["edge_chains"][loc.edge]
+    j = min(int(loc.offset / h), len(chain) - 2)
+    return int(chain[j]), int(chain[j + 1]), loc.offset / h - j
+
+
+def reference_deposit(ref: dict, net: LinearNetwork, points) -> np.ndarray:
+    """Unit mass per point, added point by point in (edge, offset) order."""
+    mass = np.zeros(len(ref["node_weight"]))
+    for p in sorted(points, key=lambda q: (q.edge, q.offset)):
+        left, right, theta = reference_bracket(ref, net, p)
+        if theta == 0.0:
+            mass[left] += 1.0
+        else:
+            mass[left] += 1.0 - theta
+            mass[right] += theta
+    return mass / ref["node_weight"]

@@ -55,7 +55,7 @@ class TestCriterion1HeatSolverOracle:
 
         t0 = time.perf_counter()
         lat = discretize(segment_network(1.0), 1 / 512)
-        f = deposit_initial_mass([NetworkLocation(0, 0.5)], lat)
+        f = deposit_initial_mass(PointPattern(lat.network, [NetworkLocation(0, 0.5)]), lat)
         g = heat_solve(f, 0.01)
         elapsed = time.perf_counter() - t0
         chain = lat.edge_chains[0]

@@ -91,6 +91,12 @@ class TestAbramson:
         with pytest.raises(EmptyPattern):
             abramson_bandwidths(PointPattern(net, []), _constant_pilot(lat, 1.0), 0.1)
 
+    def test_pilot_on_another_network_rejected(self):
+        pilot = _constant_pilot(discretize(y_network(), 0.25), 1.0)
+        pat = PointPattern(segment_network(), [NetworkLocation(0, 0.5)])
+        with pytest.raises(ValueError, match="different networks"):
+            abramson_bandwidths(pat, pilot, 0.1)
+
     def test_heuristic_global_bandwidth(self):
         assert heuristic_global_bandwidth(10.0, 25) == pytest.approx(1.0)
 
@@ -212,7 +218,7 @@ class TestAdaptiveEstimates:
         pilot = estimate_heat(pat, lat, 0.5)
         bw = abramson_bandwidths(pat, pilot, 0.5)
         perm = np.random.default_rng(1).permutation(10)
-        pat2 = PointPattern(pat.network, [pat.points[i] for i in perm])
+        pat2 = PointPattern(pat.network, [pat[i] for i in perm])
         pilot2 = estimate_heat(pat2, lat, 0.5)
         bw2 = abramson_bandwidths(pat2, pilot2, 0.5)
         a = estimate_adaptive_direct(pat, lat, bw)

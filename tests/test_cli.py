@@ -118,6 +118,21 @@ class TestEstimate:
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [f"error: record 2: non-finite coordinate ({value}, 0.0)"]
 
+    @pytest.mark.parametrize("flags", [
+        ("--bw", "inf"), ("--bw", "nan"), ("--bw", "1e-300"),
+        ("--bw", "0.2", "--dx", "nan"), ("--bw", "0.2", "--dx", "0"),
+        ("--bw", "0.2", "--dx", "-0.1"),
+    ], ids=["bw-inf", "bw-nan", "bw-tiny", "dx-nan", "dx-zero", "dx-negative"])
+    def test_bad_bandwidth_or_spacing_exits_2(self, toy, tmp_path, flags):
+        _, net_path, pts_path = toy
+        proc = run_cli(
+            "estimate", "--net", net_path, "--points", pts_path,
+            "--method", "heat", *flags, "--out", tmp_path / "est.csv",
+        )
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: ")
+
     def test_adaptive_partition_runs(self, toy, tmp_path):
         _, net_path, pts_path = toy
         out = tmp_path / "ad.csv"

@@ -15,13 +15,24 @@ from lineheat.heat import (
 from lineheat.lattice import LatticeFunction, discretize
 from lineheat.network import NetworkLocation, PointPattern
 
-from nets import images_series, random_network, random_pattern, segment_network, y_network
+from nets import (
+    assert_same,
+    images_series,
+    random_lattices,
+    random_network,
+    random_pattern,
+    reference_deposit,
+    reference_lattice,
+    segment_network,
+    special_locations,
+    y_network,
+)
 
 
 class TestDeposit:
     def test_point_on_node(self):
         lat = discretize(segment_network(1.0), 0.25)
-        f = deposit_initial_mass([NetworkLocation(0, 0.5)], lat)
+        f = deposit_initial_mass(PointPattern(lat.network, [NetworkLocation(0, 0.5)]), lat)
         node = lat.edge_chains[0][2]
         w = lat.node_weight[node]
         assert f.values[node] == 1.0 / w
@@ -29,7 +40,7 @@ class TestDeposit:
 
     def test_point_between_nodes_splits(self):
         lat = discretize(segment_network(1.0), 0.25)
-        f = deposit_initial_mass([NetworkLocation(0, 0.375)], lat)
+        f = deposit_initial_mass(PointPattern(lat.network, [NetworkLocation(0, 0.375)]), lat)
         c = lat.edge_chains[0]
         assert f.values[c[1]] == pytest.approx(0.5 / lat.node_weight[c[1]], rel=1e-15)
         assert f.values[c[2]] == pytest.approx(0.5 / lat.node_weight[c[2]], rel=1e-15)
@@ -43,6 +54,17 @@ class TestDeposit:
             f = deposit_initial_mass(pat, lat)
             assert f.integral() == pytest.approx(pat.n, rel=1e-12)
 
+    def test_matches_point_loop_and_ignores_order(self):
+        # ends, chain nodes and link interiors, against the per-point loop
+        for lat, rng in random_lattices(47):
+            locs = special_locations(lat, rng)
+            pat = PointPattern(lat.network, locs)
+            got = deposit_initial_mass(pat, lat).values
+            ref = reference_lattice(lat.network, lat.dx_target)
+            assert_same(got, reference_deposit(ref, lat.network, locs))
+            shuffled = pat.subset(rng.permutation(pat.n))
+            assert_same(deposit_initial_mass(shuffled, lat).values, got)
+
 
 class TestHeatStep:
     def test_constant_unchanged_exactly(self):
@@ -55,7 +77,7 @@ class TestHeatStep:
     def test_mass_invariant_over_many_steps(self):
         net = y_network()
         lat = discretize(net, 0.1)
-        f = deposit_initial_mass([NetworkLocation(0, 0.45), NetworkLocation(1, 0.8)], lat)
+        f = deposit_initial_mass(PointPattern(lat.network, [NetworkLocation(0, 0.45), NetworkLocation(1, 0.8)]), lat)
         m0 = f.integral()
         running_min = 0.0
         for _ in range(10_000):
@@ -82,6 +104,15 @@ class TestHeatStep:
         with pytest.raises(StabilityViolation):
             heat_step(f, dt=1.0)
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_non_finite_time_and_bandwidth_rejected(self, bad):
+        lat = discretize(segment_network(1.0), 0.25)
+        pat = PointPattern(lat.network, [NetworkLocation(0, 0.5)])
+        with pytest.raises(ValueError, match="finite"):
+            heat_solve(deposit_initial_mass(pat, lat), bad)
+        with pytest.raises(ValueError, match="finite"):
+            estimate_heat(pat, lat, bad)
+
     def test_alpha_validated(self):
         with pytest.raises(ValueError):
             HeatConfig(alpha=1.5)
@@ -90,7 +121,7 @@ class TestHeatStep:
 class TestHeatSolve:
     def test_t_zero_returns_copy(self):
         lat = discretize(segment_network(1.0), 0.25)
-        f = deposit_initial_mass([NetworkLocation(0, 0.5)], lat)
+        f = deposit_initial_mass(PointPattern(lat.network, [NetworkLocation(0, 0.5)]), lat)
         g = heat_solve(f, 0.0)
         assert np.array_equal(f.values, g.values)
         assert g is not f
@@ -98,7 +129,7 @@ class TestHeatSolve:
     def test_images_oracle_mid_segment(self):
         # unit mass at 0.5, t = 0.01 on [0, 1] with dx = 1/512
         lat = discretize(segment_network(1.0), 1 / 512)
-        f = deposit_initial_mass([NetworkLocation(0, 0.5)], lat)
+        f = deposit_initial_mass(PointPattern(lat.network, [NetworkLocation(0, 0.5)]), lat)
         g = heat_solve(f, 0.01)
         chain = lat.edge_chains[0]
         x = np.arange(513) / 512
@@ -108,7 +139,7 @@ class TestHeatSolve:
 
     def test_long_time_uniform(self):
         lat = discretize(segment_network(1.0), 1 / 8)
-        f = deposit_initial_mass([NetworkLocation(0, 0.3)], lat)
+        f = deposit_initial_mass(PointPattern(lat.network, [NetworkLocation(0, 0.3)]), lat)
         g = heat_solve(f, 100.0)
         assert np.allclose(g.values, 1.0, atol=1e-6)
 
@@ -117,7 +148,7 @@ class TestHeatSolve:
         errs = []
         for m in (128, 256):
             lat = discretize(segment_network(1.0), 1 / m)
-            f = deposit_initial_mass([NetworkLocation(0, 0.5)], lat)
+            f = deposit_initial_mass(PointPattern(lat.network, [NetworkLocation(0, 0.5)]), lat)
             g = heat_solve(f, 0.01)
             chain = lat.edge_chains[0]
             x = np.arange(m + 1) / m
@@ -221,7 +252,7 @@ class TestHeatBatch:
         naive = np.zeros(lat.n_nodes)
         for sigma in (0.13, 0.24, 0.55):
             sub = random_pattern(net, 4, rng)
-            pts += sub.points
+            pts += list(sub)
             bws += [sigma] * sub.n
             naive += estimate_heat(sub, lat, sigma).values
         batch = estimate_heat_batch(PointPattern(net, pts), lat, bws)
@@ -242,7 +273,7 @@ class TestHeatBatch:
         with pytest.raises(ValueError, match="one bandwidth per point"):
             estimate_heat_batch(pat, lat, bandwidths)
 
-    @pytest.mark.parametrize("bad", [0.0, -0.1, float("nan")])
+    @pytest.mark.parametrize("bad", [0.0, -0.1, float("nan"), float("inf")])
     def test_nonpositive_bandwidth_rejected(self, bad):
         net = y_network()
         lat = discretize(net, 0.1)

@@ -3,14 +3,20 @@ import math
 import numpy as np
 import pytest
 
+from lineheat.errors import LatticeMismatch
 from lineheat.lattice import LatticeFunction, discretize
 from lineheat.network import NetworkLocation
 
 from nets import (
+    assert_same,
     brute_force_distance,
+    random_lattices,
     random_location,
     random_network,
+    reference_bracket,
+    reference_lattice,
     segment_network,
+    special_locations,
     y_network,
 )
 
@@ -51,6 +57,13 @@ class TestDiscretize:
         with pytest.raises(ValueError):
             discretize(segment_network(), 0.0)
 
+    @pytest.mark.parametrize("dx", [-0.5, math.nan, math.inf, 1e-300, 1e-320])
+    def test_non_finite_or_overflowing_dx(self, dx):
+        # tiny spacings ask for more pieces than int64 holds: the cast would
+        # wrap, and below about 1e-308 the division overflows
+        with pytest.raises(ValueError, match="dx_target"):
+            discretize(segment_network(), dx)
+
     def test_node_cells_partition_edges(self):
         rng = np.random.default_rng(9)
         net = random_network(rng)
@@ -69,8 +82,39 @@ class TestDiscretize:
         assert np.allclose(per_node, lat.node_weight, rtol=1e-12)
 
 
+class TestVectorizedMatchesLoops:
+    """The array paths equal the per-edge and per-point loops bit for bit."""
+
+    def test_lattice_arrays(self):
+        names = ("node_xy", "node_weight", "node_edge", "node_offset", "node_vertex",
+                 "link_i", "link_j", "link_h")
+        for lat, _ in random_lattices(41):
+            ref = reference_lattice(lat.network, lat.dx_target)
+            for name in names:
+                assert_same(getattr(lat, name), ref[name])
+            for got, want in zip(lat.node_cells, ref["node_cells"], strict=True):
+                assert_same(got, want)
+            for got, want in zip(lat.edge_chains, ref["edge_chains"], strict=True):
+                assert_same(got, want)
+
+    def test_bracket_and_values_at(self):
+        for lat, rng in random_lattices(43):
+            net = lat.network
+            ref = reference_lattice(net, lat.dx_target)
+            locs = special_locations(lat, rng)
+            edge = np.array([p.edge for p in locs])
+            offset = np.array([p.offset for p in locs])
+            want = [reference_bracket(ref, net, p) for p in locs]
+            for got, col in zip(lat.bracket(edge, offset), zip(*want), strict=True):
+                assert_same(got, np.array(col))
+            f = LatticeFunction(lat, rng.random(lat.n_nodes))
+            values = np.array([(1.0 - t) * f.values[a] + t * f.values[b] for a, b, t in want])
+            assert_same(f.values_at(edge, offset), values)
+            assert [f.value_at(p) for p in locs] == values.tolist()
+
+
 def _source_kind(lat, src):
-    left, right, theta, _ = lat.bracket(src)
+    left, right, theta = (x.item() for x in lat.bracket(src.edge, src.offset))
     if left == right:
         return "vertex"
     if theta == 0.0:
@@ -156,3 +200,8 @@ class TestLatticeFunction:
         for i in range(coarse.n_nodes):
             loc = coarse.node_location(i)
             assert g.value_at(loc) == pytest.approx(f.values[i], rel=1e-12)
+
+    def test_resample_across_networks_rejected(self):
+        f = LatticeFunction(discretize(y_network(), 0.5), np.arange(7.0))
+        with pytest.raises(LatticeMismatch):
+            f.resample_to(discretize(segment_network(), 0.25))

@@ -232,6 +232,17 @@ class TestPointPattern:
         pp = PointPattern(net, [NetworkLocation(0, 0.1), NetworkLocation(0, 0.9)])
         assert pp.n == 2
 
+    def test_columns_keep_input_order(self):
+        net = y_network()
+        locs = [NetworkLocation(2, 0.5), NetworkLocation(0, 0.7), NetworkLocation(2, 0.1)]
+        pp = PointPattern(net, locs)
+        assert pp.edge.tolist() == [2, 0, 2] and pp.edge.dtype == np.int64
+        assert pp.offset.tolist() == [0.5, 0.7, 0.1] and pp.offset.dtype == np.float64
+        assert pp.order.tolist() == [1, 2, 0]
+        assert list(pp) == locs and pp[1] == locs[1]
+        for col in (pp.edge, pp.offset, pp.order):
+            assert not col.flags.writeable
+
 
 class TestLazyGraphImport:
     def test_heat_path_leaves_csgraph_unimported(self, tmp_path):
