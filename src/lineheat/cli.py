@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -194,9 +195,7 @@ def _cmd_estimate(args) -> int:
                 file=sys.stderr,
             )
         else:
-            star = float(args.bw_global)
-        if star <= 0:
-            raise LineHeatError("global bandwidth must be positive")
+            star = _global_bandwidth(args.bw_global)
         pilot_lat = discretize(net, resolve_dx(args.dx, net, star))
         pilot = estimate_heat(pattern, pilot_lat, star, cfg)
         bw = abramson_bandwidths(pattern, pilot, star, args.gamma_exponent)
@@ -235,12 +234,19 @@ def _fixed_estimate(args, pattern, lattice, cfg):
     return equal_split_continuous(pattern, lattice, kernel)
 
 
+def _global_bandwidth(value: str) -> float:
+    star = float(value)
+    if not 0 < star < math.inf:
+        raise LineHeatError("global bandwidth must be positive and finite")
+    return star
+
+
 def _cmd_study(args) -> int:
-    net = read_network_geojson(args.net)
-    deltas = [float(x) for x in args.deltas.split(",") if x]
     eps_star = None
     if args.bw_global not in (None, "auto"):
-        eps_star = float(args.bw_global)
+        eps_star = _global_bandwidth(args.bw_global)
+    net = read_network_geojson(args.net)
+    deltas = [float(x) for x in args.deltas.split(",") if x]
     _echo_config(args, resolved_deltas=deltas)
     rows = run_partition_study(
         net,

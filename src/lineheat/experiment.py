@@ -139,7 +139,7 @@ def _one_replicate(args) -> list[StudyRow]:
     rep_seed = seed + rep
     if dx_override is not None:
         truth_dx = dx_override
-    elif eps_star:
+    elif eps_star is not None:
         truth_dx = default_dx(net, eps_star)
     else:
         truth_dx = float(net.edge_lengths.min()) / 3.0  # scale-free default
@@ -153,7 +153,7 @@ def _one_replicate(args) -> list[StudyRow]:
             StudyRow(scenario, rep, float(d), 0, float("nan"), None, None) for d in deltas
         ]
 
-    star = eps_star or heuristic_global_bandwidth(net.total_length, pattern.n)
+    star = heuristic_global_bandwidth(net.total_length, pattern.n) if eps_star is None else eps_star
     lat1 = discretize(net, resolve_dx(dx_override, net, star))
     pilot = estimate_heat(pattern, lat1, star, cfg)
     bw = abramson_bandwidths(pattern, pilot, star, gamma_exponent)

@@ -87,11 +87,18 @@ def _check_dt(lattice: Lattice, dt: float) -> None:
 
 
 def _step_values(values: np.ndarray, lattice: Lattice, dt: float) -> np.ndarray:
-    li, lj, lh = lattice.link_i, lattice.link_j, lattice.link_h
-    flux = (values[lj] - values[li]) / lh
-    acc = np.bincount(li, weights=flux, minlength=lattice.n_nodes)
-    acc -= np.bincount(lj, weights=flux, minlength=lattice.n_nodes)
-    return values + (BETA * dt) * acc / lattice.node_weight
+    # values + (beta dt) acc / weight, in place: with more lattice-size temporaries
+    # per step, glibc may return them to the OS and every step faults them back in
+    li, lj = lattice.link_i, lattice.link_j
+    flux = values[lj]
+    flux -= values[li]
+    flux /= lattice.link_h
+    acc = np.bincount(li, flux, lattice.n_nodes)
+    acc -= np.bincount(lj, flux, lattice.n_nodes)
+    acc *= BETA * dt
+    acc /= lattice.node_weight
+    acc += values
+    return acc
 
 
 def heat_step(f: LatticeFunction, cfg: HeatConfig = DEFAULT_CONFIG, dt: float | None = None) -> LatticeFunction:

@@ -16,16 +16,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .errors import (
-    AllPointsTooFar,
-    GeometryTypeError,
-    ParseError,
-    TooFarFromNetwork,
-)
+from .errors import AllPointsTooFar, GeometryTypeError, ParseError
 from .lattice import Lattice, LatticeFunction
-from .network import LinearNetwork, PointPattern, build_network, snap_to_network
+from .network import LinearNetwork, NetworkLocation, PointPattern, _snap, build_network
 
 FLOAT_FMT = "%.17g"
 
@@ -67,6 +61,8 @@ def read_network_geojson(path, merge_tolerance: float = 1e-8) -> LinearNetwork:
 
     if not raw_segments:
         raise ParseError("no line segments found")
+
+    from scipy.spatial import cKDTree
 
     xy = np.asarray(coords)
     parent = np.arange(len(xy))
@@ -137,18 +133,14 @@ def read_points(path, net: LinearNetwork, max_snap_dist: float):
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ParseError(f"record {i}: non-finite coordinate ({x}, {y})")
 
-    points = []
-    dropped = 0
-    for x, y in rows:
-        try:
-            points.append(snap_to_network(net, (x, y), max_snap_dist))
-        except TooFarFromNetwork:
-            dropped += 1
-    if rows and not points:
+    edge, offset, dist = _snap(net, np.array(rows, dtype=float).reshape(-1, 2), max_snap_dist)
+    kept = np.flatnonzero(dist <= max_snap_dist)
+    if rows and not len(kept):
         raise AllPointsTooFar(
             f"all {len(rows)} record(s) are farther than {max_snap_dist} from the network"
         )
-    report = SnapReport(len(rows), len(points), dropped, max_snap_dist)
+    report = SnapReport(len(rows), len(kept), len(rows) - len(kept), max_snap_dist)
+    points = [NetworkLocation(int(edge[i]), float(offset[i])) for i in kept]
     return PointPattern(net, points), report
 
 
@@ -298,6 +290,8 @@ def rasterize(f: LatticeFunction, res: int):
     xs, ys, bbox, half_diag = raster_grid(net, res)
     gx, gy = np.meshgrid(xs, ys)
     centers = np.column_stack([gx.ravel(), gy.ravel()])
+    from scipy.spatial import cKDTree
+
     dist, idx = cKDTree(f.lattice.node_xy).query(centers)
     vals = np.where(dist <= half_diag, f.values[idx], np.nan)
     return vals.reshape(res, res), bbox

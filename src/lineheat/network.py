@@ -7,6 +7,7 @@ are shortest-path (arc length along edges); positions are linear-referenced as
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -14,7 +15,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.spatial import cKDTree
 
 from .errors import (
     DanglingReference,
@@ -30,6 +30,10 @@ MERGE_TOLERANCE = 1e-8
 
 #: Absolute tolerance on the cross products used by the segment predicates.
 CROSS_TOLERANCE = 1e-12
+
+#: Candidate (record, edge sample) pairs a snap block may hold: records are
+#: snapped in blocks of this many over the number of edge samples.
+SNAP_PAIRS = 2**18
 
 
 @dataclass(frozen=True)
@@ -91,6 +95,8 @@ class LinearNetwork:
     # -- construction-time validation -------------------------------------
 
     def _validate_vertex_separation(self):
+        from scipy.spatial import cKDTree
+
         pairs = cKDTree(self.vertex_xy).query_pairs(MERGE_TOLERANCE)
         if pairs:
             i, j = sorted(next(iter(pairs)))
@@ -333,21 +339,60 @@ def snap_to_network(
     for straight edges).  Raises TooFarFromNetwork when the closest location is
     farther than ``max_dist``.
     """
-    if max_dist <= 0:
+    edge, offset, dist = _snap(net, np.asarray(point, dtype=float).reshape(1, 2), max_dist)
+    if not dist[0] <= max_dist:
+        raise TooFarFromNetwork(f"no edge within {max_dist:.6g}")
+    return NetworkLocation(int(edge[0]), float(offset[0]))
+
+
+def _snap(net: LinearNetwork, xy: np.ndarray, max_dist: float):
+    """Closest network location of every row of the (N, 2) array ``xy``.
+
+    Returns (edge, offset, dist) columns, exact and with the lowest edge id on
+    ties wherever ``dist <= max_dist``; other rows lie farther than ``max_dist``
+    from the network.  Every point of an edge is within ``h`` of a sample taken
+    at most ``total_length / n_edges`` apart, and the nearest sample's distance
+    ``d0`` bounds the answer from above, so every edge that can win has a
+    sample within ``min(d0, max_dist) + h``.  Candidates get a full scan's arithmetic.
+    """
+    if not max_dist > 0:
         raise ValueError("max_dist must be positive")
-    p = np.asarray(point, dtype=float)
-    a = net.vertex_xy[net.edge_vertices[:, 0]]
-    b = net.vertex_xy[net.edge_vertices[:, 1]]
-    ab = b - a
-    t = np.einsum("ij,ij->i", p - a, ab) / (net.edge_lengths**2)
-    t = np.clip(t, 0.0, 1.0)
-    proj = a + t[:, None] * ab
-    d2 = np.einsum("ij,ij->i", proj - p, proj - p)
-    e = int(np.argmin(d2))  # first minimum: lowest edge id wins ties
-    d = math.sqrt(d2[e])
-    if d > max_dist:
-        raise TooFarFromNetwork(f"nearest edge is {d:.6g} away (max {max_dist:.6g})")
-    return NetworkLocation(e, float(t[e] * net.edge_lengths[e]))
+    from scipy.spatial import cKDTree
+
+    ev, lengths = net.edge_vertices, net.edge_lengths
+    a = net.vertex_xy[ev[:, 0]]
+    ab = net.vertex_xy[ev[:, 1]] - a
+    pieces = np.ceil(lengths / (net.total_length / net.n_edges)).astype(np.int64)
+    sample_edge = np.repeat(np.arange(net.n_edges), pieces + 1)
+    first = np.cumsum(pieces + 1) - (pieces + 1)
+    t = (np.arange(len(sample_edge)) - first[sample_edge]) / pieces[sample_edge]
+    tree = cKDTree(a[sample_edge] + t[:, None] * ab[sample_edge])
+    h = float((lengths / pieces).max()) / 2.0
+    slack = 1e-9 * float(np.abs(net.vertex_xy).max())  # rounding of samples and distances
+
+    n = len(xy)
+    edge = np.full(n, -1, dtype=np.int64)
+    offset = np.full(n, np.nan)
+    dist = np.full(n, np.inf)
+    block = max(1, SNAP_PAIRS // len(sample_edge))
+    for lo in range(0, n, block):
+        p = xy[lo : lo + block]
+        d0 = tree.query(p)[0]
+        hits = tree.query_ball_point(p, (np.minimum(d0, max_dist) + h) * (1 + 1e-9) + slack)
+        counts = np.fromiter(map(len, hits), np.int64, len(p))
+        row = np.repeat(np.arange(len(p)), counts)
+        e = sample_edge[np.fromiter(itertools.chain.from_iterable(hits), np.int64, row.size)]
+        pe, ae, abe = p[row], a[e], ab[e]
+        te = np.einsum("ij,ij->i", pe - ae, abe) / (lengths[e] ** 2)
+        te = np.clip(te, 0.0, 1.0)
+        proj = ae + te[:, None] * abe
+        d2 = np.einsum("ij,ij->i", proj - pe, proj - pe)
+        order = np.lexsort((e, d2, row))  # per row: smallest d2, then lowest edge id
+        win = order[np.flatnonzero(np.diff(row[order], prepend=-1))]
+        edge[lo + row[win]] = e[win]
+        offset[lo + row[win]] = te[win] * lengths[e[win]]
+        dist[lo + row[win]] = np.sqrt(d2[win])
+    return edge, offset, dist
 
 
 class PointPattern:

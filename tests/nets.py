@@ -132,6 +132,26 @@ def random_pattern(net, n, rng):
 # -- oracles -------------------------------------------------------------------
 
 
+def scan_snap(net: LinearNetwork, point, max_dist: float):
+    """Closest location by a scan over every edge; None beyond ``max_dist``.
+
+    The per-record snap the indexed one replaced: first minimum of the squared
+    distance, so the lowest edge id wins ties.
+    """
+    p = np.asarray(point, dtype=float)
+    a = net.vertex_xy[net.edge_vertices[:, 0]]
+    b = net.vertex_xy[net.edge_vertices[:, 1]]
+    ab = b - a
+    t = np.einsum("ij,ij->i", p - a, ab) / (net.edge_lengths**2)
+    t = np.clip(t, 0.0, 1.0)
+    proj = a + t[:, None] * ab
+    d2 = np.einsum("ij,ij->i", proj - p, proj - p)
+    e = int(np.argmin(d2))
+    if math.sqrt(d2[e]) > max_dist:
+        return None
+    return NetworkLocation(e, float(t[e] * net.edge_lengths[e]))
+
+
 def brute_force_distance(net: LinearNetwork, a: NetworkLocation, b: NetworkLocation):
     """Minimum over exhaustively enumerated paths, summed left to right.
 
@@ -308,6 +328,15 @@ def reference_lattice(net: LinearNetwork, dx: float) -> dict:
         node_edge=node_edge, node_offset=node_offset, node_vertex=node_vertex,
     )
     return out
+
+
+def reference_step(values, lattice, dt, beta):
+    """One explicit step as the plain expression, without in-place updates."""
+    li, lj = lattice.link_i, lattice.link_j
+    flux = (values[lj] - values[li]) / lattice.link_h
+    acc = np.bincount(li, weights=flux, minlength=lattice.n_nodes)
+    acc -= np.bincount(lj, weights=flux, minlength=lattice.n_nodes)
+    return values + (beta * dt) * acc / lattice.node_weight
 
 
 def assert_same(got, want):

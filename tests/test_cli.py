@@ -133,6 +133,22 @@ class TestEstimate:
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("error: ")
 
+    @pytest.mark.parametrize("records", ["on-and-far", "empty"])
+    @pytest.mark.parametrize("value", ["nan", "0", "-1"])
+    def test_bad_max_snap_dist_exits_2(self, toy, tmp_path, value, records):
+        _, net_path, pts_path = toy
+        pts = tmp_path / "pts.csv"
+        if records == "empty":
+            pts.write_text("x,y\n")
+        else:  # one record on the network, one 300 units off it
+            pts.write_text(pts_path.read_text() + "300.0,300.0\n")
+        proc = run_cli(
+            "estimate", "--net", net_path, "--points", pts, "--method", "heat",
+            "--bw", "0.2", "--max-snap-dist", value, "--out", tmp_path / "est.csv",
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == ["error: max_dist must be positive"]
+
     def test_adaptive_partition_runs(self, toy, tmp_path):
         _, net_path, pts_path = toy
         out = tmp_path / "ad.csv"
@@ -274,6 +290,20 @@ class TestStudy:
             rows = [l.split(",")[:5] for l in out.read_text().strip().splitlines()[2:]]
             datacols.append(rows)
         assert datacols[0] == datacols[1]
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_bad_global_bandwidth_exits_2(self, toy, tmp_path, value):
+        _, net_path, _ = toy
+        out = tmp_path / "study.csv"
+        proc = run_cli(
+            "study", "--net", net_path, "--scenario", "loggaussian-1",
+            "--deltas", "0.5", "--replicates", "1", "--seed", "1",
+            "--target-points", "40", "--field-res", "16", "--no-timing",
+            "--bw-global", value, "--out", out,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == ["error: global bandwidth must be positive and finite"]
+        assert not out.exists()
 
 
 class TestBench:

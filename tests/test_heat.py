@@ -3,6 +3,7 @@ import pytest
 
 from lineheat.errors import StabilityViolation
 from lineheat.heat import (
+    BETA,
     HeatConfig,
     default_dx,
     deposit_initial_mass,
@@ -23,6 +24,7 @@ from nets import (
     random_pattern,
     reference_deposit,
     reference_lattice,
+    reference_step,
     segment_network,
     special_locations,
     y_network,
@@ -97,6 +99,16 @@ class TestHeatStep:
             f = heat_step(f)
         v = f.values[chain]
         assert np.array_equal(v, v[::-1])
+
+    def test_matches_reference_expression(self):
+        for lat, rng in random_lattices(21, count=20):
+            values = rng.random(lat.n_nodes) * 10.0 ** rng.integers(-3, 4, lat.n_nodes)
+            before = values.copy()
+            dt = step_size(lat)
+            for step in (dt, dt * rng.random()):
+                got = heat_step(LatticeFunction(lat, values), dt=step).values
+                assert_same(got, reference_step(before, lat, step, BETA))
+            assert_same(values, before)  # the step leaves its input alone
 
     def test_stability_violation(self):
         lat = discretize(segment_network(1.0), 0.25)

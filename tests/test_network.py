@@ -12,10 +12,12 @@ from lineheat.errors import (
     TooFarFromNetwork,
     ZeroLengthEdge,
 )
+from lineheat import network
 from lineheat.ingest import write_network_geojson
 from lineheat.network import (
     NetworkLocation,
     PointPattern,
+    _snap,
     build_network,
     disc_length,
     network_disc,
@@ -24,10 +26,12 @@ from lineheat.network import (
 )
 
 from nets import (
+    assert_same,
     brute_force_distance,
     grid_network,
     random_location,
     random_network,
+    scan_snap,
     segment_network,
     triangle_network,
     two_disjoint_segments,
@@ -220,6 +224,107 @@ class TestSnap:
         loc = snap_to_network(net, (0.5, 0.5), 1.0)
         assert loc.edge == 0
 
+    def test_nan_or_nonpositive_max_dist_rejected(self):
+        net = segment_network()
+        for bad in (math.nan, 0.0, -1.0):
+            with pytest.raises(ValueError, match="max_dist must be positive"):
+                snap_to_network(net, (0.5, 0.0), bad)
+            with pytest.raises(ValueError, match="max_dist must be positive"):
+                _snap(net, np.empty((0, 2)), bad)
+
+
+def assert_snaps_like_scan(net, xy, max_dist):
+    """Indexed snap equals the per-record scan: kept mask, edges and offsets."""
+    xy = np.asarray(xy, dtype=float)
+    edge, offset, dist = _snap(net, xy, max_dist)
+    ref = [scan_snap(net, p, max_dist) for p in xy]
+    kept = dist <= max_dist
+    assert kept.tolist() == [r is not None for r in ref]
+    assert_same(edge[kept], np.array([r.edge for r in ref if r], dtype=np.int64))
+    assert_same(offset[kept], np.array([r.offset for r in ref if r], dtype=float))
+    return kept
+
+
+def mixed_scale_network(rng):
+    """Jittered grid of 1e3-long edges with chains of 1e-3-long diagonal spurs."""
+    net = grid_network(4, 4, spacing=1e3, keep=0.8, jitter=80.0, rng=rng)
+    xy, segs = list(map(tuple, net.vertex_xy)), list(map(tuple, net.edge_vertices))
+    for v in rng.choice(net.n_vertices, size=6, replace=False):
+        step = 1e-3 * np.array([1.0, 1.0]) / math.sqrt(2) * rng.choice([-1, 1], 2)
+        prev = int(v)
+        for k in range(1, int(rng.integers(1, 4)) + 1):
+            xy.append(tuple(net.vertex_xy[v] + k * step))
+            segs.append((prev, len(xy) - 1))
+            prev = len(xy) - 1
+    return build_network(xy, segs)
+
+
+class TestIndexedSnap:
+    def test_random_networks_match_scan(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            net = random_network(rng, max_side=5, spacing=float(rng.uniform(0.5, 3.0)))
+            lo, hi = net.vertex_xy.min(axis=0), net.vertex_xy.max(axis=0)
+            xy = rng.uniform(lo - 1.0, hi + 1.0, (60, 2))
+            for max_dist in (math.inf, 0.3):
+                assert_snaps_like_scan(net, xy, max_dist)
+
+    def test_mixed_edge_scales_match_scan(self):
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            net = mixed_scale_network(rng)
+            spurs = net.vertex_xy[net.edge_vertices[net.edge_lengths < 1.0].ravel()]
+            near = spurs[rng.integers(len(spurs), size=200)] + rng.normal(0, 2e-3, (200, 2))
+            wide = rng.uniform(-500.0, 3500.0, (200, 2))
+            for max_dist in (math.inf, 1e-3, 100.0):
+                assert_snaps_like_scan(net, np.vstack([near, wide]), max_dist)
+
+    @pytest.mark.parametrize("pairs", [1, 1000, network.SNAP_PAIRS])
+    def test_blocks_and_duplicates(self, monkeypatch, pairs):
+        # pairs 1 snaps one record per block, 1000 a few, the default all at once
+        monkeypatch.setattr(network, "SNAP_PAIRS", pairs)
+        rng = np.random.default_rng(13)
+        net = grid_network(6, 6, keep=0.8, jitter=0.2, rng=rng)
+        xy = rng.uniform(-1.0, 6.0, (1200, 2))
+        xy[800:1000] = xy[:200]
+        kept = assert_snaps_like_scan(net, xy, 0.4)
+        assert 0 < kept.sum() < len(xy)
+        edge, offset, _ = _snap(net, xy, 0.4)
+        assert_same(edge[800:1000], edge[:200])
+        assert_same(offset[800:1000], offset[:200])
+
+    @pytest.mark.parametrize("ids", [[(0, 1), (2, 3)], [(2, 3), (0, 1)]])
+    def test_bisector_tie_takes_lowest_edge_id(self, ids):
+        net = build_network([(0, 0), (1, 0), (0, 1), (1, 1)], ids)
+        xy = [(0.5, 0.5), (0.25, 0.5), (-3.0, 0.5), (7.0, 0.5)]
+        assert_snaps_like_scan(net, xy, math.inf)
+        assert _snap(net, np.array(xy), math.inf)[0].tolist() == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("ids", [[(0, 1), (0, 2)], [(0, 2), (0, 1)]])
+    def test_vertex_tie_takes_lowest_edge_id(self, ids):
+        # a V opening to the right: left of the apex, the apex is the closest
+        # location on both edges
+        net = build_network([(0, 0), (1, 1), (1, -1)], ids)
+        xy = [(0.0, 0.0), (-0.5, 0.0), (-2.0, 0.0), (-1.0, 0.5)]
+        assert_snaps_like_scan(net, xy, math.inf)
+        edge, offset, _ = _snap(net, np.array(xy), math.inf)
+        assert edge.tolist() == [0, 0, 0, 0] and offset.tolist() == [0.0] * 4
+
+    def test_max_dist_boundary(self):
+        net = segment_network()
+        xy = [(0.5, 0.75), (0.5, -0.75), (1.75, 0.0)]
+        kept = assert_snaps_like_scan(net, xy, 0.75)
+        assert kept.all()  # exactly at max_dist is kept
+        kept = assert_snaps_like_scan(net, xy, math.nextafter(0.75, 0.0))
+        assert not kept.any()
+
+    def test_far_outside_bounding_box(self):
+        rng = np.random.default_rng(14)
+        net = grid_network(4, 4, keep=0.8, jitter=0.2, rng=rng)
+        xy = np.array([(1e6, 1.5), (-1e9, -2e9), (1.5, 3e7), (-40.0, 1.0)])
+        assert assert_snaps_like_scan(net, xy, math.inf).all()
+        assert not assert_snaps_like_scan(net, xy, 30.0).any()
+
 
 class TestPointPattern:
     def test_validates_points(self):
@@ -258,6 +363,14 @@ pattern = lh.PointPattern(net, [lh.NetworkLocation(0, 0.1), lh.NetworkLocation(3
 lh.estimate_heat(pattern, lh.discretize(net, 0.05), 0.2)
 print("scipy.sparse.csgraph" in sys.modules)
 """
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_import_leaves_spatial_unimported(self):
+        # scipy.spatial takes about a third of a second to import; commands
+        # that never read a network (``--help``) should not pay it
+        code = "import sys, lineheat; print('scipy.spatial' in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
