@@ -101,6 +101,8 @@ def abramson_bandwidths(
 
 def heuristic_global_bandwidth(total_length: float, n: int) -> float:
     """Convenience default |L| / (2 sqrt(n)); a heuristic, not a selector."""
+    if n < 1:
+        raise EmptyPattern("the heuristic global bandwidth needs at least one data point")
     return total_length / (2.0 * math.sqrt(n))
 
 

@@ -268,21 +268,10 @@ def _cmd_study(args) -> int:
         fh.write("#CONFIG " + json.dumps(cfgline, sort_keys=True) + "\n")
         fh.write(",".join(STUDY_COLUMNS) + "\n")
         for r in rows:
-            fh.write(
-                ",".join(
-                    [
-                        r["scenario"],
-                        str(r["replicate"]),
-                        FLOAT_FMT % r["delta"],
-                        str(r["n_points"]),
-                        FLOAT_FMT % r["ise"],
-                        "NA" if r["time_direct_s"] is None else FLOAT_FMT % r["time_direct_s"],
-                        "NA" if r["time_partition_s"] is None else FLOAT_FMT % r["time_partition_s"],
-                        "NA" if r["time_ratio"] is None else FLOAT_FMT % r["time_ratio"],
-                    ]
-                )
-                + "\n"
-            )
+            cells = [r["scenario"], str(r["replicate"]), FLOAT_FMT % r["delta"],
+                     str(r["n_points"]), FLOAT_FMT % r["ise"]]
+            cells += ["NA" if r[k] is None else FLOAT_FMT % r[k] for k in STUDY_COLUMNS[5:]]
+            fh.write(",".join(cells) + "\n")
     print(f"rows: {len(rows)}")
     print(f"out: {args.out}")
     return 0

@@ -13,6 +13,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -120,22 +121,10 @@ class StudyRow:
         }
 
 
-def _one_replicate(args) -> list[StudyRow]:
-    (
-        net,
-        scenario,
-        rep,
-        seed,
-        deltas,
-        target_points,
-        field_res,
-        eps_star,
-        gamma_exponent,
-        dx_override,
-        timing,
-        bandwidth_override,
-        cfg,
-    ) = args
+def _one_replicate(
+    net, scenario, seed, deltas, target_points, field_res, eps_star, gamma_exponent,
+    dx_override, timing, bandwidth_override, cfg, rep,
+) -> list[StudyRow]:
     rep_seed = seed + rep
     if dx_override is not None:
         truth_dx = dx_override
@@ -239,31 +228,15 @@ def run_partition_study(
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}; choose from {SCENARIOS}")
     deltas = [float(d) for d in deltas]
-    arglist = [
-        (
-            net,
-            scenario,
-            rep,
-            seed,
-            deltas,
-            target_points,
-            field_res,
-            eps_star,
-            gamma_exponent,
-            dx,
-            timing,
-            bandwidth_override,
-            cfg,
-        )
-        for rep in range(replicates)
-    ]
-    if timing and jobs != 1:
-        jobs = 1
-    if jobs == 1:
-        results = [_one_replicate(a) for a in arglist]
+    one = partial(
+        _one_replicate, net, scenario, seed, deltas, target_points, field_res, eps_star,
+        gamma_exponent, dx, timing, bandwidth_override, cfg,
+    )
+    if jobs == 1 or timing:
+        results = [one(rep) for rep in range(replicates)]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_one_replicate, arglist))
+            results = list(pool.map(one, range(replicates)))
     rows: list[dict] = []
     for reprows in results:
         rows.extend(r.as_record() for r in reprows)

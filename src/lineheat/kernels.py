@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PathExplosion, UnboundedKernel
+from .errors import LatticeMismatch, PathExplosion, UnboundedKernel
 from .lattice import Lattice, LatticeFunction, _require_points
-from .network import NetworkLocation, PointPattern
+from .network import NetworkLocation, PointPattern, _graph_distances
 
 GAUSSIAN_TRUNCATION = 4.0  # support radius in standard deviations
 _GAUSS_MASS = math.erf(GAUSSIAN_TRUNCATION / math.sqrt(2.0))
@@ -84,17 +84,13 @@ class Kernel1D:
 
 def edge_correction(lattice: Lattice, loc: NetworkLocation, kernel: Kernel1D) -> float:
     """Network integral of the kernel centered at ``loc`` (lattice quadrature)."""
-    d = lattice.distance_field(loc, cutoff=kernel.support)
-    m = np.isfinite(d)
-    return float(lattice.node_weight[m] @ kernel(d[m]))
+    lattice.network.check_location(loc)
+    return float(_kernel_mass(lattice, kernel, *lattice._point_seeds(loc.edge, loc.offset))[0])
 
 
 def precompute_edge_correction(lattice: Lattice, kernel: Kernel1D) -> LatticeFunction:
     """Edge-correction factor at every lattice node (reusable across patterns)."""
-    vals = np.array(
-        [edge_correction(lattice, lattice.node_location(i), kernel) for i in range(lattice.n_nodes)]
-    )
-    return LatticeFunction(lattice, vals)
+    return LatticeFunction(lattice, _node_corrections(lattice, kernel, np.arange(lattice.n_nodes)))
 
 
 def estimate_uniform_corrected(
@@ -114,12 +110,12 @@ def estimate_uniform_corrected(
     ksum = _kernel_sum(pattern, lattice, kernel)
     covered = np.nonzero(ksum > 0)[0]
     out = np.zeros(lattice.n_nodes)
-    if edge_correction_values is not None:
+    if edge_correction_values is None:
+        c = _node_corrections(lattice, kernel, covered)
+    elif edge_correction_values.lattice.compatible(lattice):
         c = edge_correction_values.values[covered]
     else:
-        c = np.array(
-            [edge_correction(lattice, lattice.node_location(int(i)), kernel) for i in covered]
-        )
+        raise LatticeMismatch("the edge correction was computed on another lattice")
     out[covered] = ksum[covered] / c
     return LatticeFunction(lattice, out)
 
@@ -134,22 +130,49 @@ def estimate_jones_diggle(
     """
     _require_points(pattern, lattice)
     out = np.zeros(lattice.n_nodes)
-    for i in pattern.order:
-        d = lattice.distance_field(pattern[i], cutoff=kernel.support)
-        m = np.isfinite(d)
-        k = kernel(d[m])
-        c = float(lattice.node_weight[m] @ k)
-        out[m] += k / c
+    for row, node, k in _point_terms(pattern, lattice, kernel):
+        c = np.bincount(row, lattice.node_weight[node] * k)
+        np.add.at(out, node, k / c[row])
     return LatticeFunction(lattice, out)
 
 
 def _kernel_sum(pattern, lattice, kernel):
     out = np.zeros(lattice.n_nodes)
-    for i in pattern.order:
-        d = lattice.distance_field(pattern[i], cutoff=kernel.support)
-        m = np.isfinite(d)
-        out[m] += kernel(d[m])
+    for _, node, k in _point_terms(pattern, lattice, kernel):
+        np.add.at(out, node, k)
     return out
+
+
+def _node_corrections(lattice, kernel, nodes):
+    """Edge correction at each of the lattice ``nodes``, each node its own source."""
+    return _kernel_mass(lattice, kernel, np.column_stack((nodes, nodes)), np.zeros((len(nodes), 2)))
+
+
+def _kernel_mass(lattice, kernel, node, start):
+    """Lattice quadrature of the kernel around each source."""
+    c = np.zeros(len(node))
+    for row, at, k in _kernel_terms(lattice, kernel, node, start):
+        np.add.at(c, row, lattice.node_weight[at] * k)
+    return c
+
+
+def _point_terms(pattern, lattice, kernel):
+    """:func:`_kernel_terms` around the points, row k the k-th in ``pattern.order``."""
+    o = pattern.order
+    return _kernel_terms(lattice, kernel, *lattice._point_seeds(pattern.edge[o], pattern.offset[o]))
+
+
+def _kernel_terms(lattice, kernel, node, start):
+    """Kernel values (row, node, k) around a batch of sources, one block at a time.
+
+    Entries run by row (the source), then by node, and cover the nodes within
+    the kernel's support; ``node`` and ``start`` seed the sources.
+    """
+    for lo, d in _graph_distances(lattice._graph, node, start, kernel.support):
+        row, at = np.nonzero(np.isfinite(d))
+        terms = lo + row, at, kernel(d[row, at])
+        del d  # else this block stays alive while the next one is solved
+        yield terms
 
 
 # -- equal-split path enumeration ---------------------------------------------

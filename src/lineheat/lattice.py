@@ -158,12 +158,20 @@ class Lattice:
         ``cutoff`` stay inf.
         """
         self.network.check_location(source)
-        left, right, theta = (x.item() for x in self.bracket(source.edge, source.offset))
-        if left == right:
-            return _graph_distances(self._graph, [(left, 0.0)], cutoff)
-        h = float(self.edge_spacing[source.edge])
+        seeds = self._point_seeds(source.edge, source.offset)
+        return next(_graph_distances(self._graph, *seeds, cutoff))[1][0]
+
+    def _point_seeds(self, edge, offset):
+        """Shortest-path seeds (node, start) of locations, two per row.
+
+        A location inside a link seeds the link's ends at ``theta·h`` and
+        ``h - theta·h``; one on a chain node seeds that node at 0 (and at h,
+        which never wins).  Unchecked.
+        """
+        left, right, theta = self.bracket(edge, offset)
+        h = self.edge_spacing[edge]
         dl = theta * h
-        return _graph_distances(self._graph, [(left, dl), (right, h - dl)], cutoff)
+        return np.column_stack((left, right)), np.column_stack((dl, h - dl))
 
 
 @dataclass

@@ -14,7 +14,6 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .errors import (
     DanglingReference,
@@ -31,9 +30,10 @@ MERGE_TOLERANCE = 1e-8
 #: Absolute tolerance on the cross products used by the segment predicates.
 CROSS_TOLERANCE = 1e-12
 
-#: Candidate (record, edge sample) pairs a snap block may hold: records are
-#: snapped in blocks of this many over the number of edge samples.
-SNAP_PAIRS = 2**18
+#: Pairs one block of batched work may hold: records are snapped, and
+#: shortest-path sources solved, in blocks of this many over the number of
+#: edge samples or graph nodes.
+BLOCK_PAIRS = 2**18
 
 
 @dataclass(frozen=True)
@@ -213,23 +213,22 @@ class LinearNetwork:
     # -- metric ------------------------------------------------------------
 
     @cached_property
-    def _graph(self) -> csr_matrix:
+    def _graph(self):
         ev = self.edge_vertices
         return _adjacency(self.n_vertices, ev[:, 0], ev[:, 1], self.edge_lengths)
 
     def vertex_distances(self, source: NetworkLocation, cutoff: float = math.inf):
         """Shortest-path distance from ``source`` to every vertex (inf beyond cutoff)."""
-        kind = self.canonical_location(source)
-        if kind[0] == "v":
-            seeds = [(kind[1], 0.0)]
-        else:
-            u, v = self.edge_vertices[source.edge]
-            seeds = [(u, source.offset), (v, self.edge_lengths[source.edge] - source.offset)]
-        return _graph_distances(self._graph, seeds, cutoff)
+        self.check_location(source)
+        node = self.edge_vertices[source.edge][None]
+        start = np.array([[source.offset, self.edge_lengths[source.edge] - source.offset]])
+        return next(_graph_distances(self._graph, node, start, cutoff))[1][0]
 
 
-def _adjacency(n: int, tail, head, length) -> csr_matrix:
+def _adjacency(n: int, tail, head, length):
     """Symmetric n x n CSR adjacency of an undirected graph with edge lengths."""
+    from scipy.sparse import csr_matrix
+
     return csr_matrix(
         (np.concatenate([length, length]),
          (np.concatenate([tail, head]), np.concatenate([head, tail]))),
@@ -237,24 +236,29 @@ def _adjacency(n: int, tail, head, length) -> csr_matrix:
     )
 
 
-def _graph_distances(graph: csr_matrix, seeds, cutoff: float = math.inf) -> np.ndarray:
-    """Shortest-path distance from a source to every node of ``graph``.
+def _graph_distances(graph, node, start, cutoff: float = math.inf):
+    """Shortest-path distances from a batch of sources to every node of ``graph``.
 
-    ``seeds`` lists (node, distance from the source) for the nodes next to
-    the source.  The source joins the graph as one extra node with an edge to
-    each seed, so every distance is summed from the source offset along the
-    path, left to right.  Nodes farther than ``cutoff`` stay inf.
+    Source s joins the graph as its own extra node with edges out to the two
+    nodes ``node[s]``, of lengths ``start[s]``, so no path passes through
+    another source, and every distance is summed from the source offset along
+    the path, left to right.  Sources go in blocks of ``BLOCK_PAIRS // n``
+    for n graph nodes; each block yields (first source, distances), one row
+    per source.  Nodes farther than ``cutoff`` stay inf.
     """
+    from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra
 
-    nodes, starts = zip(*seeds)
     n = graph.shape[0]
-    extended = csr_matrix(
-        (np.append(graph.data, starts), np.append(graph.indices, nodes),
-         np.append(graph.indptr, graph.nnz + len(seeds))),
-        shape=(n + 1, n + 1),
-    )
-    return dijkstra(extended, indices=n, limit=cutoff)[:n]
+    block = max(1, BLOCK_PAIRS // n)
+    for lo in range(0, len(node), block):
+        b = min(block, len(node) - lo)
+        extended = csr_matrix(
+            (np.append(graph.data, start[lo : lo + b]), np.append(graph.indices, node[lo : lo + b]),
+             np.append(graph.indptr, graph.nnz + 2 * np.arange(1, b + 1))),
+            shape=(n + b, n + b),
+        )
+        yield lo, dijkstra(extended, indices=np.arange(n, n + b), limit=cutoff)[:, :n]
 
 
 def build_network(vertices: Sequence, segments: Sequence) -> LinearNetwork:
@@ -374,7 +378,7 @@ def _snap(net: LinearNetwork, xy: np.ndarray, max_dist: float):
     edge = np.full(n, -1, dtype=np.int64)
     offset = np.full(n, np.nan)
     dist = np.full(n, np.inf)
-    block = max(1, SNAP_PAIRS // len(sample_edge))
+    block = max(1, BLOCK_PAIRS // len(sample_edge))
     for lo in range(0, n, block):
         p = xy[lo : lo + block]
         d0 = tree.query(p)[0]

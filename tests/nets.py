@@ -367,3 +367,50 @@ def reference_deposit(ref: dict, net: LinearNetwork, points) -> np.ndarray:
             mass[left] += 1.0 - theta
             mass[right] += theta
     return mass / ref["node_weight"]
+
+
+# -- per-source loops the batched kernel estimators replaced -------------------
+
+
+def loop_edge_correction(lattice, loc, kernel):
+    d = lattice.distance_field(loc, cutoff=kernel.support)
+    m = np.isfinite(d)
+    return float(lattice.node_weight[m] @ kernel(d[m]))
+
+
+def loop_precompute_edge_correction(lattice, kernel):
+    return np.array([
+        loop_edge_correction(lattice, lattice.node_location(i), kernel)
+        for i in range(lattice.n_nodes)
+    ])
+
+
+def loop_kernel_sum(pattern, lattice, kernel):
+    out = np.zeros(lattice.n_nodes)
+    for i in pattern.order:
+        d = lattice.distance_field(pattern[i], cutoff=kernel.support)
+        m = np.isfinite(d)
+        out[m] += kernel(d[m])
+    return out
+
+
+def loop_uniform_corrected(pattern, lattice, kernel):
+    ksum = loop_kernel_sum(pattern, lattice, kernel)
+    covered = np.nonzero(ksum > 0)[0]
+    out = np.zeros(lattice.n_nodes)
+    c = np.array(
+        [loop_edge_correction(lattice, lattice.node_location(int(i)), kernel) for i in covered]
+    )
+    out[covered] = ksum[covered] / c
+    return out
+
+
+def loop_jones_diggle(pattern, lattice, kernel):
+    out = np.zeros(lattice.n_nodes)
+    for i in pattern.order:
+        d = lattice.distance_field(pattern[i], cutoff=kernel.support)
+        m = np.isfinite(d)
+        k = kernel(d[m])
+        c = float(lattice.node_weight[m] @ k)
+        out[m] += k / c
+    return out

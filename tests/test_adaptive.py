@@ -100,6 +100,10 @@ class TestAbramson:
     def test_heuristic_global_bandwidth(self):
         assert heuristic_global_bandwidth(10.0, 25) == pytest.approx(1.0)
 
+    def test_heuristic_global_bandwidth_needs_a_point(self):
+        with pytest.raises(EmptyPattern):
+            heuristic_global_bandwidth(10.0, 0)
+
 
 class TestPartitionPlan:
     def test_decile_split_of_distinct_values(self):

@@ -161,6 +161,20 @@ class TestEstimate:
         assert "heuristic" in proc.stderr  # auto rule is labeled as such
         assert out.exists()
 
+    def test_adaptive_auto_without_records_exits_2(self, toy, tmp_path):
+        _, net_path, _ = toy
+        pts = tmp_path / "pts.csv"
+        pts.write_text("x,y\n")
+        proc = run_cli(
+            "estimate", "--net", net_path, "--points", pts, "--method", "heat",
+            "--adaptive", "--bw-global", "auto", "--out", tmp_path / "est.csv",
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "warning: input contained no event records",
+            "error: the heuristic global bandwidth needs at least one data point",
+        ]
+
     def test_adaptive_equal_split_rejected(self, toy, tmp_path):
         _, net_path, pts_path = toy
         proc = run_cli(

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from lineheat.errors import EmptyPattern, PathExplosion, UnboundedKernel
+from lineheat import network
+from lineheat.errors import EmptyPattern, LatticeMismatch, PathExplosion, UnboundedKernel
 from lineheat.kernels import (
     Kernel1D,
+    _kernel_sum,
     edge_correction,
     equal_split_continuous,
     equal_split_discontinuous,
@@ -17,7 +19,22 @@ from lineheat.kernels import (
 from lineheat.lattice import discretize
 from lineheat.network import NetworkLocation, PointPattern
 
-from nets import enumerate_equal_split, segment_network, triangle_network, y_network
+from nets import (
+    assert_same,
+    enumerate_equal_split,
+    grid_network,
+    loop_edge_correction,
+    loop_jones_diggle,
+    loop_kernel_sum,
+    loop_precompute_edge_correction,
+    loop_uniform_corrected,
+    random_lattices,
+    random_pattern,
+    segment_network,
+    special_locations,
+    triangle_network,
+    y_network,
+)
 
 
 class TestKernel1D:
@@ -172,6 +189,93 @@ class TestCorrectedEstimators:
         a = estimate_jones_diggle(PointPattern(net, pts), lat, k)
         b = estimate_jones_diggle(PointPattern(net, pts[::-1]), lat, k)
         assert np.array_equal(a.values, b.values)
+
+
+def batched_cases(count, seed):
+    """(lattice, pattern, kernel) on random lattices plus one jittered grid.
+
+    Points are uniform by length plus chain nodes, edge ends and offsets one
+    ulp below an edge's end; every lattice gets a gaussian and a bounded kernel.
+    """
+    rng = np.random.default_rng(seed)
+    lattices = [lat for lat, _ in random_lattices(seed, count)]
+    lattices.append(discretize(grid_network(6, 6, keep=0.85, jitter=0.2, rng=rng), 0.1))
+    for lat in lattices:
+        net = lat.network
+        special = special_locations(lat, rng)
+        picks = rng.choice(len(special), size=min(8, len(special)), replace=False)
+        pts = list(random_pattern(net, 12, rng)) + [special[i] for i in picks]
+        scale = float(net.edge_lengths.mean())
+        for kernel in (Kernel1D("gaussian", 0.3 * scale), Kernel1D("quartic", 1.2 * scale)):
+            yield lat, PointPattern(net, pts), kernel
+
+
+def all_estimates(pattern, lattice, kernel):
+    return {
+        "kernel_sum": _kernel_sum(pattern, lattice, kernel),
+        "uniform": estimate_uniform_corrected(pattern, lattice, kernel).values,
+        "jones_diggle": estimate_jones_diggle(pattern, lattice, kernel).values,
+        "precomputed": precompute_edge_correction(lattice, kernel).values,
+        "at_points": np.array([edge_correction(lattice, p, kernel) for p in pattern]),
+    }
+
+
+class TestBatchedMatchesLoop:
+    """The block-batched estimators against the per-source loops they replaced."""
+
+    def test_kernel_sum_is_exact(self):
+        for lat, pat, k in batched_cases(25, 51):
+            assert_same(_kernel_sum(pat, lat, k), loop_kernel_sum(pat, lat, k))
+
+    def test_corrected_estimators_within_1e_12(self):
+        # correction sources are exact nodes where the loop bracketed
+        # h * j / h, and row sums replace dot products
+        for lat, pat, k in batched_cases(25, 52):
+            got = all_estimates(pat, lat, k)
+            want = {
+                "uniform": loop_uniform_corrected(pat, lat, k),
+                "jones_diggle": loop_jones_diggle(pat, lat, k),
+                "precomputed": loop_precompute_edge_correction(lat, k),
+                "at_points": np.array([loop_edge_correction(lat, p, k) for p in pat]),
+            }
+            for name, w in want.items():
+                np.testing.assert_allclose(got[name], w, rtol=1e-12, atol=0, err_msg=name)
+
+    @pytest.mark.parametrize("per_block", [1, 3])
+    def test_blocks_match_one_block(self, monkeypatch, per_block):
+        # 1 solves every source alone; 3 leaves the 7-point pattern a
+        # partial last block
+        for lat, pat, k in batched_cases(5, 53):
+            pat = PointPattern(pat.network, list(pat)[:7])
+            monkeypatch.setattr(network, "BLOCK_PAIRS", 2**62)
+            whole = all_estimates(pat, lat, k)
+            monkeypatch.setattr(network, "BLOCK_PAIRS", per_block * lat.n_nodes)
+            seeds = lat._point_seeds(pat.edge, pat.offset)
+            blocks = network._graph_distances(lat._graph, *seeds, k.support)
+            assert [len(d) for _, d in blocks] == [per_block] * (7 // per_block) + [1] * (7 % per_block)
+            for name, values in all_estimates(pat, lat, k).items():
+                assert_same(values, whole[name])
+
+
+class TestPrecomputedCorrectionLattice:
+    @pytest.mark.parametrize("dx", [0.25, 0.05], ids=["coarser", "finer"])
+    def test_other_lattice_rejected(self, dx):
+        net = grid_network(3, 3)
+        lat = discretize(net, 0.1)
+        k = Kernel1D("gaussian", 0.3)
+        pat = PointPattern(net, [NetworkLocation(0, 0.4), NetworkLocation(5, 0.7)])
+        other = precompute_edge_correction(discretize(net, dx), k)
+        with pytest.raises(LatticeMismatch):
+            estimate_uniform_corrected(pat, lat, k, edge_correction_values=other)
+
+    def test_compatible_lattice_accepted(self):
+        net = grid_network(3, 3)
+        k = Kernel1D("gaussian", 0.3)
+        pat = PointPattern(net, [NetworkLocation(0, 0.4), NetworkLocation(5, 0.7)])
+        pre = precompute_edge_correction(discretize(net, 0.1), k)
+        lat = discretize(net, 0.1)
+        got = estimate_uniform_corrected(pat, lat, k, edge_correction_values=pre)
+        assert_same(got.values, estimate_uniform_corrected(pat, lat, k).values)
 
 
 class TestEqualSplit:

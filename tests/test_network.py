@@ -279,10 +279,10 @@ class TestIndexedSnap:
             for max_dist in (math.inf, 1e-3, 100.0):
                 assert_snaps_like_scan(net, np.vstack([near, wide]), max_dist)
 
-    @pytest.mark.parametrize("pairs", [1, 1000, network.SNAP_PAIRS])
+    @pytest.mark.parametrize("pairs", [1, 1000, network.BLOCK_PAIRS])
     def test_blocks_and_duplicates(self, monkeypatch, pairs):
         # pairs 1 snaps one record per block, 1000 a few, the default all at once
-        monkeypatch.setattr(network, "SNAP_PAIRS", pairs)
+        monkeypatch.setattr(network, "BLOCK_PAIRS", pairs)
         rng = np.random.default_rng(13)
         net = grid_network(6, 6, keep=0.8, jitter=0.2, rng=rng)
         xy = rng.uniform(-1.0, 6.0, (1200, 2))
@@ -374,3 +374,11 @@ print("scipy.sparse.csgraph" in sys.modules)
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_import_leaves_scipy_unimported(self):
+        # scipy.sparse alone takes about a fifth of a second to import; it is
+        # loaded when a graph is built, never by ``import lineheat``
+        code = "import sys, lineheat; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
