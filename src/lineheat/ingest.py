@@ -19,7 +19,9 @@ import numpy as np
 
 from .errors import AllPointsTooFar, GeometryTypeError, ParseError
 from .lattice import Lattice, LatticeFunction
-from .network import LinearNetwork, NetworkLocation, PointPattern, _snap, build_network
+from .network import (
+    LinearNetwork, NetworkLocation, PointPattern, _box_pairs, _close_pairs, _snap, build_network,
+)
 
 FLOAT_FMT = "%.17g"
 
@@ -62,37 +64,21 @@ def read_network_geojson(path, merge_tolerance: float = 1e-8) -> LinearNetwork:
     if not raw_segments:
         raise ParseError("no line segments found")
 
-    from scipy.spatial import cKDTree
-
     xy = np.asarray(coords)
-    parent = np.arange(len(xy))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in cKDTree(xy).query_pairs(merge_tolerance):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    roots = np.array([find(i) for i in range(len(xy))])
-    used_roots = sorted({int(roots[a]) for a, b in raw_segments if roots[a] != roots[b]}
-                        | {int(roots[b]) for a, b in raw_segments if roots[a] != roots[b]})
-    relabel = {r: k for k, r in enumerate(used_roots)}
-
-    vertices = xy[used_roots]
-    segments = []
-    for a, b in raw_segments:
-        ra, rb = int(roots[a]), int(roots[b])
-        if ra == rb:
-            continue  # degenerate piece collapsed by the merge
-        segments.append((relabel[ra], relabel[rb]))
-    if not segments:
+    # every point takes the lowest id of its cluster of points within the tolerance
+    i, j = _close_pairs(xy, merge_tolerance)
+    root, prev = np.arange(len(xy)), None
+    while not np.array_equal(root, prev):
+        prev, root = root, root.copy()
+        np.minimum.at(root, i, root[j])
+        np.minimum.at(root, j, root[i])
+        root = root[root]
+    ends = root[np.asarray(raw_segments)]
+    ends = ends[ends[:, 0] != ends[:, 1]]  # degenerate pieces collapsed by the merge
+    if not len(ends):
         raise ParseError("all segments collapsed under the merge tolerance")
-    return build_network(vertices, segments)
+    used, inverse = np.unique(ends, return_inverse=True)
+    return build_network(xy[used], inverse.reshape(ends.shape))
 
 
 def write_network_geojson(net: LinearNetwork, path) -> None:
@@ -290,10 +276,17 @@ def rasterize(f: LatticeFunction, res: int):
     xs, ys, bbox, half_diag = raster_grid(net, res)
     gx, gy = np.meshgrid(xs, ys)
     centers = np.column_stack([gx.ravel(), gy.ravel()])
-    from scipy.spatial import cKDTree
-
-    dist, idx = cKDTree(f.lattice.node_xy).query(centers)
-    vals = np.where(dist <= half_diag, f.values[idx], np.nan)
+    # every node within half a diagonal is a candidate; the nearest wins, then the lowest id
+    node_xy = f.lattice.node_xy
+    reach = half_diag * (1 + 1e-9) + 1e-9 * float(np.abs(node_xy).max())
+    vals = np.full(len(centers), np.nan)
+    for k, c in _box_pairs(node_xy - reach, node_xy + reach, centers, centers, 2 * half_diag):
+        d = centers[c] - node_xy[k]
+        d2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+        near = np.flatnonzero(np.sqrt(d2) <= half_diag)
+        order = near[np.lexsort((k[near], d2[near], c[near]))]
+        win = order[np.flatnonzero(np.diff(c[order], prepend=-1))]
+        vals[c[win]] = f.values[k[win]]
     return vals.reshape(res, res), bbox
 
 

@@ -7,7 +7,6 @@ are shortest-path (arc length along edges); positions are linear-referenced as
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -30,9 +29,9 @@ MERGE_TOLERANCE = 1e-8
 #: Absolute tolerance on the cross products used by the segment predicates.
 CROSS_TOLERANCE = 1e-12
 
-#: Pairs one block of batched work may hold: records are snapped, and
-#: shortest-path sources solved, in blocks of this many over the number of
-#: edge samples or graph nodes.
+#: Pairs one block of batched work may hold: the grid index yields its box
+#: pairs in blocks of about this many, and shortest-path sources are solved
+#: in blocks of this many over the number of graph nodes.
 BLOCK_PAIRS = 2**18
 
 
@@ -81,72 +80,56 @@ class LinearNetwork:
             a.setflags(write=False)
 
         self._validate_vertex_separation()
-        incident: list[list[int]] = [[] for _ in range(len(vxy))]
-        for e, (u, v) in enumerate(ev):
-            incident[u].append(e)
-            incident[v].append(e)
-        if any(len(lst) == 0 for lst in incident):
+        ends = ev.ravel()
+        self.degrees = np.bincount(ends, minlength=len(vxy))
+        if not self.degrees.all():
             raise ValueError("isolated vertex (degree 0) not allowed")
-        self.incident_edges = tuple(np.asarray(lst, dtype=np.int64) for lst in incident)
-        self.degrees = np.asarray([len(lst) for lst in incident], dtype=np.int64)
+        # a stable sort of the edge ends lists every vertex's edges in ascending order
+        incident, stop = np.argsort(ends, kind="stable") // 2, np.cumsum(self.degrees).tolist()
+        self.incident_edges = tuple(incident[s:t] for s, t in zip([0] + stop[:-1], stop))
 
         self._validate_no_interior_intersections()
 
     # -- construction-time validation -------------------------------------
 
     def _validate_vertex_separation(self):
-        from scipy.spatial import cKDTree
-
-        pairs = cKDTree(self.vertex_xy).query_pairs(MERGE_TOLERANCE)
-        if pairs:
-            i, j = sorted(next(iter(pairs)))
+        i, j = _close_pairs(self.vertex_xy, MERGE_TOLERANCE)
+        if len(i):
+            i, j = min(zip(i.tolist(), j.tolist()))
             raise ValueError(
                 f"vertices {i} and {j} are closer than the merge tolerance "
                 f"{MERGE_TOLERANCE}; merge them before building"
             )
 
     def _validate_no_interior_intersections(self):
-        xy = self.vertex_xy
-        ev = self.edge_vertices
-        p = xy[ev[:, 0]]
-        q = xy[ev[:, 1]]
+        """Raise for the lowest edge pair (e, f) that meets away from a shared endpoint.
+
+        Candidates are the pairs whose bounding boxes (grown by the cross
+        tolerance) overlap; the predicates run on all of them at once.
+        """
+        xy, ev = self.vertex_xy, self.edge_vertices
+        p, q = xy[ev[:, 0]], xy[ev[:, 1]]
         lo = np.minimum(p, q) - CROSS_TOLERANCE
         hi = np.maximum(p, q) + CROSS_TOLERANCE
-        n = len(ev)
-        # bbox prefilter; exact predicates only on the surviving pairs
-        for e in range(n):
-            overl = np.nonzero(
-                (lo[e + 1 :, 0] <= hi[e, 0])
-                & (hi[e + 1 :, 0] >= lo[e, 0])
-                & (lo[e + 1 :, 1] <= hi[e, 1])
-                & (hi[e + 1 :, 1] >= lo[e, 1])
-            )[0]
-            for f in overl + e + 1:
-                self._check_edge_pair(int(e), int(f))
-
-    def _check_edge_pair(self, e, f):
-        ue, ve = self.edge_vertices[e]
-        uf, vf = self.edge_vertices[f]
-        shared = {ue, ve} & {uf, vf}
-        xy = self.vertex_xy
-        if len(shared) == 2:
-            raise InteriorIntersection(f"edges {e} and {f} are duplicates")
-        if len(shared) == 1:
-            w = shared.pop()
-            a = xy[ve if ue == w else ue]
-            b = xy[vf if uf == w else uf]
-            o = xy[w]
-            cr = (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-            dot = (a[0] - o[0]) * (b[0] - o[0]) + (a[1] - o[1]) * (b[1] - o[1])
-            if abs(cr) <= CROSS_TOLERANCE and dot > 0:
-                raise InteriorIntersection(
-                    f"edges {e} and {f} overlap beyond their shared vertex"
-                )
-            return
-        if _segments_touch(xy[ue], xy[ve], xy[uf], xy[vf]):
-            raise InteriorIntersection(
-                f"edges {e} and {f} intersect away from a shared endpoint"
-            )
+        blocks = _box_pairs(lo, hi, lo, hi, self.total_length / self.n_edges)
+        e, f = map(np.concatenate, zip(*blocks))
+        keep = (e < f) & (lo[f] <= hi[e]).all(axis=1) & (hi[f] >= lo[e]).all(axis=1)
+        e, f = e[keep], f[keep]
+        (ue, ve), (uf, vf) = ev[e].T, ev[f].T
+        tail, head = (ue == uf) | (ue == vf), (ve == uf) | (ve == vf)  # end of e shared with f
+        dup = tail & head
+        # with one shared vertex w: do the other ends a and b leave w in one direction?
+        w = np.where(tail, ue, ve)
+        o, a, b = xy[w], xy[np.where(tail, ve, ue)], xy[np.where(uf == w, vf, uf)]
+        dot = (a[:, 0] - o[:, 0]) * (b[:, 0] - o[:, 0]) + (a[:, 1] - o[:, 1]) * (b[:, 1] - o[:, 1])
+        overlap = (tail ^ head) & (np.abs(_cross(o, a, b)) <= CROSS_TOLERANCE) & (dot > 0)
+        touch = ~(tail | head) & _segments_touch(p[e], q[e], p[f], q[f])
+        bad = np.flatnonzero(dup | overlap | touch)
+        if len(bad):
+            k = bad[np.lexsort((f[bad], e[bad]))[0]]
+            what = ("are duplicates" if dup[k] else "overlap beyond their shared vertex"
+                    if overlap[k] else "intersect away from a shared endpoint")
+            raise InteriorIntersection(f"edges {e[k]} and {f[k]} {what}")
 
     # -- basic queries -----------------------------------------------------
 
@@ -354,49 +337,98 @@ def _snap(net: LinearNetwork, xy: np.ndarray, max_dist: float):
 
     Returns (edge, offset, dist) columns, exact and with the lowest edge id on
     ties wherever ``dist <= max_dist``; other rows lie farther than ``max_dist``
-    from the network.  Every point of an edge is within ``h`` of a sample taken
-    at most ``total_length / n_edges`` apart, and the nearest sample's distance
-    ``d0`` bounds the answer from above, so every edge that can win has a
-    sample within ``min(d0, max_dist) + h``.  Candidates get a full scan's arithmetic.
+    from the network.  Rounds of radius r, from the mean edge length (at most
+    ``max_dist``) growing x4 up to ``max_dist``, take as candidates the edges
+    whose bounding box meets the record's box +-r: they include every edge
+    within r, so a record whose best candidate is within r is done.
+    Candidates get a full scan's arithmetic.
     """
     if not max_dist > 0:
         raise ValueError("max_dist must be positive")
-    from scipy.spatial import cKDTree
-
     ev, lengths = net.edge_vertices, net.edge_lengths
-    a = net.vertex_xy[ev[:, 0]]
-    ab = net.vertex_xy[ev[:, 1]] - a
-    pieces = np.ceil(lengths / (net.total_length / net.n_edges)).astype(np.int64)
-    sample_edge = np.repeat(np.arange(net.n_edges), pieces + 1)
-    first = np.cumsum(pieces + 1) - (pieces + 1)
-    t = (np.arange(len(sample_edge)) - first[sample_edge]) / pieces[sample_edge]
-    tree = cKDTree(a[sample_edge] + t[:, None] * ab[sample_edge])
-    h = float((lengths / pieces).max()) / 2.0
-    slack = 1e-9 * float(np.abs(net.vertex_xy).max())  # rounding of samples and distances
+    a, b = net.vertex_xy[ev[:, 0]], net.vertex_xy[ev[:, 1]]
+    ab = b - a
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    mean = net.total_length / net.n_edges
+    slack = 1e-9 * float(np.abs(net.vertex_xy).max())  # rounding of boxes and distances
 
     n = len(xy)
     edge = np.full(n, -1, dtype=np.int64)
     offset = np.full(n, np.nan)
     dist = np.full(n, np.inf)
-    block = max(1, BLOCK_PAIRS // len(sample_edge))
-    for lo in range(0, n, block):
-        p = xy[lo : lo + block]
-        d0 = tree.query(p)[0]
-        hits = tree.query_ball_point(p, (np.minimum(d0, max_dist) + h) * (1 + 1e-9) + slack)
-        counts = np.fromiter(map(len, hits), np.int64, len(p))
-        row = np.repeat(np.arange(len(p)), counts)
-        e = sample_edge[np.fromiter(itertools.chain.from_iterable(hits), np.int64, row.size)]
-        pe, ae, abe = p[row], a[e], ab[e]
-        te = np.einsum("ij,ij->i", pe - ae, abe) / (lengths[e] ** 2)
-        te = np.clip(te, 0.0, 1.0)
-        proj = ae + te[:, None] * abe
-        d2 = np.einsum("ij,ij->i", proj - pe, proj - pe)
-        order = np.lexsort((e, d2, row))  # per row: smallest d2, then lowest edge id
-        win = order[np.flatnonzero(np.diff(row[order], prepend=-1))]
-        edge[lo + row[win]] = e[win]
-        offset[lo + row[win]] = te[win] * lengths[e[win]]
-        dist[lo + row[win]] = np.sqrt(d2[win])
+    todo, r = np.arange(n), min(mean, max_dist)
+    while len(todo):
+        pad = r * (1 + 1e-9) + slack
+        for e, k in _box_pairs(lo, hi, xy[todo] - pad, xy[todo] + pad, max(mean, r)):
+            pe, ae, abe = xy[todo[k]], a[e], ab[e]
+            te = np.einsum("ij,ij->i", pe - ae, abe) / (lengths[e] ** 2)
+            te = np.clip(te, 0.0, 1.0)
+            proj = ae + te[:, None] * abe
+            d2 = np.einsum("ij,ij->i", proj - pe, proj - pe)
+            order = np.lexsort((e, d2, k))  # per record: smallest d2, then lowest edge id
+            win = order[np.flatnonzero(np.diff(k[order], prepend=-1))]
+            row = todo[k[win]]
+            edge[row] = e[win]
+            offset[row] = te[win] * lengths[e[win]]
+            dist[row] = np.sqrt(d2[win])
+        todo = todo[dist[todo] > r] if r < max_dist else todo[:0]
+        r = min(4 * r, max_dist)
     return edge, offset, dist
+
+
+def _box_pairs(lo_a, hi_a, lo_b, hi_b, cell: float):
+    """Blocks (i, j) of the boxes [lo_a[i], hi_a[i]] and [lo_b[j], hi_b[j]] that share a grid cell.
+
+    Every two closed boxes that meet share a cell, and each pair comes once,
+    from the cell that holds the larger of the two lower corners.  The grid
+    spans the ``a`` boxes; its square cells are at least ``cell`` wide, and
+    wider where the ``a`` boxes would cover more than O(len(a)) cells or a
+    cell key would overflow int64.  The ``b`` boxes go in blocks of about
+    ``BLOCK_PAIRS`` cell-sharing pairs, every pair of one ``b`` box in one block.
+    """
+    origin, top = lo_a.min(axis=0), hi_a.max(axis=0)
+    area = (hi_a - lo_a).prod(axis=1).mean()
+    cell = max(cell, math.sqrt(area), float((top - origin).max()) * 2**-30)
+    cell = cell or 1.0  # every box is one and the same point
+    ncell = np.floor((top - origin) / cell).astype(np.int64) + 1
+
+    def cells(lo, hi):
+        """Box and cell coordinates of every (box, covered cell), plus each box's lowest cell."""
+        c0 = np.floor(np.clip((lo - origin) / cell, 0, ncell)).astype(np.int64)
+        c1 = np.floor(np.clip((hi - origin) / cell, -1, ncell - 1)).astype(np.int64)
+        n = np.maximum(c1 - c0 + 1, 0)  # cells a side: 0 for an empty box or one off the grid
+        count = n[:, 0] * n[:, 1]
+        box = np.repeat(np.arange(len(lo)), count)
+        t = np.arange(len(box)) - (np.cumsum(count) - count)[box]
+        return box, c0[box, 0] + t // n[box, 1], c0[box, 1] + t % n[box, 1], c0
+
+    box_a, xa, ya, corner_a = cells(lo_a, hi_a)
+    key_a = xa * ncell[1] + ya
+    by_key = np.argsort(key_a, kind="stable")
+    key_a = key_a[by_key]
+    box_b, xb, yb, corner_b = cells(lo_b, hi_b)
+    key_b = xb * ncell[1] + yb
+    start = np.searchsorted(key_a, key_b)
+    count = np.searchsorted(key_a, key_b, side="right") - start
+    per_box = np.bincount(box_b, count, len(lo_b)).astype(np.int64)
+    block = ((np.cumsum(per_box) - per_box) // BLOCK_PAIRS)[box_b]
+    cuts = np.flatnonzero(np.diff(block)) + 1
+    for s, t in zip(np.r_[0, cuts], np.r_[cuts, len(block)]):
+        m = count[s:t]
+        at = np.repeat(np.arange(s, t), m)  # entry of b
+        i = box_a[by_key[start[at] + np.arange(len(at)) - np.repeat(np.cumsum(m) - m, m)]]
+        j = box_b[at]
+        own = (xb[at] == np.maximum(corner_a[i, 0], corner_b[j, 0])) & (
+            yb[at] == np.maximum(corner_a[i, 1], corner_b[j, 1]))
+        yield i[own], j[own]
+
+
+def _close_pairs(xy, tol: float):
+    """Index pairs i < j of the points ``xy`` at most ``tol`` apart."""
+    i, j = map(np.concatenate, zip(*_box_pairs(xy - tol, xy + tol, xy - tol, xy + tol, 2 * tol)))
+    d = xy[i] - xy[j]
+    close = (i < j) & (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] <= tol * tol)
+    return i[close], j[close]
 
 
 class PointPattern:
@@ -435,30 +467,21 @@ class PointPattern:
         return f"PointPattern(n={self.n})"
 
 
-def _segments_touch(p1, p2, p3, p4) -> bool:
-    """True when closed segments [p1,p2] and [p3,p4] share any point."""
+def _segments_touch(p1, p2, p3, p4):
+    """Per row: True where the closed segments [p1,p2] and [p3,p4] share any point."""
     tol = CROSS_TOLERANCE
-    d1 = _cross(p3, p4, p1)
-    d2 = _cross(p3, p4, p2)
-    d3 = _cross(p1, p2, p3)
-    d4 = _cross(p1, p2, p4)
-    if ((d1 > tol and d2 < -tol) or (d1 < -tol and d2 > tol)) and (
-        (d3 > tol and d4 < -tol) or (d3 < -tol and d4 > tol)
-    ):
-        return True
-    for d, sa, sb, c in ((d1, p3, p4, p1), (d2, p3, p4, p2), (d3, p1, p2, p3), (d4, p1, p2, p4)):
-        if abs(d) <= tol and _within_bbox(sa, sb, c):
-            return True
-    return False
+    d = (_cross(p3, p4, p1), _cross(p3, p4, p2), _cross(p1, p2, p3), _cross(p1, p2, p4))
+
+    def apart(x, y):
+        return ((x > tol) & (y < -tol)) | ((x < -tol) & (y > tol))
+
+    touch = apart(d[0], d[1]) & apart(d[2], d[3])
+    for dk, sa, sb, c in zip(d, (p3, p3, p1, p1), (p4, p4, p2, p2), (p1, p2, p3, p4)):
+        within = (np.minimum(sa, sb) - tol <= c) & (c <= np.maximum(sa, sb) + tol)
+        touch |= (np.abs(dk) <= tol) & within.all(axis=-1)
+    return touch
 
 
-def _cross(o, a, b) -> float:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _within_bbox(a, b, c) -> bool:
-    tol = CROSS_TOLERANCE
-    return (
-        min(a[0], b[0]) - tol <= c[0] <= max(a[0], b[0]) + tol
-        and min(a[1], b[1]) - tol <= c[1] <= max(a[1], b[1]) + tol
-    )
+def _cross(o, a, b):
+    return (a[..., 0] - o[..., 0]) * (b[..., 1] - o[..., 1]) - (
+        a[..., 1] - o[..., 1]) * (b[..., 0] - o[..., 0])

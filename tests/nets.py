@@ -6,6 +6,7 @@ import numpy as np
 
 from lineheat.lattice import Lattice
 from lineheat.network import (
+    CROSS_TOLERANCE,
     LinearNetwork,
     NetworkLocation,
     PointPattern,
@@ -414,3 +415,133 @@ def loop_jones_diggle(pattern, lattice, kernel):
         c = float(lattice.node_weight[m] @ k)
         out[m] += k / c
     return out
+
+
+# -- the scans and cKDTree queries the grid index replaced --------------------
+
+
+def loop_incident_edges(net):
+    """Edges at every vertex, appended edge by edge."""
+    incident = [[] for _ in range(net.n_vertices)]
+    for e, (u, v) in enumerate(net.edge_vertices):
+        incident[u].append(e)
+        incident[v].append(e)
+    return [np.asarray(lst, dtype=np.int64) for lst in incident]
+
+
+def scan_validate(net):
+    """First (e, f, message) of the pairwise scan over every edge pair, or None.
+
+    ``net`` needs only ``vertex_xy`` and ``edge_vertices``; pairs whose bounding
+    boxes (grown by the cross tolerance) overlap are checked in (e, f) order.
+    """
+    xy = np.asarray(net.vertex_xy, dtype=float)
+    ev = np.asarray(net.edge_vertices, dtype=np.int64)
+    p, q = xy[ev[:, 0]], xy[ev[:, 1]]
+    lo = np.minimum(p, q) - CROSS_TOLERANCE
+    hi = np.maximum(p, q) + CROSS_TOLERANCE
+    for e in range(len(ev)):
+        overl = np.nonzero(
+            (lo[e + 1 :, 0] <= hi[e, 0])
+            & (hi[e + 1 :, 0] >= lo[e, 0])
+            & (lo[e + 1 :, 1] <= hi[e, 1])
+            & (hi[e + 1 :, 1] >= lo[e, 1])
+        )[0]
+        for f in overl + e + 1:
+            what = _check_edge_pair(xy, ev, e, int(f))
+            if what:
+                return e, int(f), f"edges {e} and {f} {what}"
+    return None
+
+
+def _check_edge_pair(xy, ev, e, f):
+    ue, ve = ev[e]
+    uf, vf = ev[f]
+    shared = {ue, ve} & {uf, vf}
+    if len(shared) == 2:
+        return "are duplicates"
+    if len(shared) == 1:
+        w = shared.pop()
+        a = xy[ve if ue == w else ue]
+        b = xy[vf if uf == w else uf]
+        o = xy[w]
+        cr = (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+        dot = (a[0] - o[0]) * (b[0] - o[0]) + (a[1] - o[1]) * (b[1] - o[1])
+        if abs(cr) <= CROSS_TOLERANCE and dot > 0:
+            return "overlap beyond their shared vertex"
+        return None
+    if _segments_touch(xy[ue], xy[ve], xy[uf], xy[vf]):
+        return "intersect away from a shared endpoint"
+    return None
+
+
+def _segments_touch(p1, p2, p3, p4) -> bool:
+    tol = CROSS_TOLERANCE
+    d1 = _cross(p3, p4, p1)
+    d2 = _cross(p3, p4, p2)
+    d3 = _cross(p1, p2, p3)
+    d4 = _cross(p1, p2, p4)
+    if ((d1 > tol and d2 < -tol) or (d1 < -tol and d2 > tol)) and (
+        (d3 > tol and d4 < -tol) or (d3 < -tol and d4 > tol)
+    ):
+        return True
+    for d, sa, sb, c in ((d1, p3, p4, p1), (d2, p3, p4, p2), (d3, p1, p2, p3), (d4, p1, p2, p4)):
+        if abs(d) <= tol and _within_bbox(sa, sb, c):
+            return True
+    return False
+
+
+def _cross(o, a, b) -> float:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _within_bbox(a, b, c) -> bool:
+    tol = CROSS_TOLERANCE
+    return (
+        min(a[0], b[0]) - tol <= c[0] <= max(a[0], b[0]) + tol
+        and min(a[1], b[1]) - tol <= c[1] <= max(a[1], b[1]) + tol
+    )
+
+
+def kdtree_close_pairs(xy, tol):
+    """Sorted (i, j) rows, i < j, of the points at most ``tol`` apart."""
+    from scipy.spatial import cKDTree
+
+    pairs = cKDTree(xy).query_pairs(tol, output_type="ndarray")
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))].reshape(-1, 2)
+
+
+def kdtree_merge(xy, raw_segments, tol):
+    """(vertex_xy, edge_vertices) of the union-find endpoint merge over cKDTree pairs."""
+    parent = np.arange(len(xy))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in kdtree_close_pairs(xy, tol):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+    roots = np.array([find(i) for i in range(len(xy))])
+    kept = [(int(roots[a]), int(roots[b])) for a, b in raw_segments if roots[a] != roots[b]]
+    relabel = {r: k for k, r in enumerate(sorted({r for s in kept for r in s}))}
+    vertices = np.asarray(xy, dtype=float)[sorted(relabel)]
+    return vertices, np.array([(relabel[a], relabel[b]) for a, b in kept], dtype=np.int64)
+
+
+def kdtree_raster(f, res):
+    """(raster, unique): the nearest node's value by cKDTree within half a cell
+    diagonal, and where that nearest node is the only one at its distance."""
+    from scipy.spatial import cKDTree
+
+    from lineheat.ingest import raster_grid
+
+    xs, ys, _, half_diag = raster_grid(f.lattice.network, res)
+    gx, gy = np.meshgrid(xs, ys)
+    centers = np.column_stack([gx.ravel(), gy.ravel()])
+    dist, idx = cKDTree(f.lattice.node_xy).query(centers, k=2)
+    vals = np.where(dist[:, 0] <= half_diag, f.values[idx[:, 0]], np.nan)
+    return vals.reshape(res, res), (dist[:, 0] < dist[:, 1]).reshape(res, res)

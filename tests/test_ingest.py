@@ -6,6 +6,7 @@ import pytest
 
 from lineheat.errors import AllPointsTooFar, GeometryTypeError, ParseError
 from lineheat.ingest import (
+    rasterize,
     read_lattice_function,
     read_network_geojson,
     read_points,
@@ -14,9 +15,17 @@ from lineheat.ingest import (
     write_points_csv,
 )
 from lineheat.lattice import LatticeFunction, discretize
-from lineheat.network import NetworkLocation, PointPattern
+from lineheat.network import NetworkLocation, PointPattern, build_network
 
-from nets import grid_network, segment_network
+from nets import (
+    assert_same,
+    grid_network,
+    kdtree_merge,
+    kdtree_raster,
+    random_lattices,
+    random_network,
+    segment_network,
+)
 
 
 def _write_geojson(path, features):
@@ -126,6 +135,55 @@ class TestReadNetwork:
         assert back.n_edges == net.n_edges
         assert back.total_length == pytest.approx(net.total_length, rel=1e-12)
         assert sorted(back.degrees) == sorted(net.degrees)
+
+
+def _write_lines(path, lines):
+    """One LineString per list of points; returns the points and the raw segments."""
+    _write_geojson(path, [_line([[float(x), float(y)] for x, y in ln]) for ln in lines])
+    starts = np.cumsum([0] + [len(ln) for ln in lines])
+    raw = [(s + k, s + k + 1) for s, ln in zip(starts, lines) for k in range(len(ln) - 1)]
+    return np.array([q for ln in lines for q in ln], dtype=float), raw
+
+
+class TestMergeMatchesKdtree:
+    def test_random_networks(self, tmp_path):
+        # every edge its own LineString, some split at an inner point; the ends
+        # move by up to a third of the tolerance, so each vertex's copies merge
+        rng = np.random.default_rng(31)
+        p = tmp_path / "net.geojson"
+        for _ in range(25):
+            net = random_network(rng, max_side=5, spacing=float(rng.uniform(0.5, 3.0)))
+            tol = float(10 ** rng.uniform(-6, -2))
+            lines = []
+            for u, v in net.edge_vertices:
+                a, b = net.vertex_xy[u], net.vertex_xy[v]
+                pts = [a, b] if rng.random() < 0.7 else [a, a + rng.uniform(0.3, 0.7) * (b - a), b]
+                lines.append([q + rng.uniform(-tol / 3, tol / 3, 2) * (rng.random() < 0.7) for q in pts])
+            xy, raw = _write_lines(p, [lines[k] for k in rng.permutation(len(lines))])
+            want_xy, want_ev = kdtree_merge(xy, raw, tol)
+            got = read_network_geojson(p, merge_tolerance=tol)
+            assert_same(got.vertex_xy, want_xy)
+            assert_same(got.edge_vertices, want_ev)
+
+    def test_chain_of_close_points_merges_to_its_lowest(self, tmp_path):
+        # six spoke ends 0.9 tolerances apart on a line, listed last to first:
+        # only the chain, not any one pair, joins them into one centre
+        tol = 1e-3
+        ends = [(k * 0.9 * tol, 0.0) for k in range(6)][::-1]
+        angles = np.linspace(0.3, 2 * math.pi, 6, endpoint=False)
+        lines = [[e, (10 * math.cos(t), 10 * math.sin(t))] for e, t in zip(ends, angles)]
+        xy, raw = _write_lines(tmp_path / "net.geojson", lines)
+        got = read_network_geojson(tmp_path / "net.geojson", merge_tolerance=tol)
+        assert got.n_vertices == 7 and sorted(got.degrees) == [1] * 6 + [6]
+        want_xy, want_ev = kdtree_merge(xy, raw, tol)
+        assert_same(got.vertex_xy, want_xy)
+        assert_same(got.edge_vertices, want_ev)
+
+    def test_zero_tolerance_merges_exact_duplicates_only(self, tmp_path):
+        p = tmp_path / "net.geojson"
+        _write_lines(p, [[(0.0, 0.0), (1.0, 0.0)], [(1.0, 0.0), (1.0, 1.0)], [(1.0 + 1e-6, 0.0), (2.0, 0.0)]])
+        assert read_network_geojson(p, merge_tolerance=0.0).n_vertices == 5
+        assert read_network_geojson(p, merge_tolerance=1e-5).n_vertices == 4
 
 
 class TestReadPoints:
@@ -308,6 +366,39 @@ class TestRasterCsv:
         both = ~(np.isnan(coarse) | np.isnan(common_fine))
         assert both.any()
         assert np.array_equal(coarse[both], common_fine[both])
+
+
+class TestRasterMatchesKdtree:
+    def test_random_lattices(self):
+        # the nearest node's value wherever that node is unique; a node within
+        # reach exists or not whatever the tie rule
+        for lat, rng in random_lattices(32, count=20):
+            f = LatticeFunction(lat, rng.random(lat.n_nodes))
+            for res in (1, 7, 16, 40):
+                got, _ = rasterize(f, res)
+                want, unique = kdtree_raster(f, res)
+                assert_same(got[unique], want[unique])
+                assert_same(np.isnan(got), np.isnan(want))
+
+    def test_vertical_line_ties_take_lowest_node_id(self):
+        # zero-width bounding box; each pixel centre lies halfway between two nodes
+        net = build_network([(0.0, 0.0), (0.0, 2.0)], [(0, 1)])
+        lat = discretize(net, 1.0)  # nodes 0 at y=0, 1 at y=2, 2 at y=1
+        grid, bbox = rasterize(LatticeFunction(lat, np.array([10.0, 11.0, 12.0])), 2)
+        assert bbox == (0.0, 0.0, 0.0, 2.0)
+        assert grid.tolist() == [[10.0, 10.0], [11.0, 11.0]]
+
+    def test_vertical_polyline_matches_kdtree(self):
+        rng = np.random.default_rng(33)
+        ys = np.cumsum(rng.uniform(0.2, 1.0, 8))
+        net = build_network([(5.0, y) for y in ys], [(k, k + 1) for k in range(7)])
+        lat = discretize(net, 0.13)
+        f = LatticeFunction(lat, rng.random(lat.n_nodes))
+        for res in (3, 9, 50):
+            got, _ = rasterize(f, res)
+            want, unique = kdtree_raster(f, res)
+            assert_same(got[unique], want[unique])
+            assert_same(np.isnan(got), np.isnan(want))
 
 
 class TestPointsCsv:

@@ -1,6 +1,8 @@
 import math
 import subprocess
 import sys
+from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,9 +31,12 @@ from nets import (
     assert_same,
     brute_force_distance,
     grid_network,
+    kdtree_close_pairs,
+    loop_incident_edges,
     random_location,
     random_network,
     scan_snap,
+    scan_validate,
     segment_network,
     triangle_network,
     two_disjoint_segments,
@@ -92,6 +97,155 @@ class TestBuildNetwork:
             b = net.vertex_xy[net.edge_vertices[:, 1]]
             eu = np.hypot(*(b - a).T)
             assert np.allclose(net.edge_lengths, eu, rtol=1e-9)
+
+
+def inject_defects(net, rng):
+    """Vertices and edges of ``net`` plus 1-3 random defects: a duplicate edge, a
+    collinear overlap from a shared end, an edge between two random vertices
+    (crossing or not) or a spur from inside an edge (T-junction)."""
+    xy = [np.array(v) for v in net.vertex_xy]
+    segs = [tuple(map(int, s)) for s in net.edge_vertices]
+    for kind in rng.integers(4, size=int(rng.integers(1, 4))):
+        u, v = segs[int(rng.integers(len(segs)))]
+        if kind == 0:
+            segs.append((u, v) if rng.random() < 0.5 else (v, u))
+        elif kind == 1:
+            xy.append(xy[u] + rng.uniform(0.2, 1.5) * (xy[v] - xy[u]))
+            segs.append((u, len(xy) - 1))
+        elif kind == 2:
+            segs.append(tuple(int(w) for w in rng.choice(len(xy), 2, replace=False)))
+        else:
+            w = xy[u] + rng.uniform(0.2, 0.8) * (xy[v] - xy[u])
+            xy += [w, w + rng.normal(0.0, 0.5, 2)]
+            segs.append((len(xy) - 2, len(xy) - 1))
+    rng.shuffle(segs)
+    return np.array(xy), np.array(segs)
+
+
+class TestValidationMatchesScan:
+    def test_injected_defects(self):
+        # the lowest failing pair, its class and message equal the pairwise scan's
+        rng = np.random.default_rng(21)
+        seen = Counter()
+        for _ in range(200):
+            net = random_network(rng, max_side=5, spacing=float(rng.uniform(0.5, 3.0)))
+            xy, segs = inject_defects(net, rng)
+            want = scan_validate(SimpleNamespace(vertex_xy=xy, edge_vertices=segs))
+            if want is None:
+                build_network(xy, segs)
+                seen["valid"] += 1
+                continue
+            with pytest.raises(InteriorIntersection) as exc:
+                build_network(xy, segs)
+            assert str(exc.value) == want[2]
+            seen[want[2].split(maxsplit=4)[-1]] += 1
+        assert set(seen) == {
+            "valid",
+            "are duplicates",
+            "overlap beyond their shared vertex",
+            "intersect away from a shared endpoint",
+        }
+
+    def test_valid_random_networks_pass(self):
+        rng = np.random.default_rng(22)
+        for _ in range(30):
+            net = random_network(rng, max_side=6)
+            assert scan_validate(net) is None
+
+    def test_separation_error_names_lowest_pair(self):
+        base = [(0.0, 0.0), (10.0, 0.0), (20.0, 0.0), (30.0, 0.0)]
+        above = [base[k] for k in (2, 3, 0, 1)]
+        xy = base + [(x, y + 5e-9) for x, y in above]
+        with pytest.raises(ValueError, match="vertices 0 and 6 are closer"):
+            build_network(xy, [(0, 1), (2, 3), (4, 5), (6, 7)])
+
+    def test_incident_edges_match_loop(self):
+        rng = np.random.default_rng(23)
+        for net in [y_network(), triangle_network()] + [random_network(rng, max_side=6) for _ in range(20)]:
+            want = loop_incident_edges(net)
+            assert len(net.incident_edges) == len(want)
+            for got, w in zip(net.incident_edges, want):
+                assert_same(got, w)
+            assert_same(net.degrees, np.array([len(w) for w in want], dtype=np.int64))
+
+    def test_isolated_vertex_rejected(self):
+        with pytest.raises(ValueError, match="isolated vertex"):
+            build_network([(0, 0), (1, 0), (5, 5)], [(0, 1)])
+
+
+def all_pairs(blocks):
+    i, j = map(np.concatenate, zip(*blocks))
+    return np.column_stack((i, j))
+
+
+class TestGridIndex:
+    def test_box_pairs_cover_meeting_boxes_once(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        for trial in range(60):
+            na, nb = rng.integers(1, 80, size=2)
+            lo_a = rng.uniform(-5, 5, (na, 2))
+            hi_a = lo_a + rng.exponential(1.0, (na, 2)) * (rng.random((na, 2)) < 0.8)
+            lo_b = rng.uniform(-8, 8, (nb, 2))
+            hi_b = lo_b + rng.exponential(2.0, (nb, 2)) - (rng.random((nb, 1)) < 0.1)  # some empty
+            cell = float(10 ** rng.uniform(-2, 1))
+            monkeypatch.setattr(network, "BLOCK_PAIRS", int(rng.choice([1, 50, 2**18])))
+            got = all_pairs(network._box_pairs(lo_a, hi_a, lo_b, hi_b, cell))
+            assert len(np.unique(got, axis=0)) == len(got)  # no pair twice
+            meet = ((lo_a[:, None] <= hi_b[None]) & (lo_b[None] <= hi_a[:, None])).all(axis=2)
+            meet &= (lo_b <= hi_b).all(axis=1)
+            want = {tuple(p) for p in np.argwhere(meet).tolist()}
+            assert want <= {tuple(p) for p in got.tolist()}
+            # the grid starts at the lowest a corner: a box below or left of it has no cell
+            assert not (hi_b < lo_a.min(axis=0)).any(axis=1)[got[:, 1]].any()
+
+    def test_segment_predicate_rows_match_scalar(self):
+        # integer points give exact collinear, touching and crossing cases
+        from nets import _segments_touch as scalar_touch
+
+        rng = np.random.default_rng(27)
+        p = rng.integers(0, 4, (4, 3000, 2)).astype(float)
+        got = network._segments_touch(*p)
+        assert got.tolist() == [scalar_touch(*p[:, k]) for k in range(p.shape[1])]
+        assert 0.2 < got.mean() < 0.8
+
+    def test_close_pairs_match_kdtree(self):
+        rng = np.random.default_rng(25)
+        for _ in range(40):
+            n = int(rng.integers(2, 300))
+            tol = float(10 ** rng.uniform(-3, 0))
+            xy = rng.uniform(0.0, 10.0, (n, 2))
+            twins = rng.integers(n, size=n // 3)
+            xy[rng.integers(n, size=len(twins))] = xy[twins] + rng.uniform(-tol, tol, (len(twins), 2))
+            i, j = network._close_pairs(xy, tol)
+            got = np.column_stack((i, j))
+            assert_same(got[np.lexsort((j, i))], kdtree_close_pairs(xy, tol))
+
+    def test_wide_span_with_tiny_tolerance(self):
+        # a 1e7 span over a 1e-8 tolerance is 1e15 cells a side: the key must not overflow
+        rng = np.random.default_rng(26)
+        xy = rng.uniform(0.0, 1e7, (500, 2))
+        xy[::5] = xy[1::5] + rng.uniform(-3e-9, 3e-9, (100, 2))
+        i, j = network._close_pairs(xy, 1e-8)
+        assert len(i) == 100
+        got = np.column_stack((i, j))
+        assert_same(got[np.lexsort((j, i))], kdtree_close_pairs(xy, 1e-8))
+
+    def test_zero_tolerance_pairs_exact_duplicates(self):
+        xy = np.array([(0.0, 0.0), (1.0, 1.0), (0.0, 0.0), (1.0, 1.0 + 1e-15), (1.0, 1.0)])
+        i, j = network._close_pairs(xy, 0.0)
+        assert sorted(zip(i.tolist(), j.tolist())) == [(0, 2), (1, 4)]
+
+    def test_aligned_grid_pairs_stay_linear(self):
+        # edges of an axis-aligned grid share rows and columns; a sweep over one axis
+        # pairs each edge with its whole row, the grid index with its neighbours
+        counts = []
+        for side in (20, 40):
+            net = grid_network(side, side)
+            p, q = net.vertex_xy[net.edge_vertices[:, 0]], net.vertex_xy[net.edge_vertices[:, 1]]
+            lo, hi = np.minimum(p, q) - 1e-12, np.maximum(p, q) + 1e-12
+            pairs = all_pairs(network._box_pairs(lo, hi, lo, hi, net.total_length / net.n_edges))
+            counts.append(len(pairs) / net.n_edges)
+        assert counts[1] < 1.1 * counts[0] and counts[1] < 16
 
 
 class TestLocations:
@@ -283,12 +437,23 @@ class TestIndexedSnap:
     def test_blocks_and_duplicates(self, monkeypatch, pairs):
         # pairs 1 snaps one record per block, 1000 a few, the default all at once
         monkeypatch.setattr(network, "BLOCK_PAIRS", pairs)
+        blocks = []
+
+        def counted(*args):
+            for block in box_pairs(*args):
+                blocks.append(len(block[0]))
+                yield block
+
         rng = np.random.default_rng(13)
         net = grid_network(6, 6, keep=0.8, jitter=0.2, rng=rng)
+        box_pairs = network._box_pairs
+        monkeypatch.setattr(network, "_box_pairs", counted)
         xy = rng.uniform(-1.0, 6.0, (1200, 2))
         xy[800:1000] = xy[:200]
         kept = assert_snaps_like_scan(net, xy, 0.4)
         assert 0 < kept.sum() < len(xy)
+        assert len(blocks) > 1 if pairs < 2**18 else len(blocks) == 1
+        assert max(blocks) <= pairs + net.n_edges  # one record adds at most every edge
         edge, offset, _ = _snap(net, xy, 0.4)
         assert_same(edge[800:1000], edge[:200])
         assert_same(offset[800:1000], offset[:200])
@@ -317,6 +482,14 @@ class TestIndexedSnap:
         assert kept.all()  # exactly at max_dist is kept
         kept = assert_snaps_like_scan(net, xy, math.nextafter(0.75, 0.0))
         assert not kept.any()
+
+    def test_vertical_line_network(self):
+        # the bounding box has zero width, so every grid cell shares one x
+        net = build_network([(0.0, 0.0), (0.0, 1.0), (0.0, 2.5), (0.0, 2.75)], [(0, 1), (1, 2), (2, 3)])
+        rng = np.random.default_rng(15)
+        xy = np.vstack([rng.uniform(-1.0, 4.0, (200, 2)), [(0.0, 1.0), (0.0, 5.0), (1e-9, 2.6)]])
+        for max_dist in (math.inf, 0.3, 1e-6):
+            assert_snaps_like_scan(net, xy, max_dist)
 
     def test_far_outside_bounding_box(self):
         rng = np.random.default_rng(14)
@@ -350,22 +523,42 @@ class TestPointPattern:
 
 
 class TestLazyGraphImport:
-    def test_heat_path_leaves_csgraph_unimported(self, tmp_path):
-        # importing scipy.sparse.csgraph adds ~4 MB of RSS; only distance and
-        # component queries may pay it, never a heat estimate
+    def run_cli(self, tmp_path, *args):
+        """(stdout lines, stderr) of ``lineheat estimate`` on a 3x3 grid in a fresh
+        process; the last stdout line lists the scipy modules it loaded."""
         net_path = tmp_path / "net.geojson"
         write_network_geojson(grid_network(3, 3, spacing=0.5), net_path)
+        pts = tmp_path / "pts.csv"
+        pts.write_text("x,y\n0.1,0.02\n0.6,0.5\n0.9,0.95\n0.25,0.01\n0.5,0.7\n7.0,7.0\n")
+        argv = ["estimate", "--net", str(net_path), "--points", str(pts),
+                "--out", str(tmp_path / "out.csv"), *args]
         code = f"""
 import sys
-import lineheat as lh
-net = lh.read_network_geojson({str(net_path)!r})
-pattern = lh.PointPattern(net, [lh.NetworkLocation(0, 0.1), lh.NetworkLocation(3, 0.2)])
-lh.estimate_heat(pattern, lh.discretize(net, 0.05), 0.2)
-print("scipy.sparse.csgraph" in sys.modules)
+from lineheat.cli import main
+rc = main({argv!r})
+print(rc, sorted(m for m in sys.modules if m.startswith("scipy")))
 """
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        return proc.stdout.strip().splitlines(), proc.stderr
+
+    def test_heat_path_leaves_csgraph_unimported(self, tmp_path):
+        # scipy.sparse with its csgraph, and scipy.spatial, take about half a
+        # second to import: a heat estimate, snapping, a dropped record and the
+        # partition included, loads no scipy module at all
+        out, err = self.run_cli(
+            tmp_path, "--method", "heat", "--adaptive", "--bw-global", "0.2",
+            "--delta", "0.05", "--max-snap-dist", "0.1",
+        )
+        assert "1 record(s) beyond max snap distance were dropped" in err
+        assert out[-1] == "0 []"
+
+    def test_raster_output_leaves_spatial_unimported(self, tmp_path):
+        out, _ = self.run_cli(
+            tmp_path, "--method", "uniform-corrected", "--bw", "0.3",
+            "--format", "raster-csv", "--raster-res", "16",
+        )
+        assert out[-1].startswith("0 [") and "scipy.spatial" not in out[-1]
 
     def test_import_leaves_spatial_unimported(self):
         # scipy.spatial takes about a third of a second to import; commands
