@@ -61,6 +61,10 @@ class StabilityViolation(NumericalError):
     """Requested time step exceeds the explicit-scheme stability bound."""
 
 
+class StepBudgetExceeded(NumericalError):
+    """The shortest lattice piece asks for more explicit steps than one solve may take."""
+
+
 class BadDelta(LineHeatError):
     """Quantile step must satisfy: 1/delta is an integer in [1, n]."""
 

@@ -6,8 +6,10 @@ its quadrature weight.  On uniform chains this is the classical three-point
 stencil; at a vertex of degree m with equal spacings it reduces to the
 (2/m) * sum(f_j - f_v) update, and terminal vertices get the factor-2
 reflecting update.  Flux antisymmetry makes discrete mass exact to rounding,
-and dt <= min_spacing^2 / (2 beta) keeps every update a convex combination
-(nonnegativity).
+and dt = alpha h_min^2 / (2 beta) keeps every update a convex combination
+(nonnegativity) with mixed spacings too: neighbors get weight beta dt 2/h^2 <= alpha
+at an interior node of spacing h, and beta dt sum(1/h_l) / (sum(h_l)/2) =
+alpha sum(h_min^2/h_l) / sum(h_l) <= alpha at a vertex of incident spacings h_l.
 
 Diffusivity is fixed at 1/2 so the solution at time t carries variance t:
 solving to t = sigma^2 yields the estimator whose kernel is the network heat
@@ -21,12 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LocationOffNetwork, StabilityViolation
+from .errors import LocationOffNetwork, StabilityViolation, StepBudgetExceeded
 from .lattice import Lattice, LatticeFunction
 from .network import LinearNetwork, PointPattern
 
 #: Thermal diffusivity: time equals kernel variance (t = sigma^2).
 BETA = 0.5
+
+#: Most full explicit steps one solve may take; more is a hang, not a result.
+MAX_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -48,8 +53,8 @@ DEFAULT_CONFIG = HeatConfig()
 
 
 def default_dx(net: LinearNetwork, sigma_min: float) -> float:
-    """Lattice spacing rule for a solve whose smallest bandwidth is ``sigma_min``."""
-    return min(sigma_min / 3.0, float(net.edge_lengths.min()))
+    """Lattice spacing for a smallest bandwidth ``sigma_min``: shorter edges are one piece."""
+    return sigma_min / 3.0
 
 
 def resolve_dx(dx: float | None, net: LinearNetwork, sigma_min: float) -> float:
@@ -133,8 +138,12 @@ def _inject(lattice: Lattice, times, initial, cfg: HeatConfig) -> np.ndarray:
         if r >= dt:
             n, r = n + 1, 0.0
         joins.setdefault(n, []).append((k, r))
+    if (steps := max(joins, default=0)) > MAX_STEPS:
+        raise StepBudgetExceeded(
+            f"{steps} explicit steps exceed the budget of {MAX_STEPS}: the shortest lattice piece "
+            f"is {lattice.min_spacing:.6g} long; drop edges that short or lower the bandwidth")
     values = np.zeros(lattice.n_nodes)
-    for left in range(max(joins, default=0), -1, -1):
+    for left in range(steps, -1, -1):
         for k, r in joins.get(left, ()):
             group = initial(k)
             if r > 0.0:

@@ -19,11 +19,10 @@ import numpy as np
 
 from .errors import AllPointsTooFar, GeometryTypeError, ParseError
 from .lattice import Lattice, LatticeFunction
-from .network import (
-    LinearNetwork, NetworkLocation, PointPattern, _box_pairs, _close_pairs, _snap, build_network,
-)
+from .network import LinearNetwork, PointPattern, _box_pairs, _close_pairs, _snap, build_network
 
 FLOAT_FMT = "%.17g"
+_LATTICE_ROW = f"%d,{FLOAT_FMT},{FLOAT_FMT},{FLOAT_FMT}\r\n"  # a csv.writer row, terminator included
 
 
 @dataclass
@@ -126,8 +125,7 @@ def read_points(path, net: LinearNetwork, max_snap_dist: float):
             f"all {len(rows)} record(s) are farther than {max_snap_dist} from the network"
         )
     report = SnapReport(len(rows), len(kept), len(rows) - len(kept), max_snap_dist)
-    points = [NetworkLocation(int(edge[i]), float(offset[i])) for i in kept]
-    return PointPattern(net, points), report
+    return PointPattern.from_columns(net, edge[kept], offset[kept]), report
 
 
 def _read_points_csv(path):
@@ -213,18 +211,10 @@ def write_lattice_function(
 
 def _write_lattice_csv(f: LatticeFunction, path) -> None:
     ce, cl, ch, cn = f.lattice.node_cells
+    rows = zip(ce.tolist(), cl.tolist(), ch.tolist(), f.values[cn].tolist())
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["edge_id", "offset_start", "offset_end", "value"])
-        for k in range(len(ce)):
-            w.writerow(
-                [
-                    int(ce[k]),
-                    FLOAT_FMT % cl[k],
-                    FLOAT_FMT % ch[k],
-                    FLOAT_FMT % f.values[cn[k]],
-                ]
-            )
+        fh.write("edge_id,offset_start,offset_end,value\r\n")
+        fh.writelines(_LATTICE_ROW % row for row in rows)
 
 
 def read_lattice_function(path, lattice: Lattice) -> LatticeFunction:

@@ -440,12 +440,27 @@ class PointPattern:
     """
 
     def __init__(self, network: LinearNetwork, points: Sequence[NetworkLocation]):
-        self.network = network
         pts = tuple(points)
         for p in pts:
             network.check_location(p)
-        self.edge = np.array([p.edge for p in pts], dtype=np.int64)
-        self.offset = np.array([p.offset for p in pts], dtype=float)
+        self._set_columns(network, [p.edge for p in pts], [p.offset for p in pts])
+
+    @classmethod
+    def from_columns(cls, network: LinearNetwork, edge, offset) -> "PointPattern":
+        """Pattern of the locations (edge[i], offset[i]), checked as arrays: the first
+        one off the network raises :meth:`LinearNetwork.check_location`'s error."""
+        self = cls.__new__(cls)
+        self._set_columns(network, edge, offset)
+        on = (0 <= self.edge) & (self.edge < network.n_edges)
+        on &= (0.0 <= self.offset) & (self.offset <= network.edge_lengths[np.where(on, self.edge, 0)])
+        if not on.all():
+            network.check_location(self[int(np.argmin(on))])
+        return self
+
+    def _set_columns(self, network, edge, offset):
+        self.network = network
+        self.edge = np.array(edge, dtype=np.int64)
+        self.offset = np.array(offset, dtype=float)
         self.order = np.lexsort((self.offset, self.edge))
         for a in (self.edge, self.offset, self.order):
             a.setflags(write=False)
@@ -455,7 +470,7 @@ class PointPattern:
         return len(self.edge)
 
     def subset(self, indices) -> "PointPattern":
-        return PointPattern(self.network, [self[i] for i in indices])
+        return PointPattern.from_columns(self.network, self.edge[indices], self.offset[indices])
 
     def __getitem__(self, i) -> NetworkLocation:
         return NetworkLocation(int(self.edge[i]), float(self.offset[i]))

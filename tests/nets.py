@@ -1,5 +1,6 @@
 """Shared test networks, random generators, and independent oracles."""
 
+import csv
 import math
 
 import numpy as np
@@ -90,6 +91,38 @@ def random_network(rng, max_side=3, keep=0.7, spacing=1.0):
         except ValueError:
             continue
     raise RuntimeError("could not generate a random network")
+
+
+def add_spurs(net, lengths, rng):
+    """``net`` plus one dead-end spur per length, from distinct random vertices.
+
+    Each spur bisects the widest angle between the edges at its root.  On a
+    grid with jitter up to a quarter of the spacing, vertices are at least half
+    a spacing apart and so are non-incident edges, so spurs up to a fifth of
+    the spacing meet nothing.
+    """
+    xy, ev = net.vertex_xy, net.edge_vertices
+    roots = rng.choice(net.n_vertices, size=len(lengths), replace=False)
+    tips = []
+    for v, length in zip(roots, lengths):
+        other = np.where(ev[:, 0] == v, ev[:, 1], ev[:, 0])[(ev == v).any(axis=1)]
+        d = xy[other] - xy[v]
+        angle = np.sort(np.arctan2(d[:, 1], d[:, 0]))
+        gap = np.diff(np.append(angle, angle[0] + 2 * math.pi))
+        a = angle[np.argmax(gap)] + gap.max() / 2
+        tips.append(xy[v] + length * np.array([math.cos(a), math.sin(a)]))
+    spurs = np.column_stack((roots, net.n_vertices + np.arange(len(roots))))
+    return build_network(np.vstack([xy, *tips]), np.vstack([ev, spurs]))
+
+
+def edge_integrals(f):
+    """Integral of a lattice function over each edge, from its quadrature cells."""
+    ce, cl, ch, cn = f.lattice.node_cells
+    return np.bincount(ce, (ch - cl) * f.values[cn], f.lattice.network.n_edges)
+
+
+def relative_l1(got, want):
+    return float(np.abs(got - want).sum() / np.abs(want).sum())
 
 
 def random_lattices(seed, count=40):
@@ -415,6 +448,18 @@ def loop_jones_diggle(pattern, lattice, kernel):
         c = float(lattice.node_weight[m] @ k)
         out[m] += k / c
     return out
+
+
+def csv_write_lattice(f, path):
+    """The lattice-csv writer as one ``csv.writer.writerow`` per cell."""
+    ce, cl, ch, cn = f.lattice.node_cells
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["edge_id", "offset_start", "offset_end", "value"])
+        for k in range(len(ce)):
+            w.writerow(
+                [int(ce[k]), "%.17g" % cl[k], "%.17g" % ch[k], "%.17g" % f.values[cn[k]]]
+            )
 
 
 # -- the scans and cKDTree queries the grid index replaced --------------------

@@ -1,23 +1,25 @@
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 from lineheat.ingest import read_lattice_function, read_network_geojson, write_network_geojson
 from lineheat.lattice import discretize
-from lineheat.network import NetworkLocation
+from lineheat.network import NetworkLocation, build_network
 
 from nets import grid_network
 
 
-def run_cli(*argv, cwd=None):
+def run_cli(*argv, cwd=None, timeout=None):
     proc = subprocess.run(
         [sys.executable, "-m", "lineheat", *map(str, argv)],
         capture_output=True,
         text=True,
         cwd=cwd,
+        timeout=timeout,
     )
     return proc
 
@@ -174,6 +176,25 @@ class TestEstimate:
             "warning: input contained no event records",
             "error: the heuristic global bandwidth needs at least one data point",
         ]
+
+    @pytest.mark.parametrize("flags", [("--bw", "100"), ("--adaptive", "--bw-global", "100")],
+                             ids=["fixed", "adaptive"])
+    def test_degenerate_edge_exits_3(self, tmp_path, flags):
+        # a 1 cm spur at sigma = 100 asks for ~1e8 explicit steps: refused, not a hang
+        net = build_network([(0.0, 0.0), (1000.0, 0.0), (1000.0, 0.01)], [(0, 1), (1, 2)])
+        write_network_geojson(net, tmp_path / "net.geojson")
+        (tmp_path / "pts.csv").write_text("x,y\n250,0\n500,0\n")
+        t0 = time.perf_counter()
+        proc = run_cli(
+            "estimate", "--net", tmp_path / "net.geojson", "--points", tmp_path / "pts.csv",
+            *flags, "--out", tmp_path / "est.csv", timeout=60,
+        )
+        assert time.perf_counter() - t0 < 30
+        assert proc.returncode == 3
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: ") and "explicit steps exceed the budget" in line
+        assert "shortest lattice piece is 0.01 long" in line
+        assert not (tmp_path / "est.csv").exists()
 
     def test_adaptive_equal_split_rejected(self, toy, tmp_path):
         _, net_path, pts_path = toy

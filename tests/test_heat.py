@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from lineheat.errors import StabilityViolation
+from lineheat import heat
+from lineheat.errors import StabilityViolation, StepBudgetExceeded
 from lineheat.heat import (
     BETA,
     HeatConfig,
@@ -14,10 +15,13 @@ from lineheat.heat import (
     step_size,
 )
 from lineheat.lattice import LatticeFunction, discretize
-from lineheat.network import NetworkLocation, PointPattern
+from lineheat.network import NetworkLocation, PointPattern, build_network
 
 from nets import (
+    add_spurs,
     assert_same,
+    edge_integrals,
+    grid_network,
     images_series,
     random_lattices,
     random_network,
@@ -25,6 +29,7 @@ from nets import (
     reference_deposit,
     reference_lattice,
     reference_step,
+    relative_l1,
     segment_network,
     special_locations,
     y_network,
@@ -298,8 +303,87 @@ class TestDefaultDx:
     def test_rule(self):
         net = y_network()
         assert default_dx(net, 0.3) == pytest.approx(0.1)
-        assert default_dx(net, 9.0) == pytest.approx(1.0)  # shortest edge wins
+        assert default_dx(net, 9.0) == pytest.approx(3.0)  # unit edges become one piece each
 
     def test_step_size(self):
         lat = discretize(segment_network(1.0), 0.25)
         assert step_size(lat) == pytest.approx(0.9 * 0.25**2)
+
+
+class TestShortEdgeLattice:
+    """dx = sigma/3 everywhere: an edge shorter than that is one piece and sets the step."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_edge_integrals_near_refined_and_old_rule(self, seed):
+        # spurs of 1-5% of the spacing at sigma = half the spacing; measured L1 of the
+        # default lattice 0.29-0.38% against sigma/24 and against min(sigma/3, shortest
+        # edge), which needs 6-13x the nodes; sigma/6 is about 4x closer (second order)
+        rng = np.random.default_rng(seed)
+        net = add_spurs(grid_network(5, 5, jitter=0.2, rng=rng), rng.uniform(0.01, 0.05, 6), rng)
+        pat = random_pattern(net, 60, rng)
+        sigma = 0.5
+        lat = discretize(net, default_dx(net, sigma))
+        old = discretize(net, min(sigma / 3, net.edge_lengths.min()))
+        assert lat.min_spacing == net.edge_lengths.min()  # the spurs are one piece each
+        assert 5 * lat.n_nodes < old.n_nodes
+        got = edge_integrals(estimate_heat(pat, lat, sigma))
+        fine = edge_integrals(estimate_heat(pat, discretize(net, sigma / 24), sigma))
+        error = relative_l1(got, fine)
+        assert error <= 0.01
+        assert relative_l1(got, edge_integrals(estimate_heat(pat, old, sigma))) <= 0.01
+        half = edge_integrals(estimate_heat(pat, discretize(net, sigma / 6), sigma))
+        assert relative_l1(half, fine) <= error / 2
+
+    def test_random_spurs_keep_the_invariants(self):
+        # spurs down to 1e-3 of the grid spacing, at alpha 0.9 and at the bound alpha = 1;
+        # mass, nonnegativity and input-order independence, fixed and per-point bandwidths
+        rng = np.random.default_rng(23)
+        for _ in range(12):
+            spacing = float(rng.uniform(0.5, 3.0))
+            base = random_network(rng, max_side=4, spacing=spacing)
+            k = int(rng.integers(0, min(base.n_vertices, 4)))
+            lengths = spacing * np.append(1e-3, 10 ** rng.uniform(-3, np.log10(0.2), k))
+            net = add_spurs(base, lengths, rng)
+            n = int(rng.integers(1, 30))
+            pat = random_pattern(net, n, rng)
+            perm = rng.permutation(n)
+            cfg = HeatConfig(alpha=float(rng.choice([0.9, 1.0])))
+            sigma = spacing * float(rng.uniform(0.02, 0.06))  # at most ~4k steps
+            bw = sigma * rng.uniform(1.0, 1.5, n)
+            lat = discretize(net, default_dx(net, sigma))
+            assert lat.min_spacing <= 1.001e-3 * spacing
+            runs = (
+                (estimate_heat(pat, lat, sigma, cfg), estimate_heat(pat.subset(perm), lat, sigma, cfg)),
+                (estimate_heat_batch(pat, lat, bw, cfg),
+                 estimate_heat_batch(pat.subset(perm), lat, bw[perm], cfg)),
+            )
+            for est, shuffled in runs:
+                assert est.integral() == pytest.approx(n, rel=1e-12)
+                assert est.values.min() >= 0.0
+                assert_same(shuffled.values, est.values)
+
+
+class TestStepBudget:
+    def test_degenerate_edge_refused_before_any_step(self, monkeypatch):
+        # a 1 cm edge at sigma = 100 asks for about 1.1e8 steps
+        net = build_network([(0.0, 0.0), (1000.0, 0.0), (1000.0, 0.01)], [(0, 1), (1, 2)])
+        lat = discretize(net, default_dx(net, 100.0))
+        pat = PointPattern(net, [NetworkLocation(0, 500.0)])
+
+        def no_step(*args):
+            raise AssertionError("stepped before the budget check")
+
+        monkeypatch.setattr(heat, "_step_values", no_step)
+        with pytest.raises(StepBudgetExceeded, match=r"^(\d+) explicit steps .* piece is 0\.01 long") as exc:
+            estimate_heat(pat, lat, 100.0)
+        assert int(str(exc.value).split()[0]) > 10**8
+        assert exc.value.exit_code == 3
+
+    def test_budget_counts_full_steps(self, monkeypatch):
+        lat = discretize(segment_network(1.0), 0.25)
+        dt = step_size(lat)
+        f0 = LatticeFunction(lat, np.ones(lat.n_nodes))
+        monkeypatch.setattr(heat, "MAX_STEPS", 40)
+        heat_solve(f0, 40.5 * dt)  # 40 full steps and a remainder
+        with pytest.raises(StepBudgetExceeded, match="^41 explicit steps exceed the budget of 40"):
+            heat_solve(f0, 41.5 * dt)

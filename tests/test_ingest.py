@@ -19,6 +19,7 @@ from lineheat.network import NetworkLocation, PointPattern, build_network
 
 from nets import (
     assert_same,
+    csv_write_lattice,
     grid_network,
     kdtree_merge,
     kdtree_raster,
@@ -319,6 +320,18 @@ class TestLatticeCsv:
         p.write_text("\n".join([header, *rows]) + "\n")
         with pytest.raises(ParseError, match=f"edge_id {bad_id} out of range"):
             read_lattice_function(p, lat)
+
+    def test_bytes_equal_the_csv_writer(self, tmp_path):
+        # zeros of both signs, the smallest normal and subnormals, integers, random values
+        special = [0.0, -0.0, 1e-300, 2.2250738585072014e-308, 5e-324, 1.5e-310, 3.0, -7.0,
+                   1e16, 2.0**53 + 2, 1 / 3, -1e300]
+        for lat, rng in random_lattices(61, count=15):
+            values = np.where(rng.random(lat.n_nodes) < 0.5, rng.choice(special, lat.n_nodes),
+                              rng.normal(0.0, 10.0 ** rng.uniform(-5, 5), lat.n_nodes))
+            f = LatticeFunction(lat, values)
+            write_lattice_function(f, tmp_path / "got.csv", "lattice-csv")
+            csv_write_lattice(f, tmp_path / "want.csv")
+            assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_integral_preserved_through_cells(self, tmp_path):
         net = grid_network(3, 2, rng=np.random.default_rng(1))

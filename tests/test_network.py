@@ -35,6 +35,7 @@ from nets import (
     loop_incident_edges,
     random_location,
     random_network,
+    random_pattern,
     scan_snap,
     scan_validate,
     segment_network,
@@ -520,6 +521,37 @@ class TestPointPattern:
         assert list(pp) == locs and pp[1] == locs[1]
         for col in (pp.edge, pp.offset, pp.order):
             assert not col.flags.writeable
+
+
+    def test_from_columns_raises_the_object_paths_message(self):
+        # the first location off the network names itself as check_location does
+        net = y_network()
+        length = float(net.edge_lengths[1])
+        cases = [
+            ([0, 3, 1], [0.1, 0.2, 0.3]),
+            ([0, 1, -1], [0.1, -0.5, 0.3]),
+            ([2, 1, 1, 1], [0.0, length, np.nextafter(length, 2.0), -1.0]),
+            ([1, 2], [0.4, float("nan")]),
+        ]
+        for edge, offset in cases:
+            with pytest.raises(LocationOffNetwork) as want:
+                PointPattern(net, [NetworkLocation(e, float(o)) for e, o in zip(edge, offset)])
+            with pytest.raises(LocationOffNetwork) as got:
+                PointPattern.from_columns(net, np.array(edge), np.array(offset))
+            assert str(got.value) == str(want.value)
+
+    def test_from_columns_and_subset_equal_the_object_path(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            net = random_network(rng)
+            pat = random_pattern(net, int(rng.integers(0, 30)), rng)
+            cols = PointPattern.from_columns(net, pat.edge, pat.offset)
+            picks = [[], rng.permutation(pat.n), list(rng.integers(0, max(pat.n, 1), pat.n))]
+            for got, idx in [(cols, range(pat.n))] + [(pat.subset(i), i) for i in picks]:
+                want = PointPattern(net, [pat[i] for i in idx])
+                for a, b in ((got.edge, want.edge), (got.offset, want.offset), (got.order, want.order)):
+                    assert_same(a, b)
+                    assert not a.flags.writeable
 
 
 class TestLazyGraphImport:
