@@ -160,6 +160,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _load_pattern(args):
+    # bandwidths are checked before any file is read; estimate may leave them out
+    if args.bw is not None:
+        _bandwidth(args.bw, "--bw")
+    if getattr(args, "bw_global", None) not in (None, "auto"):
+        _bandwidth(args.bw_global)
     net = read_network_geojson(args.net)
     pattern, report = read_points(args.points, net, args.max_snap_dist)
     if report.warning:
@@ -195,7 +200,7 @@ def _cmd_estimate(args) -> int:
                 file=sys.stderr,
             )
         else:
-            star = _global_bandwidth(args.bw_global)
+            star = _bandwidth(args.bw_global)
         pilot_lat = discretize(net, resolve_dx(args.dx, net, star))
         pilot = estimate_heat(pattern, pilot_lat, star, cfg)
         bw = abramson_bandwidths(pattern, pilot, star, args.gamma_exponent)
@@ -234,17 +239,17 @@ def _fixed_estimate(args, pattern, lattice, cfg):
     return equal_split_continuous(pattern, lattice, kernel)
 
 
-def _global_bandwidth(value: str) -> float:
-    star = float(value)
-    if not 0 < star < math.inf:
-        raise LineHeatError("global bandwidth must be positive and finite")
-    return star
+def _bandwidth(value, name: str = "global bandwidth") -> float:
+    bw = float(value)
+    if not 0 < bw < math.inf:
+        raise LineHeatError(f"{name} must be positive and finite")
+    return bw
 
 
 def _cmd_study(args) -> int:
     eps_star = None
     if args.bw_global not in (None, "auto"):
-        eps_star = _global_bandwidth(args.bw_global)
+        eps_star = _bandwidth(args.bw_global)
     net = read_network_geojson(args.net)
     deltas = [float(x) for x in args.deltas.split(",") if x]
     _echo_config(args, resolved_deltas=deltas)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import AllPointsTooFar, GeometryTypeError, ParseError
 from .lattice import Lattice, LatticeFunction
-from .network import LinearNetwork, PointPattern, _box_pairs, _close_pairs, _snap, build_network
+from .network import LinearNetwork, PointPattern, _box_pairs, _close_pairs, _min_labels, _snap, build_network
 
 FLOAT_FMT = "%.17g"
 _LATTICE_ROW = f"%d,{FLOAT_FMT},{FLOAT_FMT},{FLOAT_FMT}\r\n"  # a csv.writer row, terminator included
@@ -65,14 +65,7 @@ def read_network_geojson(path, merge_tolerance: float = 1e-8) -> LinearNetwork:
 
     xy = np.asarray(coords)
     # every point takes the lowest id of its cluster of points within the tolerance
-    i, j = _close_pairs(xy, merge_tolerance)
-    root, prev = np.arange(len(xy)), None
-    while not np.array_equal(root, prev):
-        prev, root = root, root.copy()
-        np.minimum.at(root, i, root[j])
-        np.minimum.at(root, j, root[i])
-        root = root[root]
-    ends = root[np.asarray(raw_segments)]
+    ends = _min_labels(len(xy), *_close_pairs(xy, merge_tolerance))[np.asarray(raw_segments)]
     ends = ends[ends[:, 0] != ends[:, 1]]  # degenerate pieces collapsed by the merge
     if not len(ends):
         raise ParseError("all segments collapsed under the merge tolerance")

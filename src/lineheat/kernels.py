@@ -49,8 +49,8 @@ class Kernel1D:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
+        if not 0 < self.bandwidth < math.inf:
+            raise ValueError(f"bandwidth must be positive and finite, got {self.bandwidth}")
 
     @property
     def support(self) -> float:
@@ -168,11 +168,8 @@ def _kernel_terms(lattice, kernel, node, start):
     Entries run by row (the source), then by node, and cover the nodes within
     the kernel's support; ``node`` and ``start`` seed the sources.
     """
-    for lo, d in _graph_distances(lattice._graph, node, start, kernel.support):
-        row, at = np.nonzero(np.isfinite(d))
-        terms = lo + row, at, kernel(d[row, at])
-        del d  # else this block stays alive while the next one is solved
-        yield terms
+    for row, at, d in _graph_distances(lattice._graph, node, start, kernel.support):
+        yield row, at, kernel(d)
 
 
 # -- equal-split path enumeration ---------------------------------------------

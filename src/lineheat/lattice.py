@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EmptyPattern, LatticeMismatch
-from .network import LinearNetwork, NetworkLocation, PointPattern, _adjacency, _graph_distances
+from .network import LinearNetwork, NetworkLocation, PointPattern, _chain_graph, _source_distances
 
 
 class Lattice:
@@ -148,7 +148,7 @@ class Lattice:
 
     @cached_property
     def _graph(self):
-        return _adjacency(self.n_nodes, self.link_i, self.link_j, self.link_h)
+        return _chain_graph(self.n_nodes, self._chain, self._n_pieces, self.edge_spacing)
 
     def distance_field(self, source: NetworkLocation, cutoff: float = math.inf):
         """Shortest-path distance from ``source`` to every lattice node.
@@ -158,8 +158,7 @@ class Lattice:
         ``cutoff`` stay inf.
         """
         self.network.check_location(source)
-        seeds = self._point_seeds(source.edge, source.offset)
-        return next(_graph_distances(self._graph, *seeds, cutoff))[1][0]
+        return _source_distances(self._graph, *self._point_seeds(source.edge, source.offset), cutoff)
 
     def _point_seeds(self, edge, offset):
         """Shortest-path seeds (node, start) of locations, two per row.

@@ -34,6 +34,9 @@ CROSS_TOLERANCE = 1e-12
 #: in blocks of this many over the number of graph nodes.
 BLOCK_PAIRS = 2**18
 
+#: Most pieces of one chain a shortest-path round sums in one row.
+CHAIN_STEPS = 32
+
 
 @dataclass(frozen=True)
 class NetworkLocation:
@@ -136,9 +139,7 @@ class LinearNetwork:
     @cached_property
     def vertex_component(self) -> np.ndarray:
         """Component label of every vertex; components are numbered by lowest vertex id."""
-        from scipy.sparse.csgraph import connected_components
-
-        labels = connected_components(self._graph, directed=False)[1].astype(np.int64)
+        labels = np.unique(_min_labels(self.n_vertices, *self.edge_vertices.T), return_inverse=True)[1]
         labels.setflags(write=False)
         return labels
 
@@ -197,51 +198,124 @@ class LinearNetwork:
 
     @cached_property
     def _graph(self):
-        ev = self.edge_vertices
-        return _adjacency(self.n_vertices, ev[:, 0], ev[:, 1], self.edge_lengths)
+        one = np.ones(self.n_edges, dtype=np.int64)  # every edge a chain of one piece
+        return _chain_graph(self.n_vertices, self.edge_vertices.ravel(), one, self.edge_lengths)
 
     def vertex_distances(self, source: NetworkLocation, cutoff: float = math.inf):
         """Shortest-path distance from ``source`` to every vertex (inf beyond cutoff)."""
         self.check_location(source)
         node = self.edge_vertices[source.edge][None]
         start = np.array([[source.offset, self.edge_lengths[source.edge] - source.offset]])
-        return next(_graph_distances(self._graph, node, start, cutoff))[1][0]
+        return _source_distances(self._graph, node, start, cutoff)
 
 
-def _adjacency(n: int, tail, head, length):
-    """Symmetric n x n CSR adjacency of an undirected graph with edge lengths."""
-    from scipy.sparse import csr_matrix
+def _min_labels(n: int, i, j):
+    """Lowest node id in the component of every node 0..n-1 of the graph with edges (i, j)."""
+    root, prev = np.arange(n), None
+    while not np.array_equal(root, prev):
+        prev, root = root, root.copy()
+        np.minimum.at(root, i, root[j])
+        np.minimum.at(root, j, root[i])
+        root = root[root]
+    return root
 
-    return csr_matrix(
-        (np.concatenate([length, length]),
-         (np.concatenate([tail, head]), np.concatenate([head, tail]))),
-        shape=(n, n),
-    )
+
+def _chain_graph(n: int, chain, pieces, h):
+    """Shortest-path arrays of an undirected n-node graph made of chains.
+
+    Chain c runs through the ``pieces[c] + 1`` nodes that follow it in
+    ``chain``, in equal pieces of length ``h[c]``; only its two ends may lie
+    on other chains.  Every chain is laid out forward, then every chain
+    backward, as slots (node, step: the length of the piece into the slot,
+    left: the pieces after it); a chain's first slot has an inf step, so sums
+    running on past a chain's end stay inf.  ``out[ptr[v]:ptr[v + 1]]`` are
+    the slots one piece from node v.
+    """
+    k = pieces + 1
+    first = np.repeat(np.cumsum(k) - k, k)
+    c = np.repeat(np.arange(len(k)), k)
+    j = np.arange(len(chain)) - first
+    pad = np.zeros(CHAIN_STEPS, np.int64)  # past the last chain
+    node = np.concatenate((chain, chain[first + pieces[c] - j], pad))
+    step = np.concatenate((np.tile(np.where(j > 0, h[c], np.inf), 2), pad + np.inf))
+    left = np.concatenate((np.tile(pieces[c] - j, 2), pad))
+    tail = np.flatnonzero(left)
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(node[tail], minlength=n))))
+    return ptr, tail[np.argsort(node[tail], kind="stable")] + 1, node, step, left
+
+
+def _source_distances(graph, node, start, cutoff: float = math.inf):
+    """Distances from one source (1-row ``node``/``start`` seeds) to every node; inf beyond cutoff."""
+    out = np.full(len(graph[0]) - 1, np.inf)
+    _, at, d = next(_graph_distances(graph, node, start, cutoff))
+    out[at] = d
+    return out
 
 
 def _graph_distances(graph, node, start, cutoff: float = math.inf):
-    """Shortest-path distances from a batch of sources to every node of ``graph``.
+    """Shortest-path distances from a batch of sources over a :func:`_chain_graph`.
 
-    Source s joins the graph as its own extra node with edges out to the two
-    nodes ``node[s]``, of lengths ``start[s]``, so no path passes through
-    another source, and every distance is summed from the source offset along
-    the path, left to right.  Sources go in blocks of ``BLOCK_PAIRS // n``
-    for n graph nodes; each block yields (first source, distances), one row
-    per source.  Nodes farther than ``cutoff`` stay inf.
+    Source s reaches the nodes ``node[s]`` at the distances ``start[s]``, and
+    no path passes through another source.  Sources go in blocks of
+    ``BLOCK_PAIRS // n`` for n graph nodes; each yields the entries within
+    ``cutoff`` as (source, node, distance) columns, by source, then node.
+    Each round walks out of every improved chain end (and, first, the seed
+    nodes) along each of its chains, up to ``CHAIN_STEPS`` pieces, so the
+    rounds count chains, not pieces, within the cutoff; a walk cut short
+    goes on in the next.  Float addition is monotone, so the fixpoint is the
+    minimum over all paths of the distance summed left to right from the
+    source: Dijkstra's result, bit for bit.
     """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra
+    if not cutoff >= 0:
+        raise ValueError(f"cutoff must be nonnegative, got {cutoff}")
+    ptr, out, slot_node, step, left = graph
+    n = len(ptr) - 1
+    block = max(1, min(BLOCK_PAIRS // n, len(node)))
+    dist = np.full(block * n, np.inf)  # (source, node) pairs of one block, reused
+    last = np.empty(block * n, dtype=np.int64)
 
-    n = graph.shape[0]
-    block = max(1, BLOCK_PAIRS // n)
+    # np.compress, not a boolean index: several times faster on scattered masks
+    def improve(key, d):  # merge the entries that improve dist; a flat mask of them
+        ok = ((d <= cutoff) & (d < dist[key])).ravel()
+        np.minimum.at(dist, np.compress(ok, key), np.compress(ok, d))
+        return ok
+
+    def distinct(key):  # each key once
+        i = np.arange(len(key))
+        last[key] = i
+        return np.compress(last[key] == i, key)
+
     for lo in range(0, len(node), block):
         b = min(block, len(node) - lo)
-        extended = csr_matrix(
-            (np.append(graph.data, start[lo : lo + b]), np.append(graph.indices, node[lo : lo + b]),
-             np.append(graph.indptr, graph.nnz + 2 * np.arange(1, b + 1))),
-            shape=(n + b, n + b),
-        )
-        yield lo, dijkstra(extended, indices=np.arange(n, n + b), limit=cutoff)[:, :n]
+        key = (np.arange(b)[:, None] * n + node[lo : lo + b]).ravel()
+        hub = distinct(np.compress(improve(key, start[lo : lo + b].ravel()), key))
+        # walks cut short: source offset, next slot, distance so far
+        base, p, s = hub[:0], hub[:0], np.empty(0)
+        while True:
+            u = hub % n
+            deg = ptr[u + 1] - ptr[u]
+            at = np.arange(deg.sum()) + np.repeat(ptr[u] - (np.cumsum(deg) - deg), deg)
+            grown = np.repeat(hub - u, deg), out[at], np.repeat(dist[hub], deg)
+            base, p, s = map(np.append, (base, p, s), grown) if len(p) else grown
+            if not len(p):
+                break
+            at = p + np.arange(min(CHAIN_STEPS, left[p].max() + 1))[:, None]  # a row per piece
+            d = step[at]
+            d[0] += s
+            for i in range(1, len(d)):  # summed left to right along each chain
+                d[i] += d[i - 1]
+            key = base + slot_node[at]
+            ok = improve(key, d)
+            if len(d) == 1:  # every walk ended on a chain end
+                hub, base, p, s = distinct(np.compress(ok, key)), base[:0], p[:0], s[:0]
+                continue
+            end = (left[at] == 0).ravel()
+            hub = distinct(np.compress(ok & end, key))
+            more = ok[-len(p) :] & ~end[-len(p) :]  # the last row
+            base, p, s = (np.compress(more, x) for x in (base, p + len(at), d[-1]))
+        key = np.flatnonzero(dist[: b * n] < np.inf)
+        yield lo + key // n, key % n, dist[key]
+        dist[key] = np.inf
 
 
 def build_network(vertices: Sequence, segments: Sequence) -> LinearNetwork:
@@ -284,8 +358,8 @@ def network_disc(
     Returns (edge id, offset_lo, offset_hi) triples, disjoint per edge and
     sorted.  Degenerate intervals (lo == hi) mark single points, e.g. r = 0.
     """
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
+    if not r >= 0:
+        raise ValueError(f"radius must be nonnegative, got {r}")
     net.check_location(center)
     dist = net.vertex_distances(center, cutoff=r)
     out: list[tuple[int, float, float]] = []

@@ -462,6 +462,51 @@ def csv_write_lattice(f, path):
             )
 
 
+# -- the scipy shortest paths and components the numpy graph code replaced ----
+
+
+def graph_links(g):
+    """(n, tail, head, length) of the links of a Lattice or a LinearNetwork."""
+    if hasattr(g, "link_i"):
+        return g.n_nodes, g.link_i, g.link_j, g.link_h
+    return g.n_vertices, g.edge_vertices[:, 0], g.edge_vertices[:, 1], g.edge_lengths
+
+
+def scipy_graph_distances(links, node, start, cutoff=math.inf):
+    """(source, node, distance) columns of every entry within ``cutoff``, by
+    source then node: one ``dijkstra`` over the CSR graph of the ``links``
+    extended by one node per source, with edges out to ``node[s]`` of
+    lengths ``start[s]``."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    n, tail, head, length = links
+    src = np.concatenate([tail, head])
+    order = np.argsort(src, kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+    indices = np.concatenate([head, tail])[order]
+    data = np.concatenate([length, length])[order]
+    nnz, b = len(indices), len(node)
+    extended = csr_matrix(
+        (np.append(data, start), np.append(indices, node),
+         np.append(indptr, nnz + 2 * np.arange(1, b + 1))),
+        shape=(n + b, n + b),
+    )
+    d = dijkstra(extended, indices=np.arange(n, n + b), limit=cutoff)[:, :n]
+    row, at = np.nonzero(np.isfinite(d))
+    return row, at, d[row, at]
+
+
+def scipy_components(net):
+    """Vertex component labels from ``connected_components``."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    ev = net.edge_vertices
+    graph = csr_matrix((net.edge_lengths, (ev[:, 0], ev[:, 1])), shape=(net.n_vertices,) * 2)
+    return connected_components(graph, directed=False)[1].astype(np.int64)
+
+
 # -- the scans and cKDTree queries the grid index replaced --------------------
 
 

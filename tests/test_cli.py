@@ -135,6 +135,29 @@ class TestEstimate:
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("error: ")
 
+    @pytest.mark.parametrize("command, flags", [
+        ("estimate", ("--dx", "20")), ("estimate", ()), ("bench", ("--dx", "20")),
+    ], ids=["estimate-dx", "estimate-default-dx", "bench"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_bw_rejected_before_the_network_is_read(self, tmp_path, command, flags, value):
+        # the network file does not exist: the bandwidth is checked first
+        out = ("--out", tmp_path / "est.csv") if command == "estimate" else ()
+        proc = run_cli(
+            command, "--net", tmp_path / "nope.geojson", "--points", tmp_path / "nope.csv",
+            "--method", "uniform-corrected", "--bw", value, *flags, *out,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == ["error: --bw must be positive and finite"]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_bw_global_rejected_before_the_network_is_read(self, tmp_path, value):
+        proc = run_cli(
+            "estimate", "--net", tmp_path / "nope.geojson", "--points", tmp_path / "nope.csv",
+            "--method", "heat", "--adaptive", "--bw-global", value, "--out", tmp_path / "est.csv",
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == ["error: global bandwidth must be positive and finite"]
+
     @pytest.mark.parametrize("records", ["on-and-far", "empty"])
     @pytest.mark.parametrize("value", ["nan", "0", "-1"])
     def test_bad_max_snap_dist_exits_2(self, toy, tmp_path, value, records):

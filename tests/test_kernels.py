@@ -60,8 +60,9 @@ class TestKernel1D:
     def test_invalid(self):
         with pytest.raises(ValueError):
             Kernel1D("box", 1.0)
-        with pytest.raises(ValueError):
-            Kernel1D("gaussian", 0.0)
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
+                Kernel1D("gaussian", bad)
 
 
 class TestEdgeCorrection:
@@ -252,7 +253,8 @@ class TestBatchedMatchesLoop:
             monkeypatch.setattr(network, "BLOCK_PAIRS", per_block * lat.n_nodes)
             seeds = lat._point_seeds(pat.edge, pat.offset)
             blocks = network._graph_distances(lat._graph, *seeds, k.support)
-            assert [len(d) for _, d in blocks] == [per_block] * (7 // per_block) + [1] * (7 % per_block)
+            sizes = [len(np.unique(rows)) for rows, _, _ in blocks]  # sources per block
+            assert sizes == [per_block] * (7 // per_block) + [1] * (7 % per_block)
             for name, values in all_estimates(pat, lat, k).items():
                 assert_same(values, whole[name])
 

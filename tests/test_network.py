@@ -16,6 +16,7 @@ from lineheat.errors import (
 )
 from lineheat import network
 from lineheat.ingest import write_network_geojson
+from lineheat.lattice import Lattice
 from lineheat.network import (
     NetworkLocation,
     PointPattern,
@@ -30,15 +31,20 @@ from lineheat.network import (
 from nets import (
     assert_same,
     brute_force_distance,
+    graph_links,
     grid_network,
     kdtree_close_pairs,
     loop_incident_edges,
+    random_lattices,
     random_location,
     random_network,
     random_pattern,
     scan_snap,
     scan_validate,
+    scipy_components,
+    scipy_graph_distances,
     segment_network,
+    special_locations,
     triangle_network,
     two_disjoint_segments,
     y_network,
@@ -315,7 +321,105 @@ class TestShortestPath:
                 assert dab > 0.0
 
 
+class TestGraphDistances:
+    """The numpy chain walk against scipy's Dijkstra over the same links."""
+
+    @staticmethod
+    def cases(seed, count):
+        """(graph, links, node, start) seeding every special location, on
+        random lattices and on the graphs of their networks."""
+        for lat, rng in random_lattices(seed, count):
+            net, locs = lat.network, special_locations(lat, rng)
+            edge = np.array([p.edge for p in locs])
+            offset = np.array([p.offset for p in locs])
+            yield lat._graph, graph_links(lat), *lat._point_seeds(edge, offset)
+            start = np.column_stack((offset, net.edge_lengths[edge] - offset))
+            yield net._graph, graph_links(net), net.edge_vertices[edge], start
+
+    @pytest.mark.parametrize("per_block", [1, 3, None], ids=["one", "three", "all"])
+    def test_matches_dijkstra(self, monkeypatch, per_block):
+        attained = 0
+        for graph, links, node, start in self.cases(61, 15):
+            n = len(graph[0]) - 1
+            monkeypatch.setattr(network, "BLOCK_PAIRS", per_block * n if per_block else 2**62)
+            d = scipy_graph_distances(links, node, start)[2]
+            at = np.sort(d[d > 0])[len(d[d > 0]) // 2]  # a distance some path attains
+            for cutoff in (math.inf, 0.0, 0.7, at):
+                blocks = list(network._graph_distances(graph, node, start, cutoff))
+                block = per_block or len(node)
+                assert len(blocks) == -(-len(node) // block)
+                for lo, (rows, _, _) in zip(range(0, len(node), block), blocks):
+                    assert np.all((lo <= rows) & (rows < lo + block))
+                got = [np.concatenate(c) for c in zip(*blocks)]
+                for g, w in zip(got, scipy_graph_distances(links, node, start, cutoff)):
+                    assert_same(g, w)
+            kept = network._graph_distances(graph, node, start, at)
+            attained += sum(int((d == at).sum()) for _, _, d in kept)
+        assert attained  # an entry exactly at the cutoff is kept
+
+    @pytest.mark.parametrize("steps", [1, 2, 3])
+    def test_walks_cut_short_match_dijkstra(self, monkeypatch, steps):
+        # chains longer than a round's walk go on over several rounds
+        monkeypatch.setattr(network, "CHAIN_STEPS", steps)
+        longest = 0
+        for graph, links, node, start in self.cases(64, 6):
+            longest = max(longest, graph[4].max())
+            for cutoff in (math.inf, 0.7):
+                blocks = network._graph_distances(graph, node, start, cutoff)
+                got = [np.concatenate(c) for c in zip(*blocks)]
+                for g, w in zip(got, scipy_graph_distances(links, node, start, cutoff)):
+                    assert_same(g, w)
+        assert longest > 3 * steps
+
+    def test_single_source_fields_match_dijkstra(self):
+        for lat, rng in random_lattices(62, 10):
+            net = lat.network
+            for loc in special_locations(lat, rng)[::5]:
+                for cutoff in (math.inf, 0.7):
+                    node, start = lat._point_seeds(loc.edge, loc.offset)
+                    _, at, d = scipy_graph_distances(graph_links(lat), node, start, cutoff)
+                    want = np.full(lat.n_nodes, np.inf)
+                    want[at] = d
+                    assert_same(lat.distance_field(loc, cutoff), want)
+                    start = np.array([[loc.offset, net.edge_lengths[loc.edge] - loc.offset]])
+                    _, at, d = scipy_graph_distances(graph_links(net), net.edge_vertices[loc.edge][None],
+                                                     start, cutoff)
+                    want = np.full(net.n_vertices, np.inf)
+                    want[at] = d
+                    assert_same(net.vertex_distances(loc, cutoff), want)
+
+    @pytest.mark.parametrize("cutoff", [-1.0, -math.inf, math.nan])
+    def test_bad_cutoff_rejected(self, cutoff):
+        net = triangle_network()
+        lat = Lattice(net, 0.25)
+        with pytest.raises(ValueError, match="cutoff must be nonnegative"):
+            lat.distance_field(NetworkLocation(0, 0.3), cutoff)
+        with pytest.raises(ValueError, match="cutoff must be nonnegative"):
+            net.vertex_distances(NetworkLocation(0, 0.3), cutoff)
+
+    def test_no_sources_yield_nothing(self):
+        graph = Lattice(triangle_network(), 0.25)._graph
+        assert list(network._graph_distances(graph, np.zeros((0, 2), np.int64), np.zeros((0, 2)))) == []
+
+    def test_components_match_scipy(self):
+        rng = np.random.default_rng(63)
+        nets = [random_network(rng, max_side=4, keep=0.5) for _ in range(30)]
+        for net in nets + [two_disjoint_segments(), triangle_network()]:
+            labels = net.vertex_component
+            assert_same(labels, scipy_components(net))
+            assert not labels.flags.writeable
+            # numbered by lowest vertex id: labels first appear in increasing order
+            first = labels[np.sort(np.unique(labels, return_index=True)[1])]
+            assert_same(first, np.arange(net.n_components))
+        assert max(net.n_components for net in nets) > 1
+
+
 class TestNetworkDisc:
+    @pytest.mark.parametrize("r", [-1.0, math.nan])
+    def test_bad_radius_rejected(self, r):
+        with pytest.raises(ValueError, match="radius must be nonnegative"):
+            network_disc(y_network(), NetworkLocation(0, 0.5), r)
+
     def test_zero_radius(self):
         net = y_network()
         center = NetworkLocation(0, 0.4)
@@ -555,15 +659,18 @@ class TestPointPattern:
 
 
 class TestLazyGraphImport:
-    def run_cli(self, tmp_path, *args):
-        """(stdout lines, stderr) of ``lineheat estimate`` on a 3x3 grid in a fresh
-        process; the last stdout line lists the scipy modules it loaded."""
+    def run_cli(self, tmp_path, *args, command="estimate"):
+        """(stdout lines, stderr) of ``lineheat estimate`` (or ``validate``) on a
+        3x3 grid in a fresh process; the last stdout line lists the scipy
+        modules it loaded."""
         net_path = tmp_path / "net.geojson"
         write_network_geojson(grid_network(3, 3, spacing=0.5), net_path)
         pts = tmp_path / "pts.csv"
         pts.write_text("x,y\n0.1,0.02\n0.6,0.5\n0.9,0.95\n0.25,0.01\n0.5,0.7\n7.0,7.0\n")
         argv = ["estimate", "--net", str(net_path), "--points", str(pts),
                 "--out", str(tmp_path / "out.csv"), *args]
+        if command == "validate":
+            argv = ["validate", str(net_path)]
         code = f"""
 import sys
 from lineheat.cli import main
@@ -586,11 +693,22 @@ print(rc, sorted(m for m in sys.modules if m.startswith("scipy")))
         assert out[-1] == "0 []"
 
     def test_raster_output_leaves_spatial_unimported(self, tmp_path):
+        # shortest paths are numpy too: scipy.sparse.csgraph alone takes
+        # 0.2-0.4 s to import, more than the whole estimate of a 4k-node lattice
         out, _ = self.run_cli(
             tmp_path, "--method", "uniform-corrected", "--bw", "0.3",
             "--format", "raster-csv", "--raster-res", "16",
         )
-        assert out[-1].startswith("0 [") and "scipy.spatial" not in out[-1]
+        assert out[-1] == "0 []"
+
+    def test_jones_diggle_loads_no_scipy(self, tmp_path):
+        out, _ = self.run_cli(tmp_path, "--method", "jones-diggle", "--bw", "0.3")
+        assert out[-1] == "0 []"
+
+    def test_validate_loads_no_scipy(self, tmp_path):
+        # counting components is min-label propagation, not scipy's csgraph
+        out, _ = self.run_cli(tmp_path, command="validate")
+        assert "components: 1" in out and out[-1] == "0 []"
 
     def test_import_leaves_spatial_unimported(self):
         # scipy.spatial takes about a third of a second to import; commands
@@ -601,8 +719,8 @@ print(rc, sorted(m for m in sys.modules if m.startswith("scipy")))
         assert proc.stdout.strip() == "False"
 
     def test_import_leaves_scipy_unimported(self):
-        # scipy.sparse alone takes about a fifth of a second to import; it is
-        # loaded when a graph is built, never by ``import lineheat``
+        # scipy.sparse alone takes about a fifth of a second to import; only
+        # the study harness's simulation loads scipy (``cdist``)
         code = "import sys, lineheat; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
