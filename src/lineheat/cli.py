@@ -160,11 +160,20 @@ def _cmd_simulate(args) -> int:
 
 
 def _load_pattern(args):
-    # bandwidths are checked before any file is read; estimate may leave them out
+    # every argument is checked before any file is read
     if args.bw is not None:
         _bandwidth(args.bw, "--bw")
     if getattr(args, "bw_global", None) not in (None, "auto"):
         _bandwidth(args.bw_global)
+    if getattr(args, "adaptive", False):
+        if args.method != "heat":
+            raise LineHeatError("adaptive estimation is supported for the heat method only")
+        if args.delta is not None:
+            bin_count(args.delta)
+        if args.bw_global is None:
+            raise LineHeatError("--adaptive requires --bw-global (number or 'auto')")
+    elif args.bw is None:
+        raise LineHeatError("--bw is required for fixed-bandwidth estimation")
     net = read_network_geojson(args.net)
     pattern, report = read_points(args.points, net, args.max_snap_dist)
     if report.warning:
@@ -184,14 +193,6 @@ def _cmd_estimate(args) -> int:
     cfg = DEFAULT_CONFIG
 
     if args.adaptive:
-        if args.method != "heat":
-            raise LineHeatError(
-                "adaptive estimation is supported for the heat method only"
-            )
-        if args.delta is not None:
-            bin_count(args.delta)  # fail fast before the pilot estimate
-        if args.bw_global is None:
-            raise LineHeatError("--adaptive requires --bw-global (number or 'auto')")
         if args.bw_global == "auto":
             star = heuristic_global_bandwidth(net.total_length, pattern.n)
             print(
@@ -212,8 +213,6 @@ def _cmd_estimate(args) -> int:
         else:
             est = estimate_adaptive_direct(pattern, lattice, bw, cfg)
     else:
-        if args.bw is None:
-            raise LineHeatError("--bw is required for fixed-bandwidth estimation")
         dx = resolve_dx(args.dx, net, args.bw)
         _echo_config(args, resolved_dx=dx)
         lattice = discretize(net, dx)

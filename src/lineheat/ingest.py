@@ -176,12 +176,15 @@ def _position(pt, i: int) -> tuple[float, float]:
 
 def write_points_csv(pattern: PointPattern, path) -> None:
     """Event pattern as CSV rows (x, y, edge_id, offset)."""
+    edge, offset = pattern.edge, pattern.offset
+    xy = pattern.network._xy(edge, offset)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["x", "y", "edge_id", "offset"])
-        for p in pattern:
-            x, y = pattern.network.location_xy(p)
-            w.writerow([FLOAT_FMT % x, FLOAT_FMT % y, p.edge, FLOAT_FMT % p.offset])
+        w.writerows(
+            [FLOAT_FMT % x, FLOAT_FMT % y, e, FLOAT_FMT % o]
+            for (x, y), e, o in zip(xy.tolist(), edge.tolist(), offset.tolist())
+        )
 
 
 def write_lattice_function(

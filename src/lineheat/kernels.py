@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import network
 from .errors import LatticeMismatch, PathExplosion, UnboundedKernel
 from .lattice import Lattice, LatticeFunction, _require_points
 from .network import NetworkLocation, PointPattern, _graph_distances
@@ -206,104 +207,102 @@ def equal_split_continuous(
 
 
 def _equal_split(pattern, lattice, kernel, continuous, max_steps):
+    """Every point's paths, walked in shared rounds.
+
+    An arrival (row, vertex, arrival edge or -1 for a vertex source, distance,
+    weight) branches into walks along the vertex's edges with the rule's
+    weights.  A walk (row, edge, base, distance, weight) deposits on the
+    edge's interior nodes at distance + |base - offset| and arrives at each
+    end that ``base`` is not; an interior source walks its own edge from its
+    offset.  Arrivals go in chunks of at most ``BLOCK_PAIRS`` walks (and node
+    deposits), the newest first, so memory does not grow with the point
+    count; ``max_steps`` bounds the walks of each point.
+    """
     _require_points(pattern, lattice)
     if not kernel.bounded:
         raise UnboundedKernel(
             "equal-split estimators need a bounded kernel family "
             "(epanechnikov or quartic)"
         )
+    net, support = lattice.network, kernel.support
+    ev, ell, deg = net.edge_vertices, net.edge_lengths, net.degrees
+    h, k = lattice.edge_spacing, lattice._n_pieces
+    incident, first = np.concatenate(net.incident_edges), np.cumsum(deg) - deg
+    # a continuous estimate's value at a vertex is the shared branch limit:
+    # the arriving path plus its degenerate reflection scale by 2/deg
+    at_vertex = 2.0 / deg if continuous else np.ones(len(deg))
+    # bounds on the deposits of a walk along each edge (an interior source's
+    # window spans twice the support) and of an arrival's walks at each vertex
+    touch = 2 + np.minimum(k - 1, 2 * np.ceil(support / h) + 3)
+    cost = np.bincount(ev.ravel(), np.repeat(touch, 2))
     out = np.zeros(lattice.n_nodes)
-    for i in pattern.order:
-        _deposit_from_point(lattice, pattern[i], kernel, out, continuous, [max_steps])
+    used = np.zeros(pattern.n, dtype=np.int64)  # walks per point
+    stack = []
+
+    def arrive(row, v, via, d, w):  # deposit at the vertices; keep the arrivals inside the support
+        ok = d <= support
+        np.add.at(out, v[ok], w[ok] * kernel(d[ok]) * at_vertex[v[ok]])
+        go = d < support
+        return row[go], v[go], via[go], d[go], w[go]
+
+    def branch(row, v, via, d, w):  # the walks out of each arrival
+        m = deg[v]
+        i = np.repeat(np.arange(len(v)), m)
+        e = incident[np.arange(len(i)) - np.repeat(np.cumsum(m) - m - first[v], m)]
+        m, back = m[i], e == via[i]
+        if continuous:  # 2/m on every edge, 2/m - 1 back along the arrival edge
+            w = w[i] * (2.0 / m - back)
+            keep = w != 0.0
+        else:  # 1/(m - 1) on every other edge, 2/m out of a vertex source
+            w = w[i] / np.where(via[i] < 0, m / 2, np.maximum(m - 1, 1))
+            keep = ~back
+        i, e, row = i[keep], e[keep], row[i[keep]]
+        np.add.at(used, row, 1)
+        if np.any(used[row] > max_steps):
+            raise PathExplosion(
+                "path enumeration exceeded the step budget; "
+                "reduce the bandwidth or raise max_steps"
+            )
+        return row, e, np.where(ev[e, 0] == v[i], 0.0, ell[e]), d[i], w[keep]
+
+    def scan(row, e, base, d, w):  # deposit along the walked edges; arrive at their ends
+        r = support - d
+        lo = np.maximum(1, np.floor((base - r) / h[e])).astype(np.int64)
+        n = np.maximum(0, np.minimum(k[e] - 1, np.ceil((base + r) / h[e])) - lo + 1).astype(np.int64)
+        t = np.repeat(np.arange(len(e)), n)
+        j = np.arange(len(t)) - np.repeat(np.cumsum(n) - n - lo, n)  # lo..lo + n - 1 per walk
+        node = lattice._first_interior[e[t]] + j - 1
+        dn = d[t] + np.abs(base[t] - lattice.node_offset[node])
+        ok = dn <= support
+        np.add.at(out, node[ok], w[t[ok]] * kernel(dn[ok]))
+        end = np.concatenate((base != 0.0, base != ell[e]))
+        ends = (row, row), ev[e].T, (e, e), (d + base, d + (ell[e] - base)), (w, w)
+        return arrive(*(np.concatenate(x)[end] for x in ends))
+
+    def push(arrivals):  # the first chunk on top
+        spans = _spans(cost[arrivals[1]])
+        stack.extend(tuple(x[a:b] for x in arrivals) for a, b in reversed(spans))
+
+    o = pattern.order
+    edge, off = pattern.edge[o], pattern.offset[o]
+    for a, b in _spans(touch[edge]):
+        row, e, x = np.arange(a, b), edge[a:b], off[a:b]
+        at_end = (x == 0.0) | (x == ell[e])
+        v = np.where(x == 0.0, ev[e, 0], ev[e, 1])[at_end]
+        push(arrive(row[at_end], v, np.full(len(v), -1), np.zeros(len(v)), np.ones(len(v))))
+        row, e, x = row[~at_end], e[~at_end], x[~at_end]
+        push(scan(row, e, x, np.zeros(len(x)), np.ones(len(x))))
+        while stack:
+            push(scan(*branch(*stack.pop())))
     return LatticeFunction(lattice, out)
 
 
-def _vertex_factor(net, vertex, continuous):
-    # a continuous estimate's value at a vertex is the shared branch limit:
-    # the arriving path plus its degenerate reflection scale by 2/deg
-    return 2.0 / net.degrees[vertex] if continuous else 1.0
-
-
-def _deposit_from_point(lattice, loc, kernel, out, continuous, budget):
-    net = lattice.network
-    support = kernel.support
-    kind = net.canonical_location(loc)
-    if kind[0] == "v":
-        v = kind[1]
-        out[v] += float(kernel(0.0)) * _vertex_factor(net, v, continuous)
-        m = net.degrees[v]
-        w0 = 2.0 / m  # equal split of the two kernel half-lines over m branches
-        for e in sorted(int(x) for x in net.incident_edges[v]):
-            _walk_edge(lattice, e, v, 0.0, w0, kernel, out, continuous, budget)
-        return
-    e, off = kind[1], kind[2]
-    chain = lattice.edge_chains[e]
-    h = float(lattice.edge_spacing[e])
-    ell = float(net.edge_lengths[e])
-    offs = h * np.arange(len(chain))
-    u, v = net.edge_vertices[e]
-    # toward the tail vertex (deposits the source node itself once)
-    left = (offs <= off) & (offs > 0.0)
-    d = off - offs[left]
-    sel = d <= support
-    out[chain[left][sel]] += kernel(d[sel])
-    if off <= support:
-        out[int(u)] += kernel(off) * _vertex_factor(net, int(u), continuous)
-    if off < support:
-        _branch(lattice, int(u), e, off, 1.0, kernel, out, continuous, budget)
-    # toward the head vertex
-    right = (offs > off) & (offs < ell)
-    d = offs[right] - off
-    sel = d <= support
-    out[chain[right][sel]] += kernel(d[sel])
-    if ell - off <= support:
-        out[int(v)] += kernel(ell - off) * _vertex_factor(net, int(v), continuous)
-    if ell - off < support:
-        _branch(lattice, int(v), e, ell - off, 1.0, kernel, out, continuous, budget)
-
-
-def _branch(lattice, vertex, arrival_edge, dist, weight, kernel, out, continuous, budget):
-    net = lattice.network
-    m = int(net.degrees[vertex])
-    if continuous:
-        for e in sorted(int(x) for x in net.incident_edges[vertex]):
-            w = weight * (2.0 / m - (1.0 if e == arrival_edge else 0.0))
-            if w != 0.0:
-                _walk_edge(lattice, e, vertex, dist, w, kernel, out, continuous, budget)
-    else:
-        if m == 1:
-            return  # non-reflecting: the path ends at a terminal vertex
-        w = weight / (m - 1)
-        for e in sorted(int(x) for x in net.incident_edges[vertex]):
-            if e != arrival_edge:
-                _walk_edge(lattice, e, vertex, dist, w, kernel, out, continuous, budget)
-
-
-def _walk_edge(lattice, e, from_vertex, dist, weight, kernel, out, continuous, budget):
-    budget[0] -= 1
-    if budget[0] < 0:
-        raise PathExplosion(
-            "path enumeration exceeded the step budget; "
-            "reduce the bandwidth or raise max_steps"
-        )
-    net = lattice.network
-    support = kernel.support
-    chain = lattice.edge_chains[e]
-    h = float(lattice.edge_spacing[e])
-    ell = float(net.edge_lengths[e])
-    u, v = net.edge_vertices[e]
-    if from_vertex == u:
-        nodes = chain[1:-1]
-        s = h * np.arange(1, len(chain) - 1)
-        far = int(v)
-    else:
-        nodes = chain[1:-1][::-1]
-        s = ell - h * np.arange(1, len(chain) - 1)[::-1]
-        far = int(u)
-    d = dist + s
-    sel = d <= support
-    out[nodes[sel]] += weight * kernel(d[sel])
-    if dist + ell <= support:
-        out[far] += weight * kernel(dist + ell) * _vertex_factor(net, far, continuous)
-    if dist + ell < support:
-        _branch(lattice, far, e, dist + ell, weight, kernel, out, continuous, budget)
+def _spans(cost):
+    """(start, stop) runs of consecutive items costing at most ``BLOCK_PAIRS`` in
+    all, or one item that alone costs more."""
+    total, a, spans = np.cumsum(cost), 0, []
+    while a < len(total):
+        b = int(np.searchsorted(total, total[a] - cost[a] + network.BLOCK_PAIRS, "right"))
+        spans.append((a, max(a + 1, b)))
+        a = spans[-1][1]
+    return spans

@@ -183,8 +183,12 @@ class LinearNetwork:
 
     def location_xy(self, loc: NetworkLocation) -> np.ndarray:
         self.check_location(loc)
-        u, v = self.edge_vertices[loc.edge]
-        t = loc.offset / self.edge_lengths[loc.edge]
+        return self._xy(loc.edge, loc.offset)
+
+    def _xy(self, edge, offset) -> np.ndarray:
+        """Planar coordinates of locations given as arrays or scalars (unchecked)."""
+        u, v = self.edge_vertices[edge].T
+        t = np.asarray(offset / self.edge_lengths[edge])[..., None]
         return (1.0 - t) * self.vertex_xy[u] + t * self.vertex_xy[v]
 
     def vertex_location(self, vertex: int) -> NetworkLocation:

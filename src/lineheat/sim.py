@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CholeskyFailure, OutOfDomain
 from .lattice import Lattice, LatticeFunction
-from .network import LinearNetwork, NetworkLocation, PointPattern
+from .network import LinearNetwork, PointPattern
 
 
 @dataclass(frozen=True)
@@ -251,15 +251,8 @@ def sample_poisson_on_network(intensity: LatticeFunction, seed) -> PointPattern:
     cell_mass = (ch - cl) * intensity.values[cn]
     total = float(cell_mass.sum())
     rng = np.random.default_rng(seed)
-    if total <= 0:
-        return PointPattern(lat.network, [])
-    n = int(rng.poisson(total))
+    n = 0 if total <= 0 else int(rng.poisson(total))
     if n == 0:
-        return PointPattern(lat.network, [])
-    cells = rng.choice(len(cell_mass), size=n, p=cell_mass / total)
-    u = rng.random(n)
-    pts = [
-        NetworkLocation(int(ce[c]), float(cl[c] + u[k] * (ch[c] - cl[c])))
-        for k, c in enumerate(cells)
-    ]
-    return PointPattern(lat.network, pts)
+        return PointPattern.from_columns(lat.network, [], [])
+    c = rng.choice(len(cell_mass), size=n, p=cell_mass / total)
+    return PointPattern.from_columns(lat.network, ce[c], cl[c] + rng.random(n) * (ch[c] - cl[c]))

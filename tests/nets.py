@@ -450,6 +450,110 @@ def loop_jones_diggle(pattern, lattice, kernel):
     return out
 
 
+# -- the recursive per-point walk the round-based equal-split estimators replaced
+
+
+def recursive_equal_split(pattern, lattice, kernel, continuous):
+    """Equal-split estimate walked depth first, point by point in ``pattern.order``.
+
+    Returns the node values and each point's walk count (input order).  A
+    source scans only its edge's interior chain positions: the head vertex is
+    deposited once, as a vertex, even where h * k falls short of the length.
+    """
+    out = np.zeros(lattice.n_nodes)
+    walks = np.zeros(pattern.n, dtype=np.int64)
+    for i in pattern.order:
+        count = [0]
+        _deposit_from_point(lattice, pattern[i], kernel, out, continuous, count)
+        walks[i] = count[0]
+    return out, walks
+
+
+def _vertex_factor(net, vertex, continuous):
+    return 2.0 / net.degrees[vertex] if continuous else 1.0
+
+
+def _deposit_from_point(lattice, loc, kernel, out, continuous, count):
+    net = lattice.network
+    support = kernel.support
+    kind = net.canonical_location(loc)
+    if kind[0] == "v":
+        v = kind[1]
+        out[v] += float(kernel(0.0)) * _vertex_factor(net, v, continuous)
+        m = net.degrees[v]
+        w0 = 2.0 / m  # equal split of the two kernel half-lines over m branches
+        for e in sorted(int(x) for x in net.incident_edges[v]):
+            _walk_edge(lattice, e, v, 0.0, w0, kernel, out, continuous, count)
+        return
+    e, off = kind[1], kind[2]
+    chain = lattice.edge_chains[e]
+    h = float(lattice.edge_spacing[e])
+    ell = float(net.edge_lengths[e])
+    inner = chain[1:-1]
+    offs = h * np.arange(1, len(chain) - 1)
+    u, v = net.edge_vertices[e]
+    # toward the tail vertex (deposits the source node itself once)
+    left = offs <= off
+    d = off - offs[left]
+    sel = d <= support
+    out[inner[left][sel]] += kernel(d[sel])
+    if off <= support:
+        out[int(u)] += kernel(off) * _vertex_factor(net, int(u), continuous)
+    if off < support:
+        _branch(lattice, int(u), e, off, 1.0, kernel, out, continuous, count)
+    # toward the head vertex
+    right = ~left
+    d = offs[right] - off
+    sel = d <= support
+    out[inner[right][sel]] += kernel(d[sel])
+    if ell - off <= support:
+        out[int(v)] += kernel(ell - off) * _vertex_factor(net, int(v), continuous)
+    if ell - off < support:
+        _branch(lattice, int(v), e, ell - off, 1.0, kernel, out, continuous, count)
+
+
+def _branch(lattice, vertex, arrival_edge, dist, weight, kernel, out, continuous, count):
+    net = lattice.network
+    m = int(net.degrees[vertex])
+    if continuous:
+        for e in sorted(int(x) for x in net.incident_edges[vertex]):
+            w = weight * (2.0 / m - (1.0 if e == arrival_edge else 0.0))
+            if w != 0.0:
+                _walk_edge(lattice, e, vertex, dist, w, kernel, out, continuous, count)
+    else:
+        if m == 1:
+            return  # non-reflecting: the path ends at a terminal vertex
+        w = weight / (m - 1)
+        for e in sorted(int(x) for x in net.incident_edges[vertex]):
+            if e != arrival_edge:
+                _walk_edge(lattice, e, vertex, dist, w, kernel, out, continuous, count)
+
+
+def _walk_edge(lattice, e, from_vertex, dist, weight, kernel, out, continuous, count):
+    count[0] += 1
+    net = lattice.network
+    support = kernel.support
+    chain = lattice.edge_chains[e]
+    h = float(lattice.edge_spacing[e])
+    ell = float(net.edge_lengths[e])
+    u, v = net.edge_vertices[e]
+    if from_vertex == u:
+        nodes = chain[1:-1]
+        s = h * np.arange(1, len(chain) - 1)
+        far = int(v)
+    else:
+        nodes = chain[1:-1][::-1]
+        s = ell - h * np.arange(1, len(chain) - 1)[::-1]
+        far = int(u)
+    d = dist + s
+    sel = d <= support
+    out[nodes[sel]] += weight * kernel(d[sel])
+    if dist + ell <= support:
+        out[far] += weight * kernel(dist + ell) * _vertex_factor(net, far, continuous)
+    if dist + ell < support:
+        _branch(lattice, far, e, dist + ell, weight, kernel, out, continuous, count)
+
+
 def csv_write_lattice(f, path):
     """The lattice-csv writer as one ``csv.writer.writerow`` per cell."""
     ce, cl, ch, cn = f.lattice.node_cells

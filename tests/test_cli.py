@@ -158,6 +158,21 @@ class TestEstimate:
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == ["error: global bandwidth must be positive and finite"]
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--adaptive", "--bw-global", "100", "--delta", "0.3"), "1/delta must be an integer (got 1/0.3 = 3.3333333333333335)"),
+        (("--method", "esc", "--adaptive", "--bw-global", "100"),
+         "adaptive estimation is supported for the heat method only"),
+        (("--adaptive", "--bw", "100"), "--adaptive requires --bw-global (number or 'auto')"),
+        ((), "--bw is required for fixed-bandwidth estimation"),
+    ], ids=["delta", "adaptive-method", "adaptive-without-bw-global", "fixed-without-bw"])
+    def test_bad_arguments_rejected_before_the_network_is_read(self, tmp_path, flags, message):
+        proc = run_cli(
+            "estimate", "--net", tmp_path / "nope.geojson", "--points", tmp_path / "nope.csv",
+            *flags, "--out", tmp_path / "est.csv",
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [f"error: {message}"]
+
     @pytest.mark.parametrize("records", ["on-and-far", "empty"])
     @pytest.mark.parametrize("value", ["nan", "0", "-1"])
     def test_bad_max_snap_dist_exits_2(self, toy, tmp_path, value, records):

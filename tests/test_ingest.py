@@ -25,7 +25,9 @@ from nets import (
     kdtree_raster,
     random_lattices,
     random_network,
+    random_pattern,
     segment_network,
+    special_locations,
 )
 
 
@@ -423,3 +425,18 @@ class TestPointsCsv:
         lines = p.read_text().strip().splitlines()
         assert lines[0] == "x,y,edge_id,offset"
         assert lines[1] == "0.5,0,0,0.5"
+
+    def test_rows_match_per_point_formula(self, tmp_path):
+        # the column writer against the scalar formula, one point at a time
+        for lat, rng in random_lattices(71, 6):
+            net = lat.network
+            pattern = PointPattern(net, list(random_pattern(net, 20, rng)) + special_locations(lat, rng))
+            p = tmp_path / "pts.csv"
+            write_points_csv(pattern, p)
+            want = ["x,y,edge_id,offset"]
+            for loc in pattern:
+                u, v = net.edge_vertices[loc.edge]
+                t = loc.offset / float(net.edge_lengths[loc.edge])
+                x, y = ((1.0 - t) * a + t * b for a, b in zip(net.vertex_xy[u], net.vertex_xy[v]))
+                want.append(f"{x:.17g},{y:.17g},{loc.edge},{loc.offset:.17g}")
+            assert p.read_text().splitlines() == want

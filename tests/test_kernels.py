@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from lineheat import network
+from lineheat import kernels, network
 from lineheat.errors import EmptyPattern, LatticeMismatch, PathExplosion, UnboundedKernel
 from lineheat.kernels import (
     Kernel1D,
@@ -30,6 +30,7 @@ from nets import (
     loop_uniform_corrected,
     random_lattices,
     random_pattern,
+    recursive_equal_split,
     segment_network,
     special_locations,
     triangle_network,
@@ -416,3 +417,92 @@ class TestEqualSplit:
         # no exact limit for the uniform integral: Richardson between levels
         order_u = math.log2(abs(uni[0] - uni[1]) / abs(uni[1] - uni[2]))
         assert order_u >= 1.8
+
+
+def assert_close_to_max(got, want):
+    """Max-norm relative agreement to 1e-12: the rounds add a node's terms in
+    another order than the recursive walk, and the continuous rule's negative
+    reflections make single entries cancel."""
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def equal_split_cases(seed, count):
+    """(lattice, pattern of every special location, kernel) on random lattices,
+    an epanechnikov kernel within about an edge and a quartic over several."""
+    for lat, rng in random_lattices(seed, count):
+        net = lat.network
+        pat = PointPattern(net, special_locations(lat, rng))
+        scale = float(net.edge_lengths.mean())
+        for kernel in (Kernel1D("epanechnikov", 0.6 * scale), Kernel1D("quartic", 1.7 * scale)):
+            yield lat, pat, kernel
+
+
+ESTIMATORS = {False: equal_split_discontinuous, True: equal_split_continuous}
+
+
+class TestEqualSplitRounds:
+    """The round-based equal-split walk against the recursive per-point walk."""
+
+    @pytest.mark.parametrize("continuous", [False, True], ids=["esd", "esc"])
+    def test_matches_recursive_walk_within_1e_12(self, continuous):
+        for lat, pat, k in equal_split_cases(61, 30):
+            want, _ = recursive_equal_split(pat, lat, k, continuous)
+            assert_close_to_max(ESTIMATORS[continuous](pat, lat, k).values, want)
+
+    @pytest.mark.parametrize("offset", [0.45, float(np.nextafter(0.9, 0.0))], ids=["mid", "ulp"])
+    def test_head_vertex_deposited_once(self, offset):
+        # 0.3 * 3 falls one ulp short of 0.9: the head is no interior node
+        net = segment_network(0.9)
+        lat = discretize(net, 0.3)
+        k = Kernel1D("epanechnikov", 0.9)
+        src = NetworkLocation(0, offset)
+        pat = PointPattern(net, [src])
+        for continuous, est in ESTIMATORS.items():
+            f = est(pat, lat, k).values
+            for i in range(lat.n_nodes):
+                want = enumerate_equal_split(net, src, lat.node_location(i), k, continuous)
+                assert f[i] == pytest.approx(want, rel=1e-12, abs=0)
+        if offset == 0.45:
+            assert list(equal_split_discontinuous(pat, lat, k).values[:2]) == [0.625, 0.625]
+            assert list(equal_split_continuous(pat, lat, k).values[:2]) == [1.25, 1.25]
+
+    def test_permuted_input_is_bit_identical(self):
+        rng = np.random.default_rng(62)
+        for lat, pat, k in equal_split_cases(62, 6):
+            shuffled = PointPattern(pat.network, [pat[i] for i in rng.permutation(pat.n)])
+            for est in ESTIMATORS.values():
+                assert_same(est(shuffled, lat, k).values, est(pat, lat, k).values)
+
+    @pytest.mark.parametrize("continuous", [False, True], ids=["esd", "esc"])
+    def test_budget_is_per_point(self, continuous):
+        net = grid_network(3, 3)
+        lat = discretize(net, 0.1)
+        k = Kernel1D("epanechnikov", 3.5)
+        pat = PointPattern(net, [NetworkLocation(0, 0.5)])
+        _, walks = recursive_equal_split(pat, lat, k, continuous)
+        w = int(walks[0])  # 21 (esd) and 37 (esc)
+        assert w > 20
+        est = ESTIMATORS[continuous]
+        est(pat, lat, k, max_steps=w)
+        with pytest.raises(PathExplosion):
+            est(pat, lat, k, max_steps=w - 1)
+        est(PointPattern(net, [pat[0], pat[0]]), lat, k, max_steps=w)
+
+    @pytest.mark.parametrize("pairs", [1, 40])
+    def test_chunks_match_one_chunk(self, monkeypatch, pairs):
+        # 1 starts one point and walks one arrival at a time
+        cases = list(equal_split_cases(63, 4))
+        whole = [[est(pat, lat, k).values for est in ESTIMATORS.values()] for lat, pat, k in cases]
+        spans, sizes = kernels._spans, []
+
+        def recorded(cost):
+            out = spans(cost)
+            sizes.extend(b - a for a, b in out)
+            return out
+
+        monkeypatch.setattr(kernels, "_spans", recorded)
+        monkeypatch.setattr(network, "BLOCK_PAIRS", pairs)
+        for (lat, pat, k), want in zip(cases, whole):
+            for est, w in zip(ESTIMATORS.values(), want):
+                assert_close_to_max(est(pat, lat, k).values, w)
+        assert max(sizes) == 1 if pairs == 1 else max(sizes) > 1

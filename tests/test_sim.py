@@ -184,6 +184,22 @@ class TestPoissonSampler:
         assert a.n == b.n
         assert all(p.edge == q.edge and p.offset == q.offset for p, q in zip(a, b))
 
+    def test_columns_match_per_point_draws(self):
+        # the same draws as a list of one NetworkLocation per sampled cell
+        net = grid_network(3, 2, rng=np.random.default_rng(7))
+        lat = discretize(net, 0.2)
+        lam = LatticeFunction(lat, np.random.default_rng(8).uniform(5.0, 30.0, lat.n_nodes))
+        ce, cl, ch, cn = lat.node_cells
+        mass = (ch - cl) * lam.values[cn]
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            n = int(rng.poisson(float(mass.sum())))
+            cells = rng.choice(len(mass), size=n, p=mass / float(mass.sum()))
+            u = rng.random(n)
+            want = [(int(ce[c]), float(cl[c] + u[k] * (ch[c] - cl[c]))) for k, c in enumerate(cells)]
+            got = sample_poisson_on_network(lam, seed)
+            assert [(p.edge, p.offset) for p in got] == want
+
     def test_campbell_formula(self):
         # E[sum of 1_B(x_i)] = integral of intensity over B, per edge subset B
         rng = np.random.default_rng(6)
