@@ -143,16 +143,19 @@ def make_partition(bw: BandwidthSet, delta: float) -> PartitionPlan:
     if n == 0:
         raise EmptyPattern("no bandwidths to partition")
     n_bins = bin_count(delta)
-    edges = np.quantile(h, np.linspace(0.0, 1.0, n_bins + 1))
+    edges = _quantile(h, np.linspace(0.0, 1.0, n_bins + 1))
     mids = 0.5 * (edges[:-1] + edges[1:])
     assignment = np.searchsorted(edges[1:-1], h, side="left")
-    return PartitionPlan(
-        delta=float(delta),
-        n_bins=int(n_bins),
-        edges=edges,
-        midpoints=mids,
-        assignment=assignment.astype(np.int64),
-    )
+    return PartitionPlan(float(delta), int(n_bins), edges, mids, assignment.astype(np.int64))
+
+
+def _quantile(h, q):
+    """``np.quantile(h, q)`` of a finite 1-d ``h`` by its default (linear)
+    method, bit for bit, without the ``numpy.ma`` import that ``np.quantile`` triggers."""
+    s, v = np.sort(h), (len(h) - 1) * q
+    i = np.floor(v).astype(np.int64)
+    a, b, g = s[i], s[np.minimum(i + 1, len(s) - 1)], v - i
+    return np.where(g >= 0.5, b - (b - a) * (1 - g), a + (b - a) * g)
 
 
 def estimate_adaptive_direct(

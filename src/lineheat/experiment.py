@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -235,6 +234,8 @@ def run_partition_study(
     if jobs == 1 or timing:
         results = [one(rep) for rep in range(replicates)]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # 10-30 ms to import: only a pool needs it
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(one, range(replicates)))
     rows: list[dict] = []

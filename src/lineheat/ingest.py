@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import AllPointsTooFar, GeometryTypeError, ParseError
 from .lattice import Lattice, LatticeFunction
-from .network import LinearNetwork, PointPattern, _box_pairs, _close_pairs, _min_labels, _snap, build_network
+from .network import LinearNetwork, PointPattern, _box_pairs, _close_pairs, _min_labels, _nearest, _snap
+from .network import build_network
 
 FLOAT_FMT = "%.17g"
 _LATTICE_ROW = f"%d,{FLOAT_FMT},{FLOAT_FMT},{FLOAT_FMT}\r\n"  # a csv.writer row, terminator included
@@ -45,27 +46,24 @@ class SnapReport:
 
 def read_network_geojson(path, merge_tolerance: float = 1e-8) -> LinearNetwork:
     """Read a network from GeoJSON, merging endpoints within ``merge_tolerance``."""
-    coords: list[tuple[float, float]] = []
-    raw_segments: list[tuple[int, int]] = []
-    for i, gtype, lines in _features(path, ("LineString", "MultiLineString")):
-        for line in [lines] if gtype == "LineString" else lines:
-            if not isinstance(line, list) or len(line) < 2:
-                raise ParseError(f"feature {i}: LineString with fewer than 2 coordinates")
-            idx = []
-            for pt in line:
-                x, y = _position(pt, i)
-                if not (math.isfinite(x) and math.isfinite(y)):
-                    raise ParseError(f"feature {i}: non-finite coordinate ({x}, {y})")
-                coords.append((x, y))
-                idx.append(len(coords) - 1)
-            raw_segments.extend(zip(idx[:-1], idx[1:]))
+    pts, sizes, owner = [], [], []
+    try:
+        for i, gtype, coords in _features(path, ("LineString", "MultiLineString")):
+            for line in [coords] if gtype == "LineString" else coords:
+                if not isinstance(line, list) or len(line) < 2:
+                    raise ParseError(f"feature {i}: LineString with fewer than 2 coordinates")
+                pts.extend(line)
+                sizes.append(len(line))
+                owner.append(i)
+    finally:  # also on an error: a bad position before it is reported instead
+        xy = _positions(pts, np.repeat(owner, sizes))
 
-    if not raw_segments:
+    if not sizes:
         raise ParseError("no line segments found")
 
-    xy = np.asarray(coords)
+    tail = np.delete(np.arange(len(xy)), np.cumsum(sizes) - 1)  # every position but a line's last
     # every point takes the lowest id of its cluster of points within the tolerance
-    ends = _min_labels(len(xy), *_close_pairs(xy, merge_tolerance))[np.asarray(raw_segments)]
+    ends = _min_labels(len(xy), *_close_pairs(xy, merge_tolerance))[np.column_stack((tail, tail + 1))]
     ends = ends[ends[:, 0] != ends[:, 1]]  # degenerate pieces collapsed by the merge
     if not len(ends):
         raise ParseError("all segments collapsed under the merge tolerance")
@@ -73,23 +71,36 @@ def read_network_geojson(path, merge_tolerance: float = 1e-8) -> LinearNetwork:
     return build_network(xy[used], inverse.reshape(ends.shape))
 
 
+def _positions(pts: list, feature) -> np.ndarray:
+    """(n, 2) coordinates of GeoJSON positions, converted as one array where
+    all are finite numbers of one dimension; else one by one, which names the
+    first bad or non-finite position and its ``feature``."""
+    try:
+        a = np.array(pts)
+    except (ValueError, OverflowError):  # ragged, or an integer beyond 64 bits
+        a = np.empty(0)
+    if a.ndim == 2 and a.shape[1] >= 2 and a.dtype.kind in "biuf":
+        xy = a[:, :2].astype(float)
+        if np.isfinite(xy).all():
+            return xy
+    xy = []
+    for pt, i in zip(pts, feature.tolist()):
+        xy.append(_position(pt, i))
+        if not (math.isfinite(xy[-1][0]) and math.isfinite(xy[-1][1])):
+            raise ParseError(f"feature {i}: non-finite coordinate {xy[-1]}")
+    return np.array(xy).reshape(-1, 2)
+
+
 def write_network_geojson(net: LinearNetwork, path) -> None:
-    feats = []
-    for e in range(net.n_edges):
-        u, v = net.edge_vertices[e]
-        feats.append(
-            {
-                "type": "Feature",
-                "properties": {"edge_id": e},
-                "geometry": {
-                    "type": "LineString",
-                    "coordinates": [
-                        [float(net.vertex_xy[u][0]), float(net.vertex_xy[u][1])],
-                        [float(net.vertex_xy[v][0]), float(net.vertex_xy[v][1])],
-                    ],
-                },
-            }
-        )
+    xy = net.vertex_xy.tolist()
+    feats = [
+        {
+            "type": "Feature",
+            "properties": {"edge_id": e},
+            "geometry": {"type": "LineString", "coordinates": [xy[u], xy[v]]},
+        }
+        for e, (u, v) in enumerate(net.edge_vertices.tolist())
+    ]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"type": "FeatureCollection", "features": feats}, fh)
 
@@ -102,49 +113,51 @@ def read_points(path, net: LinearNetwork, max_snap_dist: float):
     needs Point features.  A non-finite coordinate is a ParseError naming its
     record (counted from 1).
     """
-    name = str(path)
-    if name.endswith((".geojson", ".json")):
-        rows = _read_points_geojson(path)
+    if str(path).endswith((".geojson", ".json")):
+        xy = np.array([_position(p, i) for i, _, p in _features(path, ("Point",))]).reshape(-1, 2)
     else:
-        rows = _read_points_csv(path)
-    for i, (x, y) in enumerate(rows, 1):
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ParseError(f"record {i}: non-finite coordinate ({x}, {y})")
+        xy = _read_points_csv(path)
+    finite = np.isfinite(xy).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ParseError(f"record {i + 1}: non-finite coordinate {tuple(xy[i].tolist())}")
 
-    edge, offset, dist = _snap(net, np.array(rows, dtype=float).reshape(-1, 2), max_snap_dist)
+    n = len(xy)
+    edge, offset, dist = _snap(net, xy, max_snap_dist)
     kept = np.flatnonzero(dist <= max_snap_dist)
-    if rows and not len(kept):
-        raise AllPointsTooFar(
-            f"all {len(rows)} record(s) are farther than {max_snap_dist} from the network"
-        )
-    report = SnapReport(len(rows), len(kept), len(rows) - len(kept), max_snap_dist)
+    if n and not len(kept):
+        raise AllPointsTooFar(f"all {n} record(s) are farther than {max_snap_dist} from the network")
+    report = SnapReport(n, len(kept), n - len(kept), max_snap_dist)
     return PointPattern.from_columns(net, edge[kept], offset[kept]), report
 
 
-def _read_points_csv(path):
+def _read_points_csv(path) -> np.ndarray:
+    """(n, 2) array of the x, y columns, found by header name (the last of a
+    repeated one); blank lines are skipped, as ``csv.DictReader`` does."""
+    xy: list[tuple[float, float]] = []
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or not {"x", "y"} <= set(reader.fieldnames):
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            col = {name: k for k, name in enumerate(next(reader, []))}
+            if not {"x", "y"} <= col.keys():
                 raise ParseError("points CSV must have header columns x,y")
-            try:
-                return [(float(r["x"]), float(r["y"])) for r in reader]
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"bad coordinate value: {exc}") from exc
-    except OSError as exc:
+            ix, iy = col["x"], col["y"]
+            xy.extend((float(r[ix]), float(r[iy])) for r in reader if r)  # on an error, len(xy) were read
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:  # before ValueError, which UnicodeDecodeError is
         raise ParseError(f"cannot read points CSV: {exc}") from exc
-
-
-def _read_points_geojson(path):
-    return [_position(xy, i) for i, _, xy in _features(path, ("Point",))]
+    except IndexError:
+        raise ParseError(f"record {len(xy) + 1}: too few fields for columns x,y") from None
+    except ValueError as exc:
+        raise ParseError(f"record {len(xy) + 1}: bad coordinate value: {exc}") from None
+    return np.array(xy).reshape(-1, 2)
 
 
 def _features(path, types: tuple[str, ...]):
     """Yield (number from 1, geometry type, coordinates) per GeoJSON feature."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read GeoJSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise ParseError("expected a GeoJSON FeatureCollection")
@@ -217,7 +230,7 @@ def read_lattice_function(path, lattice: Lattice) -> LatticeFunction:
     """Read a lattice-csv written for the same lattice back into node values."""
     per_edge: dict[int, list[tuple[float, float]]] = {}
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh)
             for row in reader:
                 per_edge.setdefault(int(row["edge_id"]), []).append(
@@ -232,9 +245,7 @@ def read_lattice_function(path, lattice: Lattice) -> LatticeFunction:
             raise ParseError(f"edge_id {e} out of range [0, {lattice.network.n_edges})")
         chain = lattice.edge_chains[e]
         if len(rows) != len(chain):
-            raise ParseError(
-                f"edge {e}: {len(rows)} cells in file, lattice has {len(chain)}"
-            )
+            raise ParseError(f"edge {e}: {len(rows)} cells in file, lattice has {len(chain)}")
         rows.sort()
         for (start, val), node in zip(rows, chain):
             values[node] = val
@@ -270,8 +281,7 @@ def rasterize(f: LatticeFunction, res: int):
         d = centers[c] - node_xy[k]
         d2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
         near = np.flatnonzero(np.sqrt(d2) <= half_diag)
-        order = near[np.lexsort((k[near], d2[near], c[near]))]
-        win = order[np.flatnonzero(np.diff(c[order], prepend=-1))]
+        win = near[_nearest(c[near], d2[near], k[near])]
         vals[c[win]] = f.values[k[win]]
     return vals.reshape(res, res), bbox
 
@@ -279,14 +289,6 @@ def rasterize(f: LatticeFunction, res: int):
 def _write_raster_csv(f: LatticeFunction, path, res: int) -> None:
     grid, bbox = rasterize(f, res)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            "# raster xmin=%s ymin=%s xmax=%s ymax=%s res=%d\n"
-            % (FLOAT_FMT % bbox[0], FLOAT_FMT % bbox[1], FLOAT_FMT % bbox[2], FLOAT_FMT % bbox[3], res)
-        )
-        for r in range(res - 1, -1, -1):  # north-up: top row = max y
-            fh.write(
-                ",".join(
-                    "NA" if math.isnan(v) else FLOAT_FMT % v for v in grid[r]
-                )
-                + "\n"
-            )
+        fh.write("# raster xmin=%s ymin=%s xmax=%s ymax=%s res=%d\n" % (*(FLOAT_FMT % b for b in bbox), res))
+        for row in grid[::-1].tolist():  # north-up: top row = max y
+            fh.write(",".join("NA" if math.isnan(v) else FLOAT_FMT % v for v in row) + "\n")

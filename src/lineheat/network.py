@@ -443,8 +443,7 @@ def _snap(net: LinearNetwork, xy: np.ndarray, max_dist: float):
             te = np.clip(te, 0.0, 1.0)
             proj = ae + te[:, None] * abe
             d2 = np.einsum("ij,ij->i", proj - pe, proj - pe)
-            order = np.lexsort((e, d2, k))  # per record: smallest d2, then lowest edge id
-            win = order[np.flatnonzero(np.diff(k[order], prepend=-1))]
+            win = _nearest(k, d2, e)  # per record: smallest d2, then lowest edge id
             row = todo[k[win]]
             edge[row] = e[win]
             offset[row] = te[win] * lengths[e[win]]
@@ -462,7 +461,8 @@ def _box_pairs(lo_a, hi_a, lo_b, hi_b, cell: float):
     spans the ``a`` boxes; its square cells are at least ``cell`` wide, and
     wider where the ``a`` boxes would cover more than O(len(a)) cells or a
     cell key would overflow int64.  The ``b`` boxes go in blocks of about
-    ``BLOCK_PAIRS`` cell-sharing pairs, every pair of one ``b`` box in one block.
+    ``BLOCK_PAIRS`` cell-sharing pairs, every pair of one ``b`` box in one block,
+    and ``j`` is nondecreasing within a block: its runs suit :func:`_nearest`.
     """
     origin, top = lo_a.min(axis=0), hi_a.max(axis=0)
     area = (hi_a - lo_a).prod(axis=1).mean()
@@ -499,6 +499,17 @@ def _box_pairs(lo_a, hi_a, lo_b, hi_b, cell: float):
         own = (xb[at] == np.maximum(corner_a[i, 0], corner_b[j, 0])) & (
             yb[at] == np.maximum(corner_a[i, 1], corner_b[j, 1]))
         yield i[own], j[own]
+
+
+def _nearest(seg, d2, tie):
+    """Index of the winner of every run of equal ``seg``, in run order: the smallest
+    ``d2``, then the smallest ``tie``.  Runs must be contiguous with distinct ties,
+    as the ``j`` of a :func:`_box_pairs` block is; two ``reduceat`` passes, no sort."""
+    start = np.flatnonzero(np.diff(seg, prepend=-1))
+    size = np.diff(start, append=len(seg))
+    best = d2 == np.repeat(np.minimum.reduceat(d2, start), size)
+    tie = np.where(best, tie, np.iinfo(tie.dtype).max)
+    return np.flatnonzero(tie == np.repeat(np.minimum.reduceat(tie, start), size))
 
 
 def _close_pairs(xy, tol: float):

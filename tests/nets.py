@@ -739,3 +739,70 @@ def kdtree_raster(f, res):
     dist, idx = cKDTree(f.lattice.node_xy).query(centers, k=2)
     vals = np.where(dist[:, 0] <= half_diag, f.values[idx[:, 0]], np.nan)
     return vals.reshape(res, res), (dist[:, 0] < dist[:, 1]).reshape(res, res)
+
+
+def lexsort_nearest(seg, d2, tie):
+    """Winner of every run of equal ``seg`` by a lexsort: the smallest ``d2``,
+    then the smallest ``tie``; indices in run order."""
+    order = np.lexsort((tie, d2, seg))
+    return np.sort(order[np.flatnonzero(np.diff(seg[order], prepend=-1))])
+
+
+def lexsort_raster(f, res):
+    """The raster as a lexsort picks it: every node within half a cell diagonal
+    of a centre is a candidate; the nearest wins, then the lowest node id."""
+    from lineheat.ingest import raster_grid
+    from lineheat.network import _box_pairs
+
+    xs, ys, bbox, half_diag = raster_grid(f.lattice.network, res)
+    gx, gy = np.meshgrid(xs, ys)
+    centers = np.column_stack([gx.ravel(), gy.ravel()])
+    node_xy = f.lattice.node_xy
+    reach = half_diag * (1 + 1e-9) + 1e-9 * float(np.abs(node_xy).max())
+    vals = np.full(len(centers), np.nan)
+    for k, c in _box_pairs(node_xy - reach, node_xy + reach, centers, centers, 2 * half_diag):
+        d = centers[c] - node_xy[k]
+        d2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+        near = np.flatnonzero(np.sqrt(d2) <= half_diag)
+        order = near[np.lexsort((k[near], d2[near], c[near]))]
+        win = order[np.flatnonzero(np.diff(c[order], prepend=-1))]
+        vals[c[win]] = f.values[k[win]]
+    return vals.reshape(res, res), bbox
+
+
+def dictreader_points(path):
+    """x, y rows of a points CSV as ``csv.DictReader`` reads them: the parse
+    the column reader replaced."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        return [(float(r["x"]), float(r["y"])) for r in csv.DictReader(fh)]
+
+
+def pointwise_read_network(path, merge_tolerance=1e-8):
+    """``read_network_geojson`` with its position-by-position walk: the walk the
+    one-array conversion replaced, errors included."""
+    from lineheat.errors import ParseError
+    from lineheat.ingest import _features, _position
+    from lineheat.network import _close_pairs, _min_labels
+
+    coords, raw_segments = [], []
+    for i, gtype, lines in _features(path, ("LineString", "MultiLineString")):
+        for line in [lines] if gtype == "LineString" else lines:
+            if not isinstance(line, list) or len(line) < 2:
+                raise ParseError(f"feature {i}: LineString with fewer than 2 coordinates")
+            idx = []
+            for pt in line:
+                x, y = _position(pt, i)
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise ParseError(f"feature {i}: non-finite coordinate ({x}, {y})")
+                coords.append((x, y))
+                idx.append(len(coords) - 1)
+            raw_segments.extend(zip(idx[:-1], idx[1:]))
+    if not raw_segments:
+        raise ParseError("no line segments found")
+    xy = np.asarray(coords)
+    ends = _min_labels(len(xy), *_close_pairs(xy, merge_tolerance))[np.asarray(raw_segments)]
+    ends = ends[ends[:, 0] != ends[:, 1]]
+    if not len(ends):
+        raise ParseError("all segments collapsed under the merge tolerance")
+    used, inverse = np.unique(ends, return_inverse=True)
+    return build_network(xy[used], inverse.reshape(ends.shape))

@@ -3,6 +3,7 @@ import pytest
 
 from lineheat.adaptive import (
     PILOT_FLOOR,
+    _quantile,
     abramson_bandwidths,
     estimate_adaptive_direct,
     estimate_adaptive_partition,
@@ -148,6 +149,20 @@ class TestPartitionPlan:
         plan = make_partition(bw, 0.5)
         assert np.all(plan.midpoints == 0.21)
         assert np.all(plan.assignment == 0)
+
+
+class TestQuantile:
+    @pytest.mark.parametrize("n_bins", [1, 2, 20, 100])
+    def test_bit_identical_to_numpy(self, n_bins):
+        # np.quantile's default method: a + d*g, and b - d*(1 - g) where g >= 0.5
+        rng = np.random.default_rng(n_bins)
+        q = np.linspace(0.0, 1.0, n_bins + 1)
+        cases = [np.array([0.7]), np.full(9, 2.5), rng.choice([0.1, 0.2, 0.3], 50),
+                 np.repeat(rng.exponential(1.0, 7), 3), np.array([1e-300, 1.0, 1e300])]
+        cases += [rng.lognormal(0.0, 2.0, n) for n in rng.integers(1, 400, 30)]
+        for h in cases:
+            got = _quantile(h, q)
+            assert got.dtype == np.float64 and np.array_equal(got, np.quantile(h, q))
 
 
 class TestAdaptiveEstimates:

@@ -120,6 +120,22 @@ class TestEstimate:
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [f"error: record 2: non-finite coordinate ({value}, 0.0)"]
 
+    @pytest.mark.parametrize("rows, message", [
+        ("0.1,0.0\n0.2\n", "record 2: too few fields for columns x,y"),
+        ("0.1,0.0\n\n0.2,0.0\n0.3,north\n",
+         "record 3: bad coordinate value: could not convert string to float: 'north'"),
+    ], ids=["short-row", "bad-value"])
+    def test_bad_record_exits_2_naming_it(self, toy, tmp_path, rows, message):
+        _, net_path, _ = toy
+        pts = tmp_path / "bad.csv"
+        pts.write_text("x,y\n" + rows)
+        proc = run_cli(
+            "estimate", "--net", net_path, "--points", pts,
+            "--method", "heat", "--bw", "0.2", "--out", tmp_path / "est.csv",
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [f"error: {message}"]
+
     @pytest.mark.parametrize("flags", [
         ("--bw", "inf"), ("--bw", "nan"), ("--bw", "1e-300"),
         ("--bw", "0.2", "--dx", "nan"), ("--bw", "0.2", "--dx", "0"),

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -6,6 +7,7 @@ import pytest
 
 from lineheat.errors import AllPointsTooFar, GeometryTypeError, ParseError
 from lineheat.ingest import (
+    _read_points_csv,
     rasterize,
     read_lattice_function,
     read_network_geojson,
@@ -20,9 +22,12 @@ from lineheat.network import NetworkLocation, PointPattern, build_network
 from nets import (
     assert_same,
     csv_write_lattice,
+    dictreader_points,
     grid_network,
     kdtree_merge,
     kdtree_raster,
+    lexsort_raster,
+    pointwise_read_network,
     random_lattices,
     random_network,
     random_pattern,
@@ -138,6 +143,71 @@ class TestReadNetwork:
         assert back.n_edges == net.n_edges
         assert back.total_length == pytest.approx(net.total_length, rel=1e-12)
         assert sorted(back.degrees) == sorted(net.degrees)
+
+
+def _outcome(read, path):
+    """(vertex_xy, edge_vertices) of a read, or its error's type and message."""
+    try:
+        net = read(path)
+    except ParseError as exc:
+        return type(exc), str(exc)
+    return net.vertex_xy, net.edge_vertices
+
+
+class TestCoordinateWalk:
+    """The one-array conversion of network positions against the walk it replaced."""
+
+    def test_random_networks_match_pointwise_walk(self, tmp_path):
+        rng = np.random.default_rng(35)
+        p = tmp_path / "net.geojson"
+        for trial in range(30):
+            net = random_network(rng, max_side=5, spacing=float(rng.choice([1.0, 0.7, 2.5])))
+            xy = net.vertex_xy.tolist()
+            if trial % 3 == 1:  # integer coordinates where they are whole
+                xy = [[int(v) if v == int(v) else v for v in pt] for pt in xy]
+            if trial % 3 == 2:  # a z on some positions
+                xy = [pt + [1.0] if rng.random() < 0.5 else pt for pt in xy]
+            lines = []
+            for u, v in net.edge_vertices.tolist():
+                mid = (np.array(xy[u][:2]) + xy[v][:2]) / 2
+                lines.append([xy[u], mid.tolist(), xy[v]] if rng.random() < 0.3 else [xy[u], xy[v]])
+            cuts = [0, *sorted(rng.choice(np.arange(1, len(lines) + 1), 3).tolist()), len(lines)]
+            groups = [lines[a:b] for a, b in zip(cuts, cuts[1:])] if trial % 2 else [[ln] for ln in lines]
+            feats = [
+                {"type": "Feature", "properties": {},
+                 "geometry": {"type": "MultiLineString", "coordinates": g}} if len(g) > 1 else _line(g[0])
+                for g in groups if g
+            ]
+            _write_geojson(p, feats)
+            got, want = _outcome(read_network_geojson, p), _outcome(pointwise_read_network, p)
+            for a, b in zip(got, want):
+                assert_same(a, b)
+
+    @pytest.mark.parametrize("features", [
+        [_line([[0, 0], [1, 0]]), _line([[1, 0], [None, 1]])],
+        [_line([[0, 0], [math.nan, 0]]), _line([[0, 0], [1]])],
+        [_line([[0, 0], [1, "a"]])],
+        [_line([[0, 0], [1, 0]]), _line([[0, 0], [math.inf, 1]]),
+         {"type": "Feature", "geometry": {"type": "Polygon", "coordinates": []}}],
+        [_line([[0, math.nan], [1, 0]]), _line([[0, 0]])],
+        [_line([[0, 0], [1, 0, 5]]), _line([[2, 2], [3, 3]])],
+        [_line([[True, 0], [1, 1]])],
+        [_line([[10**30, 0], [0, 0]])],
+        [_line([["1.5", "0"], [0, 0]])],
+        [_line([[0, 0], [[1], [2]]])],
+        [_line([[0, 0], 1])],
+        [{"type": "Feature", "geometry": {"type": "MultiLineString", "coordinates": [[[0, 0], [1, 0]], 7]}}],
+    ], ids=["none", "nan-then-short", "string", "inf-then-polygon", "nan-then-one-position",
+            "mixed-dims", "bool", "huge-int", "numeric-string", "nested", "number", "multi-not-a-list"])
+    def test_bad_or_odd_positions_read_as_the_walk_did(self, tmp_path, features):
+        p = tmp_path / "net.geojson"
+        _write_geojson(p, features)
+        got, want = _outcome(read_network_geojson, p), _outcome(pointwise_read_network, p)
+        if isinstance(want[1], str):
+            assert got == want
+        else:
+            for a, b in zip(got, want):
+                assert_same(a, b)
 
 
 def _write_lines(path, lines):
@@ -290,6 +360,89 @@ class TestReadPoints:
             assert d <= 0.3 + 1e-9
 
 
+class TestPointsDialect:
+    """The column reader against ``csv.DictReader``, and the BOM."""
+
+    def test_column_reader_matches_dictreader(self, tmp_path):
+        rng = np.random.default_rng(36)
+        p = tmp_path / "pts.csv"
+        formats = [repr, "{:.3f}".format, lambda v: f" {v} ", lambda v: f"{v:+e}", lambda v: str(int(v * 10))]
+        for trial in range(40):
+            header = ["x", "y"] + rng.choice(["id", "note", "w"], int(rng.integers(0, 3)), replace=False).tolist()
+            header = [header[k] for k in rng.permutation(len(header))]
+            if trial % 5 == 0:
+                header.append("x")  # a repeated name: the last column wins
+            rows = [header]
+            for _ in range(int(rng.integers(0, 30))):
+                fmt = formats[int(rng.integers(len(formats)))]
+                row = [fmt(float(v)) for v in rng.uniform(-50, 50, len(header))]
+                rows.append(row + ["extra"] * int(rng.integers(0, 2)))
+            quoting = [csv.QUOTE_MINIMAL, csv.QUOTE_ALL][trial % 2]
+            with open(p, "w", newline="", encoding="utf-8") as fh:
+                w = csv.writer(fh, quoting=quoting, lineterminator=["\r\n", "\n"][trial % 3 == 0])
+                for row in rows:
+                    w.writerow(row)
+                    if rng.random() < 0.2:
+                        fh.write("\n")  # a blank line
+            got = _read_points_csv(p)
+            assert_same(got, np.array(dictreader_points(p), dtype=float).reshape(-1, 2))
+
+    def test_short_row_missing_only_an_unused_column_reads(self, tmp_path):
+        p = tmp_path / "pts.csv"
+        p.write_text("x,y,id\n0.5,0,a\n1.5,0\n")
+        assert _read_points_csv(p).tolist() == [[0.5, 0.0], [1.5, 0.0]]
+
+    @pytest.mark.parametrize("rows, message", [
+        ("0.5,0\n1.5\n", "record 2: too few fields for columns x,y"),
+        ("\n0.5,0\n\n\n,1\n", "record 2: bad coordinate value"),
+        ("0.5\n", "record 1: too few fields"),
+    ])
+    def test_bad_record_named(self, tmp_path, rows, message):
+        p = tmp_path / "pts.csv"
+        p.write_text("x,y\n" + rows)
+        with pytest.raises(ParseError, match=message):
+            read_points(p, segment_network(2.0), max_snap_dist=1.0)
+
+    @pytest.mark.parametrize("suffix, content, message", [
+        (".csv", b"x,y\n" + b"1" * 200_000 + b",0\n", "cannot read points CSV: field larger than field limit"),
+        (".csv", "x,y\n0.5,0\n\u00e9,0\n".encode("latin-1"), "cannot read points CSV: 'utf-8' codec"),
+        (".geojson", '{"type": "FeatureCollection", "n\u00e9": []}'.encode("latin-1"), "cannot read GeoJSON: 'utf-8'"),
+    ], ids=["csv-huge-field", "csv-latin-1", "geojson-latin-1"])
+    def test_unreadable_file_is_a_parse_error(self, tmp_path, suffix, content, message):
+        p = tmp_path / f"pts{suffix}"
+        p.write_bytes(content)
+        with pytest.raises(ParseError, match=message):
+            read_points(p, segment_network(2.0), max_snap_dist=1.0)
+
+    def test_csv_bom_reads_as_without(self, tmp_path):
+        net = grid_network(3, 3, rng=np.random.default_rng(3))
+        text = "x,y\n0.2,0.1\n1.5,1.9\n0.9,0.4\n"
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_text(text, encoding="utf-8-sig")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        (a, ra), (b, rb) = read_points(plain, net, 1.0), read_points(bom, net, 1.0)
+        assert_same(a.edge, b.edge)
+        assert_same(a.offset, b.offset)
+        assert ra == rb and ra.n_records == 3
+
+    def test_geojson_bom_reads_as_without(self, tmp_path):
+        net = grid_network(3, 3, keep=0.8, jitter=0.1, rng=np.random.default_rng(4))
+        plain, bom = tmp_path / "plain.geojson", tmp_path / "bom.geojson"
+        write_network_geojson(net, plain)
+        bom.write_text(plain.read_text(encoding="utf-8"), encoding="utf-8-sig")
+        a, b = read_network_geojson(plain), read_network_geojson(bom)
+        assert_same(a.vertex_xy, b.vertex_xy)
+        assert_same(a.edge_vertices, b.edge_vertices)
+        pts = [{"type": "Feature", "properties": {}, "geometry": {"type": "Point", "coordinates": [0.3, 0.1]}}]
+        _write_geojson(plain, pts)
+        bom.write_text(plain.read_text(encoding="utf-8"), encoding="utf-8-sig")
+        (pa, ra), (pb, rb) = read_points(plain, net, 1.0), read_points(bom, net, 1.0)
+        assert_same(pa.edge, pb.edge)
+        assert_same(pa.offset, pb.offset)
+        assert ra == rb
+
+
 class TestLatticeCsv:
     def test_constant_function_rows(self, tmp_path):
         lat = discretize(segment_network(1.0), 0.25)
@@ -310,6 +463,14 @@ class TestLatticeCsv:
         write_lattice_function(f, p, "lattice-csv")
         g = read_lattice_function(p, lat)
         assert np.array_equal(f.values, g.values)
+
+    def test_bom_reads_as_without(self, tmp_path):
+        lat = discretize(grid_network(2, 2), 0.3)
+        f = LatticeFunction(lat, np.random.default_rng(5).random(lat.n_nodes))
+        p = tmp_path / "f.csv"
+        write_lattice_function(f, p, "lattice-csv")
+        p.write_bytes(b"\xef\xbb\xbf" + p.read_bytes())
+        assert_same(read_lattice_function(p, lat).values, f.values)
 
     @pytest.mark.parametrize("bad_id", [-1, 1])
     def test_edge_id_out_of_range_rejected(self, tmp_path, bad_id):
@@ -394,6 +555,26 @@ class TestRasterMatchesKdtree:
                 want, unique = kdtree_raster(f, res)
                 assert_same(got[unique], want[unique])
                 assert_same(np.isnan(got), np.isnan(want))
+
+    def test_random_lattices_match_lexsort_pick(self, monkeypatch):
+        # every pixel, ties included: an axis-aligned grid at a spacing that
+        # divides its cells puts pixel centres halfway between nodes
+        from lineheat import network
+
+        cases = list(random_lattices(34, count=12))
+        cases += [(discretize(grid_network(4, 3), 0.5), np.random.default_rng(k)) for k in range(3)]
+        ties = 0
+        for pairs in (97, network.BLOCK_PAIRS):
+            monkeypatch.setattr(network, "BLOCK_PAIRS", pairs)
+            for lat, rng in cases:
+                f = LatticeFunction(lat, rng.random(lat.n_nodes))
+                for res in (1, 6, 12, 40):
+                    got, bbox = rasterize(f, res)
+                    want, want_bbox = lexsort_raster(f, res)
+                    assert_same(got, want)
+                    assert bbox == want_bbox
+                    ties += int((~kdtree_raster(f, res)[1] & ~np.isnan(want)).sum())
+        assert ties > 0
 
     def test_vertical_line_ties_take_lowest_node_id(self):
         # zero-width bounding box; each pixel centre lies halfway between two nodes

@@ -34,6 +34,7 @@ from nets import (
     graph_links,
     grid_network,
     kdtree_close_pairs,
+    lexsort_nearest,
     loop_incident_edges,
     random_lattices,
     random_location,
@@ -205,6 +206,29 @@ class TestGridIndex:
             # the grid starts at the lowest a corner: a box below or left of it has no cell
             assert not (hi_b < lo_a.min(axis=0)).any(axis=1)[got[:, 1]].any()
 
+    @pytest.mark.parametrize("per_block", [None, 3, 0])
+    def test_box_pairs_blocks_hold_nondecreasing_whole_boxes(self, monkeypatch, per_block):
+        # the order _nearest relies on: within a block j never decreases, and a b
+        # box's pairs all sit in one block; BLOCK_PAIRS at 1, at about 3 b boxes'
+        # worth of pairs, and at the default
+        rng = np.random.default_rng(28)
+        lo_a = rng.uniform(-5, 5, (300, 2))
+        hi_a = lo_a + rng.exponential(0.5, (300, 2))
+        lo_b = rng.uniform(-6, 6, (400, 2))
+        hi_b = lo_b + rng.exponential(0.8, (400, 2))
+        every = all_pairs(network._box_pairs(lo_a, hi_a, lo_b, hi_b, 0.5))
+        if per_block is not None:
+            monkeypatch.setattr(network, "BLOCK_PAIRS", max(1, per_block * len(every) // 400))
+        blocks = list(network._box_pairs(lo_a, hi_a, lo_b, hi_b, 0.5))
+        assert (len(blocks) > 100) if per_block is not None else len(blocks) == 1
+        seen = set()
+        for _, j in blocks:
+            assert (np.diff(j) >= 0).all()
+            assert seen.isdisjoint(j.tolist())
+            seen.update(j.tolist())
+        got = all_pairs(blocks)
+        assert_same(got[np.lexsort(got.T[::-1])], every[np.lexsort(every.T[::-1])])
+
     def test_segment_predicate_rows_match_scalar(self):
         # integer points give exact collinear, touching and crossing cases
         from nets import _segments_touch as scalar_touch
@@ -253,6 +277,24 @@ class TestGridIndex:
             pairs = all_pairs(network._box_pairs(lo, hi, lo, hi, net.total_length / net.n_edges))
             counts.append(len(pairs) / net.n_edges)
         assert counts[1] < 1.1 * counts[0] and counts[1] < 16
+
+
+class TestNearest:
+    def test_matches_lexsort_with_planted_ties(self):
+        # d2 from a few values, so most runs tie on it; distinct ties per run
+        rng = np.random.default_rng(29)
+        for trial in range(200):
+            sizes = rng.integers(1, 12, int(rng.integers(0, 40)))
+            seg = np.repeat(np.cumsum(rng.integers(1, 4, len(sizes))), sizes)
+            if trial % 2:  # contiguous runs in any order
+                seg = np.repeat(rng.permutation(len(sizes)), sizes)
+            d2 = rng.choice([0.0, 0.25, 1.0, np.nextafter(1.0, 2.0)], len(seg))
+            tie = np.concatenate([rng.choice(50, n, replace=False) for n in sizes] or [[]]).astype(np.int64)
+            assert_same(network._nearest(seg, d2, tie), lexsort_nearest(seg, d2, tie))
+
+    def test_empty(self):
+        none = np.empty(0, dtype=np.int64)
+        assert network._nearest(none, np.empty(0), none).tolist() == []
 
 
 class TestLocations:
@@ -580,6 +622,20 @@ class TestIndexedSnap:
         edge, offset, _ = _snap(net, np.array(xy), math.inf)
         assert edge.tolist() == [0, 0, 0, 0] and offset.tolist() == [0.0] * 4
 
+    def test_equidistant_edges_and_shared_vertices_match_scan(self, monkeypatch):
+        # on an unjittered grid a cell centre is equidistant from four edges and a
+        # vertex from all its edges; far records take several x4 rounds at max_dist inf
+        rng = np.random.default_rng(16)
+        for trial in range(12):
+            monkeypatch.setattr(network, "BLOCK_PAIRS", int(rng.choice([1, 97, 2**18])))
+            net = grid_network(int(rng.integers(2, 7)), int(rng.integers(2, 7)), keep=0.8, rng=rng)
+            lo, hi = net.vertex_xy.min(axis=0), net.vertex_xy.max(axis=0)
+            centres = np.floor(rng.uniform(lo, hi + 1, (40, 2))) + 0.5
+            far = rng.uniform(lo - 1e4, hi + 1e4, (20, 2))
+            xy = np.vstack([net.vertex_xy, centres, far, centres + [0.5, 0.0]])
+            for max_dist in (math.inf, 0.5, 1.0):
+                assert_snaps_like_scan(net, rng.permutation(xy), max_dist)
+
     def test_max_dist_boundary(self):
         net = segment_network()
         xy = [(0.5, 0.75), (0.5, -0.75), (1.75, 0.0)]
@@ -717,6 +773,40 @@ print(rc, sorted(m for m in sys.modules if m.startswith("scipy")))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    # a process pool (concurrent.futures with multiprocessing) costs 10-30 ms to
+    # import and only ``study --jobs`` uses one; numpy.ma (12-23 ms) comes with
+    # np.quantile and a plain np.unique
+    HEAVY = ("scipy", "concurrent.futures", "multiprocessing", "numpy.ma")
+
+    def heavy_modules(self, code, cwd=None):
+        code += f"\nimport sys\nprint(sorted(m for m in sys.modules for p in {self.HEAVY!r} "
+        code += "if m == p or m.startswith(p + '.')))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=cwd)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip().splitlines()[-1]
+
+    def test_import_help_and_estimate_load_no_heavy_module(self, tmp_path):
+        assert self.heavy_modules("import lineheat") == "[]"
+        assert self.heavy_modules(
+            "from lineheat.cli import main\ntry:\n    main(['--help'])\nexcept SystemExit:\n    pass") == "[]"
+        write_network_geojson(grid_network(3, 3, spacing=0.5), tmp_path / "net.geojson")
+        (tmp_path / "pts.csv").write_text("x,y\n0.1,0.02\n0.6,0.5\n0.9,0.95\n0.25,0.01\n0.5,0.7\n")
+        argv = ["estimate", "--net", "net.geojson", "--points", "pts.csv", "--out", "out.csv",
+                "--method", "heat", "--adaptive", "--bw-global", "0.2", "--delta", "0.1"]
+        got = self.heavy_modules(f"from lineheat.cli import main\nassert main({argv!r}) == 0", cwd=tmp_path)
+        assert got == "[]"
+
+    def test_study_jobs_still_starts_its_pool(self):
+        code = (
+            "import numpy as np\n"
+            "from lineheat import build_network, run_partition_study\n"
+            "net = build_network([(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 1), (1, 2), (2, 3), (3, 0)])\n"
+            "kw = dict(deltas=[0.5], replicates=2, seed=4, target_points=30, field_res=8, timing=False)\n"
+            "assert run_partition_study(net, 'loggaussian-1', jobs=2, **kw) == "
+            "run_partition_study(net, 'loggaussian-1', jobs=1, **kw)"
+        )
+        assert "concurrent.futures" in self.heavy_modules(code)
 
     def test_import_leaves_scipy_unimported(self):
         # scipy.sparse alone takes about a fifth of a second to import; only
