@@ -38,7 +38,6 @@ from .ingest import (
 )
 from .kernels import (
     Kernel1D,
-    edge_correction,
     equal_split_continuous,
     equal_split_discontinuous,
     estimate_jones_diggle,
@@ -51,10 +50,7 @@ from .network import (
     NetworkLocation,
     PointPattern,
     build_network,
-    disc_length,
-    network_disc,
     shortest_path_distance,
-    snap_to_network,
 )
 from .experiment import ise, run_partition_study
 from .sim import (
@@ -62,7 +58,6 @@ from .sim import (
     MixtureSpec,
     field_to_network_intensity,
     gm5_mixture,
-    lognormal_mean_offset,
     mixture_to_network_intensity,
     sample_gaussian_field,
     sample_poisson_on_network,

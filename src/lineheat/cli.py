@@ -32,6 +32,7 @@ from .experiment import SCENARIOS, STUDY_COLUMNS, run_partition_study, simulate_
 from .heat import DEFAULT_CONFIG, estimate_heat, resolve_dx
 from .ingest import (
     FLOAT_FMT,
+    check_raster_res,
     read_network_geojson,
     read_points,
     write_lattice_function,
@@ -174,6 +175,8 @@ def _load_pattern(args):
             raise LineHeatError("--adaptive requires --bw-global (number or 'auto')")
     elif args.bw is None:
         raise LineHeatError("--bw is required for fixed-bandwidth estimation")
+    if getattr(args, "format", None) == "raster-csv":
+        check_raster_res(args.raster_res)
     net = read_network_geojson(args.net)
     pattern, report = read_points(args.points, net, args.max_snap_dist)
     if report.warning:

@@ -29,10 +29,6 @@ class LocationOffNetwork(LineHeatError):
     """Edge id out of range or offset outside [0, edge length]."""
 
 
-class TooFarFromNetwork(LineHeatError):
-    """Planar point farther from every edge than the allowed snap distance."""
-
-
 class ParseError(LineHeatError):
     """Malformed input file."""
 

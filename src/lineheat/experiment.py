@@ -23,7 +23,7 @@ from .adaptive import (
     make_partition,
 )
 from .errors import LatticeMismatch
-from .heat import DEFAULT_CONFIG, HeatConfig, default_dx, estimate_heat, resolve_dx
+from .heat import default_dx, estimate_heat, resolve_dx
 from .lattice import LatticeFunction, discretize
 from .network import LinearNetwork
 from .sim import (
@@ -122,7 +122,7 @@ class StudyRow:
 
 def _one_replicate(
     net, scenario, seed, deltas, target_points, field_res, eps_star, gamma_exponent,
-    dx_override, timing, bandwidth_override, cfg, rep,
+    dx_override, timing, rep,
 ) -> list[StudyRow]:
     rep_seed = seed + rep
     if dx_override is not None:
@@ -143,27 +143,23 @@ def _one_replicate(
 
     star = heuristic_global_bandwidth(net.total_length, pattern.n) if eps_star is None else eps_star
     lat1 = discretize(net, resolve_dx(dx_override, net, star))
-    pilot = estimate_heat(pattern, lat1, star, cfg)
+    pilot = estimate_heat(pattern, lat1, star)
     bw = abramson_bandwidths(pattern, pilot, star, gamma_exponent)
-    if bandwidth_override is not None:
-        # diagnostic: identical bandwidths make the single-bin partition and
-        # the direct estimate coincide
-        bw.bandwidths = np.full(pattern.n, float(bandwidth_override))
 
     # stage 2: estimation lattice resolves the smallest bandwidth
     lat2 = discretize(net, resolve_dx(dx_override, net, float(bw.bandwidths.min())))
 
     if timing:
-        _warmup(lat2, pattern, bw, cfg)
+        _warmup(lat2, pattern, bw)
     t0 = time.perf_counter()
-    direct = estimate_adaptive_direct(pattern, lat2, bw, cfg)
+    direct = estimate_adaptive_direct(pattern, lat2, bw)
     t_direct = time.perf_counter() - t0
 
     rows = []
     for d in deltas:
         plan = make_partition(bw, d)
         t0 = time.perf_counter()
-        part = partition_per_bin(pattern, lat2, plan, cfg)
+        part = partition_per_bin(pattern, lat2, plan)
         t_part = time.perf_counter() - t0
         rows.append(
             StudyRow(
@@ -179,7 +175,7 @@ def _one_replicate(
     return rows
 
 
-def partition_per_bin(pattern, lattice, plan, cfg: HeatConfig = DEFAULT_CONFIG) -> LatticeFunction:
+def partition_per_bin(pattern, lattice, plan) -> LatticeFunction:
     """The paper's partition protocol: one fixed-bandwidth solve per nonempty bin.
 
     Reference for the study's timings; ``adaptive.estimate_adaptive_partition``
@@ -189,13 +185,13 @@ def partition_per_bin(pattern, lattice, plan, cfg: HeatConfig = DEFAULT_CONFIG) 
     for d in range(plan.n_bins):
         idx = plan.bin_indices(d)
         if len(idx):
-            total += estimate_heat(pattern.subset(idx), lattice, float(plan.midpoints[d]), cfg).values
+            total += estimate_heat(pattern.subset(idx), lattice, float(plan.midpoints[d])).values
     return LatticeFunction(lattice, total)
 
 
-def _warmup(lattice, pattern, bw, cfg):
+def _warmup(lattice, pattern, bw):
     # one discarded solve so allocator/cache effects do not bias the first timing
-    estimate_heat(pattern.subset([0]), lattice, float(bw.bandwidths.min()), cfg)
+    estimate_heat(pattern.subset([0]), lattice, float(bw.bandwidths.min()))
 
 
 def run_partition_study(
@@ -211,16 +207,13 @@ def run_partition_study(
     dx: float | None = None,
     timing: bool = True,
     jobs: int = 1,
-    bandwidth_override: float | None = None,
-    cfg: HeatConfig = DEFAULT_CONFIG,
 ) -> list[dict]:
     """Run the partition-vs-direct comparison.
 
     Returns one record per (replicate, delta) with the ISE of the partition
     estimate against the direct estimate and, when ``timing`` is on, the
     wall-clock seconds of both (timing forces jobs=1 to avoid contention
-    skew).  Replicate r uses seed + r.  ``bandwidth_override`` replaces every
-    per-point bandwidth with a constant (diagnostics only).
+    skew).  Replicate r uses seed + r.
     """
     if replicates < 1:
         raise ValueError("need at least one replicate")
@@ -229,7 +222,7 @@ def run_partition_study(
     deltas = [float(d) for d in deltas]
     one = partial(
         _one_replicate, net, scenario, seed, deltas, target_points, field_res, eps_star,
-        gamma_exponent, dx, timing, bandwidth_override, cfg,
+        gamma_exponent, dx, timing,
     )
     if jobs == 1 or timing:
         results = [one(rep) for rep in range(replicates)]

@@ -25,6 +25,10 @@ from .network import build_network
 FLOAT_FMT = "%.17g"
 _LATTICE_ROW = f"%d,{FLOAT_FMT},{FLOAT_FMT},{FLOAT_FMT}\r\n"  # a csv.writer row, terminator included
 
+#: Most raster cells (resolution squared) one raster may have: a raster of
+#: this size peaks at about 0.6 GB.
+MAX_RASTER_CELLS = 4_000_000
+
 
 @dataclass
 class SnapReport:
@@ -265,10 +269,15 @@ def raster_grid(net: LinearNetwork, res: int):
     return xs, ys, (xmin, ymin, xmax, ymax), math.hypot(dx, dy) / 2
 
 
+def check_raster_res(res: int) -> None:
+    """Reject a raster resolution below 1 or with more than ``MAX_RASTER_CELLS`` cells."""
+    if not (res >= 1 and res * res <= MAX_RASTER_CELLS):
+        raise ValueError(f"--raster-res must be from 1 to {math.isqrt(MAX_RASTER_CELLS)}, got {res}")
+
+
 def rasterize(f: LatticeFunction, res: int):
     """Raster of nearest-node values; cells without a node in reach are NaN."""
-    if res < 1:
-        raise ValueError("raster resolution must be >= 1")
+    check_raster_res(res)
     net = f.lattice.network
     xs, ys, bbox, half_diag = raster_grid(net, res)
     gx, gy = np.meshgrid(xs, ys)

@@ -27,7 +27,7 @@ import numpy as np
 from . import network
 from .errors import LatticeMismatch, PathExplosion, UnboundedKernel
 from .lattice import Lattice, LatticeFunction, _require_points
-from .network import NetworkLocation, PointPattern, _graph_distances
+from .network import PointPattern, _graph_distances
 
 GAUSSIAN_TRUNCATION = 4.0  # support radius in standard deviations
 _GAUSS_MASS = math.erf(GAUSSIAN_TRUNCATION / math.sqrt(2.0))
@@ -81,12 +81,6 @@ class Kernel1D:
                 u <= 1.0, 0.9375 * (1.0 - np.minimum(u, 1.0) ** 2) ** 2 / self.bandwidth, 0.0
             )
         return out if out.ndim else float(out)
-
-
-def edge_correction(lattice: Lattice, loc: NetworkLocation, kernel: Kernel1D) -> float:
-    """Network integral of the kernel centered at ``loc`` (lattice quadrature)."""
-    lattice.network.check_location(loc)
-    return float(_kernel_mass(lattice, kernel, *lattice._point_seeds(loc.edge, loc.offset))[0])
 
 
 def precompute_edge_correction(lattice: Lattice, kernel: Kernel1D) -> LatticeFunction:
@@ -145,14 +139,11 @@ def _kernel_sum(pattern, lattice, kernel):
 
 
 def _node_corrections(lattice, kernel, nodes):
-    """Edge correction at each of the lattice ``nodes``, each node its own source."""
-    return _kernel_mass(lattice, kernel, np.column_stack((nodes, nodes)), np.zeros((len(nodes), 2)))
-
-
-def _kernel_mass(lattice, kernel, node, start):
-    """Lattice quadrature of the kernel around each source."""
-    c = np.zeros(len(node))
-    for row, at, k in _kernel_terms(lattice, kernel, node, start):
+    """Edge correction at each of the lattice ``nodes``: the lattice quadrature
+    of the kernel around it, each node its own source."""
+    c = np.zeros(len(nodes))
+    seeds = np.column_stack((nodes, nodes)), np.zeros((len(nodes), 2))
+    for row, at, k in _kernel_terms(lattice, kernel, *seeds):
         np.add.at(c, row, lattice.node_weight[at] * k)
     return c
 

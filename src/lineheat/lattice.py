@@ -16,8 +16,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptyPattern, LatticeMismatch
+from .errors import EmptyPattern
 from .network import LinearNetwork, NetworkLocation, PointPattern, _chain_graph, _source_distances
+
+#: Most lattice nodes a spacing may ask for: a heat or uniform-corrected run
+#: at this size peaks at about 0.55 and 0.7 GB.
+MAX_NODES = 2_000_000
 
 
 class Lattice:
@@ -33,8 +37,9 @@ class Lattice:
         self.network = network
         self.dx_target = float(dx_target)
 
-        if not network.total_length / self.dx_target < 2.0**62:
-            raise ValueError(f"dx_target {dx_target} asks for more lattice nodes than int64 can count")
+        # at most length / dx + 1 pieces per edge; nodes are vertices + pieces - edges
+        if not network.total_length / self.dx_target + network.n_edges <= MAX_NODES:
+            raise ValueError(f"dx_target {dx_target} asks for more than MAX_NODES = {MAX_NODES} lattice nodes")
         pieces = np.ceil(network.edge_lengths / dx_target - 1e-12).astype(np.int64)
         self._n_pieces = np.maximum(1, pieces)
         self.edge_spacing = network.edge_lengths / self._n_pieces
@@ -200,16 +205,6 @@ class LatticeFunction:
         """Linear interpolation along the containing edge chain."""
         self.lattice.network.check_location(loc)
         return float(self.values_at(loc.edge, loc.offset))
-
-    def resample_to(self, other: Lattice) -> "LatticeFunction":
-        if other.network is not self.lattice.network:
-            raise LatticeMismatch("cannot resample onto a lattice of another network")
-        nv = other.network.n_vertices  # vertices are the first nodes of every lattice
-        inner = self.values_at(other.node_edge[nv:], other.node_offset[nv:])
-        return LatticeFunction(other, np.concatenate((self.values[:nv], inner)))
-
-    def copy(self) -> "LatticeFunction":
-        return LatticeFunction(self.lattice, self.values.copy())
 
 
 def discretize(net: LinearNetwork, dx_target: float) -> Lattice:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from .errors import (
     DanglingReference,
     InteriorIntersection,
     LocationOffNetwork,
-    TooFarFromNetwork,
     ZeroLengthEdge,
 )
 
@@ -43,8 +42,8 @@ class NetworkLocation:
     """Position on a network: arc-length offset from the tail vertex of one edge.
 
     Raw field equality is not location equality: offsets 0 and (edge length)
-    denote vertices shared by several edges.  Use
-    :meth:`LinearNetwork.same_location` for canonical comparison.
+    denote vertices shared by several edges.  Compare
+    :meth:`LinearNetwork.canonical_location` forms instead.
     """
 
     edge: int
@@ -177,9 +176,6 @@ class LinearNetwork:
         if loc.offset == self.edge_lengths[loc.edge]:
             return ("v", int(v))
         return ("e", int(loc.edge), float(loc.offset))
-
-    def same_location(self, a: NetworkLocation, b: NetworkLocation) -> bool:
-        return self.canonical_location(a) == self.canonical_location(b)
 
     def location_xy(self, loc: NetworkLocation) -> np.ndarray:
         self.check_location(loc)
@@ -352,62 +348,6 @@ def shortest_path_distance(
     best = min(best, dist[u] + b.offset)
     best = min(best, dist[v] + (net.edge_lengths[b.edge] - b.offset))
     return float(best)
-
-
-def network_disc(
-    net: LinearNetwork, center: NetworkLocation, r: float
-) -> list[tuple[int, float, float]]:
-    """Sub-segments within shortest-path distance ``r`` of ``center``.
-
-    Returns (edge id, offset_lo, offset_hi) triples, disjoint per edge and
-    sorted.  Degenerate intervals (lo == hi) mark single points, e.g. r = 0.
-    """
-    if not r >= 0:
-        raise ValueError(f"radius must be nonnegative, got {r}")
-    net.check_location(center)
-    dist = net.vertex_distances(center, cutoff=r)
-    out: list[tuple[int, float, float]] = []
-    for e in range(net.n_edges):
-        u, v = net.edge_vertices[e]
-        ell = float(net.edge_lengths[e])
-        ivals = []
-        if dist[u] <= r:
-            ivals.append((0.0, min(ell, r - dist[u])))
-        if dist[v] <= r:
-            ivals.append((max(0.0, ell - (r - dist[v])), ell))
-        if e == center.edge:
-            ivals.append((max(0.0, center.offset - r), min(ell, center.offset + r)))
-        if not ivals:
-            continue
-        ivals.sort()
-        merged = [ivals[0]]
-        for lo, hi in ivals[1:]:
-            mlo, mhi = merged[-1]
-            if lo <= mhi:
-                merged[-1] = (mlo, max(mhi, hi))
-            else:
-                merged.append((lo, hi))
-        out.extend((e, lo, hi) for lo, hi in merged)
-    return out
-
-
-def disc_length(intervals: Iterable[tuple[int, float, float]]) -> float:
-    return float(sum(hi - lo for _, lo, hi in intervals))
-
-
-def snap_to_network(
-    net: LinearNetwork, point, max_dist: float
-) -> NetworkLocation:
-    """Closest location on the network to a planar point.
-
-    Ties are broken by lowest edge id (then lowest offset, which cannot occur
-    for straight edges).  Raises TooFarFromNetwork when the closest location is
-    farther than ``max_dist``.
-    """
-    edge, offset, dist = _snap(net, np.asarray(point, dtype=float).reshape(1, 2), max_dist)
-    if not dist[0] <= max_dist:
-        raise TooFarFromNetwork(f"no edge within {max_dist:.6g}")
-    return NetworkLocation(int(edge[0]), float(offset[0]))
 
 
 def _snap(net: LinearNetwork, xy: np.ndarray, max_dist: float):

@@ -22,15 +22,10 @@ from .network import LinearNetwork, PointPattern
 
 @dataclass(frozen=True)
 class ExpCovSpec:
-    """Stationary exponential covariance: variance * exp(-distance / scale).
-
-    ``mean_offset`` is the base log-intensity level; pipelines that target an
-    expected point count compute their own calibrated offset instead.
-    """
+    """Stationary exponential covariance: variance * exp(-distance / scale)."""
 
     variance: float
     scale: float
-    mean_offset: float = 0.0
 
     def __post_init__(self):
         if self.variance <= 0 or self.scale <= 0:
@@ -203,11 +198,6 @@ def interpolated_variance(
         + 2 * (a * d + b * c) * r_diag
     )
     return spec.variance * quad
-
-
-def lognormal_mean_offset(target_points: float, total_length: float, variance: float) -> float:
-    """Field mean mu with E[integral of exp(mu + Z)] = target_points."""
-    return math.log(target_points / total_length) - variance / 2.0
 
 
 def mixture_to_network_intensity(

@@ -180,7 +180,12 @@ class TestEstimate:
          "adaptive estimation is supported for the heat method only"),
         (("--adaptive", "--bw", "100"), "--adaptive requires --bw-global (number or 'auto')"),
         ((), "--bw is required for fixed-bandwidth estimation"),
-    ], ids=["delta", "adaptive-method", "adaptive-without-bw-global", "fixed-without-bw"])
+        (("--bw", "1", "--format", "raster-csv", "--raster-res", "2001"),
+         "--raster-res must be from 1 to 2000, got 2001"),
+        (("--bw", "1", "--format", "raster-csv", "--raster-res", "-3"),
+         "--raster-res must be from 1 to 2000, got -3"),
+    ], ids=["delta", "adaptive-method", "adaptive-without-bw-global", "fixed-without-bw",
+            "raster-cells", "raster-negative"])
     def test_bad_arguments_rejected_before_the_network_is_read(self, tmp_path, flags, message):
         proc = run_cli(
             "estimate", "--net", tmp_path / "nope.geojson", "--points", tmp_path / "nope.csv",
@@ -248,6 +253,25 @@ class TestEstimate:
         [line] = proc.stderr.splitlines()
         assert line.startswith("error: ") and "explicit steps exceed the budget" in line
         assert "shortest lattice piece is 0.01 long" in line
+        assert not (tmp_path / "est.csv").exists()
+
+    @pytest.mark.parametrize("flags, name", [
+        (("--dx", "0.000001"), "dx_target 1e-06"),
+        (("--format", "raster-csv", "--raster-res", "200000"), "--raster-res"),
+    ], ids=["lattice-nodes", "raster-cells"])
+    def test_size_beyond_limit_exits_2(self, toy, tmp_path, flags, name):
+        # 6e6 nodes on the toy network (length 6) and 4e10 raster cells are
+        # refused before either is allocated
+        _, net_path, pts_path = toy
+        t0 = time.perf_counter()
+        proc = run_cli(
+            "estimate", "--net", net_path, "--points", pts_path, "--bw", "0.3", *flags,
+            "--out", tmp_path / "est.csv", timeout=60,
+        )
+        assert time.perf_counter() - t0 < 10
+        assert proc.returncode == 2
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: ") and name in line
         assert not (tmp_path / "est.csv").exists()
 
     def test_adaptive_equal_split_rejected(self, toy, tmp_path):

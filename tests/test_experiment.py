@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
 
+from lineheat.adaptive import abramson_bandwidths, estimate_adaptive_direct, make_partition
 from lineheat.errors import LatticeMismatch
 from lineheat.experiment import (
     STUDY_COLUMNS,
     ise,
     median_by_delta,
+    partition_per_bin,
     run_partition_study,
     simulate_intensity,
 )
+from lineheat.heat import estimate_heat
 from lineheat.lattice import LatticeFunction, discretize
+from lineheat.sim import sample_poisson_on_network
 from nets import grid_network, segment_network, y_network
 
 
@@ -21,7 +25,7 @@ class TestIse:
     def test_zero_for_equal(self):
         lat = discretize(y_network(), 0.1)
         f = LatticeFunction(lat, np.linspace(0, 1, lat.n_nodes))
-        assert ise(f, f.copy()) == 0.0
+        assert ise(f, LatticeFunction(lat, f.values.copy())) == 0.0
 
     def test_constant_difference_closed_form(self):
         net = y_network()  # total length 3
@@ -124,13 +128,19 @@ class TestStudy:
         assert r["time_ratio"] == pytest.approx(r["time_partition_s"] / r["time_direct_s"])
 
     def test_forced_equal_bandwidths_single_bin_zero_ise(self):
+        # identical bandwidths make the single-bin partition and the direct
+        # estimate coincide
         net = study_net()
-        rows = run_partition_study(
-            net, "loggaussian-1", deltas=[1.0], replicates=2, seed=21,
-            target_points=50, field_res=16, timing=False, bandwidth_override=0.3,
-        )
-        for r in rows:
-            assert r["ise"] <= 1e-15
+        lat = discretize(net, 0.1)
+        for seed in (21, 22):
+            truth = simulate_intensity(net, lat, "loggaussian-1", [seed, 0], 50, 16)
+            pattern = sample_poisson_on_network(truth, [seed, 1])
+            assert pattern.n > 0
+            bw = abramson_bandwidths(pattern, estimate_heat(pattern, lat, 0.3), 0.3)
+            bw.bandwidths = np.full(pattern.n, 0.3)
+            direct = estimate_adaptive_direct(pattern, lat, bw)
+            part = partition_per_bin(pattern, lat, make_partition(bw, 1.0))
+            assert ise(part, direct) <= 1e-15
 
     def test_jobs_parallel_matches_serial(self):
         net = study_net()

@@ -543,6 +543,12 @@ class TestRasterCsv:
         assert both.any()
         assert np.array_equal(coarse[both], common_fine[both])
 
+    @pytest.mark.parametrize("res", [0, -3, 2001])
+    def test_resolution_outside_limits_rejected(self, res):
+        f = LatticeFunction(discretize(segment_network(), 0.5), np.ones(3))
+        with pytest.raises(ValueError, match=f"--raster-res must be from 1 to 2000, got {res}"):
+            rasterize(f, res)
+
 
 class TestRasterMatchesKdtree:
     def test_random_lattices(self):

@@ -9,7 +9,6 @@ from lineheat.errors import EmptyPattern, LatticeMismatch, PathExplosion, Unboun
 from lineheat.kernels import (
     Kernel1D,
     _kernel_sum,
-    edge_correction,
     equal_split_continuous,
     equal_split_discontinuous,
     estimate_jones_diggle,
@@ -23,7 +22,6 @@ from nets import (
     assert_same,
     enumerate_equal_split,
     grid_network,
-    loop_edge_correction,
     loop_jones_diggle,
     loop_kernel_sum,
     loop_precompute_edge_correction,
@@ -66,12 +64,19 @@ class TestKernel1D:
                 Kernel1D("gaussian", bad)
 
 
+def node_correction(lattice, loc, kernel):
+    """The precomputed edge correction at ``loc``, a lattice node."""
+    left, right, theta = lattice.bracket(loc.edge, loc.offset)
+    assert left == right or theta == 0.0
+    return float(precompute_edge_correction(lattice, kernel).values[left])
+
+
 class TestEdgeCorrection:
     def test_full_mass_mid_segment(self):
         sigma = 0.1
         net = segment_network(100 * sigma)
         lat = discretize(net, sigma / 4)
-        c = edge_correction(lat, NetworkLocation(0, 5.0), Kernel1D("gaussian", sigma))
+        c = node_correction(lat, NetworkLocation(0, 5.0), Kernel1D("gaussian", sigma))
         # limited by the node-cell quadrature across the truncation jump
         assert c == pytest.approx(1.0, abs=2e-4)
 
@@ -79,7 +84,7 @@ class TestEdgeCorrection:
         sigma = 0.1
         net = segment_network(100 * sigma)
         lat = discretize(net, sigma / 4)
-        c = edge_correction(lat, NetworkLocation(0, 0.0), Kernel1D("gaussian", sigma))
+        c = node_correction(lat, NetworkLocation(0, 0.0), Kernel1D("gaussian", sigma))
         # oracle: closed-form half mass of the symmetric kernel
         assert c == pytest.approx(0.5, abs=1e-3)
 
@@ -91,8 +96,8 @@ class TestEdgeCorrection:
         prev = 1.0 + 1e-9
         for sigma in (0.5, 1.0, 2.0, 4.0):
             k = Kernel1D("gaussian", sigma)
-            c = edge_correction(lat, u, k)
-            c_dense = edge_correction(dense, u, k)
+            c = node_correction(lat, u, k)
+            c_dense = node_correction(dense, u, k)
             assert c <= 1.0 + 1e-6
             assert c < prev
             assert c == pytest.approx(c_dense, rel=5e-3)
@@ -218,7 +223,6 @@ def all_estimates(pattern, lattice, kernel):
         "uniform": estimate_uniform_corrected(pattern, lattice, kernel).values,
         "jones_diggle": estimate_jones_diggle(pattern, lattice, kernel).values,
         "precomputed": precompute_edge_correction(lattice, kernel).values,
-        "at_points": np.array([edge_correction(lattice, p, kernel) for p in pattern]),
     }
 
 
@@ -238,7 +242,6 @@ class TestBatchedMatchesLoop:
                 "uniform": loop_uniform_corrected(pat, lat, k),
                 "jones_diggle": loop_jones_diggle(pat, lat, k),
                 "precomputed": loop_precompute_edge_correction(lat, k),
-                "at_points": np.array([loop_edge_correction(lat, p, k) for p in pat]),
             }
             for name, w in want.items():
                 np.testing.assert_allclose(got[name], w, rtol=1e-12, atol=0, err_msg=name)

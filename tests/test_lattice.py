@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from lineheat.errors import LatticeMismatch
 from lineheat.lattice import LatticeFunction, discretize
 from lineheat.network import NetworkLocation
 
@@ -189,19 +188,3 @@ class TestLatticeFunction:
         assert f.value_at(NetworkLocation(0, 0.375)) == pytest.approx(1.5, abs=1e-12)
         assert f.value_at(NetworkLocation(0, 0.0)) == 0.0
         assert f.value_at(NetworkLocation(0, 1.0)) == 4.0
-
-    def test_resample_roundtrip_on_refinement(self):
-        net = y_network()
-        coarse = discretize(net, 0.5)
-        fine = discretize(net, 0.25)
-        f = LatticeFunction(coarse, np.linspace(0.0, 1.0, coarse.n_nodes))
-        g = f.resample_to(fine)
-        # coarse nodes are also fine nodes; values must match there
-        for i in range(coarse.n_nodes):
-            loc = coarse.node_location(i)
-            assert g.value_at(loc) == pytest.approx(f.values[i], rel=1e-12)
-
-    def test_resample_across_networks_rejected(self):
-        f = LatticeFunction(discretize(y_network(), 0.5), np.arange(7.0))
-        with pytest.raises(LatticeMismatch):
-            f.resample_to(discretize(segment_network(), 0.25))

@@ -11,7 +11,6 @@ from lineheat.errors import (
     DanglingReference,
     InteriorIntersection,
     LocationOffNetwork,
-    TooFarFromNetwork,
     ZeroLengthEdge,
 )
 from lineheat import network
@@ -22,10 +21,7 @@ from lineheat.network import (
     PointPattern,
     _snap,
     build_network,
-    disc_length,
-    network_disc,
     shortest_path_distance,
-    snap_to_network,
 )
 
 from nets import (
@@ -310,8 +306,8 @@ class TestLocations:
         # edge 0 runs 0 -> 1, edge 1 runs 1 -> 2: both touch vertex 1
         end0 = NetworkLocation(0, float(net.edge_lengths[0]))
         start1 = NetworkLocation(1, 0.0)
-        assert net.same_location(end0, start1)
-        assert not net.same_location(end0, NetworkLocation(1, 0.3))
+        assert net.canonical_location(end0) == net.canonical_location(start1) == ("v", 1)
+        assert net.canonical_location(NetworkLocation(1, 0.3)) == ("e", 1, 0.3)
 
 
 class TestShortestPath:
@@ -359,7 +355,7 @@ class TestShortestPath:
             if all(map(math.isfinite, (dab, dbc, dac))):
                 assert dac <= dab + dbc + 1e-12
             assert shortest_path_distance(net, a, a) == 0.0
-            if not net.same_location(a, b):
+            if net.canonical_location(a) != net.canonical_location(b):
                 assert dab > 0.0
 
 
@@ -456,82 +452,38 @@ class TestGraphDistances:
         assert max(net.n_components for net in nets) > 1
 
 
-class TestNetworkDisc:
-    @pytest.mark.parametrize("r", [-1.0, math.nan])
-    def test_bad_radius_rejected(self, r):
-        with pytest.raises(ValueError, match="radius must be nonnegative"):
-            network_disc(y_network(), NetworkLocation(0, 0.5), r)
-
-    def test_zero_radius(self):
-        net = y_network()
-        center = NetworkLocation(0, 0.4)
-        disc = network_disc(net, center, 0.0)
-        assert disc == [(0, 0.4, 0.4)]
-        assert disc_length(disc) == 0.0
-
-    def test_y_center_radius(self):
-        net = y_network()
-        center = NetworkLocation(0, 0.0)  # the degree-3 vertex
-        disc = network_disc(net, center, 0.3)
-        assert len(disc) == 3
-        assert disc_length(disc) == pytest.approx(0.9, abs=1e-12)
-        # dense-sampling oracle: thresholded distances agree with the intervals
-        for e in range(net.n_edges):
-            for off in np.linspace(0.0, float(net.edge_lengths[e]), 41):
-                d = shortest_path_distance(net, center, NetworkLocation(e, float(off)))
-                inside = any(
-                    ie == e and lo - 1e-12 <= off <= hi + 1e-12 for ie, lo, hi in disc
-                )
-                assert inside == (d <= 0.3 + 1e-12)
-
-    def test_radius_beyond_diameter(self):
-        net = triangle_network()
-        disc = network_disc(net, NetworkLocation(0, 0.2), 10.0)
-        assert disc_length(disc) == pytest.approx(net.total_length, rel=1e-12)
-
-    def test_monotone_in_radius(self):
-        rng = np.random.default_rng(23)
-        net = random_network(rng)
-        center = random_location(net, rng)
-        prev = -1.0
-        for r in np.linspace(0, 3, 13):
-            ln = disc_length(network_disc(net, center, float(r)))
-            assert ln >= prev - 1e-12
-            assert ln <= net.total_length + 1e-12
-            prev = ln
-
-
 class TestSnap:
     def test_point_on_edge(self):
-        net = segment_network()
-        loc = snap_to_network(net, (0.25, 0.0), 1.0)
-        assert loc.edge == 0 and loc.offset == pytest.approx(0.25, abs=1e-12)
+        edge, offset, dist = _snap(segment_network(), np.array([(0.25, 0.0), (1.0, 0.0)]), 1.0)
+        assert edge.tolist() == [0, 0] and dist.tolist() == [0.0, 0.0]
+        assert offset == pytest.approx([0.25, 1.0], abs=1e-12)
 
     def test_orthogonal_projection(self):
-        net = segment_network()
-        loc = snap_to_network(net, (0.5, 0.3), 1.0)
-        assert loc.edge == 0 and loc.offset == pytest.approx(0.5, abs=1e-12)
+        edge, offset, dist = _snap(segment_network(), np.array([(0.5, 0.3), (0.2, -0.1)]), 1.0)
+        assert edge.tolist() == [0, 0]
+        assert offset == pytest.approx([0.5, 0.2], abs=1e-12)
+        assert dist == pytest.approx([0.3, 0.1], abs=1e-12)
 
     def test_too_far(self):
-        net = segment_network()
-        with pytest.raises(TooFarFromNetwork):
-            snap_to_network(net, (0.5, 2.0), 1.0)
+        # rows farther than max_dist carry a distance beyond it: read_points drops them
+        _, _, dist = _snap(segment_network(), np.array([(0.5, 2.0), (0.5, 0.5)]), 1.0)
+        assert dist[0] > 1.0 and dist[1] == pytest.approx(0.5, abs=1e-12)
 
     def test_tie_lowest_edge_id(self):
         # two parallel horizontal segments, point exactly between them
         net = build_network(
-            [(0, 0), (1, 0), (0, 1), (1, 1)], [(0, 1), (2, 3)]
+            [(0, 0), (1, 0), (0, 1), (1, 1)], [(2, 3), (0, 1)]
         )
-        loc = snap_to_network(net, (0.5, 0.5), 1.0)
-        assert loc.edge == 0
+        edge, offset, _ = _snap(net, np.array([(0.5, 0.5), (0.25, 0.5)]), 1.0)
+        assert edge.tolist() == [0, 0]
+        assert offset == pytest.approx([0.5, 0.25], abs=1e-12)
 
     def test_nan_or_nonpositive_max_dist_rejected(self):
         net = segment_network()
         for bad in (math.nan, 0.0, -1.0):
-            with pytest.raises(ValueError, match="max_dist must be positive"):
-                snap_to_network(net, (0.5, 0.0), bad)
-            with pytest.raises(ValueError, match="max_dist must be positive"):
-                _snap(net, np.empty((0, 2)), bad)
+            for xy in (np.array([(0.5, 0.0)]), np.empty((0, 2))):
+                with pytest.raises(ValueError, match="max_dist must be positive"):
+                    _snap(net, xy, bad)
 
 
 def assert_snaps_like_scan(net, xy, max_dist):

@@ -12,7 +12,6 @@ from lineheat.sim import (
     MixtureSpec,
     field_to_network_intensity,
     gm5_mixture,
-    lognormal_mean_offset,
     mixture_to_network_intensity,
     sample_gaussian_field,
     sample_poisson_on_network,
@@ -97,11 +96,6 @@ class TestFieldToIntensity:
         lat = discretize(net, 2.0)
         lam = field_to_network_intensity(np.zeros((6, 6)), lat, mu=0.0, transform=tr)
         assert np.allclose(lam.values, 1.0)
-
-    def test_mean_offset_identity(self):
-        assert lognormal_mean_offset(520.0, 2.0, 0.9) == pytest.approx(
-            math.log(260.0) - 0.45
-        )
 
 
 class TestMixture:
