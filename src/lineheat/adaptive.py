@@ -27,7 +27,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDelta, EmptyPattern, NonpositivePilotWarning
-from .heat import DEFAULT_CONFIG, HeatConfig, deposit_initial_mass, estimate_heat_batch, heat_solve
+from .heat import (
+    DEFAULT_CONFIG,
+    HeatConfig,
+    _check_node_steps,
+    deposit_initial_mass,
+    estimate_heat_batch,
+    heat_solve,
+    step_size,
+)
 from .lattice import Lattice, LatticeFunction, _require_points
 from .network import PointPattern
 
@@ -171,6 +179,9 @@ def estimate_adaptive_direct(
     point order, so the result is independent of input ordering.
     """
     _require_points(pattern, lattice)
+    steps = int(np.floor(bw.bandwidths**2 / step_size(lattice, cfg)).sum())
+    _check_node_steps(lattice, steps, "the direct estimate sums one solve per point: "
+                      "use --delta, lower --bw-global or raise --dx")
     total = np.zeros(lattice.n_nodes)
     for i in pattern.order:
         f = heat_solve(

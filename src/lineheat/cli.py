@@ -51,11 +51,10 @@ from .sim import sample_poisson_on_network
 _METHODS = ("heat", "uniform-corrected", "jones-diggle", "esd", "esc")
 
 
-def _echo_config(args: argparse.Namespace, **extra) -> None:
-    cfg = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    cfg.update(extra)
-    cfg["version"] = __version__
-    print("#CONFIG " + json.dumps(cfg, sort_keys=True))
+def _echo_config(args: argparse.Namespace, file=None, **extra) -> None:
+    cfg = {k: v for k, v in vars(args).items() if k != "func"}
+    cfg.update(extra, version=__version__)
+    print("#CONFIG " + json.dumps(cfg, sort_keys=True), file=file)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -270,9 +269,7 @@ def _cmd_study(args) -> int:
         jobs=args.jobs,
     )
     with open(args.out, "w", encoding="utf-8") as fh:
-        cfgline = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-        cfgline["version"] = __version__
-        fh.write("#CONFIG " + json.dumps(cfgline, sort_keys=True) + "\n")
+        _echo_config(args, file=fh)
         fh.write(",".join(STUDY_COLUMNS) + "\n")
         for r in rows:
             cells = [r["scenario"], str(r["replicate"]), FLOAT_FMT % r["delta"],

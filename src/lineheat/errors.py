@@ -50,7 +50,11 @@ class UnboundedKernel(LineHeatError):
 
 
 class PathExplosion(NumericalError):
-    """Path enumeration exceeded the step budget; lower the bandwidth or raise the cap."""
+    """Path enumeration exceeded the walk budget; lower the bandwidth."""
+
+
+class PairBudgetExceeded(NumericalError):
+    """A kernel estimate would compute more (source, node) distances than its budget."""
 
 
 class StabilityViolation(NumericalError):
@@ -58,7 +62,7 @@ class StabilityViolation(NumericalError):
 
 
 class StepBudgetExceeded(NumericalError):
-    """The shortest lattice piece asks for more explicit steps than one solve may take."""
+    """A solve, or the solves of one estimate, would take more explicit steps than the budget."""
 
 
 class BadDelta(LineHeatError):
@@ -67,10 +71,6 @@ class BadDelta(LineHeatError):
 
 class LatticeMismatch(LineHeatError):
     """Operation requires both functions on the same lattice."""
-
-
-class OutOfDomain(LineHeatError):
-    """Network node falls outside the simulation domain (unit square)."""
 
 
 class CholeskyFailure(NumericalError):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -23,7 +22,7 @@ from .adaptive import (
     make_partition,
 )
 from .errors import LatticeMismatch
-from .heat import default_dx, estimate_heat, resolve_dx
+from .heat import estimate_heat, resolve_dx
 from .lattice import LatticeFunction, discretize
 from .network import LinearNetwork
 from .sim import (
@@ -71,75 +70,45 @@ def ise(estimate: LatticeFunction, reference: LatticeFunction) -> float:
 
 def simulate_intensity(net, lattice, scenario: str, seed, target_points: float, field_res: int):
     """True intensity for a named scenario, scaled/offset to the target count."""
-    transform = unit_square_map(net)
     if scenario in LOGGAUSSIAN_SCENARIOS:
         spec = LOGGAUSSIAN_SCENARIOS[scenario]
         grid = sample_gaussian_field(field_res, spec, seed)
-        scaled_length = net.total_length * transform.scale
+        scale = unit_square_map(net)[0]
         # lognormal mean identity with each node's actual (interpolated)
         # marginal variance, so E[count] hits the target at any grid res
-        node_var = interpolated_variance(spec, lattice, field_res, transform)
-        mu = math.log(target_points / scaled_length) - node_var / 2.0
-        lam = field_to_network_intensity(grid, lattice, mu, transform)
+        node_var = interpolated_variance(spec, lattice, field_res)
+        mu = math.log(target_points / (net.total_length * scale)) - node_var / 2.0
+        lam = field_to_network_intensity(grid, lattice, mu)
         # node values are per unit length in unit-square coordinates; convert
         # back to network units so integrals count points on the real network
-        return LatticeFunction(lattice, lam.values * transform.scale)
+        return LatticeFunction(lattice, lam.values * scale)
     if scenario == "paper-gm5":
-        spec = gm5_mixture(seed)
-        lam = mixture_to_network_intensity(spec, lattice, transform)
+        lam = mixture_to_network_intensity(gm5_mixture(seed), lattice)
         return scale_to_target(lam, target_points)
     raise ValueError(f"unknown scenario {scenario!r}; choose from {SCENARIOS}")
-
-
-@dataclass
-class StudyRow:
-    scenario: str
-    replicate: int
-    delta: float
-    n_points: int
-    ise: float
-    time_direct_s: float | None
-    time_partition_s: float | None
-
-    @property
-    def time_ratio(self) -> float | None:
-        if self.time_direct_s is None or self.time_partition_s is None:
-            return None
-        return self.time_partition_s / self.time_direct_s
-
-    def as_record(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "replicate": self.replicate,
-            "delta": self.delta,
-            "n_points": self.n_points,
-            "ise": self.ise,
-            "time_direct_s": self.time_direct_s,
-            "time_partition_s": self.time_partition_s,
-            "time_ratio": self.time_ratio,
-        }
 
 
 def _one_replicate(
     net, scenario, seed, deltas, target_points, field_res, eps_star, gamma_exponent,
     dx_override, timing, rep,
-) -> list[StudyRow]:
+) -> list[dict]:
     rep_seed = seed + rep
-    if dx_override is not None:
-        truth_dx = dx_override
-    elif eps_star is not None:
-        truth_dx = default_dx(net, eps_star)
-    else:
-        truth_dx = float(net.edge_lengths.min()) / 3.0  # scale-free default
-
-    # stage 1: simulate truth and the pattern on a pilot lattice
-    lat1 = discretize(net, truth_dx)
+    # stage 1: simulate truth and the pattern on a pilot lattice; with no
+    # global bandwidth yet, the shortest edge sets a scale-free spacing
+    sigma = float(net.edge_lengths.min()) if eps_star is None else eps_star
+    lat1 = discretize(net, resolve_dx(dx_override, net, sigma))
     truth = simulate_intensity(net, lat1, scenario, [rep_seed, 0], target_points, field_res)
     pattern = sample_poisson_on_network(truth, [rep_seed, 1])
+
+    def record(delta, ise_value, t_direct=None, t_part=None):
+        return {
+            "scenario": scenario, "replicate": rep, "delta": delta, "n_points": pattern.n,
+            "ise": ise_value, "time_direct_s": t_direct, "time_partition_s": t_part,
+            "time_ratio": None if t_direct is None else t_part / t_direct,
+        }
+
     if pattern.n == 0:
-        return [
-            StudyRow(scenario, rep, float(d), 0, float("nan"), None, None) for d in deltas
-        ]
+        return [record(d, float("nan")) for d in deltas]
 
     star = heuristic_global_bandwidth(net.total_length, pattern.n) if eps_star is None else eps_star
     lat1 = discretize(net, resolve_dx(dx_override, net, star))
@@ -161,17 +130,8 @@ def _one_replicate(
         t0 = time.perf_counter()
         part = partition_per_bin(pattern, lat2, plan)
         t_part = time.perf_counter() - t0
-        rows.append(
-            StudyRow(
-                scenario,
-                rep,
-                float(d),
-                pattern.n,
-                ise(part, direct),
-                t_direct if timing else None,
-                t_part if timing else None,
-            )
-        )
+        times = (t_direct, t_part) if timing else (None, None)
+        rows.append(record(d, ise(part, direct), *times))
     return rows
 
 
@@ -231,10 +191,7 @@ def run_partition_study(
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(one, range(replicates)))
-    rows: list[dict] = []
-    for reprows in results:
-        rows.extend(r.as_record() for r in reprows)
-    return rows
+    return [row for reprows in results for row in reprows]
 
 
 def median_by_delta(rows: list[dict], key: str) -> dict[float, float]:

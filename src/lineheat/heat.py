@@ -33,6 +33,10 @@ BETA = 0.5
 #: Most full explicit steps one solve may take; more is a hang, not a result.
 MAX_STEPS = 10**7
 
+#: Most node-steps (full explicit steps times lattice nodes) one solve, or
+#: the per-point solves of one direct adaptive estimate together, may take.
+MAX_NODE_STEPS = 3 * 10**9
+
 
 @dataclass(frozen=True)
 class HeatConfig:
@@ -91,6 +95,14 @@ def _check_dt(lattice: Lattice, dt: float) -> None:
         )
 
 
+def _check_node_steps(lattice: Lattice, steps: int, advice: str) -> None:
+    """Raise StepBudgetExceeded if ``steps`` full steps on ``lattice`` pass ``MAX_NODE_STEPS``."""
+    if steps * lattice.n_nodes > MAX_NODE_STEPS:
+        raise StepBudgetExceeded(
+            f"{steps} explicit steps on {lattice.n_nodes} lattice nodes exceed the budget of "
+            f"{MAX_NODE_STEPS:.0e} node-steps; {advice}")
+
+
 def _step_values(values: np.ndarray, lattice: Lattice, dt: float) -> np.ndarray:
     # values + (beta dt) acc / weight, in place: with more lattice-size temporaries
     # per step, glibc may return them to the OS and every step faults them back in
@@ -142,6 +154,7 @@ def _inject(lattice: Lattice, times, initial, cfg: HeatConfig) -> np.ndarray:
         raise StepBudgetExceeded(
             f"{steps} explicit steps exceed the budget of {MAX_STEPS}: the shortest lattice piece "
             f"is {lattice.min_spacing:.6g} long; drop edges that short or lower the bandwidth")
+    _check_node_steps(lattice, steps, "lower the bandwidth (--bw or --bw-global) or raise --dx")
     values = np.zeros(lattice.n_nodes)
     for left in range(steps, -1, -1):
         for k, r in joins.get(left, ()):

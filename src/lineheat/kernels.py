@@ -25,14 +25,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import network
-from .errors import LatticeMismatch, PathExplosion, UnboundedKernel
+from .errors import LatticeMismatch, PairBudgetExceeded, PathExplosion, UnboundedKernel
 from .lattice import Lattice, LatticeFunction, _require_points
-from .network import PointPattern, _graph_distances
+from .network import PointPattern, _box_pairs, _graph_distances
 
 GAUSSIAN_TRUNCATION = 4.0  # support radius in standard deviations
 _GAUSS_MASS = math.erf(GAUSSIAN_TRUNCATION / math.sqrt(2.0))
 
 _FAMILIES = ("gaussian", "epanechnikov", "quartic")
+
+#: Most (source, node) pairs within the kernel's support that one distance
+#: pass may reach, by the planar bound of :func:`_check_pairs`.
+MAX_PAIRS = 5 * 10**8
+
+#: Most edge walks of one point's equal-split paths.
+MAX_WALKS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -85,6 +92,7 @@ class Kernel1D:
 
 def precompute_edge_correction(lattice: Lattice, kernel: Kernel1D) -> LatticeFunction:
     """Edge-correction factor at every lattice node (reusable across patterns)."""
+    _check_pairs(lattice, kernel.support, lattice._n_pieces + 1)
     return LatticeFunction(lattice, _node_corrections(lattice, kernel, np.arange(lattice.n_nodes)))
 
 
@@ -102,6 +110,7 @@ def estimate_uniform_corrected(
     per-node corrections across many patterns.
     """
     _require_points(pattern, lattice)
+    _check_pairs(lattice, kernel.support, _per_edge(pattern), edge_correction_values is None)
     ksum = _kernel_sum(pattern, lattice, kernel)
     covered = np.nonzero(ksum > 0)[0]
     out = np.zeros(lattice.n_nodes)
@@ -124,6 +133,7 @@ def estimate_jones_diggle(
     unbiased.
     """
     _require_points(pattern, lattice)
+    _check_pairs(lattice, kernel.support, _per_edge(pattern))
     out = np.zeros(lattice.n_nodes)
     for row, node, k in _point_terms(pattern, lattice, kernel):
         c = np.bincount(row, lattice.node_weight[node] * k)
@@ -164,14 +174,49 @@ def _kernel_terms(lattice, kernel, node, start):
         yield row, at, kernel(d)
 
 
+def _per_edge(pattern):
+    return np.bincount(pattern.edge, minlength=pattern.network.n_edges)
+
+
+def _check_pairs(lattice, support, weight, then_nodes=False):
+    """Raise PairBudgetExceeded unless ``weight[e]`` sources on each edge e
+    (and, with ``then_nodes``, every node those reach, as a source of its own)
+    reach at most ``MAX_PAIRS`` (source, node) pairs within ``support``.
+
+    Network distance is at least planar distance, so a source reaches only
+    the nodes of edges whose boxes meet its own edge's box grown by the
+    support; the bound counts all of them, ends included, and at most every
+    lattice node per source.  A vertex node counts on each edge at it.
+    """
+    n = lattice.n_nodes
+    if weight.sum() * n <= MAX_PAIRS and (not then_nodes or n * n <= MAX_PAIRS):
+        return
+    net = lattice.network
+    src = np.flatnonzero(weight)
+    p, q = net.vertex_xy[net.edge_vertices.T]
+    lo, hi = np.minimum(p, q), np.maximum(p, q)
+    near, total = np.zeros(net.n_edges, dtype=bool), 0
+    for f, j in _box_pairs(lo, hi, lo[src] - support, hi[src] + support,
+                           max(support, net.total_length / net.n_edges)):
+        e = src[j]
+        meet = (lo[f] <= hi[e] + support).all(axis=1) & (hi[f] >= lo[e] - support).all(axis=1)
+        near[f[meet]] = True
+        # a block holds every pair of its source edges, so each reach is whole
+        reach = np.bincount(j[meet], lattice._n_pieces[f[meet]] + 1, len(src))
+        total += int(weight[src] @ np.minimum(reach, n))
+        if total > MAX_PAIRS:
+            raise PairBudgetExceeded(
+                f"the kernel estimate would compute more than {MAX_PAIRS:.0e} (source, node) "
+                f"distances on {n} lattice nodes; raise --dx or lower --bw")
+    if then_nodes:
+        _check_pairs(lattice, support, near * (lattice._n_pieces + 1))
+
+
 # -- equal-split path enumeration ---------------------------------------------
 
 
 def equal_split_discontinuous(
-    pattern: PointPattern,
-    lattice: Lattice,
-    kernel: Kernel1D,
-    max_steps: int = 1_000_000,
+    pattern: PointPattern, lattice: Lattice, kernel: Kernel1D
 ) -> LatticeFunction:
     """Equal-split rule without reflections.
 
@@ -179,14 +224,11 @@ def equal_split_discontinuous(
     of degree m the weight splits 1/(m-1) over the other edges, and paths stop
     at terminal vertices.  Discontinuous at vertices of degree >= 3.
     """
-    return _equal_split(pattern, lattice, kernel, continuous=False, max_steps=max_steps)
+    return _equal_split(pattern, lattice, kernel, continuous=False)
 
 
 def equal_split_continuous(
-    pattern: PointPattern,
-    lattice: Lattice,
-    kernel: Kernel1D,
-    max_steps: int = 1_000_000,
+    pattern: PointPattern, lattice: Lattice, kernel: Kernel1D
 ) -> LatticeFunction:
     """Equal-split rule with reflections, continuous across vertices.
 
@@ -194,10 +236,10 @@ def equal_split_continuous(
     gets 2/m - 1 (so degree-2 vertices pass straight through and terminal
     vertices reflect with weight 1).
     """
-    return _equal_split(pattern, lattice, kernel, continuous=True, max_steps=max_steps)
+    return _equal_split(pattern, lattice, kernel, continuous=True)
 
 
-def _equal_split(pattern, lattice, kernel, continuous, max_steps):
+def _equal_split(pattern, lattice, kernel, continuous):
     """Every point's paths, walked in shared rounds.
 
     An arrival (row, vertex, arrival edge or -1 for a vertex source, distance,
@@ -207,7 +249,7 @@ def _equal_split(pattern, lattice, kernel, continuous, max_steps):
     end that ``base`` is not; an interior source walks its own edge from its
     offset.  Arrivals go in chunks of at most ``BLOCK_PAIRS`` walks (and node
     deposits), the newest first, so memory does not grow with the point
-    count; ``max_steps`` bounds the walks of each point.
+    count; ``MAX_WALKS`` bounds the walks of each point.
     """
     _require_points(pattern, lattice)
     if not kernel.bounded:
@@ -249,11 +291,10 @@ def _equal_split(pattern, lattice, kernel, continuous, max_steps):
             keep = ~back
         i, e, row = i[keep], e[keep], row[i[keep]]
         np.add.at(used, row, 1)
-        if np.any(used[row] > max_steps):
+        if np.any(used[row] > MAX_WALKS):
             raise PathExplosion(
-                "path enumeration exceeded the step budget; "
-                "reduce the bandwidth or raise max_steps"
-            )
+                f"a point's equal-split paths take more than {MAX_WALKS} edge walks; "
+                "lower the bandwidth (--bw)")
         return row, e, np.where(ev[e, 0] == v[i], 0.0, ell[e]), d[i], w[keep]
 
     def scan(row, e, base, d, w):  # deposit along the walked edges; arrive at their ends

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CholeskyFailure, OutOfDomain
+from .errors import CholeskyFailure
 from .lattice import Lattice, LatticeFunction
 from .network import LinearNetwork, PointPattern
 
@@ -39,7 +39,6 @@ class MixtureSpec:
     weights: tuple
     means: tuple
     covariances: tuple
-    scale: float = 1.0
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -61,21 +60,21 @@ GM5_COVARIANCES = (
 )
 
 
-def gm5_mixture(seed, scale: float = 1.0) -> MixtureSpec:
+def gm5_mixture(seed) -> MixtureSpec:
     """Five-component preset: fixed covariances, uniform weights, seeded means."""
     rng = np.random.default_rng(seed)
     means = tuple(tuple(m) for m in rng.uniform(0.0, 1.0, size=(5, 2)))
-    return MixtureSpec(weights=(0.2,) * 5, means=means, covariances=GM5_COVARIANCES, scale=scale)
+    return MixtureSpec(weights=(0.2,) * 5, means=means, covariances=GM5_COVARIANCES)
 
 
 @functools.lru_cache(maxsize=2)
 def _field_cholesky(res: int, variance: float, scale: float) -> np.ndarray:
-    from scipy.spatial.distance import cdist
-
+    # grid point i * res + j sits at (ax[i], ax[j]), so its squared distance
+    # to point i' * res + j' is sq[i, i'] + sq[j, j']
     ax = np.linspace(0.0, 1.0, res)
-    gx, gy = np.meshgrid(ax, ax, indexing="ij")
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
-    cov = cdist(pts, pts)
+    sq = np.subtract.outer(ax, ax) ** 2
+    cov = (sq[:, None, :, None] + sq[None, :, None, :]).reshape(res * res, res * res)
+    np.sqrt(cov, out=cov)
     np.multiply(cov, -1.0 / scale, out=cov)
     np.exp(cov, out=cov)
     np.multiply(cov, variance, out=cov)
@@ -102,60 +101,37 @@ def sample_gaussian_field(res: int, spec: ExpCovSpec, seed) -> np.ndarray:
     return (chol @ z).reshape(res, res)
 
 
-@dataclass(frozen=True)
-class UnitSquareMap:
-    """Similarity transform taking network coordinates into the unit square."""
-
-    scale: float
-    offset_x: float
-    offset_y: float
-
-    def apply(self, xy: np.ndarray) -> np.ndarray:
-        xy = np.asarray(xy, dtype=float)
-        out = np.empty_like(xy)
-        out[..., 0] = (xy[..., 0] - self.offset_x) * self.scale
-        out[..., 1] = (xy[..., 1] - self.offset_y) * self.scale
-        return out
-
-
-def unit_square_map(net: LinearNetwork) -> UnitSquareMap:
-    """Fit the network bounding box inside [0,1]^2, preserving aspect ratio."""
+def unit_square_map(net: LinearNetwork) -> tuple[float, tuple[float, float]]:
+    """(scale, origin) fitting the network bounding box inside [0,1]^2,
+    preserving aspect ratio: a point xy maps to (xy - origin) * scale."""
     xmin, ymin = net.vertex_xy.min(axis=0)
     xmax, ymax = net.vertex_xy.max(axis=0)
     extent = max(xmax - xmin, ymax - ymin)
     if extent == 0:
         raise ValueError("degenerate network bounding box")
-    s = 1.0 / extent
     # center the short dimension
     ox = xmin - 0.5 * (extent - (xmax - xmin))
     oy = ymin - 0.5 * (extent - (ymax - ymin))
-    return UnitSquareMap(scale=s, offset_x=ox, offset_y=oy)
+    return 1.0 / extent, (ox, oy)
 
 
-def _node_unit_coords(lattice: Lattice, transform: UnitSquareMap | None):
-    xy = lattice.node_xy
-    if transform is not None:
-        xy = transform.apply(xy)
-    if np.any(xy < -1e-9) or np.any(xy > 1 + 1e-9):
-        raise OutOfDomain("lattice nodes fall outside the unit square")
-    return np.clip(xy, 0.0, 1.0)
+def _node_unit_coords(lattice: Lattice) -> np.ndarray:
+    """Lattice nodes in the unit square of :func:`unit_square_map`; the clip
+    absorbs rounding at the bounding box."""
+    scale, origin = unit_square_map(lattice.network)
+    return np.clip((lattice.node_xy - origin) * scale, 0.0, 1.0)
 
 
-def _bilinear_anchors(lattice: Lattice, res: int, transform: UnitSquareMap | None):
-    xy = _node_unit_coords(lattice, transform)
-    pos = xy * (res - 1)
+def _bilinear_anchors(lattice: Lattice, res: int):
+    pos = _node_unit_coords(lattice) * (res - 1)
     i0 = np.minimum(pos.astype(np.int64), res - 2)
     frac = pos - i0
     return i0[:, 0], i0[:, 1], frac[:, 0], frac[:, 1]
 
 
-def field_to_network_intensity(
-    grid: np.ndarray,
-    lattice: Lattice,
-    mu,
-    transform: UnitSquareMap | None = None,
-) -> LatticeFunction:
-    """Intensity exp(mu + Z) at the lattice nodes, Z bilinearly interpolated.
+def field_to_network_intensity(grid: np.ndarray, lattice: Lattice, mu) -> LatticeFunction:
+    """Intensity exp(mu + Z) at the lattice nodes, Z bilinearly interpolated
+    at their :func:`unit_square_map` coordinates.
 
     ``mu`` may be a scalar or a per-node array (e.g. the exact lognormal
     offset from :func:`interpolated_variance`).
@@ -163,7 +139,7 @@ def field_to_network_intensity(
     res = grid.shape[0]
     if grid.shape != (res, res):
         raise ValueError("field grid must be square")
-    ix, iy, fx, fy = _bilinear_anchors(lattice, res, transform)
+    ix, iy, fx, fy = _bilinear_anchors(lattice, res)
     z = (
         grid[ix, iy] * (1 - fx) * (1 - fy)
         + grid[ix + 1, iy] * fx * (1 - fy)
@@ -173,9 +149,7 @@ def field_to_network_intensity(
     return LatticeFunction(lattice, np.exp(np.asarray(mu, dtype=float) + z))
 
 
-def interpolated_variance(
-    spec: ExpCovSpec, lattice: Lattice, res: int, transform: UnitSquareMap | None = None
-) -> np.ndarray:
+def interpolated_variance(spec: ExpCovSpec, lattice: Lattice, res: int) -> np.ndarray:
     """Marginal variance of the bilinearly interpolated field at each node.
 
     Interpolation averages correlated grid values, so the node variance is
@@ -183,7 +157,7 @@ def interpolated_variance(
     the four anchor points.  Feeding this into the lognormal mean identity
     makes expected counts exact at any grid resolution.
     """
-    _, _, fx, fy = _bilinear_anchors(lattice, res, transform)
+    _, _, fx, fy = _bilinear_anchors(lattice, res)
     h = 1.0 / (res - 1)
     r_side = math.exp(-h / spec.scale)
     r_diag = math.exp(-h * math.sqrt(2.0) / spec.scale)
@@ -200,13 +174,9 @@ def interpolated_variance(
     return spec.variance * quad
 
 
-def mixture_to_network_intensity(
-    spec: MixtureSpec,
-    lattice: Lattice,
-    transform: UnitSquareMap | None = None,
-) -> LatticeFunction:
-    """Mixture density at the lattice nodes, times the mixture's scale factor."""
-    xy = _node_unit_coords(lattice, transform)
+def mixture_to_network_intensity(spec: MixtureSpec, lattice: Lattice) -> LatticeFunction:
+    """Mixture density at the lattice nodes' :func:`unit_square_map` coordinates."""
+    xy = _node_unit_coords(lattice)
     total = np.zeros(lattice.n_nodes)
     for w, mean, cov in zip(spec.weights, spec.means, spec.covariances):
         cov = np.asarray(cov, dtype=float)
@@ -216,7 +186,7 @@ def mixture_to_network_intensity(
         q = np.sum(sol * sol, axis=0)
         norm = 2.0 * math.pi * chol[0, 0] * chol[1, 1]
         total += w * np.exp(-0.5 * q) / norm
-    return LatticeFunction(lattice, spec.scale * total)
+    return LatticeFunction(lattice, total)
 
 
 def scale_to_target(intensity: LatticeFunction, target_points: float) -> LatticeFunction:

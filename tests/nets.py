@@ -566,7 +566,7 @@ def csv_write_lattice(f, path):
             )
 
 
-# -- the scipy shortest paths and components the numpy graph code replaced ----
+# -- the scipy code the numpy code replaced ------------------------------------
 
 
 def graph_links(g):
@@ -609,6 +609,22 @@ def scipy_components(net):
     ev = net.edge_vertices
     graph = csr_matrix((net.edge_lengths, (ev[:, 0], ev[:, 1])), shape=(net.n_vertices,) * 2)
     return connected_components(graph, directed=False)[1].astype(np.int64)
+
+
+def cdist_field_cholesky(res, variance, scale):
+    """Cholesky factor of the exponential covariance on the res x res grid,
+    with the distances from scipy's ``cdist`` over the grid points in row-major
+    order (axis 0 = x), as ``sim._field_cholesky`` once took them."""
+    from scipy.spatial.distance import cdist
+
+    ax = np.linspace(0.0, 1.0, res)
+    gx, gy = np.meshgrid(ax, ax, indexing="ij")
+    pts = np.column_stack([gx.ravel(), gy.ravel()])
+    cov = cdist(pts, pts)
+    np.multiply(cov, -1.0 / scale, out=cov)
+    np.exp(cov, out=cov)
+    np.multiply(cov, variance, out=cov)
+    return np.linalg.cholesky(cov)
 
 
 # -- the scans and cKDTree queries the grid index replaced --------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lineheat import adaptive, heat
 from lineheat.adaptive import (
     PILOT_FLOOR,
     _quantile,
@@ -10,9 +11,9 @@ from lineheat.adaptive import (
     heuristic_global_bandwidth,
     make_partition,
 )
-from lineheat.errors import BadDelta, EmptyPattern, NonpositivePilotWarning
+from lineheat.errors import BadDelta, EmptyPattern, NonpositivePilotWarning, StepBudgetExceeded
 from lineheat.experiment import ise, partition_per_bin
-from lineheat.heat import estimate_heat, estimate_heat_batch
+from lineheat.heat import estimate_heat, estimate_heat_batch, step_size
 from lineheat.lattice import LatticeFunction, discretize
 from lineheat.network import NetworkLocation, PointPattern
 
@@ -231,6 +232,23 @@ class TestAdaptiveEstimates:
             direct = estimate_adaptive_direct(pat, lat, bw)
             batch = estimate_heat_batch(pat, lat, bw.bandwidths)
             assert np.abs(batch.values - direct.values).max() <= 1e-12 * direct.values.max()
+
+    def test_direct_work_budget_sums_every_solve(self, monkeypatch):
+        pat, lat = _pattern_and_lattice()
+        bw = abramson_bandwidths(pat, estimate_heat(pat, lat, 0.3), 0.3)
+        work = int(np.floor(bw.bandwidths**2 / step_size(lat)).sum()) * lat.n_nodes
+        monkeypatch.setattr(heat, "MAX_NODE_STEPS", work)
+        want = estimate_adaptive_direct(pat, lat, bw).values
+
+        def no_solve(*args):
+            raise AssertionError("solved before the budget check")
+
+        monkeypatch.setattr(heat, "MAX_NODE_STEPS", work - 1)  # each solve alone is within it
+        monkeypatch.setattr(adaptive, "heat_solve", no_solve)
+        with pytest.raises(StepBudgetExceeded, match="one solve per point: use --delta, lower --bw-global or raise --dx$"):
+            estimate_adaptive_direct(pat, lat, bw)
+        monkeypatch.undo()
+        assert np.array_equal(estimate_adaptive_direct(pat, lat, bw).values, want)
 
     def test_permutation_invariance(self):
         pat, lat = _pattern_and_lattice(n=10, seed=29)

@@ -274,6 +274,36 @@ class TestEstimate:
         assert line.startswith("error: ") and name in line
         assert not (tmp_path / "est.csv").exists()
 
+    @pytest.mark.parametrize(
+        "flags, names",
+        [
+            (("--method", "uniform-corrected", "--bw", "5", "--dx", "0.02"), ("--dx", "--bw")),
+            (("--adaptive", "--bw-global", "5", "--dx", "0.15"), ("--bw-global", "--dx")),
+        ],
+        ids=["kernel-pairs", "direct-node-steps"],
+    )
+    def test_work_beyond_budget_exits_3(self, tmp_path, flags, names):
+        # 1,000 points on 1,200 m of streets: the edge corrections would pair
+        # 60k lattice nodes with one another, and the 1,000 direct solves would
+        # take about 1e10 node-steps (the pilot 1e7); both are refused up front
+        net = grid_network(3, 3, spacing=100.0)
+        write_network_geojson(net, tmp_path / "net.geojson")
+        rng = np.random.default_rng(0)
+        edge, u = rng.integers(0, net.n_edges, 1000), rng.random(1000)
+        xy = [net.location_xy(NetworkLocation(int(e), float(f * net.edge_lengths[e])))
+              for e, f in zip(edge, u)]
+        (tmp_path / "pts.csv").write_text("x,y\n" + "".join(f"{x},{y}\n" for x, y in xy))
+        t0 = time.perf_counter()
+        proc = run_cli(
+            "estimate", "--net", "net.geojson", "--points", "pts.csv", *flags,
+            "--out", "est.csv", cwd=tmp_path, timeout=60,
+        )
+        assert time.perf_counter() - t0 < 10
+        assert proc.returncode == 3, proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: ") and all(name in line for name in names)
+        assert not (tmp_path / "est.csv").exists()
+
     def test_adaptive_equal_split_rejected(self, toy, tmp_path):
         _, net_path, pts_path = toy
         proc = run_cli(
@@ -355,6 +385,39 @@ class TestSimulate:
             "--out-points", tmp_path / "p.csv", "--out-intensity", tmp_path / "l.csv",
         )
         assert proc.returncode == 0, proc.stderr
+
+
+class TestNumpyOnly:
+    # the simulator and the study need numpy alone: scipy is a test oracle
+    BLOCKED = (
+        "import sys\n"
+        "class NoScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.partition('.')[0] == 'scipy':\n"
+        "            raise ImportError(f'{name} is blocked')\n"
+        "sys.meta_path.insert(0, NoScipy())\n"
+        "from lineheat.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--scenario", "loggaussian-1", "--seed", "4", "--target-points", "60",
+         "--field-res", "16", "--out-points", "pts.csv", "--out-intensity", "lam.csv"),
+        ("study", "--scenario", "loggaussian-2", "--seed", "4", "--target-points", "40",
+         "--field-res", "8", "--deltas", "0.5,0.25", "--no-timing", "--replicates", "1",
+         "--out", "study.csv"),
+    ], ids=["simulate", "study"])
+    def test_runs_with_scipy_blocked(self, toy, tmp_path, argv):
+        _, net_path, _ = toy
+        runs = []
+        for cmd in ([sys.executable, "-c", self.BLOCKED], [sys.executable, "-m", "lineheat"]):
+            wd = tmp_path / str(len(runs))
+            wd.mkdir()
+            proc = subprocess.run([*cmd, argv[0], "--net", str(net_path), *argv[1:]],
+                                  capture_output=True, text=True, cwd=wd)
+            assert proc.returncode == 0, proc.stderr
+            runs.append([proc.stdout] + [(wd / f).read_bytes() for f in sorted(p.name for p in wd.iterdir())])
+        assert runs[0] == runs[1] and len(runs[0]) > 1
 
 
 class TestStudy:

@@ -387,3 +387,14 @@ class TestStepBudget:
         heat_solve(f0, 40.5 * dt)  # 40 full steps and a remainder
         with pytest.raises(StepBudgetExceeded, match="^41 explicit steps exceed the budget of 40"):
             heat_solve(f0, 41.5 * dt)
+
+    def test_node_step_budget(self, monkeypatch):
+        lat = discretize(segment_network(1.0), 0.25)  # 5 nodes
+        dt = step_size(lat)
+        f0 = LatticeFunction(lat, np.ones(lat.n_nodes))
+        monkeypatch.setattr(heat, "MAX_NODE_STEPS", 200)
+        heat_solve(f0, 40.5 * dt)
+        with pytest.raises(StepBudgetExceeded, match=(
+                r"^41 explicit steps on 5 lattice nodes exceed the budget of 2e\+02 node-steps; "
+                r"lower the bandwidth \(--bw or --bw-global\) or raise --dx$")):
+            heat_solve(f0, 41.5 * dt)

@@ -5,7 +5,13 @@ import pytest
 from scipy.integrate import quad
 
 from lineheat import kernels, network
-from lineheat.errors import EmptyPattern, LatticeMismatch, PathExplosion, UnboundedKernel
+from lineheat.errors import (
+    EmptyPattern,
+    LatticeMismatch,
+    PairBudgetExceeded,
+    PathExplosion,
+    UnboundedKernel,
+)
 from lineheat.kernels import (
     Kernel1D,
     _kernel_sum,
@@ -16,7 +22,7 @@ from lineheat.kernels import (
     precompute_edge_correction,
 )
 from lineheat.lattice import discretize
-from lineheat.network import NetworkLocation, PointPattern
+from lineheat.network import NetworkLocation, PointPattern, build_network
 
 from nets import (
     assert_same,
@@ -263,6 +269,60 @@ class TestBatchedMatchesLoop:
                 assert_same(values, whole[name])
 
 
+class TestPairBudget:
+    """``MAX_PAIRS`` bounds the (source, node) pairs of every distance pass."""
+
+    @staticmethod
+    def pairs(lattice, kernel, node, start):
+        return sum(len(row) for row, _, _ in kernels._kernel_terms(lattice, kernel, node, start))
+
+    def test_bound_is_never_below_the_pairs(self, monkeypatch):
+        # a budget one below a pass's pairs is refused: the planar bound is
+        # an upper bound, for the points, the covered nodes and every node;
+        # on a straight chain the support reaches edges whose boxes the
+        # source edge's box does not meet
+        chain = build_network([(float(x), 0.0) for x in range(11)], [(i, i + 1) for i in range(10)])
+        cases = list(batched_cases(10, 54)) + [
+            (discretize(chain, 0.1), PointPattern(chain, [NetworkLocation(4, 0.5)]),
+             Kernel1D("epanechnikov", 4.5))]
+        for lat, pat, k in cases:
+            o = pat.order
+            points = self.pairs(lat, k, *lat._point_seeds(pat.edge[o], pat.offset[o]))
+            covered = np.flatnonzero(_kernel_sum(pat, lat, k) > 0)
+            nodes = np.arange(lat.n_nodes)
+            corrections, every = (
+                self.pairs(lat, k, np.column_stack((x, x)), np.zeros((len(x), 2)))
+                for x in (covered, nodes))
+            for budget, run in (
+                (points, lambda: estimate_jones_diggle(pat, lat, k)),
+                (max(points, corrections), lambda: estimate_uniform_corrected(pat, lat, k)),
+                (every, lambda: precompute_edge_correction(lat, k)),
+            ):
+                monkeypatch.setattr(kernels, "MAX_PAIRS", budget - 1)
+                with pytest.raises(PairBudgetExceeded):
+                    run()
+
+    def test_refused_before_any_distance_pass(self, monkeypatch):
+        net = grid_network(3, 3)
+        lat = discretize(net, 0.05)
+        k = Kernel1D("gaussian", 1.0)  # its support spans the network
+        pat = PointPattern(net, [NetworkLocation(0, 0.5), NetworkLocation(7, 0.5)])
+        real = kernels._graph_distances
+
+        def no_pass(*args):
+            raise AssertionError("a distance pass ran before the budget check")
+
+        monkeypatch.setattr(kernels, "_graph_distances", no_pass)
+        # every point may reach every node, but not every node every node
+        monkeypatch.setattr(kernels, "MAX_PAIRS", pat.n * lat.n_nodes)
+        for run in (estimate_uniform_corrected, lambda p, lat, k: precompute_edge_correction(lat, k)):
+            with pytest.raises(PairBudgetExceeded, match="; raise --dx or lower --bw$") as exc:
+                run(pat, lat, k)
+            assert exc.value.exit_code == 3
+        monkeypatch.setattr(kernels, "_graph_distances", real)
+        estimate_jones_diggle(pat, lat, k)
+
+
 class TestPrecomputedCorrectionLattice:
     @pytest.mark.parametrize("dx", [0.25, 0.05], ids=["coarser", "finer"])
     def test_other_lattice_rejected(self, dx):
@@ -394,13 +454,14 @@ class TestEqualSplit:
         kdl = branch_limits(lat, equal_split_discontinuous(pat(net), lat, k))
         assert kdl.max() - kdl.min() > 1e-3
 
-    def test_path_explosion(self):
+    def test_path_explosion(self, monkeypatch):
         net = triangle_network()
         lat = discretize(net, 0.1)
         k = Kernel1D("epanechnikov", 20.0)
         pat = PointPattern(net, [NetworkLocation(0, 0.5)])
-        with pytest.raises(PathExplosion):
-            equal_split_continuous(pat, lat, k, max_steps=10)
+        monkeypatch.setattr(kernels, "MAX_WALKS", 10)
+        with pytest.raises(PathExplosion, match=r"more than 10 edge walks; lower the bandwidth \(--bw\)$"):
+            equal_split_continuous(pat, lat, k)
 
     def test_mass_convergence_order(self):
         # node-cell quadrature error of the integrals shrinks ~ dx^2; the
@@ -477,7 +538,7 @@ class TestEqualSplitRounds:
                 assert_same(est(shuffled, lat, k).values, est(pat, lat, k).values)
 
     @pytest.mark.parametrize("continuous", [False, True], ids=["esd", "esc"])
-    def test_budget_is_per_point(self, continuous):
+    def test_budget_is_per_point(self, monkeypatch, continuous):
         net = grid_network(3, 3)
         lat = discretize(net, 0.1)
         k = Kernel1D("epanechnikov", 3.5)
@@ -486,10 +547,12 @@ class TestEqualSplitRounds:
         w = int(walks[0])  # 21 (esd) and 37 (esc)
         assert w > 20
         est = ESTIMATORS[continuous]
-        est(pat, lat, k, max_steps=w)
+        monkeypatch.setattr(kernels, "MAX_WALKS", w)
+        est(pat, lat, k)
+        est(PointPattern(net, [pat[0], pat[0]]), lat, k)
+        monkeypatch.setattr(kernels, "MAX_WALKS", w - 1)
         with pytest.raises(PathExplosion):
-            est(pat, lat, k, max_steps=w - 1)
-        est(PointPattern(net, [pat[0], pat[0]]), lat, k, max_steps=w)
+            est(pat, lat, k)
 
     @pytest.mark.parametrize("pairs", [1, 40])
     def test_chunks_match_one_chunk(self, monkeypatch, pairs):

@@ -761,8 +761,8 @@ print(rc, sorted(m for m in sys.modules if m.startswith("scipy")))
         assert "concurrent.futures" in self.heavy_modules(code)
 
     def test_import_leaves_scipy_unimported(self):
-        # scipy.sparse alone takes about a fifth of a second to import; only
-        # the study harness's simulation loads scipy (``cdist``)
+        # scipy.sparse alone takes about a fifth of a second to import; no
+        # module of the package loads scipy (the simulator included)
         code = "import sys, lineheat; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

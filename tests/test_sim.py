@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lineheat.errors import OutOfDomain
+from lineheat.experiment import LOGGAUSSIAN_SCENARIOS
 from lineheat.lattice import LatticeFunction, discretize
 from lineheat.network import NetworkLocation, build_network
 from lineheat.sim import (
@@ -15,14 +15,15 @@ from lineheat.sim import (
     mixture_to_network_intensity,
     sample_gaussian_field,
     sample_poisson_on_network,
+    _field_cholesky,
     unit_square_map,
 )
 
-from nets import grid_network, segment_network
+from nets import cdist_field_cholesky, grid_network, segment_network
 
 
 def unit_segment_net():
-    # a diagonal inside the unit square so no rescaling is needed
+    # its bounding box maps onto the unit square: the diagonal from (0, 0) to (1, 1)
     return build_network([(0.05, 0.05), (0.95, 0.95)], [(0, 1)])
 
 
@@ -61,6 +62,16 @@ class TestGaussianField:
         z_hat, z_want = np.arctanh(rho_hat), np.arctanh(rho_want)
         assert abs(z_hat - z_want) <= 3.0 / math.sqrt(240 - 3)
 
+    @pytest.mark.parametrize("res", [2, 8, 21, 64])
+    def test_cholesky_matches_cdist_oracle(self, res):
+        # the broadcast grid distances are cdist's to the bit; the factor at
+        # res 64 is 4096 x 4096, so one scenario covers it
+        names = list(LOGGAUSSIAN_SCENARIOS)
+        for name in names if res < 64 else names[:1]:
+            spec = LOGGAUSSIAN_SCENARIOS[name]
+            want = cdist_field_cholesky(res, spec.variance, spec.scale)
+            assert np.array_equal(_field_cholesky(res, spec.variance, spec.scale), want)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             ExpCovSpec(variance=-1.0, scale=0.1)
@@ -84,18 +95,21 @@ class TestFieldToIntensity:
         b = field_to_network_intensity(z + 1.5, lat, mu=0.0)
         assert np.allclose(b.values, a.values * math.exp(1.5), rtol=1e-12)
 
-    def test_out_of_domain(self):
-        net = build_network([(0, 0), (3, 0)], [(0, 1)])
-        lat = discretize(net, 0.5)
-        with pytest.raises(OutOfDomain):
-            field_to_network_intensity(np.zeros((4, 4)), lat, mu=0.0)
-
     def test_unit_square_map_rescales(self):
-        net = build_network([(10, 20), (30, 20), (30, 40)], [(0, 1), (1, 2)])
-        tr = unit_square_map(net)
+        # far outside the unit square, and wider than high: the nodes map into it,
+        # the short side centred, and read the field where the map puts them
+        net = build_network([(10, 20), (50, 20), (50, 30)], [(0, 1), (1, 2)])
+        scale, origin = unit_square_map(net)
+        assert scale == 1 / 40 and origin == (10, 5)
         lat = discretize(net, 2.0)
-        lam = field_to_network_intensity(np.zeros((6, 6)), lat, mu=0.0, transform=tr)
+        lam = field_to_network_intensity(np.zeros((6, 6)), lat, mu=0.0)
         assert np.allclose(lam.values, 1.0)
+        ax = np.linspace(0.0, 1.0, 6)
+        grid = np.add.outer(ax, 2 * ax)  # linear, so bilinear interpolation is exact
+        u = (lat.node_xy - origin) * scale
+        assert u.min() >= 0 and u.max() <= 1
+        lam = field_to_network_intensity(grid, lat, mu=0.0)
+        assert np.allclose(np.log(lam.values), u[:, 0] + 2 * u[:, 1], rtol=0, atol=1e-12)
 
 
 class TestMixture:
