@@ -11,8 +11,10 @@ bandwidths invariant to rescaling the pilot (gamma_exponent=-0.5, the
 default).  gamma_exponent=-2.0 selects the alternative normalizer
 exp(mean(log pilot^-2)), which is not scale-free and is kept for comparison.
 
-The direct adaptive estimate solves one diffusion per point at its own
-bandwidth.  The partition estimator approximates it by splitting the points
+The direct adaptive estimate diffuses every point at its own bandwidth.
+``heat.estimate_heat_batch`` computes it exactly in one pass, and
+``estimate_adaptive_direct`` keeps the paper's baseline of one solve per
+point.  The partition estimator approximates it by splitting the points
 into D = 1/delta quantile bins of the bandwidths and diffusing every point at
 its bin's midpoint (one fixed-bandwidth estimate per bin), run as a single
 ``heat.estimate_heat_batch`` pass.
@@ -174,9 +176,11 @@ def estimate_adaptive_direct(
 ) -> LatticeFunction:
     """One diffusion solve per point at its own bandwidth, summed.
 
-    This is the exact adaptive estimate that the partition approximates; cost
-    grows with the number of points.  Contributions are summed in canonical
-    point order, so the result is independent of input ordering.
+    The paper's direct baseline, which the study times against the partition:
+    its cost grows with the number of points.  ``estimate_heat_batch(pattern,
+    lattice, bw.bandwidths)`` gives the same exact adaptive estimate, to
+    rounding, in one pass; the CLI runs that.  Contributions are summed in
+    canonical point order, so the result is independent of input ordering.
     """
     _require_points(pattern, lattice)
     steps = int(np.floor(bw.bandwidths**2 / step_size(lattice, cfg)).sum())

@@ -23,13 +23,12 @@ from . import __version__
 from .adaptive import (
     abramson_bandwidths,
     bin_count,
-    estimate_adaptive_direct,
     estimate_adaptive_partition,
     heuristic_global_bandwidth,
 )
 from .errors import LineHeatError
 from .experiment import SCENARIOS, STUDY_COLUMNS, run_partition_study, simulate_intensity
-from .heat import DEFAULT_CONFIG, estimate_heat, resolve_dx
+from .heat import DEFAULT_CONFIG, estimate_heat, estimate_heat_batch, resolve_dx
 from .ingest import (
     FLOAT_FMT,
     check_raster_res,
@@ -213,7 +212,7 @@ def _cmd_estimate(args) -> int:
         if args.delta is not None:
             est = estimate_adaptive_partition(pattern, lattice, bw, args.delta, cfg)
         else:
-            est = estimate_adaptive_direct(pattern, lattice, bw, cfg)
+            est = estimate_heat_batch(pattern, lattice, bw.bandwidths, cfg)
     else:
         dx = resolve_dx(args.dx, net, args.bw)
         _echo_config(args, resolved_dx=dx)

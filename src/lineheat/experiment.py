@@ -2,9 +2,10 @@
 
 A study replicate simulates an intensity on a network, draws a Poisson
 pattern, computes per-point bandwidths from a pilot estimate, then compares
-the direct adaptive estimate (one solve per point, computed once) against the
-partition approximation for each requested quantile step, recording the
-integrated squared error and wall-clock ratio.
+the direct adaptive estimate (the paper's baseline of one solve per point,
+computed once) against the partition approximation for each requested
+quantile step, recording the integrated squared error and wall-clock ratio.
+It also times the exact estimate as one batched pass, which the CLI runs.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .adaptive import (
     make_partition,
 )
 from .errors import LatticeMismatch
-from .heat import estimate_heat, resolve_dx
+from .heat import estimate_heat, estimate_heat_batch, resolve_dx
 from .lattice import LatticeFunction, discretize
 from .network import LinearNetwork
 from .sim import (
@@ -55,6 +56,7 @@ STUDY_COLUMNS = (
     "n_points",
     "ise",
     "time_direct_s",
+    "time_exact_onepass_s",
     "time_partition_s",
     "time_ratio",
 )
@@ -100,10 +102,11 @@ def _one_replicate(
     truth = simulate_intensity(net, lat1, scenario, [rep_seed, 0], target_points, field_res)
     pattern = sample_poisson_on_network(truth, [rep_seed, 1])
 
-    def record(delta, ise_value, t_direct=None, t_part=None):
+    def record(delta, ise_value, t_direct=None, t_onepass=None, t_part=None):
         return {
             "scenario": scenario, "replicate": rep, "delta": delta, "n_points": pattern.n,
-            "ise": ise_value, "time_direct_s": t_direct, "time_partition_s": t_part,
+            "ise": ise_value, "time_direct_s": t_direct, "time_exact_onepass_s": t_onepass,
+            "time_partition_s": t_part,
             "time_ratio": None if t_direct is None else t_part / t_direct,
         }
 
@@ -123,6 +126,10 @@ def _one_replicate(
     t0 = time.perf_counter()
     direct = estimate_adaptive_direct(pattern, lat2, bw)
     t_direct = time.perf_counter() - t0
+    if timing:
+        t0 = time.perf_counter()
+        estimate_heat_batch(pattern, lat2, bw.bandwidths)
+        t_onepass = time.perf_counter() - t0
 
     rows = []
     for d in deltas:
@@ -130,7 +137,7 @@ def _one_replicate(
         t0 = time.perf_counter()
         part = partition_per_bin(pattern, lat2, plan)
         t_part = time.perf_counter() - t0
-        times = (t_direct, t_part) if timing else (None, None)
+        times = (t_direct, t_onepass, t_part) if timing else ()
         rows.append(record(d, ise(part, direct), *times))
     return rows
 
@@ -172,8 +179,8 @@ def run_partition_study(
 
     Returns one record per (replicate, delta) with the ISE of the partition
     estimate against the direct estimate and, when ``timing`` is on, the
-    wall-clock seconds of both (timing forces jobs=1 to avoid contention
-    skew).  Replicate r uses seed + r.
+    wall-clock seconds of both and of the exact estimate in one batched pass
+    (timing forces jobs=1 to avoid contention skew).  Replicate r uses seed + r.
     """
     if replicates < 1:
         raise ValueError("need at least one replicate")

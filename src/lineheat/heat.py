@@ -33,8 +33,8 @@ BETA = 0.5
 #: Most full explicit steps one solve may take; more is a hang, not a result.
 MAX_STEPS = 10**7
 
-#: Most node-steps (full explicit steps times lattice nodes) one solve, or
-#: the per-point solves of one direct adaptive estimate together, may take.
+#: Most node-steps (full explicit steps times lattice nodes) one solve, or the
+#: per-point solves of ``adaptive.estimate_adaptive_direct`` together, may take.
 MAX_NODE_STEPS = 3 * 10**9
 
 
@@ -78,13 +78,17 @@ def deposit_initial_mass(pattern: PointPattern, lattice: Lattice) -> LatticeFunc
     and is divided by the node weights, so the discrete integral equals the
     number of points.  Points are added in ``pattern.order``.
     """
-    if pattern.network is not lattice.network:
-        raise LocationOffNetwork("pattern bound to a different network")
-    left, right, theta = lattice.bracket(pattern.edge[pattern.order], pattern.offset[pattern.order])
-    nodes = np.column_stack((left, right)).ravel()
-    share = np.column_stack((1.0 - theta, theta)).ravel()
+    nodes, share = _shares(pattern, lattice, pattern.order)
     mass = np.bincount(nodes, share, lattice.n_nodes)
     return LatticeFunction(lattice, mass / lattice.node_weight)
+
+
+def _shares(pattern: PointPattern, lattice: Lattice, points):
+    """(node, share) rows of ``points``' unit masses, split between their bracketing chain nodes."""
+    if pattern.network is not lattice.network:
+        raise LocationOffNetwork("pattern bound to a different network")
+    left, right, theta = lattice.bracket(pattern.edge[points], pattern.offset[points])
+    return np.column_stack((left, right)).ravel(), np.column_stack((1.0 - theta, theta)).ravel()
 
 
 def _check_dt(lattice: Lattice, dt: float) -> None:
@@ -104,16 +108,19 @@ def _check_node_steps(lattice: Lattice, steps: int, advice: str) -> None:
 
 
 def _step_values(values: np.ndarray, lattice: Lattice, dt: float) -> np.ndarray:
+    return _step(values, lattice.link_i, lattice.link_j, lattice.link_h, lattice.node_weight, dt)
+
+
+def _step(values, li, lj, h, weight, dt):
     # values + (beta dt) acc / weight, in place: with more lattice-size temporaries
     # per step, glibc may return them to the OS and every step faults them back in
-    li, lj = lattice.link_i, lattice.link_j
     flux = values[lj]
     flux -= values[li]
-    flux /= lattice.link_h
-    acc = np.bincount(li, flux, lattice.n_nodes)
-    acc -= np.bincount(lj, flux, lattice.n_nodes)
+    flux /= h
+    acc = np.bincount(li, flux, len(values))
+    acc -= np.bincount(lj, flux, len(values))
     acc *= BETA * dt
-    acc /= lattice.node_weight
+    acc /= weight
     acc += values
     return acc
 
@@ -128,55 +135,81 @@ def heat_step(f: LatticeFunction, cfg: HeatConfig = DEFAULT_CONFIG, dt: float | 
     return LatticeFunction(f.lattice, _step_values(f.values, f.lattice, dt))
 
 
-def _inject(lattice: Lattice, times, initial, cfg: HeatConfig) -> np.ndarray:
+def _inject(lattice: Lattice, times, key, value, cfg: HeatConfig) -> np.ndarray:
     """Sum of heat solves, one per group, run as a single time-stepping loop.
 
-    Group k starts from ``initial(k)``, called when it joins, and diffuses
-    for ``times[k]``.  Each group is first advanced by its fractional
-    remainder step (it commutes with the full steps), then joins the running
-    solve when exactly its number of full steps is left; groups with equal
-    step counts join in the order given.  By linearity the sum costs the
-    largest group's steps plus one short step per group, and a single group
-    is the standalone solve.
+    Group k holds ``value`` at the nodes ``key - k * n_nodes`` of the sorted
+    ``key`` in ``[k * n_nodes, (k + 1) * n_nodes)``, 0 elsewhere, and diffuses
+    for ``times[k]``.  Each group takes its fractional remainder step on its
+    own links (it commutes with the full steps), then joins the running solve
+    by a scatter-add when exactly its number of full steps is left; groups
+    with equal step counts join in group order.  By linearity the sum costs
+    the largest group's full steps, and a single group is the standalone solve.
     """
     dt = step_size(lattice, cfg)
     _check_dt(lattice, dt)
-    joins: dict[int, list[tuple[int, float]]] = {}
-    for k, t in enumerate(times):
-        n = int(math.floor(t / dt))
-        r = t - n * dt
-        if r < 0.0:  # guard the floor/multiply rounding
-            r = 0.0
-        if r >= dt:
-            n, r = n + 1, 0.0
-        joins.setdefault(n, []).append((k, r))
-    if (steps := max(joins, default=0)) > MAX_STEPS:
+    t = np.asarray(times, dtype=float)
+    full = np.floor(t / dt)
+    r = np.maximum(t - full * dt, 0.0)  # guard the floor/multiply rounding
+    full[r >= dt] += 1
+    r[r >= dt] = 0.0
+    if (steps := int(full.max(initial=0.0))) > MAX_STEPS:
         raise StepBudgetExceeded(
             f"{steps} explicit steps exceed the budget of {MAX_STEPS}: the shortest lattice piece "
             f"is {lattice.min_spacing:.6g} long; drop edges that short or lower the bandwidth")
     _check_node_steps(lattice, steps, "lower the bandwidth (--bw or --bw-global) or raise --dx")
+    if len(key):
+        key, value = _remainder_step(lattice, key, value, r)
+    join = full.astype(np.int64)[key // lattice.n_nodes]
+    order = np.argsort(join, kind="stable")
+    join, node, value = join[order], key[order] % lattice.n_nodes, value[order]
     values = np.zeros(lattice.n_nodes)
+    end = len(join)
     for left in range(steps, -1, -1):
-        for k, r in joins.get(left, ()):
-            group = initial(k)
-            if r > 0.0:
-                group = _step_values(group, lattice, r)
-            values = values + group
-            del group  # held through the steps, it makes each step page-fault
+        if end and join[end - 1] == left:
+            start = int(np.searchsorted(join, left))
+            np.add.at(values, node[start:end], value[start:end])
+            end = start
         if left:
             values = _step_values(values, lattice, dt)
     return values
+
+
+def _remainder_step(lattice: Lattice, key, value, r):
+    """The groups of :func:`_inject` after one step of ``r[k]`` each, as (key, value).
+
+    Only the links that touch a group's nodes carry flux; every other flux
+    is exactly +0.0.  So the step on the sub-lattice of those links, whose
+    nodes add their fluxes in link order, equals :func:`_step_values` on the
+    group's dense values bit for bit; a zero ``r[k]`` leaves them as they are.
+    """
+    n, nl = lattice.n_nodes, len(lattice.link_h)
+    first, links = lattice._node_links
+    node = key % n
+    count = first[node + 1] - first[node]
+    at = np.repeat(first[node] + count - np.cumsum(count), count) + np.arange(count.sum())
+    # each group's links, once each, in link order, and the nodes they join
+    gl = np.sort(np.repeat(key // n * nl, count) + links[at])
+    g, link = np.divmod(gl[np.diff(gl, prepend=-1) > 0], nl)
+    ends, at = np.unique(np.concatenate((key, g * n + lattice.link_i[link], g * n + lattice.link_j[link])),
+                         return_inverse=True)
+    local = np.zeros(len(ends))
+    local[at[:len(key)]] = value
+    li, lj = np.split(at[len(key):], 2)
+    return ends, _step(local, li, lj, lattice.link_h[link], lattice.node_weight[ends % n], r[ends // n])
 
 
 def heat_solve(f0: LatticeFunction, t: float, cfg: HeatConfig = DEFAULT_CONFIG) -> LatticeFunction:
     """Evolve ``f0`` to time ``t`` with the uniform stable step.
 
     The fractional remainder of t is taken as a single shortened step up
-    front, so batched and standalone solves agree.
+    front, on the nonzeros of ``f0`` and their neighbours, so batched and
+    standalone solves agree.
     """
     if not 0 <= t < math.inf:
         raise ValueError(f"t must be nonnegative and finite, got {t}")
-    return LatticeFunction(f0.lattice, _inject(f0.lattice, [t], lambda k: f0.values, cfg))
+    key = np.flatnonzero(f0.values)
+    return LatticeFunction(f0.lattice, _inject(f0.lattice, [t], key, f0.values[key], cfg))
 
 
 def estimate_heat(
@@ -210,10 +243,9 @@ def estimate_heat_batch(
     if not np.all((h > 0) & (h < np.inf)):
         raise ValueError("all bandwidths must be positive and finite")
     sigmas, group = np.unique(h, return_inverse=True)
-    order = np.argsort(group, kind="stable")
-    members = np.split(order, np.cumsum(np.bincount(group))[:-1])
-
-    def group_mass(k):
-        return deposit_initial_mass(pattern.subset(members[k]), lattice).values
-
-    return LatticeFunction(lattice, _inject(lattice, sigmas * sigmas, group_mass, cfg))
+    # each group's deposit, summed per node in pattern.order as deposit_initial_mass sums it
+    points = pattern.order[np.argsort(group[pattern.order], kind="stable")]
+    nodes, share = _shares(pattern, lattice, points)
+    key, at = np.unique(np.repeat(group[points] * lattice.n_nodes, 2) + nodes, return_inverse=True)
+    mass = np.bincount(at, share) / lattice.node_weight[key % lattice.n_nodes]
+    return LatticeFunction(lattice, _inject(lattice, sigmas * sigmas, key, mass, cfg))

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 
+from lineheat.heat import _step_values, deposit_initial_mass, step_size
 from lineheat.lattice import Lattice
 from lineheat.network import (
     CROSS_TOLERANCE,
@@ -371,6 +372,45 @@ def reference_step(values, lattice, dt, beta):
     acc = np.bincount(li, weights=flux, minlength=lattice.n_nodes)
     acc -= np.bincount(lj, weights=flux, minlength=lattice.n_nodes)
     return values + (beta * dt) * acc / lattice.node_weight
+
+
+def dense_inject(lattice, times, initial, cfg):
+    """The injection loop with dense groups: group k's initial values,
+    ``initial(k)``, and its remainder step span the whole lattice, and it
+    joins the running values with a dense add."""
+    dt = step_size(lattice, cfg)
+    joins = {}
+    for k, t in enumerate(times):
+        n = int(math.floor(t / dt))
+        r = t - n * dt
+        if r < 0.0:
+            r = 0.0
+        if r >= dt:
+            n, r = n + 1, 0.0
+        joins.setdefault(n, []).append((k, r))
+    values = np.zeros(lattice.n_nodes)
+    for left in range(max(joins, default=0), -1, -1):
+        for k, r in joins.get(left, ()):
+            group = initial(k)
+            if r > 0.0:
+                group = _step_values(group, lattice, r)
+            values = values + group
+        if left:
+            values = _step_values(values, lattice, dt)
+    return values
+
+
+def dense_heat_solve(f0, t, cfg):
+    return dense_inject(f0.lattice, [t], lambda k: f0.values, cfg)
+
+
+def dense_heat_batch(pattern, lattice, bandwidths, cfg):
+    """Per-bandwidth groups, each a dense ``deposit_initial_mass`` of its points."""
+    sigmas, group = np.unique(np.asarray(bandwidths, dtype=float), return_inverse=True)
+    members = [np.flatnonzero(group == k) for k in range(len(sigmas))]
+    return dense_inject(
+        lattice, sigmas * sigmas,
+        lambda k: deposit_initial_mass(pattern.subset(members[k]), lattice).values, cfg)
 
 
 def assert_same(got, want):

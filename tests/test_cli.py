@@ -6,11 +6,13 @@ import time
 import numpy as np
 import pytest
 
-from lineheat.ingest import read_lattice_function, read_network_geojson, write_network_geojson
+from lineheat.adaptive import abramson_bandwidths, estimate_adaptive_direct
+from lineheat.heat import default_dx, estimate_heat
+from lineheat.ingest import read_lattice_function, read_network_geojson, read_points, write_network_geojson
 from lineheat.lattice import discretize
 from lineheat.network import NetworkLocation, build_network
 
-from nets import grid_network
+from nets import grid_network, random_pattern
 
 
 def run_cli(*argv, cwd=None, timeout=None):
@@ -275,23 +277,29 @@ class TestEstimate:
         assert not (tmp_path / "est.csv").exists()
 
     @pytest.mark.parametrize(
-        "flags, names",
+        "flags, names, clustered",
         [
-            (("--method", "uniform-corrected", "--bw", "5", "--dx", "0.02"), ("--dx", "--bw")),
-            (("--adaptive", "--bw-global", "5", "--dx", "0.15"), ("--bw-global", "--dx")),
+            (("--method", "uniform-corrected", "--bw", "5", "--dx", "0.02"), ("--dx", "--bw"), False),
+            (("--adaptive", "--bw-global", "5", "--dx", "0.15"), ("--bw-global", "--dx"), True),
         ],
         ids=["kernel-pairs", "direct-node-steps"],
     )
-    def test_work_beyond_budget_exits_3(self, tmp_path, flags, names):
-        # 1,000 points on 1,200 m of streets: the edge corrections would pair
-        # 60k lattice nodes with one another, and the 1,000 direct solves would
-        # take about 1e10 node-steps (the pilot 1e7); both are refused up front
+    def test_work_beyond_budget_exits_3(self, tmp_path, flags, names, clustered):
+        # 1,000 points on 1,200 m of streets.  Spread out, the edge corrections
+        # would pair 60k lattice nodes with one another.  With 999 of them
+        # within 1 m and one 180 m away, the far one's bandwidth is 31 times
+        # --bw-global, so the one-pass direct estimate would take 1.2e6 steps
+        # on 8,001 nodes, 9.7e9 node-steps (the pilot 9.9e6).  Both are
+        # refused up front.
         net = grid_network(3, 3, spacing=100.0)
         write_network_geojson(net, tmp_path / "net.geojson")
         rng = np.random.default_rng(0)
-        edge, u = rng.integers(0, net.n_edges, 1000), rng.random(1000)
-        xy = [net.location_xy(NetworkLocation(int(e), float(f * net.edge_lengths[e])))
-              for e, f in zip(edge, u)]
+        if clustered:
+            xy = [(50.0 + rng.uniform(-1.0, 1.0), 0.0) for _ in range(999)] + [(150.0, 200.0)]
+        else:
+            edge, u = rng.integers(0, net.n_edges, 1000), rng.random(1000)
+            xy = [net.location_xy(NetworkLocation(int(e), float(f * net.edge_lengths[e])))
+                  for e, f in zip(edge, u)]
         (tmp_path / "pts.csv").write_text("x,y\n" + "".join(f"{x},{y}\n" for x, y in xy))
         t0 = time.perf_counter()
         proc = run_cli(
@@ -303,6 +311,29 @@ class TestEstimate:
         [line] = proc.stderr.splitlines()
         assert line.startswith("error: ") and all(name in line for name in names)
         assert not (tmp_path / "est.csv").exists()
+
+    def test_adaptive_without_delta_is_the_direct_estimate(self, tmp_path):
+        # the one-pass batch the CLI runs against the per-point loop
+        net = grid_network(4, 4, spacing=50.0, jitter=10.0, rng=np.random.default_rng(3))
+        write_network_geojson(net, tmp_path / "net.geojson")
+        pat = random_pattern(net, 60, np.random.default_rng(4))
+        xy = [net.location_xy(p) for p in pat]
+        (tmp_path / "pts.csv").write_text("x,y\n" + "".join(f"{float(x)!r},{float(y)!r}\n" for x, y in xy))
+        proc = run_cli(
+            "estimate", "--net", "net.geojson", "--points", "pts.csv",
+            "--adaptive", "--bw-global", "20", "--out", "est.csv", cwd=tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        dx = json.loads(proc.stdout.splitlines()[0].split(" ", 1)[1])["resolved_dx"]
+        back = read_network_geojson(tmp_path / "net.geojson")
+        pattern, _ = read_points(tmp_path / "pts.csv", back, float("inf"))
+        pilot = estimate_heat(pattern, discretize(back, default_dx(back, 20.0)), 20.0)
+        bw = abramson_bandwidths(pattern, pilot, 20.0)
+        lat = discretize(back, dx)
+        direct = estimate_adaptive_direct(pattern, lat, bw).values
+        got = read_lattice_function(tmp_path / "est.csv", lat).values
+        assert len(np.unique(bw.bandwidths)) == pattern.n == 60
+        assert np.abs(got - direct).max() <= 1e-12 * direct.max()
 
     def test_adaptive_equal_split_rejected(self, toy, tmp_path):
         _, net_path, pts_path = toy
@@ -448,7 +479,8 @@ class TestStudy:
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("#CONFIG ")
         json.loads(lines[0][len("#CONFIG "):])
-        assert lines[1] == "scenario,replicate,delta,n_points,ise,time_direct_s,time_partition_s,time_ratio"
+        assert lines[1] == ("scenario,replicate,delta,n_points,ise,time_direct_s,"
+                            "time_exact_onepass_s,time_partition_s,time_ratio")
         fields = lines[2].split(",")
         assert fields[0] == "loggaussian-1"
         assert float(fields[6]) > 0  # timing on by default

@@ -107,7 +107,7 @@ class TestStudy:
         assert len(rows) == 4
         for r in rows:
             assert tuple(r.keys()) == STUDY_COLUMNS
-            assert r["time_direct_s"] is None
+            assert r["time_direct_s"] is None and r["time_exact_onepass_s"] is None
             assert np.isfinite(r["ise"])
         rows2 = run_partition_study(
             net, "loggaussian-1", deltas=[0.5, 0.25], replicates=2, seed=9,
@@ -124,6 +124,7 @@ class TestStudy:
         )
         r = rows[0]
         assert r["time_direct_s"] > 0
+        assert r["time_exact_onepass_s"] > 0
         assert r["time_partition_s"] > 0
         assert r["time_ratio"] == pytest.approx(r["time_partition_s"] / r["time_direct_s"])
 

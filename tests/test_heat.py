@@ -5,6 +5,7 @@ from lineheat import heat
 from lineheat.errors import StabilityViolation, StepBudgetExceeded
 from lineheat.heat import (
     BETA,
+    DEFAULT_CONFIG,
     HeatConfig,
     default_dx,
     deposit_initial_mass,
@@ -20,6 +21,8 @@ from lineheat.network import NetworkLocation, PointPattern, build_network
 from nets import (
     add_spurs,
     assert_same,
+    dense_heat_batch,
+    dense_heat_solve,
     edge_integrals,
     grid_network,
     images_series,
@@ -297,6 +300,57 @@ class TestHeatBatch:
         pat = PointPattern(net, [NetworkLocation(0, 0.2), NetworkLocation(1, 0.2)])
         with pytest.raises(ValueError, match="positive"):
             estimate_heat_batch(pat, lat, [0.2, bad])
+
+
+class TestSparseInjection:
+    """Groups join the running solve as sparse entries, each after a remainder
+    step on its own links; the dense injection loop in nets.py is the oracle."""
+
+    @staticmethod
+    def _pattern(lat, rng):
+        # points at vertices, one ulp inside edge ends, on chain nodes and inside links
+        locs = special_locations(lat, rng)
+        return PointPattern(lat.network, [locs[i] for i in rng.choice(len(locs), 30)])
+
+    def test_batch_matches_dense_injection(self):
+        zero_remainders = 0
+        for lat, rng in random_lattices(5):
+            pat = self._pattern(lat, rng)
+            dt, h = step_size(lat), lat.min_spacing
+            whole = np.sqrt(dt * rng.integers(1, 30, pat.n))  # t / dt mostly a whole number
+            for bw in (np.full(pat.n, h * rng.uniform(0.5, 3.0)), h * rng.uniform(0.5, 4.0, pat.n),
+                       h * rng.choice([1.0, 2.0, 3.0], pat.n), whole):
+                assert_same(estimate_heat_batch(pat, lat, bw).values,
+                            dense_heat_batch(pat, lat, bw, DEFAULT_CONFIG))
+            t = whole * whole
+            zero_remainders += np.count_nonzero(t == np.floor(t / dt) * dt)
+        assert zero_remainders > 200
+
+    def test_solve_matches_dense_injection(self):
+        for lat, rng in random_lattices(6):
+            dt = step_size(lat)
+            sparse = rng.uniform(-1.0, 1.0, lat.n_nodes) * (rng.random(lat.n_nodes) < 0.2)
+            for f0 in (deposit_initial_mass(self._pattern(lat, rng), lat), LatticeFunction(lat, sparse),
+                       LatticeFunction(lat, np.zeros(lat.n_nodes))):
+                for t in (0.0, 3 * dt, dt * rng.uniform(0.1, 20.0)):
+                    assert_same(heat_solve(f0, t).values, dense_heat_solve(f0, t, DEFAULT_CONFIG))
+
+    @pytest.mark.parametrize("groups", [1, 2, 7, 40])
+    def test_full_steps_run_once_whatever_the_groups(self, monkeypatch, groups):
+        lat = discretize(y_network(), 0.05)
+        pat = random_pattern(lat.network, 40, np.random.default_rng(groups))
+        bw = np.resize(0.3 * np.linspace(1.0, 0.3, groups), pat.n)
+        calls = []
+        step = heat._step_values
+
+        def counted(values, lattice, dt):
+            calls.append((lattice is lat, dt == step_size(lat), len(values)))
+            return step(values, lattice, dt)
+
+        monkeypatch.setattr(heat, "_step_values", counted)
+        est = estimate_heat_batch(pat, lat, bw)
+        assert calls == [(True, True, lat.n_nodes)] * int(0.09 // step_size(lat))
+        assert est.integral() == pytest.approx(40, rel=1e-12)
 
 
 class TestDefaultDx:
