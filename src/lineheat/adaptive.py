@@ -183,9 +183,9 @@ def estimate_adaptive_direct(
     canonical point order, so the result is independent of input ordering.
     """
     _require_points(pattern, lattice)
-    steps = int(np.floor(bw.bandwidths**2 / step_size(lattice, cfg)).sum())
+    steps = int(np.ceil(bw.bandwidths**2 / step_size(lattice, cfg)).sum())
     _check_node_steps(lattice, steps, "the direct estimate sums one solve per point: "
-                      "use --delta, lower --bw-global or raise --dx")
+                      "use --delta, lower --bw-global")
     total = np.zeros(lattice.n_nodes)
     for i in pattern.order:
         f = heat_solve(

@@ -57,10 +57,6 @@ class PairBudgetExceeded(NumericalError):
     """A kernel estimate would compute more (source, node) distances than its budget."""
 
 
-class StabilityViolation(NumericalError):
-    """Requested time step exceeds the explicit-scheme stability bound."""
-
-
 class StepBudgetExceeded(NumericalError):
     """A solve, or the solves of one estimate, would take more explicit steps than the budget."""
 

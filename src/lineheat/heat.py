@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LocationOffNetwork, StabilityViolation, StepBudgetExceeded
+from .errors import LocationOffNetwork, StepBudgetExceeded
 from .lattice import Lattice, LatticeFunction
 from .network import LinearNetwork, PointPattern
 
@@ -91,48 +91,38 @@ def _shares(pattern: PointPattern, lattice: Lattice, points):
     return np.column_stack((left, right)).ravel(), np.column_stack((1.0 - theta, theta)).ravel()
 
 
-def _check_dt(lattice: Lattice, dt: float) -> None:
-    bound = lattice.min_spacing**2 / (2.0 * BETA)
-    if dt > bound * (1.0 + 1e-12):
-        raise StabilityViolation(
-            f"dt={dt:.3e} exceeds the stability bound {bound:.3e}"
-        )
-
-
 def _check_node_steps(lattice: Lattice, steps: int, advice: str) -> None:
-    """Raise StepBudgetExceeded if ``steps`` full steps on ``lattice`` pass ``MAX_NODE_STEPS``."""
+    """Raise StepBudgetExceeded if ``steps`` full steps on ``lattice`` pass ``MAX_NODE_STEPS``.
+
+    ``advice`` names the options that lower ``steps``.  "raise --dx" follows
+    unless the shortest lattice piece is a whole edge, which no --dx changes.
+    """
     if steps * lattice.n_nodes > MAX_NODE_STEPS:
+        h = lattice.min_spacing
+        fix = (f"drop edges {h:.6g} long or shorter: the shortest is one lattice piece whatever --dx is"
+               if h in lattice.edge_spacing[lattice._n_pieces == 1] else "raise --dx")
         raise StepBudgetExceeded(
             f"{steps} explicit steps on {lattice.n_nodes} lattice nodes exceed the budget of "
-            f"{MAX_NODE_STEPS:.0e} node-steps; {advice}")
+            f"{MAX_NODE_STEPS:.0e} node-steps; {advice} or {fix}")
 
 
 def _step_values(values: np.ndarray, lattice: Lattice, dt: float) -> np.ndarray:
-    return _step(values, lattice.link_i, lattice.link_j, lattice.link_h, lattice.node_weight, dt)
-
-
-def _step(values, li, lj, h, weight, dt):
     # values + (beta dt) acc / weight, in place: with more lattice-size temporaries
     # per step, glibc may return them to the OS and every step faults them back in
-    flux = values[lj]
-    flux -= values[li]
-    flux /= h
-    acc = np.bincount(li, flux, len(values))
-    acc -= np.bincount(lj, flux, len(values))
+    flux = values[lattice.link_j]
+    flux -= values[lattice.link_i]
+    flux /= lattice.link_h
+    acc = np.bincount(lattice.link_i, flux, len(values))
+    acc -= np.bincount(lattice.link_j, flux, len(values))
     acc *= BETA * dt
-    acc /= weight
+    acc /= lattice.node_weight
     acc += values
     return acc
 
 
-def heat_step(f: LatticeFunction, cfg: HeatConfig = DEFAULT_CONFIG, dt: float | None = None) -> LatticeFunction:
-    """One explicit step of size ``dt`` (default: the stable step for cfg.alpha)."""
-    if dt is None:
-        dt = step_size(f.lattice, cfg)
-    elif dt < 0:
-        raise ValueError("dt must be nonnegative")
-    _check_dt(f.lattice, dt)
-    return LatticeFunction(f.lattice, _step_values(f.values, f.lattice, dt))
+def heat_step(f: LatticeFunction, cfg: HeatConfig = DEFAULT_CONFIG) -> LatticeFunction:
+    """One explicit step of the stable size :func:`step_size` for ``cfg.alpha``."""
+    return LatticeFunction(f.lattice, _step_values(f.values, f.lattice, step_size(f.lattice, cfg)))
 
 
 def _inject(lattice: Lattice, times, key, value, cfg: HeatConfig) -> np.ndarray:
@@ -140,29 +130,30 @@ def _inject(lattice: Lattice, times, key, value, cfg: HeatConfig) -> np.ndarray:
 
     Group k holds ``value`` at the nodes ``key - k * n_nodes`` of the sorted
     ``key`` in ``[k * n_nodes, (k + 1) * n_nodes)``, 0 elsewhere, and diffuses
-    for ``times[k]``.  Each group takes its fractional remainder step on its
-    own links (it commutes with the full steps), then joins the running solve
-    by a scatter-add when exactly its number of full steps is left; groups
-    with equal step counts join in group order.  By linearity the sum costs
-    the largest group's full steps, and a single group is the standalone solve.
+    for ``times[k] = (m + theta) * dt``.  An explicit step is affine in its
+    length, S(theta dt) = (1 - theta) I + theta S(dt), so the group joins the
+    running solve by scatter-adds twice: its values times 1 - theta when m
+    full steps are left, and times theta when m + 1 are left (not at all when
+    theta is 0).  At each step count the (1 - theta) joins come first, each
+    kind in group order.  By linearity the sum costs the largest group's
+    m + (theta > 0) full steps, and a single group is the standalone solve.
     """
     dt = step_size(lattice, cfg)
-    _check_dt(lattice, dt)
-    t = np.asarray(times, dtype=float)
-    full = np.floor(t / dt)
-    r = np.maximum(t - full * dt, 0.0)  # guard the floor/multiply rounding
-    full[r >= dt] += 1
-    r[r >= dt] = 0.0
-    if (steps := int(full.max(initial=0.0))) > MAX_STEPS:
+    q = np.asarray(times, dtype=float) / dt
+    m = np.floor(q)
+    theta = q - m
+    if (steps := int(np.ceil(q).max(initial=0.0))) > MAX_STEPS:
         raise StepBudgetExceeded(
             f"{steps} explicit steps exceed the budget of {MAX_STEPS}: the shortest lattice piece "
             f"is {lattice.min_spacing:.6g} long; drop edges that short or lower the bandwidth")
-    _check_node_steps(lattice, steps, "lower the bandwidth (--bw or --bw-global) or raise --dx")
-    if len(key):
-        key, value = _remainder_step(lattice, key, value, r)
-    join = full.astype(np.int64)[key // lattice.n_nodes]
+    _check_node_steps(lattice, steps, "lower the bandwidth (--bw or --bw-global)")
+    g = key // lattice.n_nodes
+    late = theta[g] > 0
+    join = np.concatenate((m[g], m[g[late]] + 1)).astype(np.int64)
+    node = np.concatenate((key, key[late])) % lattice.n_nodes
+    value = np.concatenate(((1.0 - theta[g]) * value, theta[g[late]] * value[late]))
     order = np.argsort(join, kind="stable")
-    join, node, value = join[order], key[order] % lattice.n_nodes, value[order]
+    join, node, value = join[order], node[order], value[order]
     values = np.zeros(lattice.n_nodes)
     end = len(join)
     for left in range(steps, -1, -1):
@@ -175,36 +166,13 @@ def _inject(lattice: Lattice, times, key, value, cfg: HeatConfig) -> np.ndarray:
     return values
 
 
-def _remainder_step(lattice: Lattice, key, value, r):
-    """The groups of :func:`_inject` after one step of ``r[k]`` each, as (key, value).
-
-    Only the links that touch a group's nodes carry flux; every other flux
-    is exactly +0.0.  So the step on the sub-lattice of those links, whose
-    nodes add their fluxes in link order, equals :func:`_step_values` on the
-    group's dense values bit for bit; a zero ``r[k]`` leaves them as they are.
-    """
-    n, nl = lattice.n_nodes, len(lattice.link_h)
-    first, links = lattice._node_links
-    node = key % n
-    count = first[node + 1] - first[node]
-    at = np.repeat(first[node] + count - np.cumsum(count), count) + np.arange(count.sum())
-    # each group's links, once each, in link order, and the nodes they join
-    gl = np.sort(np.repeat(key // n * nl, count) + links[at])
-    g, link = np.divmod(gl[np.diff(gl, prepend=-1) > 0], nl)
-    ends, at = np.unique(np.concatenate((key, g * n + lattice.link_i[link], g * n + lattice.link_j[link])),
-                         return_inverse=True)
-    local = np.zeros(len(ends))
-    local[at[:len(key)]] = value
-    li, lj = np.split(at[len(key):], 2)
-    return ends, _step(local, li, lj, lattice.link_h[link], lattice.node_weight[ends % n], r[ends // n])
-
-
 def heat_solve(f0: LatticeFunction, t: float, cfg: HeatConfig = DEFAULT_CONFIG) -> LatticeFunction:
-    """Evolve ``f0`` to time ``t`` with the uniform stable step.
+    """Evolve ``f0`` to time ``t = (m + theta) * dt`` with the stable step ``dt``.
 
-    The fractional remainder of t is taken as a single shortened step up
-    front, on the nonzeros of ``f0`` and their neighbours, so batched and
-    standalone solves agree.
+    Every step is a full one: the nonzeros of ``f0`` join the solve times
+    1 - theta with m steps left and times theta with m + 1 left, as one
+    group of :func:`estimate_heat_batch` does, so batched and standalone
+    solves agree.
     """
     if not 0 <= t < math.inf:
         raise ValueError(f"t must be nonnegative and finite, got {t}")

@@ -149,13 +149,6 @@ class Lattice:
         hi = np.where(j == k, self.network.edge_lengths[edge], h * (j + 1) - h / 2)
         return edge, lo, hi, self._chain
 
-    @cached_property
-    def _node_links(self):
-        """(first, links): the links at node i are ``links[first[i]:first[i + 1]]``."""
-        ends = np.concatenate((self.link_i, self.link_j))
-        first = np.concatenate(([0], np.cumsum(np.bincount(ends, minlength=self.n_nodes))))
-        return first, np.argsort(ends) % len(self.link_i)
-
     # -- shortest-path distances over the lattice graph -----------------------
 
     @cached_property

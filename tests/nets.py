@@ -375,9 +375,33 @@ def reference_step(values, lattice, dt, beta):
 
 
 def dense_inject(lattice, times, initial, cfg):
-    """The injection loop with dense groups: group k's initial values,
-    ``initial(k)``, and its remainder step span the whole lattice, and it
-    joins the running values with a dense add."""
+    """The two-step join with dense groups: group k's initial values,
+    ``initial(k)``, span the whole lattice; for t = (m + theta) dt they join
+    the running values times 1 - theta with m full steps left and times
+    theta with m + 1 left, the (1 - theta) joins first, each in group order."""
+    dt = step_size(lattice, cfg)
+    joins = {}
+    for k, t in enumerate(times):
+        q = t / dt
+        n = math.floor(q)
+        theta = q - n
+        joins.setdefault(n, ([], []))[0].append((k, 1.0 - theta))
+        if theta > 0.0:
+            joins.setdefault(n + 1, ([], []))[1].append((k, theta))
+    values = np.zeros(lattice.n_nodes)
+    for left in range(max(joins, default=0), -1, -1):
+        first, late = joins.get(left, ([], []))
+        for k, c in first + late:
+            values = values + c * initial(k)
+        if left:
+            values = _step_values(values, lattice, dt)
+    return values
+
+
+def remainder_inject(lattice, times, initial, cfg):
+    """The injection loop with a shortened step: group k takes one step of
+    its remainder r = t - m dt on the whole lattice and joins the running
+    values with a dense add when m full steps are left."""
     dt = step_size(lattice, cfg)
     joins = {}
     for k, t in enumerate(times):
@@ -404,11 +428,11 @@ def dense_heat_solve(f0, t, cfg):
     return dense_inject(f0.lattice, [t], lambda k: f0.values, cfg)
 
 
-def dense_heat_batch(pattern, lattice, bandwidths, cfg):
+def dense_heat_batch(pattern, lattice, bandwidths, cfg, inject=dense_inject):
     """Per-bandwidth groups, each a dense ``deposit_initial_mass`` of its points."""
     sigmas, group = np.unique(np.asarray(bandwidths, dtype=float), return_inverse=True)
     members = [np.flatnonzero(group == k) for k in range(len(sigmas))]
-    return dense_inject(
+    return inject(
         lattice, sigmas * sigmas,
         lambda k: deposit_initial_mass(pattern.subset(members[k]), lattice).values, cfg)
 

@@ -236,7 +236,7 @@ class TestAdaptiveEstimates:
     def test_direct_work_budget_sums_every_solve(self, monkeypatch):
         pat, lat = _pattern_and_lattice()
         bw = abramson_bandwidths(pat, estimate_heat(pat, lat, 0.3), 0.3)
-        work = int(np.floor(bw.bandwidths**2 / step_size(lat)).sum()) * lat.n_nodes
+        work = int(np.ceil(bw.bandwidths**2 / step_size(lat)).sum()) * lat.n_nodes
         monkeypatch.setattr(heat, "MAX_NODE_STEPS", work)
         want = estimate_adaptive_direct(pat, lat, bw).values
 

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from lineheat import heat
-from lineheat.errors import StabilityViolation, StepBudgetExceeded
+from lineheat.errors import StepBudgetExceeded
 from lineheat.heat import (
     BETA,
     DEFAULT_CONFIG,
@@ -33,6 +35,7 @@ from nets import (
     reference_lattice,
     reference_step,
     relative_l1,
+    remainder_inject,
     segment_network,
     special_locations,
     y_network,
@@ -112,17 +115,19 @@ class TestHeatStep:
         for lat, rng in random_lattices(21, count=20):
             values = rng.random(lat.n_nodes) * 10.0 ** rng.integers(-3, 4, lat.n_nodes)
             before = values.copy()
-            dt = step_size(lat)
-            for step in (dt, dt * rng.random()):
-                got = heat_step(LatticeFunction(lat, values), dt=step).values
-                assert_same(got, reference_step(before, lat, step, BETA))
+            got = heat_step(LatticeFunction(lat, values)).values
+            assert_same(got, reference_step(before, lat, step_size(lat), BETA))
             assert_same(values, before)  # the step leaves its input alone
 
-    def test_stability_violation(self):
-        lat = discretize(segment_network(1.0), 0.25)
-        f = LatticeFunction(lat, np.zeros(lat.n_nodes))
-        with pytest.raises(StabilityViolation):
-            heat_step(f, dt=1.0)
+    def test_short_step_is_the_blend_of_none_and_a_full_one(self):
+        # S(theta dt) = (1 - theta) I + theta S(dt): the premise of the two-step join
+        for lat, rng in random_lattices(19):
+            v = rng.random(lat.n_nodes) * 10.0 ** rng.integers(-3, 4, lat.n_nodes)
+            dt = step_size(lat)
+            full = heat._step_values(v, lat, dt)
+            for theta in rng.random(5):
+                blend = (1.0 - theta) * v + theta * full
+                assert np.abs(heat._step_values(v, lat, theta * dt) - blend).max() <= 2e-15 * v.max()
 
     @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
     def test_non_finite_time_and_bandwidth_rejected(self, bad):
@@ -303,8 +308,9 @@ class TestHeatBatch:
 
 
 class TestSparseInjection:
-    """Groups join the running solve as sparse entries, each after a remainder
-    step on its own links; the dense injection loop in nets.py is the oracle."""
+    """Groups join the running solve as sparse entries, each twice, for the
+    fractional remainder of its time; the dense two-step join in nets.py is
+    the oracle, and the shortened-step injection a second one."""
 
     @staticmethod
     def _pattern(lat, rng):
@@ -322,9 +328,20 @@ class TestSparseInjection:
                        h * rng.choice([1.0, 2.0, 3.0], pat.n), whole):
                 assert_same(estimate_heat_batch(pat, lat, bw).values,
                             dense_heat_batch(pat, lat, bw, DEFAULT_CONFIG))
-            t = whole * whole
-            zero_remainders += np.count_nonzero(t == np.floor(t / dt) * dt)
+            q = whole * whole / dt
+            zero_remainders += np.count_nonzero(q == np.floor(q))
         assert zero_remainders > 200
+
+    def test_batch_near_shortened_step_injection(self):
+        # the two-step join against a remainder step of its own length
+        for lat, rng in random_lattices(5):
+            pat = self._pattern(lat, rng)
+            dt, h = step_size(lat), lat.min_spacing
+            for bw in (np.full(pat.n, h * rng.uniform(0.5, 3.0)), h * rng.uniform(0.5, 4.0, pat.n),
+                       np.sqrt(dt * rng.integers(1, 30, pat.n))):
+                got = estimate_heat_batch(pat, lat, bw).values
+                want = dense_heat_batch(pat, lat, bw, DEFAULT_CONFIG, inject=remainder_inject)
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_solve_matches_dense_injection(self):
         for lat, rng in random_lattices(6):
@@ -349,7 +366,7 @@ class TestSparseInjection:
 
         monkeypatch.setattr(heat, "_step_values", counted)
         est = estimate_heat_batch(pat, lat, bw)
-        assert calls == [(True, True, lat.n_nodes)] * int(0.09 // step_size(lat))
+        assert calls == [(True, True, lat.n_nodes)] * math.ceil(0.09 / step_size(lat))
         assert est.integral() == pytest.approx(40, rel=1e-12)
 
 
@@ -386,6 +403,13 @@ class TestShortEdgeLattice:
         assert error <= 0.01
         assert relative_l1(got, edge_integrals(estimate_heat(pat, old, sigma))) <= 0.01
         half = edge_integrals(estimate_heat(pat, discretize(net, sigma / 6), sigma))
+        assert relative_l1(half, fine) <= error / 2
+        # per-point bandwidths in one pass, dx = h_min/3: measured 0.10-0.14%
+        bw = rng.uniform(0.3, 1.2, pat.n)
+        got, half, fine = (edge_integrals(estimate_heat_batch(pat, discretize(net, bw.min() / k), bw))
+                           for k in (3, 6, 24))
+        error = relative_l1(got, fine)
+        assert error <= 0.01
         assert relative_l1(half, fine) <= error / 2
 
     def test_random_spurs_keep_the_invariants(self):
@@ -438,17 +462,36 @@ class TestStepBudget:
         dt = step_size(lat)
         f0 = LatticeFunction(lat, np.ones(lat.n_nodes))
         monkeypatch.setattr(heat, "MAX_STEPS", 40)
-        heat_solve(f0, 40.5 * dt)  # 40 full steps and a remainder
+        heat_solve(f0, 39.5 * dt)  # 39 full steps and one for the remainder
         with pytest.raises(StepBudgetExceeded, match="^41 explicit steps exceed the budget of 40"):
-            heat_solve(f0, 41.5 * dt)
+            heat_solve(f0, 40.5 * dt)
 
     def test_node_step_budget(self, monkeypatch):
         lat = discretize(segment_network(1.0), 0.25)  # 5 nodes
         dt = step_size(lat)
         f0 = LatticeFunction(lat, np.ones(lat.n_nodes))
         monkeypatch.setattr(heat, "MAX_NODE_STEPS", 200)
-        heat_solve(f0, 40.5 * dt)
+        heat_solve(f0, 39.5 * dt)
         with pytest.raises(StepBudgetExceeded, match=(
                 r"^41 explicit steps on 5 lattice nodes exceed the budget of 2e\+02 node-steps; "
                 r"lower the bandwidth \(--bw or --bw-global\) or raise --dx$")):
-            heat_solve(f0, 41.5 * dt)
+            heat_solve(f0, 40.5 * dt)
+
+    @pytest.mark.parametrize("spur", [0.05, 0.2])
+    def test_node_step_refusal_names_the_edge_that_sets_the_step(self, monkeypatch, spur):
+        # a spur shorter than dx is one piece and sets the step whatever --dx is;
+        # one longer than dx is cut, and a larger --dx lengthens its pieces
+        rng = np.random.default_rng(3)
+        net = add_spurs(grid_network(3, 3), [spur], rng)
+        lat = discretize(net, 0.1)
+        pat = random_pattern(net, 5, rng)
+        monkeypatch.setattr(heat, "MAX_NODE_STEPS", 500)
+        with pytest.raises(StepBudgetExceeded) as exc:
+            estimate_heat(pat, lat, 0.3)
+        message = str(exc.value)
+        assert message.startswith(f"{math.ceil(0.09 / step_size(lat))} explicit steps on {lat.n_nodes} lattice nodes")
+        if spur < 0.1:
+            assert message.endswith(f"lower the bandwidth (--bw or --bw-global) or drop edges {spur:.6g} long "
+                                    "or shorter: the shortest is one lattice piece whatever --dx is")
+        else:
+            assert message.endswith("lower the bandwidth (--bw or --bw-global) or raise --dx")
