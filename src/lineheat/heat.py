@@ -11,6 +11,11 @@ and dt = alpha h_min^2 / (2 beta) keeps every update a convex combination
 at an interior node of spacing h, and beta dt sum(1/h_l) / (sum(h_l)/2) =
 alpha sum(h_min^2/h_l) / sum(h_l) <= alpha at a vertex of incident spacings h_l.
 
+The solver steps ``Lattice._solver``, whose clusters merge the ends of links
+shorter than dx_target / 2.  A cluster weighs at least half the summed length
+of its kept links, so the bound holds with h_min the shortest kept link; every
+node reads its cluster's value, and deposits join a cluster as mass.
+
 Diffusivity is fixed at 1/2 so the solution at time t carries variance t:
 solving to t = sigma^2 yields the estimator whose kernel is the network heat
 kernel with bandwidth sigma.
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LocationOffNetwork, StepBudgetExceeded
-from .lattice import Lattice, LatticeFunction
+from .lattice import Lattice, LatticeFunction, SolverGraph
 from .network import LinearNetwork, PointPattern
 
 #: Thermal diffusivity: time equals kernel variance (t = sigma^2).
@@ -67,8 +72,9 @@ def resolve_dx(dx: float | None, net: LinearNetwork, sigma_min: float) -> float:
 
 
 def step_size(lattice: Lattice, cfg: HeatConfig = DEFAULT_CONFIG) -> float:
-    """Stable explicit time step for this lattice."""
-    return cfg.alpha * lattice.min_spacing**2 / (2.0 * BETA)
+    """Stable explicit time step, set by the shortest link of the lattice's solver graph."""
+    h = lattice._solver.min_link
+    return cfg.alpha * (h if h < math.inf else lattice.dx_target) ** 2 / (2.0 * BETA)
 
 
 def deposit_initial_mass(pattern: PointPattern, lattice: Lattice) -> LatticeFunction:
@@ -91,70 +97,83 @@ def _shares(pattern: PointPattern, lattice: Lattice, points):
     return np.column_stack((left, right)).ravel(), np.column_stack((1.0 - theta, theta)).ravel()
 
 
+def _lengthen_step(lattice: Lattice) -> str:
+    """How to lengthen the step; a solver link below dx_target / 2 was kept by the extent bound."""
+    h = lattice._solver.min_link
+    if h >= lattice.dx_target / 2:
+        return "raise --dx"
+    return (f"drop or merge edges {h:.6g} long or shorter: the solver keeps one where a run of "
+            "them spans half the lattice spacing")
+
+
 def _check_node_steps(lattice: Lattice, steps: int, advice: str) -> None:
     """Raise StepBudgetExceeded if ``steps`` full steps on ``lattice`` pass ``MAX_NODE_STEPS``.
 
-    ``advice`` names the options that lower ``steps``.  "raise --dx" follows
-    unless the shortest lattice piece is a whole edge, which no --dx changes.
+    ``advice`` names the options that lower ``steps``; :func:`_lengthen_step` follows.
     """
     if steps * lattice.n_nodes > MAX_NODE_STEPS:
-        h = lattice.min_spacing
-        fix = (f"drop edges {h:.6g} long or shorter: the shortest is one lattice piece whatever --dx is"
-               if h in lattice.edge_spacing[lattice._n_pieces == 1] else "raise --dx")
         raise StepBudgetExceeded(
             f"{steps} explicit steps on {lattice.n_nodes} lattice nodes exceed the budget of "
-            f"{MAX_NODE_STEPS:.0e} node-steps; {advice} or {fix}")
+            f"{MAX_NODE_STEPS:.0e} node-steps; {advice} or {_lengthen_step(lattice)}")
 
 
-def _step_values(values: np.ndarray, lattice: Lattice, dt: float) -> np.ndarray:
+def _step_values(values: np.ndarray, graph: SolverGraph, dt: float) -> np.ndarray:
     # values + (beta dt) acc / weight, in place: with more lattice-size temporaries
     # per step, glibc may return them to the OS and every step faults them back in
-    flux = values[lattice.link_j]
-    flux -= values[lattice.link_i]
-    flux /= lattice.link_h
-    acc = np.bincount(lattice.link_i, flux, len(values))
-    acc -= np.bincount(lattice.link_j, flux, len(values))
+    flux = values[graph.link_j]
+    flux -= values[graph.link_i]
+    flux /= graph.link_h
+    acc = np.bincount(graph.link_i, flux, len(values)).astype(float, copy=False)  # int with no links
+    acc -= np.bincount(graph.link_j, flux, len(values))
     acc *= BETA * dt
-    acc /= lattice.node_weight
+    acc /= graph.node_weight
     acc += values
     return acc
 
 
 def heat_step(f: LatticeFunction, cfg: HeatConfig = DEFAULT_CONFIG) -> LatticeFunction:
-    """One explicit step of the stable size :func:`step_size` for ``cfg.alpha``."""
-    return LatticeFunction(f.lattice, _step_values(f.values, f.lattice, step_size(f.lattice, cfg)))
+    """One explicit step of size :func:`step_size` on the solver graph: ``f``
+    is averaged over each cluster by weight, stepped, and read back."""
+    g = f.lattice._solver
+    values = np.bincount(g.cluster, f.values * f.lattice.node_weight) / g.node_weight
+    return LatticeFunction(f.lattice, _step_values(values, g, step_size(f.lattice, cfg))[g.cluster])
 
 
-def _inject(lattice: Lattice, times, key, value, cfg: HeatConfig) -> np.ndarray:
+def _inject(lattice: Lattice, times, key, mass, cfg: HeatConfig) -> np.ndarray:
     """Sum of heat solves, one per group, run as a single time-stepping loop.
 
-    Group k holds ``value`` at the nodes ``key - k * n_nodes`` of the sorted
-    ``key`` in ``[k * n_nodes, (k + 1) * n_nodes)``, 0 elsewhere, and diffuses
-    for ``times[k] = (m + theta) * dt``.  An explicit step is affine in its
-    length, S(theta dt) = (1 - theta) I + theta S(dt), so the group joins the
-    running solve by scatter-adds twice: its values times 1 - theta when m
-    full steps are left, and times theta when m + 1 are left (not at all when
-    theta is 0).  At each step count the (1 - theta) joins come first, each
-    kind in group order.  By linearity the sum costs the largest group's
-    m + (theta > 0) full steps, and a single group is the standalone solve.
+    Group k holds ``mass`` at the nodes ``key - k * n_nodes`` of the sorted
+    ``key`` in ``[k * n_nodes, (k + 1) * n_nodes)``, summed per solver cluster
+    in node order and divided by its weight, and diffuses for ``times[k] =
+    (m + theta) * dt``.  An explicit step is affine in its length, S(theta dt)
+    = (1 - theta) I + theta S(dt), so the group joins the running solve by
+    scatter-adds twice: its values times 1 - theta when m full steps are
+    left, and times theta when m + 1 are left (not at all when theta is 0).
+    At each step count the (1 - theta) joins come first, each kind in group
+    order.  By linearity the sum costs the largest group's m + (theta > 0)
+    full steps, and a single group is the standalone solve.
     """
+    g = lattice._solver
+    n, nc = lattice.n_nodes, len(g.node_weight)
+    key, at = np.unique(key // n * nc + g.cluster[key % n], return_inverse=True)
+    value = np.bincount(at, mass, len(key)) / g.node_weight[key % nc]
     dt = step_size(lattice, cfg)
     q = np.asarray(times, dtype=float) / dt
     m = np.floor(q)
     theta = q - m
     if (steps := int(np.ceil(q).max(initial=0.0))) > MAX_STEPS:
         raise StepBudgetExceeded(
-            f"{steps} explicit steps exceed the budget of {MAX_STEPS}: the shortest lattice piece "
-            f"is {lattice.min_spacing:.6g} long; drop edges that short or lower the bandwidth")
+            f"{steps} explicit steps exceed the budget of {MAX_STEPS}: the shortest solver link "
+            f"is {g.min_link:.6g} long; {_lengthen_step(lattice)} or lower the bandwidth")
     _check_node_steps(lattice, steps, "lower the bandwidth (--bw or --bw-global)")
-    g = key // lattice.n_nodes
-    late = theta[g] > 0
-    join = np.concatenate((m[g], m[g[late]] + 1)).astype(np.int64)
-    node = np.concatenate((key, key[late])) % lattice.n_nodes
-    value = np.concatenate(((1.0 - theta[g]) * value, theta[g[late]] * value[late]))
+    k = key // nc
+    late = theta[k] > 0
+    join = np.concatenate((m[k], m[k[late]] + 1)).astype(np.int64)
+    node = np.concatenate((key, key[late])) % nc
+    value = np.concatenate(((1.0 - theta[k]) * value, theta[k[late]] * value[late]))
     order = np.argsort(join, kind="stable")
     join, node, value = join[order], node[order], value[order]
-    values = np.zeros(lattice.n_nodes)
+    values = np.zeros(nc)
     end = len(join)
     for left in range(steps, -1, -1):
         if end and join[end - 1] == left:
@@ -162,22 +181,23 @@ def _inject(lattice: Lattice, times, key, value, cfg: HeatConfig) -> np.ndarray:
             np.add.at(values, node[start:end], value[start:end])
             end = start
         if left:
-            values = _step_values(values, lattice, dt)
-    return values
+            values = _step_values(values, g, dt)
+    return values[g.cluster]
 
 
 def heat_solve(f0: LatticeFunction, t: float, cfg: HeatConfig = DEFAULT_CONFIG) -> LatticeFunction:
     """Evolve ``f0`` to time ``t = (m + theta) * dt`` with the stable step ``dt``.
 
-    Every step is a full one: the nonzeros of ``f0`` join the solve times
-    1 - theta with m steps left and times theta with m + 1 left, as one
-    group of :func:`estimate_heat_batch` does, so batched and standalone
+    Every step is a full one: the masses of ``f0``'s nonzeros join the solve
+    times 1 - theta with m steps left and times theta with m + 1 left, as
+    one group of :func:`estimate_heat_batch` does, so batched and standalone
     solves agree.
     """
     if not 0 <= t < math.inf:
         raise ValueError(f"t must be nonnegative and finite, got {t}")
     key = np.flatnonzero(f0.values)
-    return LatticeFunction(f0.lattice, _inject(f0.lattice, [t], key, f0.values[key], cfg))
+    mass = f0.values[key] * f0.lattice.node_weight[key]
+    return LatticeFunction(f0.lattice, _inject(f0.lattice, [t], key, mass, cfg))
 
 
 def estimate_heat(
@@ -187,11 +207,11 @@ def estimate_heat(
 
     Deposits unit mass per point and solves the heat equation to time
     sigma^2; the result integrates to the point count exactly (mass
-    conservation of the scheme).
+    conservation of the scheme).  The one-group :func:`estimate_heat_batch`.
     """
     if not 0 < sigma < math.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
-    return heat_solve(deposit_initial_mass(pattern, lattice), sigma * sigma, cfg)
+    return estimate_heat_batch(pattern, lattice, np.full(pattern.n, float(sigma)), cfg)
 
 
 def estimate_heat_batch(
@@ -211,9 +231,8 @@ def estimate_heat_batch(
     if not np.all((h > 0) & (h < np.inf)):
         raise ValueError("all bandwidths must be positive and finite")
     sigmas, group = np.unique(h, return_inverse=True)
-    # each group's deposit, summed per node in pattern.order as deposit_initial_mass sums it
+    # each group's unit masses, summed per node in pattern.order as deposit_initial_mass sums them
     points = pattern.order[np.argsort(group[pattern.order], kind="stable")]
     nodes, share = _shares(pattern, lattice, points)
     key, at = np.unique(np.repeat(group[points] * lattice.n_nodes, 2) + nodes, return_inverse=True)
-    mass = np.bincount(at, share) / lattice.node_weight[key % lattice.n_nodes]
-    return LatticeFunction(lattice, _inject(lattice, sigmas * sigmas, key, mass, cfg))
+    return LatticeFunction(lattice, _inject(lattice, sigmas * sigmas, key, np.bincount(at, share, len(key)), cfg))

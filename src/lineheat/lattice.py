@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,6 +23,22 @@ from .network import LinearNetwork, NetworkLocation, PointPattern, _chain_graph,
 #: Most lattice nodes a spacing may ask for: a heat or uniform-corrected run
 #: at this size peaks at about 0.55 and 0.7 GB.
 MAX_NODES = 2_000_000
+
+
+class SolverGraph(NamedTuple):
+    """The graph the heat solver steps.  ``cluster`` maps each lattice node to a
+    solver node, which weighs its lattice nodes' sum; links join two clusters."""
+
+    cluster: np.ndarray
+    node_weight: np.ndarray
+    link_i: np.ndarray
+    link_j: np.ndarray
+    link_h: np.ndarray
+
+    @property
+    def min_link(self) -> float:
+        """Shortest link, inf when every link was merged."""
+        return float(self.link_h.min(initial=np.inf))
 
 
 class Lattice:
@@ -154,6 +171,35 @@ class Lattice:
     @cached_property
     def _graph(self):
         return _chain_graph(self.n_nodes, self._chain, self._n_pieces, self.edge_spacing)
+
+    @cached_property
+    def _solver(self) -> SolverGraph:
+        """The lattice with the ends of links shorter than dx_target / 2 merged,
+        shortest first (ties by end nodes).  A merge that would bring a cluster's
+        summed merged link length, which bounds its extent, to dx_target / 2 is refused."""
+        tau = self.dx_target / 2
+        root = np.arange(self.n_nodes)
+        extent = {}  # summed merged link lengths by cluster root
+
+        def find(x):
+            while root[x] != x:
+                root[x] = root[root[x]]
+                x = root[x]
+            return x
+
+        short = np.flatnonzero(self.link_h < tau)
+        for h, a, b in sorted(zip(*(x[short].tolist() for x in (self.link_h, self.link_i, self.link_j)))):
+            a, b = find(a), find(b)
+            if a != b and (e := extent.get(a, 0.0) + extent.get(b, 0.0) + h) < tau:
+                root[b] = a
+                extent[a] = e
+        while not np.array_equal(root, root[root]):
+            root = root[root]
+        cluster = (np.cumsum(root == np.arange(self.n_nodes)) - 1)[root]
+        ci, cj = cluster[self.link_i], cluster[self.link_j]
+        keep = ci != cj
+        return SolverGraph(cluster, np.bincount(cluster, self.node_weight), ci[keep], cj[keep],
+                           self.link_h[keep])
 
     def distance_field(self, source: NetworkLocation, cutoff: float = math.inf):
         """Shortest-path distance from ``source`` to every lattice node.

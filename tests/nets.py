@@ -5,8 +5,8 @@ import math
 
 import numpy as np
 
-from lineheat.heat import _step_values, deposit_initial_mass, step_size
-from lineheat.lattice import Lattice
+from lineheat.heat import _step_values, step_size
+from lineheat.lattice import Lattice, SolverGraph
 from lineheat.network import (
     CROSS_TOLERANCE,
     LinearNetwork,
@@ -114,6 +114,54 @@ def add_spurs(net, lengths, rng):
         tips.append(xy[v] + length * np.array([math.cos(a), math.sin(a)]))
     spurs = np.column_stack((roots, net.n_vertices + np.arange(len(roots))))
     return build_network(np.vstack([xy, *tips]), np.vstack([ev, spurs]))
+
+
+def random_spur_network(rng):
+    """A small random network of random spacing with 1-4 spurs of 1-20% of
+    the spacing, and the spacing."""
+    spacing = float(rng.uniform(0.5, 3.0))
+    base = random_network(rng, max_side=4, spacing=spacing)
+    k = int(rng.integers(1, min(base.n_vertices, 4) + 1))
+    return add_spurs(base, spacing * rng.uniform(0.01, 0.2, k), rng), spacing
+
+
+def split_edge(net, e, k):
+    """``net`` with edge ``e`` cut into ``k`` equal collinear edges, appended
+    after the others."""
+    xy, ev = net.vertex_xy, net.edge_vertices
+    u, v = ev[e]
+    t = np.arange(1, k)[:, None] / k
+    ids = np.concatenate(([u], net.n_vertices + np.arange(k - 1), [v]))
+    return build_network(np.vstack((xy, xy[u] * (1 - t) + xy[v] * t)),
+                         np.vstack((np.delete(ev, e, axis=0), np.column_stack((ids[:-1], ids[1:])))))
+
+
+def stub_network(run, pieces=1):
+    """A 1000-long edge with a straight stub ``run`` long at its end, cut into
+    ``pieces`` equal edges."""
+    return split_edge(build_network([(0.0, 0.0), (1000.0, 0.0), (1000.0, run)], [(0, 1), (1, 2)]), 1, pieces)
+
+
+def uncontracted(lattice):
+    """A new lattice like ``lattice`` whose solver graph is the lattice itself."""
+    lat = Lattice(lattice.network, lattice.dx_target)
+    lat._solver = SolverGraph(np.arange(lat.n_nodes), lat.node_weight, lat.link_i, lat.link_j, lat.link_h)
+    return lat
+
+
+def reference_clusters(lattice):
+    """Cluster label of every lattice node under the solver's merge rule, with
+    each merge relabelling the merged cluster's nodes."""
+    tau = lattice.dx_target / 2
+    hs, li, lj = lattice.link_h, lattice.link_i, lattice.link_j
+    label = list(range(lattice.n_nodes))
+    extent = [0.0] * lattice.n_nodes
+    for link in sorted(range(len(hs)), key=lambda k: (hs[k], li[k], lj[k])):
+        h, a, b = float(hs[link]), label[li[link]], label[lj[link]]
+        if h < tau and a != b and extent[a] + extent[b] + h < tau:
+            label = [a if x == b else x for x in label]
+            extent[a] = extent[a] + extent[b] + h
+    return np.array(label)
 
 
 def edge_integrals(f):
@@ -365,20 +413,32 @@ def reference_lattice(net: LinearNetwork, dx: float) -> dict:
     return out
 
 
-def reference_step(values, lattice, dt, beta):
-    """One explicit step as the plain expression, without in-place updates."""
-    li, lj = lattice.link_i, lattice.link_j
-    flux = (values[lj] - values[li]) / lattice.link_h
-    acc = np.bincount(li, weights=flux, minlength=lattice.n_nodes)
-    acc -= np.bincount(lj, weights=flux, minlength=lattice.n_nodes)
-    return values + (beta * dt) * acc / lattice.node_weight
+def reference_step(values, graph, dt, beta):
+    """One explicit step on a solver graph (or a lattice) as the plain
+    expression, without in-place updates."""
+    li, lj = graph.link_i, graph.link_j
+    n = len(graph.node_weight)
+    flux = (values[lj] - values[li]) / graph.link_h
+    acc = np.bincount(li, weights=flux, minlength=n)
+    acc -= np.bincount(lj, weights=flux, minlength=n)
+    return values + (beta * dt) * acc / graph.node_weight
+
+
+def contract(mass, lattice):
+    """Per-node masses as densities on the lattice's solver graph: summed per
+    cluster in node order and divided by the cluster weight."""
+    g = lattice._solver
+    return np.bincount(g.cluster, mass, len(g.node_weight)) / g.node_weight
 
 
 def dense_inject(lattice, times, initial, cfg):
-    """The two-step join with dense groups: group k's initial values,
-    ``initial(k)``, span the whole lattice; for t = (m + theta) dt they join
-    the running values times 1 - theta with m full steps left and times
-    theta with m + 1 left, the (1 - theta) joins first, each in group order."""
+    """The two-step join with dense groups on the solver graph: group k's
+    per-node masses, ``initial(k)``, span the whole lattice and are
+    contracted; for t = (m + theta) dt they join the running values times
+    1 - theta with m full steps left and times theta with m + 1 left, the
+    (1 - theta) joins first, each in group order.  Every node reads its
+    cluster's value."""
+    g = lattice._solver
     dt = step_size(lattice, cfg)
     joins = {}
     for k, t in enumerate(times):
@@ -388,20 +448,21 @@ def dense_inject(lattice, times, initial, cfg):
         joins.setdefault(n, ([], []))[0].append((k, 1.0 - theta))
         if theta > 0.0:
             joins.setdefault(n + 1, ([], []))[1].append((k, theta))
-    values = np.zeros(lattice.n_nodes)
+    values = np.zeros(len(g.node_weight))
     for left in range(max(joins, default=0), -1, -1):
         first, late = joins.get(left, ([], []))
         for k, c in first + late:
-            values = values + c * initial(k)
+            values = values + c * contract(initial(k), lattice)
         if left:
-            values = _step_values(values, lattice, dt)
-    return values
+            values = _step_values(values, g, dt)
+    return values[g.cluster]
 
 
 def remainder_inject(lattice, times, initial, cfg):
     """The injection loop with a shortened step: group k takes one step of
-    its remainder r = t - m dt on the whole lattice and joins the running
-    values with a dense add when m full steps are left."""
+    its remainder r = t - m dt on the whole solver graph and joins the
+    running values with a dense add when m full steps are left."""
+    g = lattice._solver
     dt = step_size(lattice, cfg)
     joins = {}
     for k, t in enumerate(times):
@@ -412,29 +473,30 @@ def remainder_inject(lattice, times, initial, cfg):
         if r >= dt:
             n, r = n + 1, 0.0
         joins.setdefault(n, []).append((k, r))
-    values = np.zeros(lattice.n_nodes)
+    values = np.zeros(len(g.node_weight))
     for left in range(max(joins, default=0), -1, -1):
         for k, r in joins.get(left, ()):
-            group = initial(k)
+            group = contract(initial(k), lattice)
             if r > 0.0:
-                group = _step_values(group, lattice, r)
+                group = _step_values(group, g, r)
             values = values + group
         if left:
-            values = _step_values(values, lattice, dt)
-    return values
+            values = _step_values(values, g, dt)
+    return values[g.cluster]
 
 
 def dense_heat_solve(f0, t, cfg):
-    return dense_inject(f0.lattice, [t], lambda k: f0.values, cfg)
+    return dense_inject(f0.lattice, [t], lambda k: f0.values * f0.lattice.node_weight, cfg)
 
 
 def dense_heat_batch(pattern, lattice, bandwidths, cfg, inject=dense_inject):
-    """Per-bandwidth groups, each a dense ``deposit_initial_mass`` of its points."""
+    """Per-bandwidth groups, each the point-by-point deposit mass of its points."""
+    ref = reference_lattice(lattice.network, lattice.dx_target)
     sigmas, group = np.unique(np.asarray(bandwidths, dtype=float), return_inverse=True)
     members = [np.flatnonzero(group == k) for k in range(len(sigmas))]
     return inject(
         lattice, sigmas * sigmas,
-        lambda k: deposit_initial_mass(pattern.subset(members[k]), lattice).values, cfg)
+        lambda k: reference_mass(ref, lattice.network, [pattern[i] for i in members[k]]), cfg)
 
 
 def assert_same(got, want):
@@ -455,6 +517,11 @@ def reference_bracket(ref: dict, net: LinearNetwork, loc: NetworkLocation):
 
 
 def reference_deposit(ref: dict, net: LinearNetwork, points) -> np.ndarray:
+    """Density of :func:`reference_mass`."""
+    return reference_mass(ref, net, points) / ref["node_weight"]
+
+
+def reference_mass(ref: dict, net: LinearNetwork, points) -> np.ndarray:
     """Unit mass per point, added point by point in (edge, offset) order."""
     mass = np.zeros(len(ref["node_weight"]))
     for p in sorted(points, key=lambda q: (q.edge, q.offset)):
@@ -464,7 +531,7 @@ def reference_deposit(ref: dict, net: LinearNetwork, points) -> np.ndarray:
         else:
             mass[left] += 1.0 - theta
             mass[right] += theta
-    return mass / ref["node_weight"]
+    return mass
 
 
 # -- per-source loops the batched kernel estimators replaced -------------------

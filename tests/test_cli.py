@@ -10,9 +10,9 @@ from lineheat.adaptive import abramson_bandwidths, estimate_adaptive_direct
 from lineheat.heat import default_dx, estimate_heat
 from lineheat.ingest import read_lattice_function, read_network_geojson, read_points, write_network_geojson
 from lineheat.lattice import discretize
-from lineheat.network import NetworkLocation, build_network
+from lineheat.network import NetworkLocation
 
-from nets import grid_network, random_pattern
+from nets import grid_network, random_pattern, stub_network
 
 
 def run_cli(*argv, cwd=None, timeout=None):
@@ -241,9 +241,9 @@ class TestEstimate:
     @pytest.mark.parametrize("flags", [("--bw", "100"), ("--adaptive", "--bw-global", "100")],
                              ids=["fixed", "adaptive"])
     def test_degenerate_edge_exits_3(self, tmp_path, flags):
-        # a 1 cm spur at sigma = 100 asks for ~1e8 explicit steps: refused, not a hang
-        net = build_network([(0.0, 0.0), (1000.0, 0.0), (1000.0, 0.01)], [(0, 1), (1, 2)])
-        write_network_geojson(net, tmp_path / "net.geojson")
+        # a 20 m run of 1 cm edges spans more than dx/2 at sigma = 100, so the solver
+        # keeps a 1 cm link, which asks for ~1e8 explicit steps: refused, not a hang
+        write_network_geojson(stub_network(20.0, 2000), tmp_path / "net.geojson")
         (tmp_path / "pts.csv").write_text("x,y\n250,0\n500,0\n")
         t0 = time.perf_counter()
         proc = run_cli(
@@ -254,8 +254,23 @@ class TestEstimate:
         assert proc.returncode == 3
         [line] = proc.stderr.splitlines()
         assert line.startswith("error: ") and "explicit steps exceed the budget" in line
-        assert "shortest lattice piece is 0.01 long" in line
+        assert "shortest solver link is 0.01 long; drop or merge edges 0.01 long" in line
         assert not (tmp_path / "est.csv").exists()
+
+    @pytest.mark.parametrize("flags", [("--bw", "100"), ("--adaptive", "--bw-global", "100")],
+                             ids=["fixed", "adaptive"])
+    def test_single_short_edge_runs(self, tmp_path, flags):
+        # one 1 cm spur at sigma = 100 is merged into its vertex in the solver
+        write_network_geojson(stub_network(0.01), tmp_path / "net.geojson")
+        (tmp_path / "pts.csv").write_text("x,y\n250,0\n500,0\n1000,0.005\n")
+        proc = run_cli(
+            "estimate", "--net", tmp_path / "net.geojson", "--points", tmp_path / "pts.csv",
+            *flags, "--out", tmp_path / "est.csv", timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "n_points: 3" in proc.stdout
+        integral = float(proc.stdout.split("estimate_integral: ")[1].split()[0])
+        assert integral == pytest.approx(3.0, rel=1e-12)
 
     @pytest.mark.parametrize("flags, name", [
         (("--dx", "0.000001"), "dx_target 1e-06"),
