@@ -48,7 +48,7 @@ class HeatConfig:
     """Solver controls.
 
     alpha scales the time step below the stability bound
-    dt = alpha * min_spacing^2 / (2 beta).
+    dt = alpha * h^2 / (2 beta), h the shortest link the solver graph keeps.
     """
 
     alpha: float = 0.9
@@ -98,9 +98,10 @@ def _shares(pattern: PointPattern, lattice: Lattice, points):
 
 
 def _lengthen_step(lattice: Lattice) -> str:
-    """How to lengthen the step; a solver link below dx_target / 2 was kept by the extent bound."""
-    h = lattice._solver.min_link
-    if h >= lattice.dx_target / 2:
+    """How to lengthen the step; a solver link below the merge threshold was kept by the extent bound."""
+    g = lattice._solver
+    h = g.min_link
+    if h >= g.tau:
         return "raise --dx"
     return (f"drop or merge edges {h:.6g} long or shorter: the solver keeps one where a run of "
             "them spans half the lattice spacing")

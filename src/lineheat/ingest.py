@@ -232,27 +232,28 @@ def _write_lattice_csv(f: LatticeFunction, path) -> None:
 
 def read_lattice_function(path, lattice: Lattice) -> LatticeFunction:
     """Read a lattice-csv written for the same lattice back into node values."""
-    per_edge: dict[int, list[tuple[float, float]]] = {}
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                per_edge.setdefault(int(row["edge_id"]), []).append(
-                    (float(row["offset_start"]), float(row["value"]))
-                )
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+            reader = csv.reader(fh)
+            col = {name: k for k, name in enumerate(next(reader, []))}
+            at = [col[name] for name in ("edge_id", "offset_start", "value")]
+            rows = np.array([[r[k] for k in at] for r in reader if r]).reshape(-1, 3)
+        edge, (start, value) = rows[:, 0].astype(np.int64), rows[:, 1:].T.astype(float)
+    except (OSError, KeyError, IndexError, ValueError, csv.Error) as exc:
         raise ParseError(f"bad lattice-csv: {exc}") from exc
 
+    order = np.lexsort((start, edge))
+    edge, value = edge[order], value[order]
+    ne, cells = lattice.network.n_edges, lattice._n_pieces + 1
+    off = (edge < 0) | (edge >= ne)
+    if off.any():
+        raise ParseError(f"edge_id {edge[off][0]} out of range [0, {ne})")
+    count = np.bincount(edge, minlength=ne)
+    bad = np.flatnonzero((count > 0) & (count != cells))
+    if len(bad):
+        raise ParseError(f"edge {bad[0]}: {count[bad[0]]} cells in file, lattice has {cells[bad[0]]}")
     values = np.full(lattice.n_nodes, np.nan)
-    for e, rows in per_edge.items():
-        if not 0 <= e < lattice.network.n_edges:
-            raise ParseError(f"edge_id {e} out of range [0, {lattice.network.n_edges})")
-        chain = lattice.edge_chains[e]
-        if len(rows) != len(chain):
-            raise ParseError(f"edge {e}: {len(rows)} cells in file, lattice has {len(chain)}")
-        rows.sort()
-        for (start, val), node in zip(rows, chain):
-            values[node] = val
+    values[lattice.node_cells[3][np.repeat(count > 0, cells)]] = value  # the cells of the edges read
     if np.isnan(values).any():
         raise ParseError("file does not cover every lattice node")
     return LatticeFunction(lattice, values)

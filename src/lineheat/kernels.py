@@ -27,7 +27,7 @@ import numpy as np
 from . import network
 from .errors import LatticeMismatch, PairBudgetExceeded, PathExplosion, UnboundedKernel
 from .lattice import Lattice, LatticeFunction, _require_points
-from .network import PointPattern, _box_pairs, _graph_distances
+from .network import PointPattern, _box_pairs, _csr_rows, _distances
 
 GAUSSIAN_TRUNCATION = 4.0  # support radius in standard deviations
 _GAUSS_MASS = math.erf(GAUSSIAN_TRUNCATION / math.sqrt(2.0))
@@ -152,8 +152,7 @@ def _node_corrections(lattice, kernel, nodes):
     """Edge correction at each of the lattice ``nodes``: the lattice quadrature
     of the kernel around it, each node its own source."""
     c = np.zeros(len(nodes))
-    seeds = np.column_stack((nodes, nodes)), np.zeros((len(nodes), 2))
-    for row, at, k in _kernel_terms(lattice, kernel, *seeds):
+    for row, at, k in _kernel_terms(lattice, kernel, *lattice._node_locations(nodes)):
         np.add.at(c, row, lattice.node_weight[at] * k)
     return c
 
@@ -161,16 +160,17 @@ def _node_corrections(lattice, kernel, nodes):
 def _point_terms(pattern, lattice, kernel):
     """:func:`_kernel_terms` around the points, row k the k-th in ``pattern.order``."""
     o = pattern.order
-    return _kernel_terms(lattice, kernel, *lattice._point_seeds(pattern.edge[o], pattern.offset[o]))
+    return _kernel_terms(lattice, kernel, pattern.edge[o], pattern.offset[o])
 
 
-def _kernel_terms(lattice, kernel, node, start):
-    """Kernel values (row, node, k) around a batch of sources, one block at a time.
+def _kernel_terms(lattice, kernel, edge, offset):
+    """Kernel values (row, node, k) around the locations (edge[row], offset[row]),
+    one block of sources at a time.
 
     Entries run by row (the source), then by node, and cover the nodes within
-    the kernel's support; ``node`` and ``start`` seed the sources.
+    the kernel's support.
     """
-    for row, at, d in _graph_distances(lattice._graph, node, start, kernel.support):
+    for row, at, d in _distances(lattice.network, lattice._n_pieces, edge, offset, kernel.support):
         yield row, at, kernel(d)
 
 
@@ -260,7 +260,6 @@ def _equal_split(pattern, lattice, kernel, continuous):
     net, support = lattice.network, kernel.support
     ev, ell, deg = net.edge_vertices, net.edge_lengths, net.degrees
     h, k = lattice.edge_spacing, lattice._n_pieces
-    incident, first = np.concatenate(net.incident_edges), np.cumsum(deg) - deg
     # a continuous estimate's value at a vertex is the shared branch limit:
     # the arriving path plus its degenerate reflection scale by 2/deg
     at_vertex = 2.0 / deg if continuous else np.ones(len(deg))
@@ -279,9 +278,9 @@ def _equal_split(pattern, lattice, kernel, continuous):
         return row[go], v[go], via[go], d[go], w[go]
 
     def branch(row, v, via, d, w):  # the walks out of each arrival
-        m = deg[v]
+        at, m = _csr_rows(net._ptr, v)
         i = np.repeat(np.arange(len(v)), m)
-        e = incident[np.arange(len(i)) - np.repeat(np.cumsum(m) - m - first[v], m)]
+        e = net._edge[at]
         m, back = m[i], e == via[i]
         if continuous:  # 2/m on every edge, 2/m - 1 back along the arrival edge
             w = w[i] * (2.0 / m - back)

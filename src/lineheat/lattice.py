@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EmptyPattern
-from .network import LinearNetwork, NetworkLocation, PointPattern, _chain_graph, _source_distances
+from .network import LinearNetwork, NetworkLocation, PointPattern, _distance_field
 
 #: Most lattice nodes a spacing may ask for: a heat or uniform-corrected run
 #: at this size peaks at about 0.55 and 0.7 GB.
@@ -27,13 +27,16 @@ MAX_NODES = 2_000_000
 
 class SolverGraph(NamedTuple):
     """The graph the heat solver steps.  ``cluster`` maps each lattice node to a
-    solver node, which weighs its lattice nodes' sum; links join two clusters."""
+    solver node, which weighs its lattice nodes' sum; links join two clusters.
+    ``tau`` is the merge threshold: links shorter than it were merged where
+    the extent bound allowed."""
 
     cluster: np.ndarray
     node_weight: np.ndarray
     link_i: np.ndarray
     link_j: np.ndarray
     link_h: np.ndarray
+    tau: float
 
     @property
     def min_link(self) -> float:
@@ -83,7 +86,6 @@ class Lattice:
         xy += network.vertex_xy[ev[edge, 1]] * t
         self.node_xy = np.concatenate((network.vertex_xy, xy))
         self.node_vertex = np.concatenate((np.arange(nv), np.full(len(edge), -1, dtype=np.int64)))
-        self.edge_chains = np.split(self._chain, self._chain_start[1:])
         self.link_i, self.link_j = self._chain[~head], self._chain[~tail]
         self.link_h = np.repeat(self.edge_spacing, self._n_pieces)
         for a in (
@@ -121,11 +123,23 @@ class Lattice:
     def min_spacing(self) -> float:
         return float(self.edge_spacing.min())
 
+    @cached_property
+    def edge_chains(self):
+        """Node ids along every edge's chain, tail to head, one array per edge."""
+        return np.split(self._chain, self._chain_start[1:])
+
     def node_location(self, i: int) -> NetworkLocation:
-        v = int(self.node_vertex[i])
-        if v >= 0:
-            return self.network.vertex_location(v)
-        return NetworkLocation(int(self.node_edge[i]), float(self.node_offset[i]))
+        e, offset = self._node_locations(i)
+        return NetworkLocation(int(e), float(offset))
+
+    def _node_locations(self, nodes):
+        """(edge, offset) of lattice nodes given as an array or a scalar; a vertex
+        sits on its lowest incident edge, as ``LinearNetwork.vertex_location`` puts it."""
+        net, v = self.network, self.node_vertex[nodes]
+        low = net._edge[net._ptr[np.maximum(v, 0)]]
+        at = np.where(net.edge_vertices[low, 0] == v, 0.0, net.edge_lengths[low])
+        inside = v < 0
+        return np.where(inside, self.node_edge[nodes], low), np.where(inside, self.node_offset[nodes], at)
 
     def compatible(self, other: "Lattice") -> bool:
         return self is other or (
@@ -166,11 +180,7 @@ class Lattice:
         hi = np.where(j == k, self.network.edge_lengths[edge], h * (j + 1) - h / 2)
         return edge, lo, hi, self._chain
 
-    # -- shortest-path distances over the lattice graph -----------------------
-
-    @cached_property
-    def _graph(self):
-        return _chain_graph(self.n_nodes, self._chain, self._n_pieces, self.edge_spacing)
+    # -- the heat solver's graph and shortest-path distances ------------------
 
     @cached_property
     def _solver(self) -> SolverGraph:
@@ -199,29 +209,16 @@ class Lattice:
         ci, cj = cluster[self.link_i], cluster[self.link_j]
         keep = ci != cj
         return SolverGraph(cluster, np.bincount(cluster, self.node_weight), ci[keep], cj[keep],
-                           self.link_h[keep])
+                           self.link_h[keep], tau)
 
     def distance_field(self, source: NetworkLocation, cutoff: float = math.inf):
         """Shortest-path distance from ``source`` to every lattice node.
 
-        Exact on the lattice graph: chains subdivide edges without changing
-        arc length, so graph distances equal network distances.  Entries beyond
-        ``cutoff`` stay inf.
+        Graph distances to the network's vertices, then the shorter way
+        along each node's edge: one rounding past the vertex distance.
+        Entries beyond ``cutoff`` stay inf.
         """
-        self.network.check_location(source)
-        return _source_distances(self._graph, *self._point_seeds(source.edge, source.offset), cutoff)
-
-    def _point_seeds(self, edge, offset):
-        """Shortest-path seeds (node, start) of locations, two per row.
-
-        A location inside a link seeds the link's ends at ``theta·h`` and
-        ``h - theta·h``; one on a chain node seeds that node at 0 (and at h,
-        which never wins).  Unchecked.
-        """
-        left, right, theta = self.bracket(edge, offset)
-        h = self.edge_spacing[edge]
-        dl = theta * h
-        return np.column_stack((left, right)), np.column_stack((dl, h - dl))
+        return _distance_field(self.network, self._n_pieces, source, cutoff)
 
 
 @dataclass

@@ -30,11 +30,8 @@ CROSS_TOLERANCE = 1e-12
 
 #: Pairs one block of batched work may hold: the grid index yields its box
 #: pairs in blocks of about this many, and shortest-path sources are solved
-#: in blocks of this many over the number of graph nodes.
+#: in blocks of this many over the number of lattice nodes.
 BLOCK_PAIRS = 2**18
-
-#: Most pieces of one chain a shortest-path round sums in one row.
-CHAIN_STEPS = 32
 
 
 @dataclass(frozen=True)
@@ -86,9 +83,13 @@ class LinearNetwork:
         self.degrees = np.bincount(ends, minlength=len(vxy))
         if not self.degrees.all():
             raise ValueError("isolated vertex (degree 0) not allowed")
-        # a stable sort of the edge ends lists every vertex's edges in ascending order
-        incident, stop = np.argsort(ends, kind="stable") // 2, np.cumsum(self.degrees).tolist()
-        self.incident_edges = tuple(incident[s:t] for s, t in zip([0] + stop[:-1], stop))
+        # a stable sort of the edge ends lists every vertex's edges in ascending order:
+        # vertex v's are _edge[_ptr[v]:_ptr[v + 1]], and _other holds each one's far end
+        by_vertex = np.argsort(ends, kind="stable")
+        self._ptr = np.concatenate(([0], np.cumsum(self.degrees)))
+        self._edge, self._other = by_vertex // 2, ends[by_vertex ^ 1]
+        stop = self._ptr.tolist()
+        self.incident_edges = tuple(self._edge[s:t] for s, t in zip(stop[:-1], stop[1:]))
 
         self._validate_no_interior_intersections()
 
@@ -189,24 +190,16 @@ class LinearNetwork:
 
     def vertex_location(self, vertex: int) -> NetworkLocation:
         """Linear-referenced form of a vertex, on its lowest incident edge."""
-        e = int(self.incident_edges[vertex][0])
+        e = int(self._edge[self._ptr[vertex]])
         u, _ = self.edge_vertices[e]
         off = 0.0 if u == vertex else float(self.edge_lengths[e])
         return NetworkLocation(e, off)
 
     # -- metric ------------------------------------------------------------
 
-    @cached_property
-    def _graph(self):
-        one = np.ones(self.n_edges, dtype=np.int64)  # every edge a chain of one piece
-        return _chain_graph(self.n_vertices, self.edge_vertices.ravel(), one, self.edge_lengths)
-
     def vertex_distances(self, source: NetworkLocation, cutoff: float = math.inf):
         """Shortest-path distance from ``source`` to every vertex (inf beyond cutoff)."""
-        self.check_location(source)
-        node = self.edge_vertices[source.edge][None]
-        start = np.array([[source.offset, self.edge_lengths[source.edge] - source.offset]])
-        return _source_distances(self._graph, node, start, cutoff)
+        return _distance_field(self, np.ones(self.n_edges, dtype=np.int64), source, cutoff)
 
 
 def _min_labels(n: int, i, j):
@@ -220,101 +213,95 @@ def _min_labels(n: int, i, j):
     return root
 
 
-def _chain_graph(n: int, chain, pieces, h):
-    """Shortest-path arrays of an undirected n-node graph made of chains.
-
-    Chain c runs through the ``pieces[c] + 1`` nodes that follow it in
-    ``chain``, in equal pieces of length ``h[c]``; only its two ends may lie
-    on other chains.  Every chain is laid out forward, then every chain
-    backward, as slots (node, step: the length of the piece into the slot,
-    left: the pieces after it); a chain's first slot has an inf step, so sums
-    running on past a chain's end stay inf.  ``out[ptr[v]:ptr[v + 1]]`` are
-    the slots one piece from node v.
-    """
-    k = pieces + 1
-    first = np.repeat(np.cumsum(k) - k, k)
-    c = np.repeat(np.arange(len(k)), k)
-    j = np.arange(len(chain)) - first
-    pad = np.zeros(CHAIN_STEPS, np.int64)  # past the last chain
-    node = np.concatenate((chain, chain[first + pieces[c] - j], pad))
-    step = np.concatenate((np.tile(np.where(j > 0, h[c], np.inf), 2), pad + np.inf))
-    left = np.concatenate((np.tile(pieces[c] - j, 2), pad))
-    tail = np.flatnonzero(left)
-    ptr = np.concatenate(([0], np.cumsum(np.bincount(node[tail], minlength=n))))
-    return ptr, tail[np.argsort(node[tail], kind="stable")] + 1, node, step, left
-
-
-def _source_distances(graph, node, start, cutoff: float = math.inf):
-    """Distances from one source (1-row ``node``/``start`` seeds) to every node; inf beyond cutoff."""
-    out = np.full(len(graph[0]) - 1, np.inf)
-    _, at, d = next(_graph_distances(graph, node, start, cutoff))
+def _distance_field(net: LinearNetwork, pieces, source: NetworkLocation, cutoff: float):
+    """Distances from ``source`` to every node of the lattice that cuts each edge e
+    into ``pieces[e]`` equal pieces (see :func:`_distances`); inf beyond ``cutoff``."""
+    net.check_location(source)
+    _, at, d = next(_distances(net, pieces, np.array([source.edge]), np.array([source.offset]), cutoff))
+    out = np.full(net.n_vertices + int(pieces.sum()) - net.n_edges, np.inf)
     out[at] = d
     return out
 
 
-def _graph_distances(graph, node, start, cutoff: float = math.inf):
-    """Shortest-path distances from a batch of sources over a :func:`_chain_graph`.
+def _csr_rows(ptr, u):
+    """Positions of the rows ``u`` of a CSR structure with row pointer ``ptr``,
+    concatenated, and the length of each row."""
+    deg = ptr[u + 1] - ptr[u]
+    return np.arange(deg.sum()) + np.repeat(ptr[u] - (np.cumsum(deg) - deg), deg), deg
 
-    Source s reaches the nodes ``node[s]`` at the distances ``start[s]``, and
-    no path passes through another source.  Sources go in blocks of
-    ``BLOCK_PAIRS // n`` for n graph nodes; each yields the entries within
+
+def _distances(net: LinearNetwork, pieces, edge, offset, cutoff: float = math.inf):
+    """Shortest-path distances from the locations (edge[s], offset[s]) to the
+    nodes of the lattice that cuts each edge e into ``pieces[e]`` equal pieces.
+
+    Nodes are numbered as :class:`~lineheat.lattice.Lattice` numbers them:
+    vertex v is node v, and the inner nodes follow edge by edge, node j of
+    edge e at offset ``(length / pieces)[e] * j``.  Sources go in blocks of
+    ``BLOCK_PAIRS // n`` for n nodes; each yields the entries within
     ``cutoff`` as (source, node, distance) columns, by source, then node.
-    Each round walks out of every improved chain end (and, first, the seed
-    nodes) along each of its chains, up to ``CHAIN_STEPS`` pieces, so the
-    rounds count chains, not pieces, within the cutoff; a walk cut short
-    goes on in the next.  Float addition is monotone, so the fixpoint is the
-    minimum over all paths of the distance summed left to right from the
-    source: Dijkstra's result, bit for bit.
+
+    Only the vertices take a graph search.  Source s reaches its edge's tail
+    at ``offset[s]`` and its head at ``length - offset[s]``, and each round
+    relaxes the edges of every improved (source, vertex) pair.  Float
+    addition is monotone, so the fixpoint is the minimum over all paths of
+    the distance summed left to right from the source: Dijkstra's result,
+    bit for bit.  An inner node at offset x of an edge with a reached end,
+    or of the source's own edge, then takes ``min(d_tail + x, d_head +
+    (length - x))``, and on the source's own edge also ``|x - offset[s]|``.
     """
     if not cutoff >= 0:
         raise ValueError(f"cutoff must be nonnegative, got {cutoff}")
-    ptr, out, slot_node, step, left = graph
-    n = len(ptr) - 1
-    block = max(1, min(BLOCK_PAIRS // n, len(node)))
-    dist = np.full(block * n, np.inf)  # (source, node) pairs of one block, reused
-    last = np.empty(block * n, dtype=np.int64)
+    ev, ell, ptr, adj = net.edge_vertices, net.edge_lengths, net._ptr, net._edge
+    nv, inner = net.n_vertices, pieces - 1
+    first, h = nv + np.cumsum(inner) - inner, ell / pieces  # each edge's first inner node
+    cut = np.flatnonzero(inner)  # the edges with inner nodes
+    block = max(1, min(BLOCK_PAIRS // (nv + int(inner.sum())), len(edge)))
+    dist = np.full(block * nv, np.inf)  # (source, vertex) pairs of one block, reused
+    last = np.empty(block * nv, dtype=np.int64)
 
     # np.compress, not a boolean index: several times faster on scattered masks
-    def improve(key, d):  # merge the entries that improve dist; a flat mask of them
-        ok = ((d <= cutoff) & (d < dist[key])).ravel()
-        np.minimum.at(dist, np.compress(ok, key), np.compress(ok, d))
-        return ok
-
-    def distinct(key):  # each key once
+    def improve(key, d):  # merge the entries that improve dist; the keys improved, once each
+        ok = (d <= cutoff) & (d < dist[key])
+        key, d = np.compress(ok, key), np.compress(ok, d)
+        np.minimum.at(dist, key, d)
         i = np.arange(len(key))
         last[key] = i
         return np.compress(last[key] == i, key)
 
-    for lo in range(0, len(node), block):
-        b = min(block, len(node) - lo)
-        key = (np.arange(b)[:, None] * n + node[lo : lo + b]).ravel()
-        hub = distinct(np.compress(improve(key, start[lo : lo + b].ravel()), key))
-        # walks cut short: source offset, next slot, distance so far
-        base, p, s = hub[:0], hub[:0], np.empty(0)
-        while True:
-            u = hub % n
-            deg = ptr[u + 1] - ptr[u]
-            at = np.arange(deg.sum()) + np.repeat(ptr[u] - (np.cumsum(deg) - deg), deg)
-            grown = np.repeat(hub - u, deg), out[at], np.repeat(dist[hub], deg)
-            base, p, s = map(np.append, (base, p, s), grown) if len(p) else grown
-            if not len(p):
-                break
-            at = p + np.arange(min(CHAIN_STEPS, left[p].max() + 1))[:, None]  # a row per piece
-            d = step[at]
-            d[0] += s
-            for i in range(1, len(d)):  # summed left to right along each chain
-                d[i] += d[i - 1]
-            key = base + slot_node[at]
-            ok = improve(key, d)
-            if len(d) == 1:  # every walk ended on a chain end
-                hub, base, p, s = distinct(np.compress(ok, key)), base[:0], p[:0], s[:0]
-                continue
-            end = (left[at] == 0).ravel()
-            hub = distinct(np.compress(ok & end, key))
-            more = ok[-len(p) :] & ~end[-len(p) :]  # the last row
-            base, p, s = (np.compress(more, x) for x in (base, p + len(at), d[-1]))
-        key = np.flatnonzero(dist[: b * n] < np.inf)
-        yield lo + key // n, key % n, dist[key]
+    for lo in range(0, len(edge), block):
+        b = min(block, len(edge) - lo)
+        own, x0 = edge[lo : lo + b], offset[lo : lo + b]
+        tail, head = np.arange(b) * nv + ev[own].T
+        hub = improve(np.concatenate((tail, head)), np.concatenate((x0, ell[own] - x0)))
+        while len(hub):
+            u = hub % nv
+            at, deg = _csr_rows(ptr, u)
+            hub = improve(np.repeat(hub - u, deg) + net._other[at], np.repeat(dist[hub], deg) + ell[adj[at]])
+        reached = dist[: b * nv].reshape(b, nv) < np.inf
+        # (source, edge) pairs by source, then edge: the edges with inner nodes
+        # and a reached end, and the sources' own edges
+        pair = reached[:, ev[cut, 0]] | reached[:, ev[cut, 1]]
+        mine = np.flatnonzero(inner[own])
+        pair[mine, np.searchsorted(cut, own[mine])] = True
+        s, e = np.divmod(np.flatnonzero(pair), len(cut))
+        e = cut[e]
+        m = inner[e]
+
+        def each(a):  # a per-pair column, once per inner node of the pair's edge
+            return np.repeat(a, m)
+
+        j = np.arange(m.sum()) - each(np.cumsum(m) - m - 1)
+        x = each(h[e]) * j
+        d = np.minimum(each(dist[s * nv + ev[e, 0]]) + x, each(dist[s * nv + ev[e, 1]]) + (each(ell[e]) - x))
+        on = np.flatnonzero(each(e == own[s]))
+        d[on] = np.minimum(d[on], np.abs(x[on] - each(x0[s])[on]))
+        ok = d <= cutoff
+        key = np.flatnonzero(reached)
+        # two runs sorted by (source, node): the vertices, then the inner nodes
+        row = np.concatenate((key // nv, each(s)[ok]))
+        by = np.argsort(row, kind="stable")
+        node = np.concatenate((key % nv, (each(first[e] - 1) + j)[ok]))
+        yield lo + row[by], node[by], np.concatenate((dist[key], d[ok]))[by]
         dist[key] = np.inf
 
 

@@ -145,7 +145,8 @@ def stub_network(run, pieces=1):
 def uncontracted(lattice):
     """A new lattice like ``lattice`` whose solver graph is the lattice itself."""
     lat = Lattice(lattice.network, lattice.dx_target)
-    lat._solver = SolverGraph(np.arange(lat.n_nodes), lat.node_weight, lat.link_i, lat.link_j, lat.link_h)
+    lat._solver = SolverGraph(np.arange(lat.n_nodes), lat.node_weight, lat.link_i, lat.link_j, lat.link_h,
+                              0.0)
     return lat
 
 
@@ -729,6 +730,40 @@ def scipy_graph_distances(links, node, start, cutoff=math.inf):
     )
     d = dijkstra(extended, indices=np.arange(n, n + b), limit=cutoff)[:, :n]
     row, at = np.nonzero(np.isfinite(d))
+    return row, at, d[row, at]
+
+
+def bracket_seeds(lat, edge, offset):
+    """Lattice-graph seeds (node, start) of locations, two per row: the chain
+    nodes around each at ``theta·h`` and ``h - theta·h``."""
+    left, right, theta = lat.bracket(edge, offset)
+    h = lat.edge_spacing[edge]
+    return np.column_stack((left, right)), np.column_stack((theta * h, h - theta * h))
+
+
+def loop_lattice_distances(lat, edge, offset, cutoff=math.inf):
+    """(source, node, distance) columns of every entry within ``cutoff``, by
+    source then node, from the locations (edge[s], offset[s]).
+
+    Vertex distances come from :func:`scipy_graph_distances` over the
+    network's edges; a Python loop over the lattice nodes then takes each
+    inner node's shorter way along its edge, and on the source's own edge
+    also the way straight from the source.
+    """
+    net, nv = lat.network, lat.network.n_vertices
+    start = np.column_stack((offset, net.edge_lengths[edge] - offset))
+    row, at, d = scipy_graph_distances(graph_links(net), net.edge_vertices[edge], start, cutoff)
+    d_vertex = np.full((len(edge), nv), np.inf)
+    d_vertex[row, at] = d
+    d = np.full((len(edge), lat.n_nodes), np.inf)
+    d[:, :nv] = d_vertex
+    for i in range(nv, lat.n_nodes):
+        e, x = int(lat.node_edge[i]), float(lat.node_offset[i])
+        u, v = net.edge_vertices[e]
+        d[:, i] = np.minimum(d_vertex[:, u] + x, d_vertex[:, v] + (float(net.edge_lengths[e]) - x))
+        own = np.flatnonzero(edge == e)
+        d[own, i] = np.minimum(d[own, i], np.abs(x - offset[own]))
+    row, at = np.nonzero(d <= cutoff)
     return row, at, d[row, at]
 
 

@@ -540,6 +540,7 @@ class TestContraction:
         lat = discretize(net, 0.2)
         tau = lat.dx_target / 2
         g = lat._solver
+        assert g.tau == tau
         extent = np.zeros(len(g.node_weight))
         for c in range(len(extent)):
             members = np.flatnonzero(g.cluster == c)

@@ -261,8 +261,7 @@ class TestBatchedMatchesLoop:
             monkeypatch.setattr(network, "BLOCK_PAIRS", 2**62)
             whole = all_estimates(pat, lat, k)
             monkeypatch.setattr(network, "BLOCK_PAIRS", per_block * lat.n_nodes)
-            seeds = lat._point_seeds(pat.edge, pat.offset)
-            blocks = network._graph_distances(lat._graph, *seeds, k.support)
+            blocks = network._distances(lat.network, lat._n_pieces, pat.edge, pat.offset, k.support)
             sizes = [len(np.unique(rows)) for rows, _, _ in blocks]  # sources per block
             assert sizes == [per_block] * (7 // per_block) + [1] * (7 % per_block)
             for name, values in all_estimates(pat, lat, k).items():
@@ -273,8 +272,8 @@ class TestPairBudget:
     """``MAX_PAIRS`` bounds the (source, node) pairs of every distance pass."""
 
     @staticmethod
-    def pairs(lattice, kernel, node, start):
-        return sum(len(row) for row, _, _ in kernels._kernel_terms(lattice, kernel, node, start))
+    def pairs(lattice, kernel, edge, offset):
+        return sum(len(row) for row, _, _ in kernels._kernel_terms(lattice, kernel, edge, offset))
 
     def test_bound_is_never_below_the_pairs(self, monkeypatch):
         # a budget one below a pass's pairs is refused: the planar bound is
@@ -287,11 +286,11 @@ class TestPairBudget:
              Kernel1D("epanechnikov", 4.5))]
         for lat, pat, k in cases:
             o = pat.order
-            points = self.pairs(lat, k, *lat._point_seeds(pat.edge[o], pat.offset[o]))
+            points = self.pairs(lat, k, pat.edge[o], pat.offset[o])
             covered = np.flatnonzero(_kernel_sum(pat, lat, k) > 0)
             nodes = np.arange(lat.n_nodes)
             corrections, every = (
-                self.pairs(lat, k, np.column_stack((x, x)), np.zeros((len(x), 2)))
+                self.pairs(lat, k, *lat._node_locations(x))
                 for x in (covered, nodes))
             for budget, run in (
                 (points, lambda: estimate_jones_diggle(pat, lat, k)),
@@ -307,19 +306,19 @@ class TestPairBudget:
         lat = discretize(net, 0.05)
         k = Kernel1D("gaussian", 1.0)  # its support spans the network
         pat = PointPattern(net, [NetworkLocation(0, 0.5), NetworkLocation(7, 0.5)])
-        real = kernels._graph_distances
+        real = kernels._distances
 
         def no_pass(*args):
             raise AssertionError("a distance pass ran before the budget check")
 
-        monkeypatch.setattr(kernels, "_graph_distances", no_pass)
+        monkeypatch.setattr(kernels, "_distances", no_pass)
         # every point may reach every node, but not every node every node
         monkeypatch.setattr(kernels, "MAX_PAIRS", pat.n * lat.n_nodes)
         for run in (estimate_uniform_corrected, lambda p, lat, k: precompute_edge_correction(lat, k)):
             with pytest.raises(PairBudgetExceeded, match="; raise --dx or lower --bw$") as exc:
                 run(pat, lat, k)
             assert exc.value.exit_code == 3
-        monkeypatch.setattr(kernels, "_graph_distances", real)
+        monkeypatch.setattr(kernels, "_distances", real)
         estimate_jones_diggle(pat, lat, k)
 
 

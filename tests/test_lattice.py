@@ -33,6 +33,18 @@ class TestDiscretize:
         assert weights == pytest.approx([0.125, 0.25, 0.25, 0.25, 0.125], abs=1e-15)
         assert lat.node_weight.sum() == pytest.approx(1.0, rel=1e-12)
 
+    def test_node_locations(self):
+        # an inner node on its edge; a vertex at the end of its lowest incident edge
+        for lat, _ in random_lattices(33, 10):
+            ev, nv = lat.network.edge_vertices, lat.network.n_vertices
+            edge, offset = lat._node_locations(np.arange(lat.n_nodes))
+            assert_same(edge[nv:], lat.node_edge[nv:])
+            assert_same(offset[nv:], lat.node_offset[nv:])
+            for v in range(nv):
+                e = int(np.flatnonzero((ev == v).any(axis=1))[0])
+                assert (edge[v], offset[v]) == (e, 0.0 if ev[e, 0] == v else lat.network.edge_lengths[e])
+                assert lat.node_location(v) == lat.network.vertex_location(v)
+
     def test_y_center_weight(self):
         lat = discretize(y_network(), 0.5)
         # center vertex is node 0; three incident edges at spacing 0.5

@@ -26,12 +26,14 @@ from lineheat.network import (
 
 from nets import (
     assert_same,
+    bracket_seeds,
     brute_force_distance,
     graph_links,
     grid_network,
     kdtree_close_pairs,
     lexsort_nearest,
     loop_incident_edges,
+    loop_lattice_distances,
     random_lattices,
     random_location,
     random_network,
@@ -360,68 +362,81 @@ class TestShortestPath:
 
 
 class TestGraphDistances:
-    """The numpy chain walk against scipy's Dijkstra over the same links."""
+    """The vertex rounds and the closed form along edges against scipy's
+    Dijkstra over the network's edges plus a loop over the lattice nodes."""
 
     @staticmethod
     def cases(seed, count):
-        """(graph, links, node, start) seeding every special location, on
-        random lattices and on the graphs of their networks."""
+        """(lattice, edge, offset) of every special location, on random lattices
+        and on the one-piece lattices of their networks."""
         for lat, rng in random_lattices(seed, count):
-            net, locs = lat.network, special_locations(lat, rng)
+            locs = special_locations(lat, rng)
             edge = np.array([p.edge for p in locs])
             offset = np.array([p.offset for p in locs])
-            yield lat._graph, graph_links(lat), *lat._point_seeds(edge, offset)
-            start = np.column_stack((offset, net.edge_lengths[edge] - offset))
-            yield net._graph, graph_links(net), net.edge_vertices[edge], start
+            yield lat, edge, offset
+            yield Lattice(lat.network, lat.network.edge_lengths.max()), edge, offset
 
     @pytest.mark.parametrize("per_block", [1, 3, None], ids=["one", "three", "all"])
     def test_matches_dijkstra(self, monkeypatch, per_block):
         attained = 0
-        for graph, links, node, start in self.cases(61, 15):
-            n = len(graph[0]) - 1
-            monkeypatch.setattr(network, "BLOCK_PAIRS", per_block * n if per_block else 2**62)
-            d = scipy_graph_distances(links, node, start)[2]
-            at = np.sort(d[d > 0])[len(d[d > 0]) // 2]  # a distance some path attains
+        for lat, edge, offset in self.cases(61, 12):
+            monkeypatch.setattr(network, "BLOCK_PAIRS", per_block * lat.n_nodes if per_block else 2**62)
+            d = loop_lattice_distances(lat, edge, offset)[2]
+            at = np.sort(d[d > 0])[len(d[d > 0]) // 2]  # a distance some node attains
             for cutoff in (math.inf, 0.0, 0.7, at):
-                blocks = list(network._graph_distances(graph, node, start, cutoff))
-                block = per_block or len(node)
-                assert len(blocks) == -(-len(node) // block)
-                for lo, (rows, _, _) in zip(range(0, len(node), block), blocks):
-                    assert np.all((lo <= rows) & (rows < lo + block))
+                blocks = list(network._distances(lat.network, lat._n_pieces, edge, offset, cutoff))
+                block = per_block or len(edge)
+                assert len(blocks) == -(-len(edge) // block)
+                for lo, (rows, _, _) in zip(range(0, len(edge), block), blocks):
+                    # each block holds whole rows, ascending
+                    assert np.all((lo <= rows) & (rows < lo + block)) and np.all(np.diff(rows) >= 0)
                 got = [np.concatenate(c) for c in zip(*blocks)]
-                for g, w in zip(got, scipy_graph_distances(links, node, start, cutoff)):
+                for g, w in zip(got, loop_lattice_distances(lat, edge, offset, cutoff)):
                     assert_same(g, w)
-            kept = network._graph_distances(graph, node, start, at)
-            attained += sum(int((d == at).sum()) for _, _, d in kept)
+            attained += int((got[2] == at).sum())
         assert attained  # an entry exactly at the cutoff is kept
 
-    @pytest.mark.parametrize("steps", [1, 2, 3])
-    def test_walks_cut_short_match_dijkstra(self, monkeypatch, steps):
-        # chains longer than a round's walk go on over several rounds
-        monkeypatch.setattr(network, "CHAIN_STEPS", steps)
-        longest = 0
-        for graph, links, node, start in self.cases(64, 6):
-            longest = max(longest, graph[4].max())
+    def test_matches_the_lattice_graph(self):
+        # Dijkstra over the lattice's links sums the pieces of a path one by
+        # one, where the closed form rounds once past the vertex distance:
+        # the same pairs, and distances within 1e-12 of the edge lengths
+        for lat, edge, offset in self.cases(64, 8):
+            seeds = bracket_seeds(lat, edge, offset)
+            tol = 1e-12 * lat.network.edge_lengths.max()
             for cutoff in (math.inf, 0.7):
-                blocks = network._graph_distances(graph, node, start, cutoff)
-                got = [np.concatenate(c) for c in zip(*blocks)]
-                for g, w in zip(got, scipy_graph_distances(links, node, start, cutoff)):
-                    assert_same(g, w)
-        assert longest > 3 * steps
+                got = [np.concatenate(c) for c in zip(*network._distances(
+                    lat.network, lat._n_pieces, edge, offset, cutoff))]
+                want = scipy_graph_distances(graph_links(lat), *seeds, cutoff)
+                if cutoff < math.inf:  # away from ties at the cutoff
+                    got, want = ([c[np.abs(x[2] - cutoff) > tol] for c in x] for x in (got, want))
+                assert_same(got[0], want[0])
+                assert_same(got[1], want[1])
+                np.testing.assert_allclose(got[2], want[2], rtol=1e-12, atol=tol)
+
+    def test_source_inside_an_edge_longer_than_twice_the_cutoff(self):
+        # neither end of the source's edge is reached, yet its nodes are
+        net = build_network([(0.0, 0.0), (1.0, 0.0), (11.0, 0.0), (11.0, 1.0)], [(0, 1), (1, 2), (2, 3)])
+        lat = Lattice(net, 0.5)
+        edge, offset = np.array([1, 1, 0]), np.array([5.0, 4.3, 0.5])
+        for cutoff in (1.0, 0.6):
+            got = [np.concatenate(c) for c in zip(*network._distances(net, lat._n_pieces, edge, offset, cutoff))]
+            for g, w in zip(got, loop_lattice_distances(lat, edge, offset, cutoff)):
+                assert_same(g, w)
+            assert_same(np.unique(lat.node_edge[got[1][got[0] < 2]]), np.array([1]))
+        assert sorted(got[2][got[0] == 0]) == [0.0, 0.5, 0.5]
 
     def test_single_source_fields_match_dijkstra(self):
         for lat, rng in random_lattices(62, 10):
             net = lat.network
             for loc in special_locations(lat, rng)[::5]:
+                edge, offset = np.array([loc.edge]), np.array([loc.offset])
                 for cutoff in (math.inf, 0.7):
-                    node, start = lat._point_seeds(loc.edge, loc.offset)
-                    _, at, d = scipy_graph_distances(graph_links(lat), node, start, cutoff)
+                    _, at, d = loop_lattice_distances(lat, edge, offset, cutoff)
                     want = np.full(lat.n_nodes, np.inf)
                     want[at] = d
                     assert_same(lat.distance_field(loc, cutoff), want)
                     start = np.array([[loc.offset, net.edge_lengths[loc.edge] - loc.offset]])
-                    _, at, d = scipy_graph_distances(graph_links(net), net.edge_vertices[loc.edge][None],
-                                                     start, cutoff)
+                    _, at, d = scipy_graph_distances(graph_links(net), net.edge_vertices[edge], start, cutoff)
                     want = np.full(net.n_vertices, np.inf)
                     want[at] = d
                     assert_same(net.vertex_distances(loc, cutoff), want)
@@ -436,8 +451,8 @@ class TestGraphDistances:
             net.vertex_distances(NetworkLocation(0, 0.3), cutoff)
 
     def test_no_sources_yield_nothing(self):
-        graph = Lattice(triangle_network(), 0.25)._graph
-        assert list(network._graph_distances(graph, np.zeros((0, 2), np.int64), np.zeros((0, 2)))) == []
+        lat = Lattice(triangle_network(), 0.25)
+        assert list(network._distances(lat.network, lat._n_pieces, np.zeros(0, np.int64), np.zeros(0))) == []
 
     def test_components_match_scipy(self):
         rng = np.random.default_rng(63)
