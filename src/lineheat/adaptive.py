@@ -83,8 +83,8 @@ def abramson_bandwidths(
     warning) so isolated points keep a finite bandwidth.
     """
     _require_points(pattern, pilot.lattice)
-    if global_bandwidth <= 0:
-        raise ValueError("global bandwidth must be positive")
+    if not 0 < global_bandwidth < math.inf:
+        raise ValueError("global bandwidth must be positive and finite")
     vals = pilot.values_at(pattern.edge, pattern.offset)
     clamp = vals <= PILOT_FLOOR
     n_clamped = int(clamp.sum())

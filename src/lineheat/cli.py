@@ -27,7 +27,7 @@ from .adaptive import (
     heuristic_global_bandwidth,
 )
 from .errors import LineHeatError
-from .experiment import SCENARIOS, STUDY_COLUMNS, run_partition_study, simulate_intensity
+from .experiment import SCENARIOS, STUDY_COLUMNS, run_partition_study, simulate_intensity, study_deltas
 from .heat import DEFAULT_CONFIG, estimate_heat, estimate_heat_batch, resolve_dx
 from .ingest import (
     FLOAT_FMT,
@@ -112,7 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
     st.add_argument("--dx", type=float, default=None)
     st.add_argument("--no-timing", action="store_true",
                     help="write NA time columns for byte-reproducible output")
-    st.add_argument("--jobs", type=int, default=1)
     st.add_argument("--out", required=True, help="results CSV path")
     st.set_defaults(func=_cmd_study)
 
@@ -247,11 +246,12 @@ def _bandwidth(value, name: str = "global bandwidth") -> float:
 
 
 def _cmd_study(args) -> int:
+    # every argument is checked before the network is read
     eps_star = None
     if args.bw_global not in (None, "auto"):
         eps_star = _bandwidth(args.bw_global)
+    deltas = study_deltas([x for x in args.deltas.split(",") if x], args.replicates)
     net = read_network_geojson(args.net)
-    deltas = [float(x) for x in args.deltas.split(",") if x]
     _echo_config(args, resolved_deltas=deltas)
     rows = run_partition_study(
         net,
@@ -265,7 +265,6 @@ def _cmd_study(args) -> int:
         gamma_exponent=args.gamma_exponent,
         dx=args.dx,
         timing=not args.no_timing,
-        jobs=args.jobs,
     )
     with open(args.out, "w", encoding="utf-8") as fh:
         _echo_config(args, file=fh)

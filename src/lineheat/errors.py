@@ -62,7 +62,7 @@ class StepBudgetExceeded(NumericalError):
 
 
 class BadDelta(LineHeatError):
-    """Quantile step must satisfy: 1/delta is an integer in [1, n]."""
+    """Quantile step must be in (0, 1] with 1/delta an integer."""
 
 
 class LatticeMismatch(LineHeatError):

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 import time
-from functools import partial
 
 import numpy as np
 
 from .adaptive import (
     abramson_bandwidths,
+    bin_count,
     estimate_adaptive_direct,
     heuristic_global_bandwidth,
     make_partition,
@@ -161,6 +161,20 @@ def _warmup(lattice, pattern, bw):
     estimate_heat(pattern.subset([0]), lattice, float(bw.bandwidths.min()))
 
 
+def study_deltas(deltas, replicates: int) -> list[float]:
+    """A study's quantile steps as floats, checked with its replicate count:
+    BadDelta for a step :func:`~lineheat.adaptive.bin_count` rejects,
+    ValueError for no step or no replicate."""
+    deltas = [float(d) for d in deltas]
+    if not deltas:
+        raise ValueError("need at least one quantile step")
+    for d in deltas:
+        bin_count(d)
+    if replicates < 1:
+        raise ValueError("need at least one replicate")
+    return deltas
+
+
 def run_partition_study(
     net: LinearNetwork,
     scenario: str,
@@ -173,32 +187,20 @@ def run_partition_study(
     gamma_exponent: float = -0.5,
     dx: float | None = None,
     timing: bool = True,
-    jobs: int = 1,
 ) -> list[dict]:
     """Run the partition-vs-direct comparison.
 
     Returns one record per (replicate, delta) with the ISE of the partition
     estimate against the direct estimate and, when ``timing`` is on, the
-    wall-clock seconds of both and of the exact estimate in one batched pass
-    (timing forces jobs=1 to avoid contention skew).  Replicate r uses seed + r.
+    wall-clock seconds of both and of the exact estimate in one batched pass.
+    Replicate r uses seed + r.  Every argument is checked before the first
+    replicate runs.
     """
-    if replicates < 1:
-        raise ValueError("need at least one replicate")
+    deltas = study_deltas(deltas, replicates)
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}; choose from {SCENARIOS}")
-    deltas = [float(d) for d in deltas]
-    one = partial(
-        _one_replicate, net, scenario, seed, deltas, target_points, field_res, eps_star,
-        gamma_exponent, dx, timing,
-    )
-    if jobs == 1 or timing:
-        results = [one(rep) for rep in range(replicates)]
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # 10-30 ms to import: only a pool needs it
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, range(replicates)))
-    return [row for reprows in results for row in reprows]
+    return [row for rep in range(replicates) for row in _one_replicate(
+        net, scenario, seed, deltas, target_points, field_res, eps_star, gamma_exponent, dx, timing, rep)]
 
 
 def median_by_delta(rows: list[dict], key: str) -> dict[float, float]:

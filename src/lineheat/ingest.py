@@ -244,7 +244,8 @@ def read_lattice_function(path, lattice: Lattice) -> LatticeFunction:
 
     order = np.lexsort((start, edge))
     edge, value = edge[order], value[order]
-    ne, cells = lattice.network.n_edges, lattice._n_pieces + 1
+    ne, (cell_edge, _, _, cell_node) = lattice.network.n_edges, lattice.node_cells
+    cells = np.bincount(cell_edge, minlength=ne)
     off = (edge < 0) | (edge >= ne)
     if off.any():
         raise ParseError(f"edge_id {edge[off][0]} out of range [0, {ne})")
@@ -253,7 +254,7 @@ def read_lattice_function(path, lattice: Lattice) -> LatticeFunction:
     if len(bad):
         raise ParseError(f"edge {bad[0]}: {count[bad[0]]} cells in file, lattice has {cells[bad[0]]}")
     values = np.full(lattice.n_nodes, np.nan)
-    values[lattice.node_cells[3][np.repeat(count > 0, cells)]] = value  # the cells of the edges read
+    values[cell_node[(count > 0)[cell_edge]]] = value  # the cells of the edges read
     if np.isnan(values).any():
         raise ParseError("file does not cover every lattice node")
     return LatticeFunction(lattice, values)

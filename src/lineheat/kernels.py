@@ -27,7 +27,7 @@ import numpy as np
 from . import network
 from .errors import LatticeMismatch, PairBudgetExceeded, PathExplosion, UnboundedKernel
 from .lattice import Lattice, LatticeFunction, _require_points
-from .network import PointPattern, _box_pairs, _csr_rows, _distances
+from .network import PointPattern, _box_pairs, _csr_rows
 
 GAUSSIAN_TRUNCATION = 4.0  # support radius in standard deviations
 _GAUSS_MASS = math.erf(GAUSSIAN_TRUNCATION / math.sqrt(2.0))
@@ -170,7 +170,7 @@ def _kernel_terms(lattice, kernel, edge, offset):
     Entries run by row (the source), then by node, and cover the nodes within
     the kernel's support.
     """
-    for row, at, d in _distances(lattice.network, lattice._n_pieces, edge, offset, kernel.support):
+    for row, at, d in lattice._distances(edge, offset, kernel.support):
         yield row, at, kernel(d)
 
 
@@ -300,10 +300,9 @@ def _equal_split(pattern, lattice, kernel, continuous):
         r = support - d
         lo = np.maximum(1, np.floor((base - r) / h[e])).astype(np.int64)
         n = np.maximum(0, np.minimum(k[e] - 1, np.ceil((base + r) / h[e])) - lo + 1).astype(np.int64)
+        node, x = lattice._inner_nodes(e, lo, n)
         t = np.repeat(np.arange(len(e)), n)
-        j = np.arange(len(t)) - np.repeat(np.cumsum(n) - n - lo, n)  # lo..lo + n - 1 per walk
-        node = lattice._first_interior[e[t]] + j - 1
-        dn = d[t] + np.abs(base[t] - lattice.node_offset[node])
+        dn = d[t] + np.abs(base[t] - x)
         ok = dn <= support
         np.add.at(out, node[ok], w[t[ok]] * kernel(dn[ok]))
         end = np.concatenate((base != 0.0, base != ell[e]))

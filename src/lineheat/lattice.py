@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
 
+from . import network
 from .errors import EmptyPattern
-from .network import LinearNetwork, NetworkLocation, PointPattern, _distance_field
+from .network import LinearNetwork, NetworkLocation, PointPattern, _vertex_distances
 
 #: Most lattice nodes a spacing may ask for: a heat or uniform-corrected run
 #: at this size peaks at about 0.55 and 0.7 GB.
@@ -63,14 +64,17 @@ class Lattice:
         pieces = np.ceil(network.edge_lengths / dx_target - 1e-12).astype(np.int64)
         self._n_pieces = np.maximum(1, pieces)
         self.edge_spacing = network.edge_lengths / self._n_pieces
-        nv = network.n_vertices
+        nv, ev = network.n_vertices, network.edge_vertices
         self._first_interior = nv + np.cumsum(self._n_pieces - 1) - (self._n_pieces - 1)
         self._chain_start = np.cumsum(self._n_pieces + 1) - (self._n_pieces + 1)
 
         # keep this allocation order: it sets the heap holes the solver's steps reuse
         edge, j = self._chain_positions()
-        self._chain = self._node(edge, j)  # every edge's chain, edge by edge
+        # every edge's chain, edge by edge: position j = 0..k from the tail vertex to the head
+        self._chain = self._first_interior[edge] + j - 1
         tail, head = j == 0, j == self._n_pieces[edge]
+        self._chain[tail] = ev[edge[tail], 0]
+        self._chain[head] = ev[edge[head], 1]
         # the inner chain positions are the interior nodes, in node-id order
         inner = ~(tail | head)
         self.node_edge = np.concatenate((np.full(nv, -1, dtype=np.int64), edge[inner]))
@@ -78,7 +82,6 @@ class Lattice:
         edge = self.node_edge[nv:]
         h = self.edge_spacing[edge]
         self.node_offset = np.concatenate((np.full(nv, np.nan), h * j))
-        ev = network.edge_vertices
         half = np.repeat(self.edge_spacing / 2, 2)  # tail and head share of each edge
         self.node_weight = np.concatenate((np.bincount(ev.ravel(), half, nv), h))
         t = (self.node_offset[nv:] / network.edge_lengths[edge])[:, None]
@@ -106,14 +109,13 @@ class Lattice:
         edge = np.repeat(np.arange(self.network.n_edges), self._n_pieces + 1)
         return edge, np.arange(len(edge)) - self._chain_start[edge]
 
-    def _node(self, edge, j):
-        """Node id of position j on the chain of ``edge``: 0 is the tail vertex, k the head."""
-        ev = self.network.edge_vertices
-        node = self._first_interior[edge] + j - 1
-        tail, head = j == 0, j == self._n_pieces[edge]
-        node[tail] = ev[edge[tail], 0]
-        node[head] = ev[edge[head], 1]
-        return node
+    def _inner_nodes(self, edge, lo, n):
+        """Ids and offsets h * j of the inner nodes j = lo..lo + n - 1 (within
+        1..k - 1) of the chain of each ``edge``, window by window."""
+        start = np.cumsum(n) - n - lo  # each window's first position, less its lo
+        i = np.arange(n.sum())
+        node = i + np.repeat(self._first_interior[edge] - 1 - start, n)
+        return node, np.repeat(self.edge_spacing[edge], n) * (i - np.repeat(start, n))
 
     @property
     def n_nodes(self) -> int:
@@ -211,6 +213,46 @@ class Lattice:
         return SolverGraph(cluster, np.bincount(cluster, self.node_weight), ci[keep], cj[keep],
                            self.link_h[keep], tau)
 
+    def _distances(self, edge, offset, cutoff: float = math.inf):
+        """Shortest-path distances from the locations (edge[s], offset[s]) to the
+        lattice nodes.  Sources go in blocks of ``network.BLOCK_PAIRS // n_nodes``;
+        each yields the entries within ``cutoff`` as (source, node, distance)
+        columns, by source, then node.
+
+        Vertex distances come from :func:`~lineheat.network._vertex_distances`.
+        An inner node at offset x of an edge with a reached end, or of the
+        source's own edge, then takes ``min(d_tail + x, d_head + (length - x))``,
+        and on the source's own edge also ``|x - offset[s]|``.
+        """
+        net = self.network
+        ev, ell, nv = net.edge_vertices, net.edge_lengths, net.n_vertices
+        cut = np.flatnonzero(self._n_pieces > 1)  # the edges with inner nodes
+        block = max(1, min(network.BLOCK_PAIRS // self.n_nodes, len(edge)))
+        for dist, lo in zip(_vertex_distances(net, edge, offset, cutoff, block), range(0, len(edge), block)):
+            own, x0 = edge[lo : lo + len(dist)], offset[lo : lo + len(dist)]
+            reached = dist < np.inf
+            # (source, edge) pairs by source, then edge: the edges with inner nodes
+            # and a reached end, and the sources' own edges
+            pair = reached[:, ev[cut, 0]] | reached[:, ev[cut, 1]]
+            mine = np.flatnonzero(self._n_pieces[own] > 1)
+            pair[mine, np.searchsorted(cut, own[mine])] = True
+            s, e = np.divmod(np.flatnonzero(pair), len(cut))
+            e = cut[e]
+            m = self._n_pieces[e] - 1
+            node, x = self._inner_nodes(e, 1, m)
+            each = partial(np.repeat, repeats=m)  # a per-pair column, once per inner node of its edge
+            dist = dist.ravel()
+            d = np.minimum(each(dist[s * nv + ev[e, 0]]) + x, each(dist[s * nv + ev[e, 1]]) + (each(ell[e]) - x))
+            on = np.flatnonzero(each(e == own[s]))
+            d[on] = np.minimum(d[on], np.abs(x[on] - each(x0[s])[on]))
+            ok = d <= cutoff
+            key = np.flatnonzero(reached)
+            # two runs sorted by (source, node): the vertices, then the inner nodes
+            row = np.concatenate((key // nv, each(s)[ok]))
+            by = np.argsort(row, kind="stable")
+            node = np.concatenate((key % nv, node[ok]))
+            yield lo + row[by], node[by], np.concatenate((dist[key], d[ok]))[by]
+
     def distance_field(self, source: NetworkLocation, cutoff: float = math.inf):
         """Shortest-path distance from ``source`` to every lattice node.
 
@@ -218,7 +260,11 @@ class Lattice:
         along each node's edge: one rounding past the vertex distance.
         Entries beyond ``cutoff`` stay inf.
         """
-        return _distance_field(self.network, self._n_pieces, source, cutoff)
+        self.network.check_location(source)
+        _, at, d = next(self._distances(np.array([source.edge]), np.array([source.offset]), cutoff))
+        out = np.full(self.n_nodes, np.inf)
+        out[at] = d
+        return out
 
 
 @dataclass

@@ -29,8 +29,8 @@ MERGE_TOLERANCE = 1e-8
 CROSS_TOLERANCE = 1e-12
 
 #: Pairs one block of batched work may hold: the grid index yields its box
-#: pairs in blocks of about this many, and shortest-path sources are solved
-#: in blocks of this many over the number of lattice nodes.
+#: pairs in blocks of about this many, and ``Lattice._distances`` solves its
+#: sources in blocks of this many over the number of lattice nodes.
 BLOCK_PAIRS = 2**18
 
 
@@ -199,7 +199,9 @@ class LinearNetwork:
 
     def vertex_distances(self, source: NetworkLocation, cutoff: float = math.inf):
         """Shortest-path distance from ``source`` to every vertex (inf beyond cutoff)."""
-        return _distance_field(self, np.ones(self.n_edges, dtype=np.int64), source, cutoff)
+        self.check_location(source)
+        rows = _vertex_distances(self, np.array([source.edge]), np.array([source.offset]), cutoff, 1)
+        return next(rows)[0].copy()
 
 
 def _min_labels(n: int, i, j):
@@ -213,16 +215,6 @@ def _min_labels(n: int, i, j):
     return root
 
 
-def _distance_field(net: LinearNetwork, pieces, source: NetworkLocation, cutoff: float):
-    """Distances from ``source`` to every node of the lattice that cuts each edge e
-    into ``pieces[e]`` equal pieces (see :func:`_distances`); inf beyond ``cutoff``."""
-    net.check_location(source)
-    _, at, d = next(_distances(net, pieces, np.array([source.edge]), np.array([source.offset]), cutoff))
-    out = np.full(net.n_vertices + int(pieces.sum()) - net.n_edges, np.inf)
-    out[at] = d
-    return out
-
-
 def _csr_rows(ptr, u):
     """Positions of the rows ``u`` of a CSR structure with row pointer ``ptr``,
     concatenated, and the length of each row."""
@@ -230,32 +222,20 @@ def _csr_rows(ptr, u):
     return np.arange(deg.sum()) + np.repeat(ptr[u] - (np.cumsum(deg) - deg), deg), deg
 
 
-def _distances(net: LinearNetwork, pieces, edge, offset, cutoff: float = math.inf):
+def _vertex_distances(net: LinearNetwork, edge, offset, cutoff: float, block: int):
     """Shortest-path distances from the locations (edge[s], offset[s]) to the
-    nodes of the lattice that cuts each edge e into ``pieces[e]`` equal pieces.
+    network's vertices, ``block`` sources at a time: each yield is one block's
+    (sources, vertices) matrix, inf beyond ``cutoff``, valid until the next.
 
-    Nodes are numbered as :class:`~lineheat.lattice.Lattice` numbers them:
-    vertex v is node v, and the inner nodes follow edge by edge, node j of
-    edge e at offset ``(length / pieces)[e] * j``.  Sources go in blocks of
-    ``BLOCK_PAIRS // n`` for n nodes; each yields the entries within
-    ``cutoff`` as (source, node, distance) columns, by source, then node.
-
-    Only the vertices take a graph search.  Source s reaches its edge's tail
-    at ``offset[s]`` and its head at ``length - offset[s]``, and each round
-    relaxes the edges of every improved (source, vertex) pair.  Float
-    addition is monotone, so the fixpoint is the minimum over all paths of
-    the distance summed left to right from the source: Dijkstra's result,
-    bit for bit.  An inner node at offset x of an edge with a reached end,
-    or of the source's own edge, then takes ``min(d_tail + x, d_head +
-    (length - x))``, and on the source's own edge also ``|x - offset[s]|``.
+    Source s reaches its edge's tail at ``offset[s]`` and its head at
+    ``length - offset[s]``, and each round relaxes the edges of every
+    improved (source, vertex) pair.  Float addition is monotone, so the
+    fixpoint is the minimum over all paths of the distance summed left to
+    right from the source: Dijkstra's result, bit for bit.
     """
     if not cutoff >= 0:
         raise ValueError(f"cutoff must be nonnegative, got {cutoff}")
-    ev, ell, ptr, adj = net.edge_vertices, net.edge_lengths, net._ptr, net._edge
-    nv, inner = net.n_vertices, pieces - 1
-    first, h = nv + np.cumsum(inner) - inner, ell / pieces  # each edge's first inner node
-    cut = np.flatnonzero(inner)  # the edges with inner nodes
-    block = max(1, min(BLOCK_PAIRS // (nv + int(inner.sum())), len(edge)))
+    ev, ell, ptr, adj, nv = net.edge_vertices, net.edge_lengths, net._ptr, net._edge, net.n_vertices
     dist = np.full(block * nv, np.inf)  # (source, vertex) pairs of one block, reused
     last = np.empty(block * nv, dtype=np.int64)
 
@@ -277,32 +257,8 @@ def _distances(net: LinearNetwork, pieces, edge, offset, cutoff: float = math.in
             u = hub % nv
             at, deg = _csr_rows(ptr, u)
             hub = improve(np.repeat(hub - u, deg) + net._other[at], np.repeat(dist[hub], deg) + ell[adj[at]])
-        reached = dist[: b * nv].reshape(b, nv) < np.inf
-        # (source, edge) pairs by source, then edge: the edges with inner nodes
-        # and a reached end, and the sources' own edges
-        pair = reached[:, ev[cut, 0]] | reached[:, ev[cut, 1]]
-        mine = np.flatnonzero(inner[own])
-        pair[mine, np.searchsorted(cut, own[mine])] = True
-        s, e = np.divmod(np.flatnonzero(pair), len(cut))
-        e = cut[e]
-        m = inner[e]
-
-        def each(a):  # a per-pair column, once per inner node of the pair's edge
-            return np.repeat(a, m)
-
-        j = np.arange(m.sum()) - each(np.cumsum(m) - m - 1)
-        x = each(h[e]) * j
-        d = np.minimum(each(dist[s * nv + ev[e, 0]]) + x, each(dist[s * nv + ev[e, 1]]) + (each(ell[e]) - x))
-        on = np.flatnonzero(each(e == own[s]))
-        d[on] = np.minimum(d[on], np.abs(x[on] - each(x0[s])[on]))
-        ok = d <= cutoff
-        key = np.flatnonzero(reached)
-        # two runs sorted by (source, node): the vertices, then the inner nodes
-        row = np.concatenate((key // nv, each(s)[ok]))
-        by = np.argsort(row, kind="stable")
-        node = np.concatenate((key % nv, (each(first[e] - 1) + j)[ok]))
-        yield lo + row[by], node[by], np.concatenate((dist[key], d[ok]))[by]
-        dist[key] = np.inf
+        yield dist[: b * nv].reshape(b, nv)
+        dist[: b * nv] = np.inf
 
 
 def build_network(vertices: Sequence, segments: Sequence) -> LinearNetwork:
@@ -455,31 +411,28 @@ class PointPattern:
     Indexing (and so iteration) yields :class:`NetworkLocation`.
     """
 
-    def __init__(self, network: LinearNetwork, points: Sequence[NetworkLocation]):
-        pts = tuple(points)
-        for p in pts:
-            network.check_location(p)
-        self._set_columns(network, [p.edge for p in pts], [p.offset for p in pts])
-
-    @classmethod
-    def from_columns(cls, network: LinearNetwork, edge, offset) -> "PointPattern":
-        """Pattern of the locations (edge[i], offset[i]), checked as arrays: the first
-        one off the network raises :meth:`LinearNetwork.check_location`'s error."""
-        self = cls.__new__(cls)
-        self._set_columns(network, edge, offset)
+    def __init__(self, network: LinearNetwork, points: Sequence[NetworkLocation] = (), *, columns=None):
+        """Pattern of the ``points``, or of the ``columns`` (edge, offset), checked as
+        arrays: the first location off the network raises
+        :meth:`LinearNetwork.check_location`'s error."""
+        if columns is None:
+            pts = tuple(points)
+            columns = [p.edge for p in pts], [p.offset for p in pts]
+        self.network = network
+        self.edge = np.array(columns[0], dtype=np.int64)
+        self.offset = np.array(columns[1], dtype=float)
         on = (0 <= self.edge) & (self.edge < network.n_edges)
         on &= (0.0 <= self.offset) & (self.offset <= network.edge_lengths[np.where(on, self.edge, 0)])
         if not on.all():
             network.check_location(self[int(np.argmin(on))])
-        return self
-
-    def _set_columns(self, network, edge, offset):
-        self.network = network
-        self.edge = np.array(edge, dtype=np.int64)
-        self.offset = np.array(offset, dtype=float)
         self.order = np.lexsort((self.offset, self.edge))
         for a in (self.edge, self.offset, self.order):
             a.setflags(write=False)
+
+    @classmethod
+    def from_columns(cls, network: LinearNetwork, edge, offset) -> "PointPattern":
+        """Pattern of the locations (edge[i], offset[i])."""
+        return cls(network, columns=(edge, offset))
 
     @property
     def n(self) -> int:

@@ -99,6 +99,14 @@ class TestAbramson:
         with pytest.raises(ValueError, match="different networks"):
             abramson_bandwidths(pat, pilot, 0.1)
 
+    @pytest.mark.parametrize("global_bandwidth", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_bad_global_bandwidth_rejected(self, global_bandwidth):
+        # nan or inf would come back as every point's bandwidth
+        pat, lat = _pattern_and_lattice()
+        pilot = estimate_heat(pat, lat, 0.4)
+        with pytest.raises(ValueError, match="^global bandwidth must be positive and finite$"):
+            abramson_bandwidths(pat, pilot, global_bandwidth)
+
     def test_heuristic_global_bandwidth(self):
         assert heuristic_global_bandwidth(10.0, 25) == pytest.approx(1.0)
 

@@ -528,6 +528,22 @@ class TestStudy:
         assert proc.stderr.splitlines() == ["error: global bandwidth must be positive and finite"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--deltas", "0.3"), "1/delta must be an integer (got 1/0.3 = 3.3333333333333335)"),
+        (("--deltas", "0.5,2"), "delta must be in (0, 1]"),
+        (("--deltas", ","), "need at least one quantile step"),
+        (("--replicates", "0"), "need at least one replicate"),
+        (("--bw-global", "inf"), "global bandwidth must be positive and finite"),
+    ], ids=["delta", "delta-above-one", "no-delta", "no-replicate", "bw-global"])
+    def test_bad_study_arguments_rejected_before_the_network_is_read(self, tmp_path, flags, message):
+        proc = run_cli(
+            "study", "--net", tmp_path / "nope.geojson", "--scenario", "loggaussian-1", "--seed", "0",
+            *flags, "--out", tmp_path / "study.csv",
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [f"error: {message}"]
+        assert proc.stdout == "" and not (tmp_path / "study.csv").exists()
+
 
 class TestBench:
     def test_bench_reports_json(self, toy, tmp_path):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from lineheat.adaptive import abramson_bandwidths, estimate_adaptive_direct, make_partition
-from lineheat.errors import LatticeMismatch
+from lineheat import experiment
+from lineheat.errors import BadDelta, LatticeMismatch
 from lineheat.experiment import (
     STUDY_COLUMNS,
     ise,
@@ -143,16 +144,6 @@ class TestStudy:
             part = partition_per_bin(pattern, lat, make_partition(bw, 1.0))
             assert ise(part, direct) <= 1e-15
 
-    def test_jobs_parallel_matches_serial(self):
-        net = study_net()
-        kw = dict(
-            deltas=[0.5], replicates=2, seed=4, target_points=40,
-            field_res=16, timing=False,
-        )
-        serial = run_partition_study(net, "loggaussian-1", jobs=1, **kw)
-        parallel = run_partition_study(net, "loggaussian-1", jobs=2, **kw)
-        assert serial == parallel
-
     def test_median_by_delta(self):
         rows = [
             {"delta": 0.1, "ise": 1.0},
@@ -163,6 +154,17 @@ class TestStudy:
         assert med[0.1] == 2.0
         assert med[0.05] == 0.5
         assert list(med) == [0.1, 0.05]
+
+    @pytest.mark.parametrize("deltas, replicates, error", [
+        ([0.5, 0.3], 1, BadDelta), ([1.5], 1, BadDelta), ([], 1, ValueError), ([0.5], 0, ValueError),
+    ], ids=["not-a-bin-count", "above-one", "no-delta", "no-replicate"])
+    def test_bad_arguments_rejected_before_a_replicate_runs(self, monkeypatch, deltas, replicates, error):
+        def no_replicate(*args):
+            raise AssertionError("a replicate ran before the arguments were checked")
+
+        monkeypatch.setattr(experiment, "_one_replicate", no_replicate)
+        with pytest.raises(error):
+            run_partition_study(study_net(), "loggaussian-1", deltas, replicates, 0)
 
     def test_unknown_scenario(self):
         with pytest.raises(ValueError):

@@ -21,7 +21,7 @@ from lineheat.kernels import (
     estimate_uniform_corrected,
     precompute_edge_correction,
 )
-from lineheat.lattice import discretize
+from lineheat.lattice import Lattice, discretize
 from lineheat.network import NetworkLocation, PointPattern, build_network
 
 from nets import (
@@ -261,7 +261,7 @@ class TestBatchedMatchesLoop:
             monkeypatch.setattr(network, "BLOCK_PAIRS", 2**62)
             whole = all_estimates(pat, lat, k)
             monkeypatch.setattr(network, "BLOCK_PAIRS", per_block * lat.n_nodes)
-            blocks = network._distances(lat.network, lat._n_pieces, pat.edge, pat.offset, k.support)
+            blocks = lat._distances(pat.edge, pat.offset, k.support)
             sizes = [len(np.unique(rows)) for rows, _, _ in blocks]  # sources per block
             assert sizes == [per_block] * (7 // per_block) + [1] * (7 % per_block)
             for name, values in all_estimates(pat, lat, k).items():
@@ -306,19 +306,19 @@ class TestPairBudget:
         lat = discretize(net, 0.05)
         k = Kernel1D("gaussian", 1.0)  # its support spans the network
         pat = PointPattern(net, [NetworkLocation(0, 0.5), NetworkLocation(7, 0.5)])
-        real = kernels._distances
+        real = Lattice._distances
 
         def no_pass(*args):
             raise AssertionError("a distance pass ran before the budget check")
 
-        monkeypatch.setattr(kernels, "_distances", no_pass)
+        monkeypatch.setattr(Lattice, "_distances", no_pass)
         # every point may reach every node, but not every node every node
         monkeypatch.setattr(kernels, "MAX_PAIRS", pat.n * lat.n_nodes)
         for run in (estimate_uniform_corrected, lambda p, lat, k: precompute_edge_correction(lat, k)):
             with pytest.raises(PairBudgetExceeded, match="; raise --dx or lower --bw$") as exc:
                 run(pat, lat, k)
             assert exc.value.exit_code == 3
-        monkeypatch.setattr(kernels, "_distances", real)
+        monkeypatch.setattr(Lattice, "_distances", real)
         estimate_jones_diggle(pat, lat, k)
 
 

@@ -45,6 +45,32 @@ class TestDiscretize:
                 assert (edge[v], offset[v]) == (e, 0.0 if ev[e, 0] == v else lat.network.edge_lengths[e])
                 assert lat.node_location(v) == lat.network.vertex_location(v)
 
+    def test_inner_node_windows(self):
+        # the ids and offsets of inner chain positions lo..lo + n - 1 are
+        # edge_chains' nodes there and their node_offset
+        sizes = set()
+        for lat, rng in random_lattices(34, 15):
+            chains = lat.edge_chains
+            nv = lat.network.n_vertices
+            inner = np.array([len(c) - 2 for c in chains])
+            node, x = lat._inner_nodes(np.arange(len(chains)), 1, inner)
+            assert_same(node, np.arange(nv, lat.n_nodes))
+            assert_same(x, lat.node_offset[nv:])
+            windows = []
+            for e, m in enumerate(inner.tolist()):
+                a = int(rng.integers(1, m + 1)) if m else 1
+                # empty, at the tail, at the head, whole, random
+                windows += [(e, a, 0), (e, 1, min(m, 2)), (e, max(1, m - 1), min(m, 2)), (e, 1, m),
+                            (e, a, int(rng.integers(0, m - a + 2)))]
+            edge, lo, n = map(np.array, zip(*windows))
+            node, x = lat._inner_nodes(edge, lo, n)
+            want = [chains[e][a : a + m] for e, a, m in windows]
+            assert_same(n, np.array([len(w) for w in want]))
+            assert_same(node, np.concatenate(want))
+            assert_same(x, lat.node_offset[node])
+            sizes.update(np.sign(n).tolist())
+        assert sizes == {0, 1}  # empty windows and nonempty ones
+
     def test_y_center_weight(self):
         lat = discretize(y_network(), 0.5)
         # center vertex is node 0; three incident edges at spacing 0.5

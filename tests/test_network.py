@@ -384,7 +384,7 @@ class TestGraphDistances:
             d = loop_lattice_distances(lat, edge, offset)[2]
             at = np.sort(d[d > 0])[len(d[d > 0]) // 2]  # a distance some node attains
             for cutoff in (math.inf, 0.0, 0.7, at):
-                blocks = list(network._distances(lat.network, lat._n_pieces, edge, offset, cutoff))
+                blocks = list(lat._distances(edge, offset, cutoff))
                 block = per_block or len(edge)
                 assert len(blocks) == -(-len(edge) // block)
                 for lo, (rows, _, _) in zip(range(0, len(edge), block), blocks):
@@ -404,8 +404,7 @@ class TestGraphDistances:
             seeds = bracket_seeds(lat, edge, offset)
             tol = 1e-12 * lat.network.edge_lengths.max()
             for cutoff in (math.inf, 0.7):
-                got = [np.concatenate(c) for c in zip(*network._distances(
-                    lat.network, lat._n_pieces, edge, offset, cutoff))]
+                got = [np.concatenate(c) for c in zip(*lat._distances(edge, offset, cutoff))]
                 want = scipy_graph_distances(graph_links(lat), *seeds, cutoff)
                 if cutoff < math.inf:  # away from ties at the cutoff
                     got, want = ([c[np.abs(x[2] - cutoff) > tol] for c in x] for x in (got, want))
@@ -419,7 +418,7 @@ class TestGraphDistances:
         lat = Lattice(net, 0.5)
         edge, offset = np.array([1, 1, 0]), np.array([5.0, 4.3, 0.5])
         for cutoff in (1.0, 0.6):
-            got = [np.concatenate(c) for c in zip(*network._distances(net, lat._n_pieces, edge, offset, cutoff))]
+            got = [np.concatenate(c) for c in zip(*lat._distances(edge, offset, cutoff))]
             for g, w in zip(got, loop_lattice_distances(lat, edge, offset, cutoff)):
                 assert_same(g, w)
             assert_same(np.unique(lat.node_edge[got[1][got[0] < 2]]), np.array([1]))
@@ -441,6 +440,13 @@ class TestGraphDistances:
                     want[at] = d
                     assert_same(net.vertex_distances(loc, cutoff), want)
 
+    def test_vertex_distances_are_the_fields_vertex_entries(self):
+        for lat, rng in random_lattices(65, 10):
+            nv = lat.network.n_vertices
+            for loc in special_locations(lat, rng)[::3]:
+                for cutoff in (math.inf, 0.7, 0.0):
+                    assert_same(lat.network.vertex_distances(loc, cutoff), lat.distance_field(loc, cutoff)[:nv])
+
     @pytest.mark.parametrize("cutoff", [-1.0, -math.inf, math.nan])
     def test_bad_cutoff_rejected(self, cutoff):
         net = triangle_network()
@@ -452,7 +458,7 @@ class TestGraphDistances:
 
     def test_no_sources_yield_nothing(self):
         lat = Lattice(triangle_network(), 0.25)
-        assert list(network._distances(lat.network, lat._n_pieces, np.zeros(0, np.int64), np.zeros(0))) == []
+        assert list(lat._distances(np.zeros(0, np.int64), np.zeros(0))) == []
 
     def test_components_match_scipy(self):
         rng = np.random.default_rng(63)
@@ -650,21 +656,25 @@ class TestPointPattern:
             assert not col.flags.writeable
 
 
-    def test_from_columns_raises_the_object_paths_message(self):
+    @pytest.mark.parametrize("build", [
+        lambda net, edge, offset: PointPattern(net, [NetworkLocation(e, float(o)) for e, o in zip(edge, offset)]),
+        lambda net, edge, offset: PointPattern.from_columns(net, np.array(edge), np.array(offset)),
+    ], ids=["locations", "columns"])
+    def test_first_location_off_the_network_raises_its_error(self, build):
         # the first location off the network names itself as check_location does
         net = y_network()
         length = float(net.edge_lengths[1])
         cases = [
-            ([0, 3, 1], [0.1, 0.2, 0.3]),
-            ([0, 1, -1], [0.1, -0.5, 0.3]),
-            ([2, 1, 1, 1], [0.0, length, np.nextafter(length, 2.0), -1.0]),
-            ([1, 2], [0.4, float("nan")]),
+            ([0, 3, 1], [0.1, 0.2, 0.3], 1),
+            ([0, 1, -1], [0.1, -0.5, 0.3], 1),
+            ([2, 1, 1, 1], [0.0, length, np.nextafter(length, 2.0), -1.0], 2),
+            ([1, 2], [0.4, float("nan")], 1),
         ]
-        for edge, offset in cases:
+        for edge, offset, first in cases:
             with pytest.raises(LocationOffNetwork) as want:
-                PointPattern(net, [NetworkLocation(e, float(o)) for e, o in zip(edge, offset)])
+                net.check_location(NetworkLocation(edge[first], float(offset[first])))
             with pytest.raises(LocationOffNetwork) as got:
-                PointPattern.from_columns(net, np.array(edge), np.array(offset))
+                build(net, edge, offset)
             assert str(got.value) == str(want.value)
 
     def test_from_columns_and_subset_equal_the_object_path(self):
@@ -742,7 +752,7 @@ print(rc, sorted(m for m in sys.modules if m.startswith("scipy")))
         assert proc.stdout.strip() == "False"
 
     # a process pool (concurrent.futures with multiprocessing) costs 10-30 ms to
-    # import and only ``study --jobs`` uses one; numpy.ma (12-23 ms) comes with
+    # import and no command uses one; numpy.ma (12-23 ms) comes with
     # np.quantile and a plain np.unique
     HEAVY = ("scipy", "concurrent.futures", "multiprocessing", "numpy.ma")
 
@@ -763,17 +773,6 @@ print(rc, sorted(m for m in sys.modules if m.startswith("scipy")))
                 "--method", "heat", "--adaptive", "--bw-global", "0.2", "--delta", "0.1"]
         got = self.heavy_modules(f"from lineheat.cli import main\nassert main({argv!r}) == 0", cwd=tmp_path)
         assert got == "[]"
-
-    def test_study_jobs_still_starts_its_pool(self):
-        code = (
-            "import numpy as np\n"
-            "from lineheat import build_network, run_partition_study\n"
-            "net = build_network([(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 1), (1, 2), (2, 3), (3, 0)])\n"
-            "kw = dict(deltas=[0.5], replicates=2, seed=4, target_points=30, field_res=8, timing=False)\n"
-            "assert run_partition_study(net, 'loggaussian-1', jobs=2, **kw) == "
-            "run_partition_study(net, 'loggaussian-1', jobs=1, **kw)"
-        )
-        assert "concurrent.futures" in self.heavy_modules(code)
 
     def test_import_leaves_scipy_unimported(self):
         # scipy.sparse alone takes about a fifth of a second to import; no
