@@ -13,7 +13,6 @@ from .adaptive import (
     BandwidthSet,
     PartitionPlan,
     abramson_bandwidths,
-    estimate_adaptive_direct,
     estimate_adaptive_partition,
     heuristic_global_bandwidth,
     make_partition,
@@ -52,7 +51,7 @@ from .network import (
     build_network,
     shortest_path_distance,
 )
-from .experiment import ise, run_partition_study
+from .experiment import estimate_adaptive_direct, ise, run_partition_study
 from .sim import (
     ExpCovSpec,
     MixtureSpec,

@@ -12,11 +12,12 @@ default).  gamma_exponent=-2.0 selects the alternative normalizer
 exp(mean(log pilot^-2)), which is not scale-free and is kept for comparison.
 
 The direct adaptive estimate diffuses every point at its own bandwidth.
-``heat.estimate_heat_batch`` computes it exactly in one pass, and
-``estimate_adaptive_direct`` keeps the paper's baseline of one solve per
-point.  The partition estimator approximates it by splitting the points
-into D = 1/delta quantile bins of the bandwidths and diffusing every point at
-its bin's midpoint (one fixed-bandwidth estimate per bin), run as a single
+``heat.estimate_heat_batch`` computes it exactly in one pass; the study
+harness keeps the paper's baseline of one solve per point,
+``experiment.estimate_adaptive_direct``.  The partition estimator
+approximates it by splitting the points into D = 1/delta quantile bins of
+the bandwidths and diffusing every point at its bin's midpoint (one
+fixed-bandwidth estimate per bin), run as a single
 ``heat.estimate_heat_batch`` pass.
 """
 
@@ -29,15 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDelta, EmptyPattern, NonpositivePilotWarning
-from .heat import (
-    DEFAULT_CONFIG,
-    HeatConfig,
-    _check_node_steps,
-    deposit_initial_mass,
-    estimate_heat_batch,
-    heat_solve,
-    step_size,
-)
+from .heat import DEFAULT_CONFIG, HeatConfig, estimate_heat_batch
 from .lattice import Lattice, LatticeFunction, _require_points
 from .network import PointPattern
 
@@ -55,10 +48,6 @@ class BandwidthSet:
     gamma: float
     gamma_exponent: float
     n_clamped: int
-
-    def recompute_gamma(self) -> float:
-        """Self-consistency: the normalizer from the stored pilot values."""
-        return _gamma(self.pilot_at_points, len(self.pilot_at_points), self.gamma_exponent)
 
 
 def _gamma(pilot_vals, n, gamma_exponent):
@@ -166,35 +155,6 @@ def _quantile(h, q):
     i = np.floor(v).astype(np.int64)
     a, b, g = s[i], s[np.minimum(i + 1, len(s) - 1)], v - i
     return np.where(g >= 0.5, b - (b - a) * (1 - g), a + (b - a) * g)
-
-
-def estimate_adaptive_direct(
-    pattern: PointPattern,
-    lattice: Lattice,
-    bw: BandwidthSet,
-    cfg: HeatConfig = DEFAULT_CONFIG,
-) -> LatticeFunction:
-    """One diffusion solve per point at its own bandwidth, summed.
-
-    The paper's direct baseline, which the study times against the partition:
-    its cost grows with the number of points.  ``estimate_heat_batch(pattern,
-    lattice, bw.bandwidths)`` gives the same exact adaptive estimate, to
-    rounding, in one pass; the CLI runs that.  Contributions are summed in
-    canonical point order, so the result is independent of input ordering.
-    """
-    _require_points(pattern, lattice)
-    steps = int(np.ceil(bw.bandwidths**2 / step_size(lattice, cfg)).sum())
-    _check_node_steps(lattice, steps, "the direct estimate sums one solve per point: "
-                      "use --delta, lower --bw-global")
-    total = np.zeros(lattice.n_nodes)
-    for i in pattern.order:
-        f = heat_solve(
-            deposit_initial_mass(pattern.subset([i]), lattice),
-            float(bw.bandwidths[i]) ** 2,
-            cfg,
-        )
-        total += f.values
-    return LatticeFunction(lattice, total)
 
 
 def estimate_adaptive_partition(

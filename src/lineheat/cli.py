@@ -27,8 +27,9 @@ from .adaptive import (
     heuristic_global_bandwidth,
 )
 from .errors import LineHeatError
-from .experiment import SCENARIOS, STUDY_COLUMNS, run_partition_study, simulate_intensity, study_deltas
-from .heat import DEFAULT_CONFIG, estimate_heat, estimate_heat_batch, resolve_dx
+from .experiment import (SCENARIOS, STUDY_COLUMNS, check_simulation, run_partition_study,
+                         simulate_intensity, study_deltas)
+from .heat import DEFAULT_CONFIG, MAX_BANDWIDTH, estimate_heat, estimate_heat_batch, resolve_dx
 from .ingest import (
     FLOAT_FMT,
     check_raster_res,
@@ -142,6 +143,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    check_simulation(args.target_points, args.field_res)
     net = read_network_geojson(args.net)
     dx = resolve_dx(args.dx, net, net.edge_lengths.min())
     _echo_config(args, resolved_dx=dx)
@@ -242,6 +244,8 @@ def _bandwidth(value, name: str = "global bandwidth") -> float:
     bw = float(value)
     if not 0 < bw < math.inf:
         raise LineHeatError(f"{name} must be positive and finite")
+    if bw > MAX_BANDWIDTH:
+        raise LineHeatError(f"{name} {bw:g} is above {MAX_BANDWIDTH:.6g}: its square, the diffusion time, overflows")
     return bw
 
 
@@ -251,6 +255,7 @@ def _cmd_study(args) -> int:
     if args.bw_global not in (None, "auto"):
         eps_star = _bandwidth(args.bw_global)
     deltas = study_deltas([x for x in args.deltas.split(",") if x], args.replicates)
+    check_simulation(args.target_points, args.field_res)
     net = read_network_geojson(args.net)
     _echo_config(args, resolved_deltas=deltas)
     rows = run_partition_study(

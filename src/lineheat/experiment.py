@@ -15,19 +15,15 @@ import time
 
 import numpy as np
 
-from .adaptive import (
-    abramson_bandwidths,
-    bin_count,
-    estimate_adaptive_direct,
-    heuristic_global_bandwidth,
-    make_partition,
-)
+from .adaptive import BandwidthSet, abramson_bandwidths, bin_count, heuristic_global_bandwidth, make_partition
 from .errors import LatticeMismatch
-from .heat import estimate_heat, estimate_heat_batch, resolve_dx
-from .lattice import LatticeFunction, discretize
-from .network import LinearNetwork
+from .heat import (DEFAULT_CONFIG, HeatConfig, _check_node_steps, deposit_initial_mass, estimate_heat,
+                   estimate_heat_batch, heat_solve, resolve_dx, step_size)
+from .lattice import Lattice, LatticeFunction, _require_points, discretize
+from .network import LinearNetwork, PointPattern
 from .sim import (
     ExpCovSpec,
+    check_field_res,
     field_to_network_intensity,
     gm5_mixture,
     interpolated_variance,
@@ -49,6 +45,10 @@ LOGGAUSSIAN_SCENARIOS = {
 
 SCENARIOS = tuple(LOGGAUSSIAN_SCENARIOS) + ("paper-gm5",)
 
+#: Most points a simulation may expect: a ``simulate`` run peaks at about
+#: 0.31 GB at this target with ``paper-gm5``, which samples no field.
+MAX_TARGET_POINTS = 10**6
+
 STUDY_COLUMNS = (
     "scenario",
     "replicate",
@@ -68,6 +68,14 @@ def ise(estimate: LatticeFunction, reference: LatticeFunction) -> float:
         raise LatticeMismatch("functions live on different lattices")
     diff = estimate.values - reference.values
     return float(estimate.lattice.node_weight @ (diff * diff))
+
+
+def check_simulation(target_points: float, field_res: int) -> None:
+    """Reject a target count outside (0, ``MAX_TARGET_POINTS``] or a field
+    resolution :func:`~lineheat.sim.check_field_res` rejects."""
+    if not 0 < target_points <= MAX_TARGET_POINTS:
+        raise ValueError(f"target points must be in (0, {MAX_TARGET_POINTS:g}], got {target_points:g}")
+    check_field_res(field_res)
 
 
 def simulate_intensity(net, lattice, scenario: str, seed, target_points: float, field_res: int):
@@ -142,6 +150,35 @@ def _one_replicate(
     return rows
 
 
+def estimate_adaptive_direct(
+    pattern: PointPattern,
+    lattice: Lattice,
+    bw: BandwidthSet,
+    cfg: HeatConfig = DEFAULT_CONFIG,
+) -> LatticeFunction:
+    """One diffusion solve per point at its own bandwidth, summed.
+
+    The paper's direct baseline, which the study times against the partition:
+    its cost grows with the number of points.  ``estimate_heat_batch(pattern,
+    lattice, bw.bandwidths)`` gives the same exact adaptive estimate, to
+    rounding, in one pass; the CLI runs that.  Contributions are summed in
+    canonical point order, so the result is independent of input ordering.
+    """
+    _require_points(pattern, lattice)
+    steps = int(np.ceil(bw.bandwidths**2 / step_size(lattice, cfg)).sum())
+    _check_node_steps(lattice, steps, "the direct estimate sums one solve per point: "
+                      "use --delta, lower --bw-global")
+    total = np.zeros(lattice.n_nodes)
+    for i in pattern.order:
+        f = heat_solve(
+            deposit_initial_mass(pattern.subset([i]), lattice),
+            float(bw.bandwidths[i]) ** 2,
+            cfg,
+        )
+        total += f.values
+    return LatticeFunction(lattice, total)
+
+
 def partition_per_bin(pattern, lattice, plan) -> LatticeFunction:
     """The paper's partition protocol: one fixed-bandwidth solve per nonempty bin.
 
@@ -197,6 +234,7 @@ def run_partition_study(
     replicate runs.
     """
     deltas = study_deltas(deltas, replicates)
+    check_simulation(target_points, field_res)
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}; choose from {SCENARIOS}")
     return [row for rep in range(replicates) for row in _one_replicate(

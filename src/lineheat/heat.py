@@ -24,6 +24,7 @@ kernel with bandwidth sigma.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +40,11 @@ BETA = 0.5
 MAX_STEPS = 10**7
 
 #: Most node-steps (full explicit steps times lattice nodes) one solve, or the
-#: per-point solves of ``adaptive.estimate_adaptive_direct`` together, may take.
+#: per-point solves of ``experiment.estimate_adaptive_direct`` together, may take.
 MAX_NODE_STEPS = 3 * 10**9
+
+#: Largest bandwidth whose square, the diffusion time, is a finite float.
+MAX_BANDWIDTH = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -72,9 +76,9 @@ def resolve_dx(dx: float | None, net: LinearNetwork, sigma_min: float) -> float:
 
 
 def step_size(lattice: Lattice, cfg: HeatConfig = DEFAULT_CONFIG) -> float:
-    """Stable explicit time step, set by the shortest link of the lattice's solver graph."""
-    h = lattice._solver.min_link
-    return cfg.alpha * (h if h < math.inf else lattice.dx_target) ** 2 / (2.0 * BETA)
+    """Stable explicit time step, set by the shortest link of the lattice's solver
+    graph; inf when it keeps no link, as a step of any length is then the identity."""
+    return cfg.alpha * lattice._solver.min_link ** 2 / (2.0 * BETA)
 
 
 def deposit_initial_mass(pattern: PointPattern, lattice: Lattice) -> LatticeFunction:
@@ -135,9 +139,9 @@ def _step_values(values: np.ndarray, graph: SolverGraph, dt: float) -> np.ndarra
 def heat_step(f: LatticeFunction, cfg: HeatConfig = DEFAULT_CONFIG) -> LatticeFunction:
     """One explicit step of size :func:`step_size` on the solver graph: ``f``
     is averaged over each cluster by weight, stepped, and read back."""
-    g = f.lattice._solver
+    g, dt = f.lattice._solver, step_size(f.lattice, cfg)
     values = np.bincount(g.cluster, f.values * f.lattice.node_weight) / g.node_weight
-    return LatticeFunction(f.lattice, _step_values(values, g, step_size(f.lattice, cfg))[g.cluster])
+    return LatticeFunction(f.lattice, (_step_values(values, g, dt) if dt < math.inf else values)[g.cluster])
 
 
 def _inject(lattice: Lattice, times, key, mass, cfg: HeatConfig) -> np.ndarray:
@@ -210,8 +214,8 @@ def estimate_heat(
     sigma^2; the result integrates to the point count exactly (mass
     conservation of the scheme).  The one-group :func:`estimate_heat_batch`.
     """
-    if not 0 < sigma < math.inf:
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    if not 0 < sigma <= MAX_BANDWIDTH:
+        raise ValueError(f"sigma must be positive with a finite square, got {sigma}")
     return estimate_heat_batch(pattern, lattice, np.full(pattern.n, float(sigma)), cfg)
 
 
@@ -229,8 +233,8 @@ def estimate_heat_batch(
     h = np.asarray(bandwidths, dtype=float)
     if h.shape != (pattern.n,):
         raise ValueError(f"need one bandwidth per point ({pattern.n}), got shape {h.shape}")
-    if not np.all((h > 0) & (h < np.inf)):
-        raise ValueError("all bandwidths must be positive and finite")
+    if not np.all((h > 0) & (h <= MAX_BANDWIDTH)):
+        raise ValueError("all bandwidths must be positive with finite squares")
     sigmas, group = np.unique(h, return_inverse=True)
     # each group's unit masses, summed per node in pattern.order as deposit_initial_mass sums them
     points = pattern.order[np.argsort(group[pattern.order], kind="stable")]

@@ -92,7 +92,7 @@ class Kernel1D:
 
 def precompute_edge_correction(lattice: Lattice, kernel: Kernel1D) -> LatticeFunction:
     """Edge-correction factor at every lattice node (reusable across patterns)."""
-    _check_pairs(lattice, kernel.support, lattice._n_pieces + 1)
+    _check_pairs(lattice, kernel.support, lattice._edge_nodes)
     return LatticeFunction(lattice, _node_corrections(lattice, kernel, np.arange(lattice.n_nodes)))
 
 
@@ -202,14 +202,14 @@ def _check_pairs(lattice, support, weight, then_nodes=False):
         meet = (lo[f] <= hi[e] + support).all(axis=1) & (hi[f] >= lo[e] - support).all(axis=1)
         near[f[meet]] = True
         # a block holds every pair of its source edges, so each reach is whole
-        reach = np.bincount(j[meet], lattice._n_pieces[f[meet]] + 1, len(src))
+        reach = np.bincount(j[meet], lattice._edge_nodes[f[meet]], len(src))
         total += int(weight[src] @ np.minimum(reach, n))
         if total > MAX_PAIRS:
             raise PairBudgetExceeded(
                 f"the kernel estimate would compute more than {MAX_PAIRS:.0e} (source, node) "
                 f"distances on {n} lattice nodes; raise --dx or lower --bw")
     if then_nodes:
-        _check_pairs(lattice, support, near * (lattice._n_pieces + 1))
+        _check_pairs(lattice, support, near * lattice._edge_nodes)
 
 
 # -- equal-split path enumeration ---------------------------------------------
@@ -259,13 +259,12 @@ def _equal_split(pattern, lattice, kernel, continuous):
         )
     net, support = lattice.network, kernel.support
     ev, ell, deg = net.edge_vertices, net.edge_lengths, net.degrees
-    h, k = lattice.edge_spacing, lattice._n_pieces
     # a continuous estimate's value at a vertex is the shared branch limit:
     # the arriving path plus its degenerate reflection scale by 2/deg
     at_vertex = 2.0 / deg if continuous else np.ones(len(deg))
     # bounds on the deposits of a walk along each edge (an interior source's
     # window spans twice the support) and of an arrival's walks at each vertex
-    touch = 2 + np.minimum(k - 1, 2 * np.ceil(support / h) + 3)
+    touch = np.minimum(lattice._edge_nodes, 2 * np.ceil(support / lattice.edge_spacing) + 5)
     cost = np.bincount(ev.ravel(), np.repeat(touch, 2))
     out = np.zeros(lattice.n_nodes)
     used = np.zeros(pattern.n, dtype=np.int64)  # walks per point
@@ -298,9 +297,7 @@ def _equal_split(pattern, lattice, kernel, continuous):
 
     def scan(row, e, base, d, w):  # deposit along the walked edges; arrive at their ends
         r = support - d
-        lo = np.maximum(1, np.floor((base - r) / h[e])).astype(np.int64)
-        n = np.maximum(0, np.minimum(k[e] - 1, np.ceil((base + r) / h[e])) - lo + 1).astype(np.int64)
-        node, x = lattice._inner_nodes(e, lo, n)
+        node, x, n = lattice._inner_window(e, base - r, base + r)
         t = np.repeat(np.arange(len(e)), n)
         dn = d[t] + np.abs(base[t] - x)
         ok = dn <= support

@@ -117,6 +117,19 @@ class Lattice:
         node = i + np.repeat(self._first_interior[edge] - 1 - start, n)
         return node, np.repeat(self.edge_spacing[edge], n) * (i - np.repeat(start, n))
 
+    def _inner_window(self, edge, a, b):
+        """:meth:`_inner_nodes` of the positions j = floor(a / h)..ceil(b / h),
+        within 1..k - 1, of the chain of each ``edge``; also each window's size."""
+        h = self.edge_spacing[edge]
+        lo = np.maximum(1, np.floor(a / h)).astype(np.int64)
+        n = np.maximum(0, np.minimum(self._n_pieces[edge] - 1, np.ceil(b / h)) - lo + 1).astype(np.int64)
+        return (*self._inner_nodes(edge, lo, n), n)
+
+    @cached_property
+    def _edge_nodes(self) -> np.ndarray:
+        """Chain nodes of every edge, its end vertices included."""
+        return self._n_pieces + 1
+
     @property
     def n_nodes(self) -> int:
         return len(self.node_weight)
@@ -136,7 +149,7 @@ class Lattice:
 
     def _node_locations(self, nodes):
         """(edge, offset) of lattice nodes given as an array or a scalar; a vertex
-        sits on its lowest incident edge, as ``LinearNetwork.vertex_location`` puts it."""
+        sits on its lowest incident edge."""
         net, v = self.network, self.node_vertex[nodes]
         low = net._edge[net._ptr[np.maximum(v, 0)]]
         at = np.where(net.edge_vertices[low, 0] == v, 0.0, net.edge_lengths[low])
@@ -289,11 +302,6 @@ class LatticeFunction:
         """Linear interpolation along the containing edge chains (unchecked)."""
         left, right, theta = self.lattice.bracket(edge, offset)
         return (1.0 - theta) * self.values[left] + theta * self.values[right]
-
-    def value_at(self, loc: NetworkLocation) -> float:
-        """Linear interpolation along the containing edge chain."""
-        self.lattice.network.check_location(loc)
-        return float(self.values_at(loc.edge, loc.offset))
 
 
 def discretize(net: LinearNetwork, dx_target: float) -> Lattice:

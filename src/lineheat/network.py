@@ -39,8 +39,7 @@ class NetworkLocation:
     """Position on a network: arc-length offset from the tail vertex of one edge.
 
     Raw field equality is not location equality: offsets 0 and (edge length)
-    denote vertices shared by several edges.  Compare
-    :meth:`LinearNetwork.canonical_location` forms instead.
+    denote vertices shared by several edges, which lie 0.0 apart.
     """
 
     edge: int
@@ -88,8 +87,6 @@ class LinearNetwork:
         by_vertex = np.argsort(ends, kind="stable")
         self._ptr = np.concatenate(([0], np.cumsum(self.degrees)))
         self._edge, self._other = by_vertex // 2, ends[by_vertex ^ 1]
-        stop = self._ptr.tolist()
-        self.incident_edges = tuple(self._edge[s:t] for s, t in zip(stop[:-1], stop[1:]))
 
         self._validate_no_interior_intersections()
 
@@ -168,40 +165,11 @@ class LinearNetwork:
                 f"on edge {loc.edge}"
             )
 
-    def canonical_location(self, loc: NetworkLocation):
-        """Canonical form: ('v', vertex id) at edge ends, ('e', edge, offset) inside."""
-        self.check_location(loc)
-        u, v = self.edge_vertices[loc.edge]
-        if loc.offset == 0.0:
-            return ("v", int(u))
-        if loc.offset == self.edge_lengths[loc.edge]:
-            return ("v", int(v))
-        return ("e", int(loc.edge), float(loc.offset))
-
-    def location_xy(self, loc: NetworkLocation) -> np.ndarray:
-        self.check_location(loc)
-        return self._xy(loc.edge, loc.offset)
-
     def _xy(self, edge, offset) -> np.ndarray:
         """Planar coordinates of locations given as arrays or scalars (unchecked)."""
         u, v = self.edge_vertices[edge].T
         t = np.asarray(offset / self.edge_lengths[edge])[..., None]
         return (1.0 - t) * self.vertex_xy[u] + t * self.vertex_xy[v]
-
-    def vertex_location(self, vertex: int) -> NetworkLocation:
-        """Linear-referenced form of a vertex, on its lowest incident edge."""
-        e = int(self._edge[self._ptr[vertex]])
-        u, _ = self.edge_vertices[e]
-        off = 0.0 if u == vertex else float(self.edge_lengths[e])
-        return NetworkLocation(e, off)
-
-    # -- metric ------------------------------------------------------------
-
-    def vertex_distances(self, source: NetworkLocation, cutoff: float = math.inf):
-        """Shortest-path distance from ``source`` to every vertex (inf beyond cutoff)."""
-        self.check_location(source)
-        rows = _vertex_distances(self, np.array([source.edge]), np.array([source.offset]), cutoff, 1)
-        return next(rows)[0].copy()
 
 
 def _min_labels(n: int, i, j):
@@ -278,15 +246,16 @@ def build_network(vertices: Sequence, segments: Sequence) -> LinearNetwork:
 def shortest_path_distance(
     net: LinearNetwork, a: NetworkLocation, b: NetworkLocation
 ) -> float:
-    """Shortest-path distance between two locations; inf across components."""
-    ca = net.canonical_location(a)
-    cb = net.canonical_location(b)
-    if ca == cb:
-        return 0.0
+    """Shortest-path distance between two locations; inf across components.
+
+    A vertex is reached at exactly 0.0 from itself, whichever edge names it.
+    """
+    net.check_location(a)
+    net.check_location(b)
+    dist = next(_vertex_distances(net, np.array([a.edge]), np.array([a.offset]), math.inf, 1))[0]
     best = math.inf
     if a.edge == b.edge:
         best = abs(a.offset - b.offset)
-    dist = net.vertex_distances(a)
     u, v = net.edge_vertices[b.edge]
     best = min(best, dist[u] + b.offset)
     best = min(best, dist[v] + (net.edge_lengths[b.edge] - b.offset))

@@ -6,6 +6,7 @@ import math
 import numpy as np
 
 from lineheat.heat import _step_values, step_size
+from lineheat import network
 from lineheat.lattice import Lattice, SolverGraph
 from lineheat.network import (
     CROSS_TOLERANCE,
@@ -236,6 +237,29 @@ def scan_snap(net: LinearNetwork, point, max_dist: float):
     return NetworkLocation(e, float(t[e] * net.edge_lengths[e]))
 
 
+def canonical_location(net: LinearNetwork, loc: NetworkLocation):
+    """Canonical form: ('v', vertex id) at edge ends, ('e', edge, offset) inside."""
+    net.check_location(loc)
+    u, v = net.edge_vertices[loc.edge]
+    if loc.offset == 0.0:
+        return ("v", int(u))
+    if loc.offset == net.edge_lengths[loc.edge]:
+        return ("v", int(v))
+    return ("e", int(loc.edge), float(loc.offset))
+
+
+def incident_edges(net: LinearNetwork, vertex):
+    """Edges at ``vertex`` in ascending order: its row of the network's CSR arrays."""
+    return net._edge[net._ptr[vertex] : net._ptr[vertex + 1]]
+
+
+def vertex_distances(net: LinearNetwork, loc: NetworkLocation, cutoff=math.inf):
+    """Shortest-path distance from ``loc`` to every vertex (inf beyond ``cutoff``):
+    the one row of ``network._vertex_distances`` for that source."""
+    rows = network._vertex_distances(net, np.array([loc.edge]), np.array([loc.offset]), cutoff, 1)
+    return next(rows)[0].copy()
+
+
 def brute_force_distance(net: LinearNetwork, a: NetworkLocation, b: NetworkLocation):
     """Minimum over exhaustively enumerated paths, summed left to right.
 
@@ -243,7 +267,7 @@ def brute_force_distance(net: LinearNetwork, a: NetworkLocation, b: NetworkLocat
     endpoint of b's edge) combination plus the direct same-edge route; mirrors
     the float accumulation order of a relaxation-based computation.
     """
-    if net.canonical_location(a) == net.canonical_location(b):
+    if canonical_location(net, a) == canonical_location(net, b):
         return 0.0
     best = math.inf
     if a.edge == b.edge:
@@ -261,7 +285,7 @@ def brute_force_distance(net: LinearNetwork, a: NetworkLocation, b: NetworkLocat
             cand = acc + ends[vertex]
             if cand < best:
                 best = cand
-        for e in net.incident_edges[vertex]:
+        for e in incident_edges(net, vertex):
             x, y = net.edge_vertices[e]
             w = int(y if x == vertex else x)
             if w not in visited:
@@ -280,8 +304,8 @@ def enumerate_equal_split(net, source, target, kernel, continuous, max_depth=64)
     """
     support = kernel.support
     total = 0.0
-    src = net.canonical_location(source)
-    tgt = net.canonical_location(target)
+    src = canonical_location(net, source)
+    tgt = canonical_location(net, target)
 
     def vfac(vertex):
         # value at a vertex: continuity limit scales the arrival by 2/deg
@@ -294,7 +318,7 @@ def enumerate_equal_split(net, source, target, kernel, continuous, max_depth=64)
         m = int(net.degrees[v0])
         if tgt == src:
             total += float(kernel(0.0)) * vfac(v0)
-        for e in net.incident_edges[v0]:
+        for e in incident_edges(net, v0):
             queue.append((int(v0), int(e), 0.0, 2.0 / m, True))
     else:
         e0, o0 = src[1], src[2]
@@ -318,7 +342,7 @@ def enumerate_equal_split(net, source, target, kernel, continuous, max_depth=64)
             if dist >= support:
                 continue
             m = int(net.degrees[vertex])
-            for e in net.incident_edges[vertex]:
+            for e in incident_edges(net, vertex):
                 e = int(e)
                 if from_vertex_source:
                     w = weight  # initial split already applied
@@ -508,7 +532,7 @@ def assert_same(got, want):
 
 def reference_bracket(ref: dict, net: LinearNetwork, loc: NetworkLocation):
     """Scalar (left, right, theta) through the canonical location."""
-    kind = net.canonical_location(loc)
+    kind = canonical_location(net, loc)
     if kind[0] == "v":
         return kind[1], kind[1], 0.0
     h = float(ref["edge_spacing"][loc.edge])
@@ -608,13 +632,13 @@ def _vertex_factor(net, vertex, continuous):
 def _deposit_from_point(lattice, loc, kernel, out, continuous, count):
     net = lattice.network
     support = kernel.support
-    kind = net.canonical_location(loc)
+    kind = canonical_location(net, loc)
     if kind[0] == "v":
         v = kind[1]
         out[v] += float(kernel(0.0)) * _vertex_factor(net, v, continuous)
         m = net.degrees[v]
         w0 = 2.0 / m  # equal split of the two kernel half-lines over m branches
-        for e in sorted(int(x) for x in net.incident_edges[v]):
+        for e in sorted(int(x) for x in incident_edges(net, v)):
             _walk_edge(lattice, e, v, 0.0, w0, kernel, out, continuous, count)
         return
     e, off = kind[1], kind[2]
@@ -648,7 +672,7 @@ def _branch(lattice, vertex, arrival_edge, dist, weight, kernel, out, continuous
     net = lattice.network
     m = int(net.degrees[vertex])
     if continuous:
-        for e in sorted(int(x) for x in net.incident_edges[vertex]):
+        for e in sorted(int(x) for x in incident_edges(net, vertex)):
             w = weight * (2.0 / m - (1.0 if e == arrival_edge else 0.0))
             if w != 0.0:
                 _walk_edge(lattice, e, vertex, dist, w, kernel, out, continuous, count)
@@ -656,7 +680,7 @@ def _branch(lattice, vertex, arrival_edge, dist, weight, kernel, out, continuous
         if m == 1:
             return  # non-reflecting: the path ends at a terminal vertex
         w = weight / (m - 1)
-        for e in sorted(int(x) for x in net.incident_edges[vertex]):
+        for e in sorted(int(x) for x in incident_edges(net, vertex)):
             if e != arrival_edge:
                 _walk_edge(lattice, e, vertex, dist, w, kernel, out, continuous, count)
 

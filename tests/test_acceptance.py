@@ -11,12 +11,8 @@ import sys
 import numpy as np
 import pytest
 
-from lineheat.adaptive import (
-    abramson_bandwidths,
-    estimate_adaptive_direct,
-    estimate_adaptive_partition,
-)
-from lineheat.experiment import median_by_delta, run_partition_study, simulate_intensity
+from lineheat.adaptive import abramson_bandwidths, estimate_adaptive_partition
+from lineheat.experiment import estimate_adaptive_direct, median_by_delta, run_partition_study, simulate_intensity
 from lineheat.heat import deposit_initial_mass, estimate_heat, heat_solve
 from lineheat.ingest import write_network_geojson
 from lineheat.kernels import (

@@ -6,11 +6,11 @@ import time
 import numpy as np
 import pytest
 
-from lineheat.adaptive import abramson_bandwidths, estimate_adaptive_direct
+from lineheat.adaptive import abramson_bandwidths
+from lineheat.experiment import estimate_adaptive_direct
 from lineheat.heat import default_dx, estimate_heat
 from lineheat.ingest import read_lattice_function, read_network_geojson, read_points, write_network_geojson
 from lineheat.lattice import discretize
-from lineheat.network import NetworkLocation
 
 from nets import grid_network, random_pattern, stub_network
 
@@ -33,8 +33,7 @@ def toy(tmp_path):
     net_path = tmp_path / "net.geojson"
     write_network_geojson(net, net_path)
     pts_path = tmp_path / "pts.csv"
-    locs = (NetworkLocation(0, 0.1), NetworkLocation(3, 0.25), NetworkLocation(5, 0.4))
-    xy = [net.location_xy(loc) for loc in locs]
+    xy = net._xy(np.array([0, 3, 5]), np.array([0.1, 0.25, 0.4]))
     pts_path.write_text("x,y\n" + "\n".join(f"{p[0]},{p[1]}" for p in xy) + "\n")
     return net, net_path, pts_path
 
@@ -186,8 +185,11 @@ class TestEstimate:
          "--raster-res must be from 1 to 2000, got 2001"),
         (("--bw", "1", "--format", "raster-csv", "--raster-res", "-3"),
          "--raster-res must be from 1 to 2000, got -3"),
+        (("--bw", "1e155"), "--bw 1e+155 is above 1.34078e+154: its square, the diffusion time, overflows"),
+        (("--adaptive", "--bw-global", "1e155"),
+         "global bandwidth 1e+155 is above 1.34078e+154: its square, the diffusion time, overflows"),
     ], ids=["delta", "adaptive-method", "adaptive-without-bw-global", "fixed-without-bw",
-            "raster-cells", "raster-negative"])
+            "raster-cells", "raster-negative", "bw-square", "bw-global-square"])
     def test_bad_arguments_rejected_before_the_network_is_read(self, tmp_path, flags, message):
         proc = run_cli(
             "estimate", "--net", tmp_path / "nope.geojson", "--points", tmp_path / "nope.csv",
@@ -313,8 +315,7 @@ class TestEstimate:
             xy = [(50.0 + rng.uniform(-1.0, 1.0), 0.0) for _ in range(999)] + [(150.0, 200.0)]
         else:
             edge, u = rng.integers(0, net.n_edges, 1000), rng.random(1000)
-            xy = [net.location_xy(NetworkLocation(int(e), float(f * net.edge_lengths[e])))
-                  for e, f in zip(edge, u)]
+            xy = net._xy(edge, u * net.edge_lengths[edge])
         (tmp_path / "pts.csv").write_text("x,y\n" + "".join(f"{x},{y}\n" for x, y in xy))
         t0 = time.perf_counter()
         proc = run_cli(
@@ -327,12 +328,26 @@ class TestEstimate:
         assert line.startswith("error: ") and all(name in line for name in names)
         assert not (tmp_path / "est.csv").exists()
 
+    @pytest.mark.parametrize("flags", [
+        ("--bw", "1e154"), ("--bw", "100", "--dx", "1e200"), ("--adaptive", "--bw-global", "150", "--dx", "1e200"),
+    ], ids=["bw-huge", "dx-huge", "adaptive-dx-huge"])
+    def test_solver_graph_without_links_takes_no_step(self, toy, tmp_path, flags):
+        # every link is merged: each component is one solver node, which keeps its mass
+        net, net_path, pts_path = toy
+        proc = run_cli("estimate", "--net", net_path, "--points", pts_path, *flags, "--out", tmp_path / "est.csv")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        dx = json.loads(proc.stdout.splitlines()[0].split(" ", 1)[1])["resolved_dx"]
+        est = read_lattice_function(tmp_path / "est.csv", discretize(net, dx))
+        assert len(np.unique(est.values)) == 1
+        assert est.integral() == pytest.approx(3.0, rel=1e-12)
+
     def test_adaptive_without_delta_is_the_direct_estimate(self, tmp_path):
         # the one-pass batch the CLI runs against the per-point loop
         net = grid_network(4, 4, spacing=50.0, jitter=10.0, rng=np.random.default_rng(3))
         write_network_geojson(net, tmp_path / "net.geojson")
         pat = random_pattern(net, 60, np.random.default_rng(4))
-        xy = [net.location_xy(p) for p in pat]
+        xy = net._xy(pat.edge, pat.offset)
         (tmp_path / "pts.csv").write_text("x,y\n" + "".join(f"{float(x)!r},{float(y)!r}\n" for x, y in xy))
         proc = run_cli(
             "estimate", "--net", "net.geojson", "--points", "pts.csv",
@@ -431,6 +446,25 @@ class TestSimulate:
             "--out-points", tmp_path / "p.csv", "--out-intensity", tmp_path / "l.csv",
         )
         assert proc.returncode == 0, proc.stderr
+
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--field-res", "200"), "field resolution must be from 2 to 72, got 200"),
+        (("--field-res", "1"), "field resolution must be from 2 to 72, got 1"),
+        (("--target-points", "1e9"), "target points must be in (0, 1e+06], got 1e+09"),
+        (("--target-points", "-5"), "target points must be in (0, 1e+06], got -5"),
+        (("--target-points", "nan"), "target points must be in (0, 1e+06], got nan"),
+    ], ids=["field-res-large", "field-res-small", "target-large", "target-negative", "target-nan"])
+    @pytest.mark.parametrize("command", ["simulate", "study"])
+    def test_oversized_simulation_rejected_before_the_network_is_read(self, tmp_path, command, flags, message):
+        # the 11.9 GiB covariance of res 200 and the 1e9 points are never allocated
+        outs = (("--out-points", tmp_path / "p.csv", "--out-intensity", tmp_path / "l.csv")
+                if command == "simulate" else ("--out", tmp_path / "study.csv"))
+        proc = run_cli(command, "--net", tmp_path / "nope.geojson", "--scenario", "loggaussian-1",
+                       "--seed", "0", *flags, *outs)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [f"error: {message}"]
+        assert proc.stdout == "" and not any(tmp_path.iterdir())
 
 
 class TestNumpyOnly:

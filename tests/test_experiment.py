@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from lineheat.adaptive import abramson_bandwidths, estimate_adaptive_direct, make_partition
+from lineheat.adaptive import abramson_bandwidths, make_partition
 from lineheat import experiment
 from lineheat.errors import BadDelta, LatticeMismatch
 from lineheat.experiment import (
     STUDY_COLUMNS,
+    estimate_adaptive_direct,
     ise,
     median_by_delta,
     partition_per_bin,

@@ -351,7 +351,7 @@ class TestReadPoints:
         p.write_text("\n".join(rows) + "\n")
         pattern, report = read_points(p, net, max_snap_dist=0.3)
         for q in pattern:
-            xy = net.location_xy(q)
+            xy = net._xy(q.edge, q.offset)
             # snapped location is within max_snap_dist of SOME input row
             d = min(
                 math.hypot(xy[0] - float(r.split(",")[0]), xy[1] - float(r.split(",")[1]))

@@ -119,9 +119,9 @@ class TestCorrectedEstimators:
         pat = PointPattern(net, [NetworkLocation(0, 5.0)])
         est = estimate_uniform_corrected(pat, lat, k)
         # c is ~1 so the peak is the kernel peak
-        assert est.value_at(NetworkLocation(0, 5.0)) == pytest.approx(k(0.0), rel=1e-3)
+        assert est.values_at(0, 5.0) == pytest.approx(k(0.0), rel=1e-3)
         # zero beyond the support
-        assert est.value_at(NetworkLocation(0, 9.0)) == 0.0
+        assert est.values_at(0, 9.0) == 0.0
 
     def test_uniform_does_not_preserve_mass(self):
         net = segment_network(2.0)

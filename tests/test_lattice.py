@@ -43,7 +43,6 @@ class TestDiscretize:
             for v in range(nv):
                 e = int(np.flatnonzero((ev == v).any(axis=1))[0])
                 assert (edge[v], offset[v]) == (e, 0.0 if ev[e, 0] == v else lat.network.edge_lengths[e])
-                assert lat.node_location(v) == lat.network.vertex_location(v)
 
     def test_inner_node_windows(self):
         # the ids and offsets of inner chain positions lo..lo + n - 1 are
@@ -147,7 +146,6 @@ class TestVectorizedMatchesLoops:
             f = LatticeFunction(lat, rng.random(lat.n_nodes))
             values = np.array([(1.0 - t) * f.values[a] + t * f.values[b] for a, b, t in want])
             assert_same(f.values_at(edge, offset), values)
-            assert [f.value_at(p) for p in locs] == values.tolist()
 
 
 def _source_kind(lat, src):
@@ -163,7 +161,7 @@ def _source_kind(lat, src):
 
 def _candidate_sources(lat, rng):
     net = lat.network
-    yield net.vertex_location(int(rng.integers(net.n_vertices)))
+    yield lat.node_location(int(rng.integers(net.n_vertices)))
     interior = np.nonzero(lat.node_vertex < 0)[0]
     if len(interior):
         yield lat.node_location(int(rng.choice(interior)))
@@ -223,6 +221,6 @@ class TestLatticeFunction:
         chain = lat.edge_chains[0]
         vals[chain] = [0.0, 1.0, 2.0, 3.0, 4.0]
         f = LatticeFunction(lat, vals)
-        assert f.value_at(NetworkLocation(0, 0.375)) == pytest.approx(1.5, abs=1e-12)
-        assert f.value_at(NetworkLocation(0, 0.0)) == 0.0
-        assert f.value_at(NetworkLocation(0, 1.0)) == 4.0
+        got = f.values_at(np.zeros(3, dtype=np.int64), np.array([0.375, 0.0, 1.0]))
+        assert got[0] == pytest.approx(1.5, abs=1e-12)
+        assert got[1:].tolist() == [0.0, 4.0]

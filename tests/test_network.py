@@ -28,8 +28,10 @@ from nets import (
     assert_same,
     bracket_seeds,
     brute_force_distance,
+    canonical_location,
     graph_links,
     grid_network,
+    incident_edges,
     kdtree_close_pairs,
     lexsort_nearest,
     loop_incident_edges,
@@ -46,6 +48,7 @@ from nets import (
     special_locations,
     triangle_network,
     two_disjoint_segments,
+    vertex_distances,
     y_network,
 )
 
@@ -169,9 +172,9 @@ class TestValidationMatchesScan:
         rng = np.random.default_rng(23)
         for net in [y_network(), triangle_network()] + [random_network(rng, max_side=6) for _ in range(20)]:
             want = loop_incident_edges(net)
-            assert len(net.incident_edges) == len(want)
-            for got, w in zip(net.incident_edges, want):
-                assert_same(got, w)
+            assert len(net._ptr) == len(want) + 1
+            for v, w in enumerate(want):
+                assert_same(incident_edges(net, v), w)
             assert_same(net.degrees, np.array([len(w) for w in want], dtype=np.int64))
 
     def test_isolated_vertex_rejected(self):
@@ -308,8 +311,9 @@ class TestLocations:
         # edge 0 runs 0 -> 1, edge 1 runs 1 -> 2: both touch vertex 1
         end0 = NetworkLocation(0, float(net.edge_lengths[0]))
         start1 = NetworkLocation(1, 0.0)
-        assert net.canonical_location(end0) == net.canonical_location(start1) == ("v", 1)
-        assert net.canonical_location(NetworkLocation(1, 0.3)) == ("e", 1, 0.3)
+        assert canonical_location(net, end0) == canonical_location(net, start1) == ("v", 1)
+        assert canonical_location(net, NetworkLocation(1, 0.3)) == ("e", 1, 0.3)
+        assert shortest_path_distance(net, end0, start1) == 0.0
 
 
 class TestShortestPath:
@@ -342,6 +346,21 @@ class TestShortestPath:
             b = random_location(net, rng)
             assert shortest_path_distance(net, a, b) == brute_force_distance(net, a, b)
 
+    def test_vertex_forms_and_self_are_zero_apart(self):
+        # a vertex named on any two of its edges, and any location against
+        # itself, are exactly 0.0 apart: no shortcut compares the two forms
+        rng = np.random.default_rng(19)
+        for _ in range(30):
+            net = random_network(rng)
+            ev, ell = net.edge_vertices, net.edge_lengths
+            for v in range(net.n_vertices):
+                forms = [NetworkLocation(int(e), 0.0 if ev[e, 0] == v else float(ell[e]))
+                         for e in incident_edges(net, v)]
+                for a in forms:
+                    assert [shortest_path_distance(net, a, b) for b in forms] == [0.0] * len(forms)
+            for loc in (random_location(net, rng) for _ in range(10)):
+                assert shortest_path_distance(net, loc, loc) == 0.0
+
     def test_metric_axioms(self):
         rng = np.random.default_rng(17)
         for _ in range(15):
@@ -357,7 +376,7 @@ class TestShortestPath:
             if all(map(math.isfinite, (dab, dbc, dac))):
                 assert dac <= dab + dbc + 1e-12
             assert shortest_path_distance(net, a, a) == 0.0
-            if net.canonical_location(a) != net.canonical_location(b):
+            if canonical_location(net, a) != canonical_location(net, b):
                 assert dab > 0.0
 
 
@@ -438,14 +457,14 @@ class TestGraphDistances:
                     _, at, d = scipy_graph_distances(graph_links(net), net.edge_vertices[edge], start, cutoff)
                     want = np.full(net.n_vertices, np.inf)
                     want[at] = d
-                    assert_same(net.vertex_distances(loc, cutoff), want)
+                    assert_same(vertex_distances(net, loc, cutoff), want)
 
     def test_vertex_distances_are_the_fields_vertex_entries(self):
         for lat, rng in random_lattices(65, 10):
             nv = lat.network.n_vertices
             for loc in special_locations(lat, rng)[::3]:
                 for cutoff in (math.inf, 0.7, 0.0):
-                    assert_same(lat.network.vertex_distances(loc, cutoff), lat.distance_field(loc, cutoff)[:nv])
+                    assert_same(vertex_distances(lat.network, loc, cutoff), lat.distance_field(loc, cutoff)[:nv])
 
     @pytest.mark.parametrize("cutoff", [-1.0, -math.inf, math.nan])
     def test_bad_cutoff_rejected(self, cutoff):
@@ -454,7 +473,7 @@ class TestGraphDistances:
         with pytest.raises(ValueError, match="cutoff must be nonnegative"):
             lat.distance_field(NetworkLocation(0, 0.3), cutoff)
         with pytest.raises(ValueError, match="cutoff must be nonnegative"):
-            net.vertex_distances(NetworkLocation(0, 0.3), cutoff)
+            vertex_distances(net, NetworkLocation(0, 0.3), cutoff)
 
     def test_no_sources_yield_nothing(self):
         lat = Lattice(triangle_network(), 0.25)

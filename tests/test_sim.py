@@ -5,7 +5,7 @@ import pytest
 
 from lineheat.experiment import LOGGAUSSIAN_SCENARIOS
 from lineheat.lattice import LatticeFunction, discretize
-from lineheat.network import NetworkLocation, build_network
+from lineheat.network import build_network
 from lineheat.sim import (
     GM5_COVARIANCES,
     ExpCovSpec,
@@ -126,7 +126,7 @@ class TestMixture:
         net = unit_segment_net()
         lat = discretize(net, 0.01)
         lam = mixture_to_network_intensity(spec, lat)
-        got = lam.value_at(NetworkLocation(0, float(net.edge_lengths[0]) / 2))
+        got = lam.values_at(0, float(net.edge_lengths[0]) / 2)
         assert got == pytest.approx(1.0 / (2 * math.pi * 0.01), rel=1e-4)
 
     def test_symmetric_nodes_equal(self):
@@ -139,8 +139,7 @@ class TestMixture:
         lat = discretize(net, 0.05)
         lam = mixture_to_network_intensity(spec, lat)
         mid = float(net.edge_lengths[0]) / 2
-        a = lam.value_at(NetworkLocation(0, mid - 0.3))
-        b = lam.value_at(NetworkLocation(0, mid + 0.3))
+        a, b = lam.values_at(np.zeros(2, dtype=np.int64), np.array([mid - 0.3, mid + 0.3]))
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_weights_must_sum_to_one(self):

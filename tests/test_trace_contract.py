@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from lineheat.ingest import write_network_geojson
-from lineheat.network import NetworkLocation
 
 from nets import grid_network
 
@@ -31,7 +30,7 @@ def load_trace_layers():
 def test_uniform_corrected_raster_pipeline_and_micro_timings(tmp_path):
     net = grid_network(3, 3, spacing=0.5, rng=np.random.default_rng(0))
     write_network_geojson(net, tmp_path / "net.geojson")
-    xy = [net.location_xy(NetworkLocation(e, 0.2)) for e in (0, 3, 5)]
+    xy = net._xy(np.array([0, 3, 5]), 0.2)
     (tmp_path / "events.csv").write_text("x,y\n" + "".join(f"{x},{y}\n" for x, y in xy))
     tl = load_trace_layers()
     tr = tl.Tracer("tiny")
