@@ -1,10 +1,10 @@
 """Command-line interface.
 
-Subcommands: validate, simulate, estimate, study, bench.  Every run echoes a
+Subcommands: validate, simulate, estimate, study.  Every run echoes a
 `#CONFIG {json}` line with the fully resolved configuration so outputs are
 reproducible; seeded runs are byte-identical across invocations (timing
 measurements are inherently machine-dependent, so `study` offers
---no-timing and `bench` is exempt).
+--no-timing).  Every argument is checked before any file is read.
 
 Exit codes: 0 success, 2 input/usage error, 3 numerical failure.
 """
@@ -15,7 +15,6 @@ import argparse
 import json
 import math
 import sys
-import time
 
 import numpy as np
 
@@ -116,15 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
     st.add_argument("--out", required=True, help="results CSV path")
     st.set_defaults(func=_cmd_study)
 
-    b = sub.add_parser("bench", help="time a single estimate (one warmup discarded)")
-    b.add_argument("--net", required=True)
-    b.add_argument("--points", required=True)
-    b.add_argument("--method", choices=_METHODS, default="heat")
-    b.add_argument("--bw", type=float, required=True)
-    b.add_argument("--kernel", default=None, choices=("gaussian", "epanechnikov", "quartic"))
-    b.add_argument("--dx", type=float, default=None)
-    b.add_argument("--max-snap-dist", type=float, default=float("inf"))
-    b.set_defaults(func=_cmd_bench)
     return p
 
 
@@ -144,6 +134,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_simulate(args) -> int:
     check_simulation(args.target_points, args.field_res)
+    _check_dx(args.dx)
     net = read_network_geojson(args.net)
     dx = resolve_dx(args.dx, net, net.edge_lengths.min())
     _echo_config(args, resolved_dx=dx)
@@ -160,12 +151,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _load_pattern(args):
-    # every argument is checked before any file is read
     if args.bw is not None:
         _bandwidth(args.bw, "--bw")
-    if getattr(args, "bw_global", None) not in (None, "auto"):
+    if args.bw_global not in (None, "auto"):
         _bandwidth(args.bw_global)
-    if getattr(args, "adaptive", False):
+    if args.adaptive:
         if args.method != "heat":
             raise LineHeatError("adaptive estimation is supported for the heat method only")
         if args.delta is not None:
@@ -174,8 +164,11 @@ def _load_pattern(args):
             raise LineHeatError("--adaptive requires --bw-global (number or 'auto')")
     elif args.bw is None:
         raise LineHeatError("--bw is required for fixed-bandwidth estimation")
-    if getattr(args, "format", None) == "raster-csv":
+    if args.format == "raster-csv":
         check_raster_res(args.raster_res)
+    _check_dx(args.dx)
+    if not args.max_snap_dist > 0:
+        raise LineHeatError("--max-snap-dist must be positive")
     net = read_network_geojson(args.net)
     pattern, report = read_points(args.points, net, args.max_snap_dist)
     if report.warning:
@@ -249,13 +242,19 @@ def _bandwidth(value, name: str = "global bandwidth") -> float:
     return bw
 
 
+def _check_dx(dx) -> None:
+    """Refuse a --dx that is given but not positive and finite; any finite size runs."""
+    if dx is not None and not 0 < dx < math.inf:
+        raise LineHeatError("--dx must be positive and finite")
+
+
 def _cmd_study(args) -> int:
-    # every argument is checked before the network is read
     eps_star = None
     if args.bw_global not in (None, "auto"):
         eps_star = _bandwidth(args.bw_global)
     deltas = study_deltas([x for x in args.deltas.split(",") if x], args.replicates)
     check_simulation(args.target_points, args.field_res)
+    _check_dx(args.dx)
     net = read_network_geojson(args.net)
     _echo_config(args, resolved_deltas=deltas)
     rows = run_partition_study(
@@ -281,31 +280,6 @@ def _cmd_study(args) -> int:
             fh.write(",".join(cells) + "\n")
     print(f"rows: {len(rows)}")
     print(f"out: {args.out}")
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    net, pattern = _load_pattern(args)
-    _echo_config(args)
-    lattice = discretize(net, resolve_dx(args.dx, net, args.bw))
-    runs = []
-    for _ in range(2):  # first run is the discarded warmup
-        t0 = time.perf_counter()
-        est = _fixed_estimate(args, pattern, lattice, DEFAULT_CONFIG)
-        runs.append(time.perf_counter() - t0)
-    print(
-        json.dumps(
-            {
-                "method": args.method,
-                "bandwidth": args.bw,
-                "n_points": pattern.n,
-                "n_nodes": lattice.n_nodes,
-                "wall_s": runs[1],
-                "estimate_integral": est.integral(),
-            },
-            sort_keys=True,
-        )
-    )
     return 0
 
 

@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import AllPointsTooFar, GeometryTypeError, ParseError
 from .lattice import Lattice, LatticeFunction
-from .network import LinearNetwork, PointPattern, _box_pairs, _close_pairs, _min_labels, _nearest, _snap
-from .network import build_network
+from .network import MAX_COORDINATE, MERGE_TOLERANCE, LinearNetwork, PointPattern, build_network
+from .network import _box_pairs, _close_pairs, _min_labels, _nearest, _snap
 
 FLOAT_FMT = "%.17g"
 _LATTICE_ROW = f"%d,{FLOAT_FMT},{FLOAT_FMT},{FLOAT_FMT}\r\n"  # a csv.writer row, terminator included
@@ -48,8 +48,8 @@ class SnapReport:
         return None
 
 
-def read_network_geojson(path, merge_tolerance: float = 1e-8) -> LinearNetwork:
-    """Read a network from GeoJSON, merging endpoints within ``merge_tolerance``."""
+def read_network_geojson(path) -> LinearNetwork:
+    """Read a network from GeoJSON, merging endpoints within ``MERGE_TOLERANCE``."""
     pts, sizes, owner = [], [], []
     try:
         for i, gtype, coords in _features(path, ("LineString", "MultiLineString")):
@@ -67,7 +67,7 @@ def read_network_geojson(path, merge_tolerance: float = 1e-8) -> LinearNetwork:
 
     tail = np.delete(np.arange(len(xy)), np.cumsum(sizes) - 1)  # every position but a line's last
     # every point takes the lowest id of its cluster of points within the tolerance
-    ends = _min_labels(len(xy), *_close_pairs(xy, merge_tolerance))[np.column_stack((tail, tail + 1))]
+    ends = _min_labels(len(xy), *_close_pairs(xy, MERGE_TOLERANCE))[np.column_stack((tail, tail + 1))]
     ends = ends[ends[:, 0] != ends[:, 1]]  # degenerate pieces collapsed by the merge
     if not len(ends):
         raise ParseError("all segments collapsed under the merge tolerance")
@@ -77,22 +77,33 @@ def read_network_geojson(path, merge_tolerance: float = 1e-8) -> LinearNetwork:
 
 def _positions(pts: list, feature) -> np.ndarray:
     """(n, 2) coordinates of GeoJSON positions, converted as one array where
-    all are finite numbers of one dimension; else one by one, which names the
-    first bad or non-finite position and its ``feature``."""
+    all are numbers of one dimension within ``MAX_COORDINATE``; else one by
+    one, which names the first bad, non-finite or too large position and its
+    ``feature``."""
     try:
         a = np.array(pts)
     except (ValueError, OverflowError):  # ragged, or an integer beyond 64 bits
         a = np.empty(0)
     if a.ndim == 2 and a.shape[1] >= 2 and a.dtype.kind in "biuf":
         xy = a[:, :2].astype(float)
-        if np.isfinite(xy).all():
+        if (np.abs(xy) <= MAX_COORDINATE).all():
             return xy
     xy = []
     for pt, i in zip(pts, feature.tolist()):
         xy.append(_position(pt, i))
-        if not (math.isfinite(xy[-1][0]) and math.isfinite(xy[-1][1])):
-            raise ParseError(f"feature {i}: non-finite coordinate {xy[-1]}")
+        if fault := _coordinate_fault(*xy[-1]):
+            raise ParseError(f"feature {i}: {fault}")
     return np.array(xy).reshape(-1, 2)
+
+
+def _coordinate_fault(x: float, y: float) -> str | None:
+    """Why the coordinates (x, y) are refused, or None: they must be finite and
+    at most ``MAX_COORDINATE`` in magnitude."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return f"non-finite coordinate {(x, y)}"
+    if max(abs(x), abs(y)) > MAX_COORDINATE:
+        return f"coordinate beyond +-{MAX_COORDINATE:.6g} {(x, y)}"
+    return None
 
 
 def write_network_geojson(net: LinearNetwork, path) -> None:
@@ -114,17 +125,17 @@ def read_points(path, net: LinearNetwork, max_snap_dist: float):
 
     Returns (pattern, report); records farther than ``max_snap_dist`` from the
     network are dropped and counted.  CSV needs header columns x,y; GeoJSON
-    needs Point features.  A non-finite coordinate is a ParseError naming its
-    record (counted from 1).
+    needs Point features.  A coordinate that is non-finite or beyond
+    ``MAX_COORDINATE`` is a ParseError naming its record (counted from 1).
     """
     if str(path).endswith((".geojson", ".json")):
         xy = np.array([_position(p, i) for i, _, p in _features(path, ("Point",))]).reshape(-1, 2)
     else:
         xy = _read_points_csv(path)
-    finite = np.isfinite(xy).all(axis=1)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise ParseError(f"record {i + 1}: non-finite coordinate {tuple(xy[i].tolist())}")
+    ok = (np.abs(xy) <= MAX_COORDINATE).all(axis=1)  # False for nan and inf too
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ParseError(f"record {i + 1}: {_coordinate_fault(*xy[i].tolist())}")
 
     n = len(xy)
     edge, offset, dist = _snap(net, xy, max_snap_dist)

@@ -25,6 +25,10 @@ from .errors import (
 #: merged before construction (ingest does the merging).
 MERGE_TOLERANCE = 1e-8
 
+#: Largest magnitude of a vertex or event coordinate: the squares, dot and
+#: cross products of coordinate differences then stay finite.
+MAX_COORDINATE = math.sqrt(np.finfo(float).max) / 4
+
 #: Absolute tolerance on the cross products used by the segment predicates.
 CROSS_TOLERANCE = 1e-12
 
@@ -65,6 +69,11 @@ class LinearNetwork:
             raise ValueError("a network needs at least one edge")
         if np.any(ev < 0) or np.any(ev >= len(vxy)):
             raise DanglingReference("segment references a vertex id out of range")
+        ok = (np.abs(vxy) <= MAX_COORDINATE).all(axis=1)  # False for nan and inf too
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise ValueError(f"vertex {i} at {tuple(vxy[i].tolist())}: coordinates must be "
+                             f"finite and at most MAX_COORDINATE = {MAX_COORDINATE:.6g} in magnitude")
 
         diff = vxy[ev[:, 1]] - vxy[ev[:, 0]]
         lengths = np.hypot(diff[:, 0], diff[:, 1])

@@ -988,7 +988,7 @@ def pointwise_read_network(path, merge_tolerance=1e-8):
     one-array conversion replaced, errors included."""
     from lineheat.errors import ParseError
     from lineheat.ingest import _features, _position
-    from lineheat.network import _close_pairs, _min_labels
+    from lineheat.network import MAX_COORDINATE, _close_pairs, _min_labels
 
     coords, raw_segments = [], []
     for i, gtype, lines in _features(path, ("LineString", "MultiLineString")):
@@ -1000,6 +1000,8 @@ def pointwise_read_network(path, merge_tolerance=1e-8):
                 x, y = _position(pt, i)
                 if not (math.isfinite(x) and math.isfinite(y)):
                     raise ParseError(f"feature {i}: non-finite coordinate ({x}, {y})")
+                if max(abs(x), abs(y)) > MAX_COORDINATE:
+                    raise ParseError(f"feature {i}: coordinate beyond +-{MAX_COORDINATE:.6g} ({x}, {y})")
                 coords.append((x, y))
                 idx.append(len(coords) - 1)
             raw_segments.extend(zip(idx[:-1], idx[1:]))

@@ -38,6 +38,19 @@ def toy(tmp_path):
     return net, net_path, pts_path
 
 
+class TestSubcommands:
+    def test_help_lists_the_four_subcommands(self):
+        proc = run_cli("--help")
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[0] == "usage: lineheat [-h] {validate,simulate,estimate,study} ..."
+
+    def test_bench_is_not_a_subcommand(self, toy):
+        _, net_path, pts_path = toy
+        proc = run_cli("bench", "--net", net_path, "--points", pts_path, "--method", "heat", "--bw", "0.2")
+        assert proc.returncode == 2
+        assert "invalid choice: 'bench'" in proc.stderr
+
+
 class TestValidate:
     def test_prints_stats(self, toy):
         net, net_path, _ = toy
@@ -66,6 +79,16 @@ class TestValidate:
         proc = run_cli("validate", net_path)
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [f"error: {message}"]
+
+    def test_coordinate_beyond_bound_exits_2(self, tmp_path):
+        # squared coordinate differences of 1e160 overflow in the segment predicates
+        net_path = tmp_path / "big.geojson"
+        lines = [[[0, 0], [1e160, 0]], [[1e160, 0], [1e160, 1e160]], [[1e160, 1e160], [0, 1e160]]]
+        net_path.write_text(json.dumps({"type": "FeatureCollection", "features": [
+            {"type": "Feature", "geometry": {"type": "LineString", "coordinates": c}} for c in lines]}))
+        proc = run_cli("validate", net_path)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == ["error: feature 1: coordinate beyond +-3.35195e+153 (1e+160, 0.0)"]
 
 
 class TestEstimate:
@@ -109,17 +132,23 @@ class TestEstimate:
         assert proc.returncode == 2
         assert "1/delta must be an integer" in proc.stderr
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_non_finite_coordinate_exits_2(self, toy, tmp_path, value):
+    @pytest.mark.parametrize("record, message", [
+        ("nan,0.0", "non-finite coordinate (nan, 0.0)"),
+        ("inf,0.0", "non-finite coordinate (inf, 0.0)"),
+        # squared differences of these overflow in the snap
+        ("1e300,1e300", "coordinate beyond +-3.35195e+153 (1e+300, 1e+300)"),
+        ("1e170,-3e170", "coordinate beyond +-3.35195e+153 (1e+170, -3e+170)"),
+    ], ids=["nan", "inf", "beyond-bound", "beyond-bound-mixed"])
+    def test_non_finite_coordinate_exits_2(self, toy, tmp_path, record, message):
         _, net_path, _ = toy
         pts = tmp_path / "bad.csv"
-        pts.write_text(f"x,y\n0.1,0.0\n{value},0.0\n")
+        pts.write_text(f"x,y\n0.1,0.0\n{record}\n")
         proc = run_cli(
             "estimate", "--net", net_path, "--points", pts,
             "--method", "heat", "--bw", "0.2", "--out", tmp_path / "est.csv",
         )
         assert proc.returncode == 2
-        assert proc.stderr.splitlines() == [f"error: record 2: non-finite coordinate ({value}, 0.0)"]
+        assert proc.stderr.splitlines() == [f"error: record 2: {message}"]
 
     @pytest.mark.parametrize("rows, message", [
         ("0.1,0.0\n0.2\n", "record 2: too few fields for columns x,y"),
@@ -152,16 +181,13 @@ class TestEstimate:
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("error: ")
 
-    @pytest.mark.parametrize("command, flags", [
-        ("estimate", ("--dx", "20")), ("estimate", ()), ("bench", ("--dx", "20")),
-    ], ids=["estimate-dx", "estimate-default-dx", "bench"])
+    @pytest.mark.parametrize("flags", [("--dx", "20"), ()], ids=["estimate-dx", "estimate-default-dx"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
-    def test_bad_bw_rejected_before_the_network_is_read(self, tmp_path, command, flags, value):
+    def test_bad_bw_rejected_before_the_network_is_read(self, tmp_path, flags, value):
         # the network file does not exist: the bandwidth is checked first
-        out = ("--out", tmp_path / "est.csv") if command == "estimate" else ()
         proc = run_cli(
-            command, "--net", tmp_path / "nope.geojson", "--points", tmp_path / "nope.csv",
-            "--method", "uniform-corrected", "--bw", value, *flags, *out,
+            "estimate", "--net", tmp_path / "nope.geojson", "--points", tmp_path / "nope.csv",
+            "--method", "uniform-corrected", "--bw", value, *flags, "--out", tmp_path / "est.csv",
         )
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == ["error: --bw must be positive and finite"]
@@ -188,8 +214,17 @@ class TestEstimate:
         (("--bw", "1e155"), "--bw 1e+155 is above 1.34078e+154: its square, the diffusion time, overflows"),
         (("--adaptive", "--bw-global", "1e155"),
          "global bandwidth 1e+155 is above 1.34078e+154: its square, the diffusion time, overflows"),
+        (("--bw", "1", "--dx", "-3"), "--dx must be positive and finite"),
+        (("--bw", "1", "--dx", "0"), "--dx must be positive and finite"),
+        (("--bw", "1", "--dx", "nan"), "--dx must be positive and finite"),
+        (("--adaptive", "--bw-global", "100", "--delta", "0.5", "--dx", "inf"), "--dx must be positive and finite"),
+        (("--bw", "1", "--max-snap-dist", "-1"), "--max-snap-dist must be positive"),
+        (("--bw", "1", "--max-snap-dist", "nan"), "--max-snap-dist must be positive"),
+        (("--bw", "1", "--max-snap-dist", "0"), "--max-snap-dist must be positive"),
     ], ids=["delta", "adaptive-method", "adaptive-without-bw-global", "fixed-without-bw",
-            "raster-cells", "raster-negative", "bw-square", "bw-global-square"])
+            "raster-cells", "raster-negative", "bw-square", "bw-global-square",
+            "dx-negative", "dx-zero", "dx-nan", "adaptive-dx-inf",
+            "snap-negative", "snap-nan", "snap-zero"])
     def test_bad_arguments_rejected_before_the_network_is_read(self, tmp_path, flags, message):
         proc = run_cli(
             "estimate", "--net", tmp_path / "nope.geojson", "--points", tmp_path / "nope.csv",
@@ -212,7 +247,7 @@ class TestEstimate:
             "--bw", "0.2", "--max-snap-dist", value, "--out", tmp_path / "est.csv",
         )
         assert proc.returncode == 2
-        assert proc.stderr.splitlines() == ["error: max_dist must be positive"]
+        assert proc.stderr.splitlines() == ["error: --max-snap-dist must be positive"]
 
     def test_adaptive_partition_runs(self, toy, tmp_path):
         _, net_path, pts_path = toy
@@ -454,7 +489,12 @@ class TestSimulate:
         (("--target-points", "1e9"), "target points must be in (0, 1e+06], got 1e+09"),
         (("--target-points", "-5"), "target points must be in (0, 1e+06], got -5"),
         (("--target-points", "nan"), "target points must be in (0, 1e+06], got nan"),
-    ], ids=["field-res-large", "field-res-small", "target-large", "target-negative", "target-nan"])
+        (("--dx", "-1"), "--dx must be positive and finite"),
+        (("--dx", "0"), "--dx must be positive and finite"),
+        (("--dx", "nan"), "--dx must be positive and finite"),
+        (("--dx", "inf"), "--dx must be positive and finite"),
+    ], ids=["field-res-large", "field-res-small", "target-large", "target-negative", "target-nan",
+            "dx-negative", "dx-zero", "dx-nan", "dx-inf"])
     @pytest.mark.parametrize("command", ["simulate", "study"])
     def test_oversized_simulation_rejected_before_the_network_is_read(self, tmp_path, command, flags, message):
         # the 11.9 GiB covariance of res 200 and the 1e9 points are never allocated
@@ -577,17 +617,3 @@ class TestStudy:
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [f"error: {message}"]
         assert proc.stdout == "" and not (tmp_path / "study.csv").exists()
-
-
-class TestBench:
-    def test_bench_reports_json(self, toy, tmp_path):
-        _, net_path, pts_path = toy
-        proc = run_cli(
-            "bench", "--net", net_path, "--points", pts_path,
-            "--method", "heat", "--bw", "0.2",
-        )
-        assert proc.returncode == 0, proc.stderr
-        payload = json.loads(proc.stdout.strip().splitlines()[-1])
-        assert payload["method"] == "heat"
-        assert payload["wall_s"] > 0
-        assert payload["n_points"] == 3

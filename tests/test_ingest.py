@@ -17,7 +17,7 @@ from lineheat.ingest import (
     write_points_csv,
 )
 from lineheat.lattice import LatticeFunction, discretize
-from lineheat.network import NetworkLocation, PointPattern, build_network
+from lineheat.network import MAX_COORDINATE, MERGE_TOLERANCE, NetworkLocation, PointPattern, build_network
 
 from nets import (
     assert_same,
@@ -134,6 +134,23 @@ class TestReadNetwork:
         with pytest.raises(ParseError, match="feature 2: non-finite coordinate"):
             read_network_geojson(p)
 
+    @pytest.mark.parametrize("value", [1e160, -1e300, MAX_COORDINATE * (1 + 1e-15)])
+    def test_network_coordinate_beyond_bound_rejected(self, tmp_path, value):
+        p = tmp_path / "net.geojson"
+        _write_geojson(p, [_line([[0, 0], [1, 0]]), _line([[1, 0], [value, 1]])])
+        with pytest.raises(ParseError, match=r"feature 2: coordinate beyond \+-3.35195e\+153"):
+            read_network_geojson(p)
+
+    def test_network_at_the_coordinate_bound_reads(self, tmp_path):
+        # no RuntimeWarning either: the predicates' products stay finite
+        m = MAX_COORDINATE
+        p = tmp_path / "net.geojson"
+        corners = [[-m, -m], [m, -m], [m, m], [-m, m], [-m, -m]]
+        _write_geojson(p, [_line(corners[k : k + 2]) for k in range(4)] + [_line([[-m, -m], [m, m]])])
+        net = read_network_geojson(p)
+        assert (net.n_vertices, net.n_edges) == (4, 5)
+        assert net.total_length == pytest.approx((8 + 2 * math.sqrt(2)) * m)
+
     def test_roundtrip_idempotent_up_to_relabeling(self, tmp_path):
         net = grid_network(3, 3, spacing=1.0, keep=0.8, rng=np.random.default_rng(2))
         p = tmp_path / "rt.geojson"
@@ -197,8 +214,10 @@ class TestCoordinateWalk:
         [_line([[0, 0], [[1], [2]]])],
         [_line([[0, 0], 1])],
         [{"type": "Feature", "geometry": {"type": "MultiLineString", "coordinates": [[[0, 0], [1, 0]], 7]}}],
+        [_line([[0, 0], [1, 0]]), _line([[1, 0], [1, -1e200]]), _line([[0, 0], [1]])],
     ], ids=["none", "nan-then-short", "string", "inf-then-polygon", "nan-then-one-position",
-            "mixed-dims", "bool", "huge-int", "numeric-string", "nested", "number", "multi-not-a-list"])
+            "mixed-dims", "bool", "huge-int", "numeric-string", "nested", "number", "multi-not-a-list",
+            "beyond-bound-then-short"])
     def test_bad_or_odd_positions_read_as_the_walk_did(self, tmp_path, features):
         p = tmp_path / "net.geojson"
         _write_geojson(p, features)
@@ -224,9 +243,9 @@ class TestMergeMatchesKdtree:
         # move by up to a third of the tolerance, so each vertex's copies merge
         rng = np.random.default_rng(31)
         p = tmp_path / "net.geojson"
+        tol = MERGE_TOLERANCE
         for _ in range(25):
             net = random_network(rng, max_side=5, spacing=float(rng.uniform(0.5, 3.0)))
-            tol = float(10 ** rng.uniform(-6, -2))
             lines = []
             for u, v in net.edge_vertices:
                 a, b = net.vertex_xy[u], net.vertex_xy[v]
@@ -234,29 +253,35 @@ class TestMergeMatchesKdtree:
                 lines.append([q + rng.uniform(-tol / 3, tol / 3, 2) * (rng.random() < 0.7) for q in pts])
             xy, raw = _write_lines(p, [lines[k] for k in rng.permutation(len(lines))])
             want_xy, want_ev = kdtree_merge(xy, raw, tol)
-            got = read_network_geojson(p, merge_tolerance=tol)
+            got = read_network_geojson(p)
             assert_same(got.vertex_xy, want_xy)
             assert_same(got.edge_vertices, want_ev)
 
     def test_chain_of_close_points_merges_to_its_lowest(self, tmp_path):
         # six spoke ends 0.9 tolerances apart on a line, listed last to first:
         # only the chain, not any one pair, joins them into one centre
-        tol = 1e-3
+        tol = MERGE_TOLERANCE
         ends = [(k * 0.9 * tol, 0.0) for k in range(6)][::-1]
         angles = np.linspace(0.3, 2 * math.pi, 6, endpoint=False)
         lines = [[e, (10 * math.cos(t), 10 * math.sin(t))] for e, t in zip(ends, angles)]
         xy, raw = _write_lines(tmp_path / "net.geojson", lines)
-        got = read_network_geojson(tmp_path / "net.geojson", merge_tolerance=tol)
+        got = read_network_geojson(tmp_path / "net.geojson")
         assert got.n_vertices == 7 and sorted(got.degrees) == [1] * 6 + [6]
         want_xy, want_ev = kdtree_merge(xy, raw, tol)
         assert_same(got.vertex_xy, want_xy)
         assert_same(got.edge_vertices, want_ev)
 
-    def test_zero_tolerance_merges_exact_duplicates_only(self, tmp_path):
+    def test_ends_merge_within_the_tolerance_only(self, tmp_path):
+        # a gap of half the tolerance closes; one of twice the tolerance stays open
         p = tmp_path / "net.geojson"
-        _write_lines(p, [[(0.0, 0.0), (1.0, 0.0)], [(1.0, 0.0), (1.0, 1.0)], [(1.0 + 1e-6, 0.0), (2.0, 0.0)]])
-        assert read_network_geojson(p, merge_tolerance=0.0).n_vertices == 5
-        assert read_network_geojson(p, merge_tolerance=1e-5).n_vertices == 4
+        for gap, n_vertices in ((0.5 * MERGE_TOLERANCE, 4), (2 * MERGE_TOLERANCE, 5)):
+            lines = [[(0.0, 0.0), (1.0, 0.0)], [(1.0, 0.0), (1.0, 1.0)], [(1.0 + gap, 0.0), (2.0, 0.0)]]
+            xy, raw = _write_lines(p, lines)
+            got = read_network_geojson(p)
+            assert got.n_vertices == n_vertices
+            want_xy, want_ev = kdtree_merge(xy, raw, MERGE_TOLERANCE)
+            assert_same(got.vertex_xy, want_xy)
+            assert_same(got.edge_vertices, want_ev)
 
 
 class TestReadPoints:
@@ -319,7 +344,7 @@ class TestReadPoints:
         with pytest.raises(ParseError):
             read_points(p, net, max_snap_dist=0.5)
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e300", repr(-MAX_COORDINATE * 1.000001)])
     def test_csv_non_finite_coordinate_rejected(self, tmp_path, value):
         net = segment_network(2.0)
         p = tmp_path / "pts.csv"
@@ -327,7 +352,7 @@ class TestReadPoints:
         with pytest.raises(ParseError, match="record 2"):
             read_points(p, net, max_snap_dist=math.inf)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 1e300])
     def test_geojson_non_finite_coordinate_rejected(self, tmp_path, value):
         net = segment_network(2.0)
         p = tmp_path / "pts.geojson"
@@ -340,6 +365,16 @@ class TestReadPoints:
         )
         with pytest.raises(ParseError, match="record 2"):
             read_points(p, net, max_snap_dist=math.inf)
+
+    def test_records_at_the_coordinate_bound_snap(self, tmp_path):
+        # records as far as the bound allows snap to the nearer end, with no RuntimeWarning
+        net = segment_network(2.0)
+        p = tmp_path / "pts.csv"
+        m = MAX_COORDINATE
+        p.write_text(f"x,y\n{m!r},{m!r}\n{-m!r},0\n")
+        pattern, report = read_points(p, net, max_snap_dist=math.inf)
+        assert report.n_snapped == 2
+        assert_same(pattern.offset, np.array([2.0, 0.0]))
 
     def test_snap_never_exceeds_max_dist(self, tmp_path):
         rng = np.random.default_rng(7)

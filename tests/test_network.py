@@ -17,6 +17,7 @@ from lineheat import network
 from lineheat.ingest import write_network_geojson
 from lineheat.lattice import Lattice
 from lineheat.network import (
+    MAX_COORDINATE,
     NetworkLocation,
     PointPattern,
     _snap,
@@ -176,6 +177,17 @@ class TestValidationMatchesScan:
             for v, w in enumerate(want):
                 assert_same(incident_edges(net, v), w)
             assert_same(net.degrees, np.array([len(w) for w in want], dtype=np.int64))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e160])
+    def test_vertex_coordinate_beyond_bound_rejected(self, value):
+        with pytest.raises(ValueError, match=r"vertex 1 at .*: coordinates must be finite and at most MAX_COORDINATE"):
+            build_network([[0.0, 0.0], [value, 0.0], [0.0, 1.0]], [[0, 1], [0, 2]])
+
+    def test_network_at_the_coordinate_bound_validates(self):
+        # a crossing at the bound is still found, with no RuntimeWarning from the predicates
+        m = MAX_COORDINATE
+        with pytest.raises(InteriorIntersection):
+            build_network([[-m, -m], [m, m], [-m, m], [m, -m]], [[0, 1], [2, 3]])
 
     def test_isolated_vertex_rejected(self):
         with pytest.raises(ValueError, match="isolated vertex"):
