@@ -34,6 +34,7 @@ from .heat import DEFAULT_CONFIG, HeatConfig, estimate_heat_batch
 from .lattice import Lattice, LatticeFunction, _require_points
 from .network import PointPattern
 
+#: Pilot values at or below this share of the mean intensity n / |L| are clamped to it.
 PILOT_FLOOR = 1e-12
 
 
@@ -68,23 +69,24 @@ def abramson_bandwidths(
     """Square-root-rule bandwidths from a pilot intensity estimate.
 
     The pilot is read at each data point by linear interpolation along its
-    edge chain; values at or below ``PILOT_FLOOR`` are clamped (with a
-    warning) so isolated points keep a finite bandwidth.
+    edge chain; values at or below ``PILOT_FLOOR * n / |L|`` are clamped to it
+    (with a warning) so isolated points keep a finite bandwidth.
     """
     _require_points(pattern, pilot.lattice)
     if not 0 < global_bandwidth < math.inf:
         raise ValueError("global bandwidth must be positive and finite")
+    n = pattern.n
+    floor = PILOT_FLOOR * n / pattern.network.total_length
     vals = pilot.values_at(pattern.edge, pattern.offset)
-    clamp = vals <= PILOT_FLOOR
+    clamp = vals <= floor
     n_clamped = int(clamp.sum())
     if n_clamped:
         warnings.warn(
-            f"pilot intensity at {n_clamped} data point(s) was <= {PILOT_FLOOR}; clamped",
+            f"pilot intensity at {n_clamped} data point(s) was <= {floor:.6g} ({PILOT_FLOOR} n/|L|); clamped",
             NonpositivePilotWarning,
             stacklevel=2,
         )
-        vals = np.where(clamp, PILOT_FLOOR, vals)
-    n = pattern.n
+        vals = np.where(clamp, floor, vals)
     gamma = _gamma(vals, n, gamma_exponent)
     h = global_bandwidth * np.sqrt(n / vals) / gamma
     return BandwidthSet(

@@ -22,7 +22,7 @@ from .errors import EmptyPattern
 from .network import LinearNetwork, NetworkLocation, PointPattern, _vertex_distances
 
 #: Most lattice nodes a spacing may ask for: a heat or uniform-corrected run
-#: at this size peaks at about 0.55 and 0.7 GB.
+#: at this size peaks at about 0.5 and 0.7 GB.
 MAX_NODES = 2_000_000
 
 
@@ -46,10 +46,11 @@ class SolverGraph(NamedTuple):
 
 
 class Lattice:
-    """Nodes, weights, per-edge chains and the neighbor-link structure.
+    """Per-edge chains of nodes and the nodes' quadrature weights.
 
     Node ids: vertex v is node v for v < n_vertices; interior nodes follow,
-    edge by edge in ascending offset.  Immutable after construction.
+    edge by edge in ascending offset.  Immutable after construction: every
+    array it holds or derives is read-only.
     """
 
     def __init__(self, network: LinearNetwork, dx_target: float):
@@ -67,42 +68,14 @@ class Lattice:
         nv, ev = network.n_vertices, network.edge_vertices
         self._first_interior = nv + np.cumsum(self._n_pieces - 1) - (self._n_pieces - 1)
         self._chain_start = np.cumsum(self._n_pieces + 1) - (self._n_pieces + 1)
-
-        # keep this allocation order: it sets the heap holes the solver's steps reuse
         edge, j = self._chain_positions()
         # every edge's chain, edge by edge: position j = 0..k from the tail vertex to the head
         self._chain = self._first_interior[edge] + j - 1
-        tail, head = j == 0, j == self._n_pieces[edge]
-        self._chain[tail] = ev[edge[tail], 0]
-        self._chain[head] = ev[edge[head], 1]
-        # the inner chain positions are the interior nodes, in node-id order
-        inner = ~(tail | head)
-        self.node_edge = np.concatenate((np.full(nv, -1, dtype=np.int64), edge[inner]))
-        j = j[inner]
-        edge = self.node_edge[nv:]
-        h = self.edge_spacing[edge]
-        self.node_offset = np.concatenate((np.full(nv, np.nan), h * j))
+        self._chain[self._chain_start], self._chain[self._chain_start + self._n_pieces] = ev.T
         half = np.repeat(self.edge_spacing / 2, 2)  # tail and head share of each edge
-        self.node_weight = np.concatenate((np.bincount(ev.ravel(), half, nv), h))
-        t = (self.node_offset[nv:] / network.edge_lengths[edge])[:, None]
-        xy = network.vertex_xy[ev[edge, 0]] * (1 - t)
-        xy += network.vertex_xy[ev[edge, 1]] * t
-        self.node_xy = np.concatenate((network.vertex_xy, xy))
-        self.node_vertex = np.concatenate((np.arange(nv), np.full(len(edge), -1, dtype=np.int64)))
-        self.link_i, self.link_j = self._chain[~head], self._chain[~tail]
-        self.link_h = np.repeat(self.edge_spacing, self._n_pieces)
-        for a in (
-            self._chain,
-            self.node_xy,
-            self.node_weight,
-            self.node_edge,
-            self.node_offset,
-            self.node_vertex,
-            self.link_i,
-            self.link_j,
-            self.link_h,
-        ):
-            a.setflags(write=False)
+        inner = np.repeat(self.edge_spacing, self._n_pieces - 1)
+        self.node_weight = np.concatenate((np.bincount(ev.ravel(), half, nv), inner))
+        _read_only(*(a for a in vars(self).values() if isinstance(a, np.ndarray)))
 
     def _chain_positions(self):
         """(edge, j) for every chain position j = 0..k of every edge, edge by edge."""
@@ -128,7 +101,7 @@ class Lattice:
     @cached_property
     def _edge_nodes(self) -> np.ndarray:
         """Chain nodes of every edge, its end vertices included."""
-        return self._n_pieces + 1
+        return _read_only(self._n_pieces + 1)[0]
 
     @property
     def n_nodes(self) -> int:
@@ -148,13 +121,21 @@ class Lattice:
         return NetworkLocation(int(e), float(offset))
 
     def _node_locations(self, nodes):
-        """(edge, offset) of lattice nodes given as an array or a scalar; a vertex
-        sits on its lowest incident edge."""
-        net, v = self.network, self.node_vertex[nodes]
-        low = net._edge[net._ptr[np.maximum(v, 0)]]
-        at = np.where(net.edge_vertices[low, 0] == v, 0.0, net.edge_lengths[low])
-        inside = v < 0
-        return np.where(inside, self.node_edge[nodes], low), np.where(inside, self.node_offset[nodes], at)
+        """(edge, offset) of lattice nodes given as an array or a scalar: an inner
+        node at h * j along its edge, the inverse of :meth:`_inner_nodes`; a
+        vertex at an end of its lowest incident edge."""
+        net = self.network
+        inside = nodes >= net.n_vertices
+        e = np.searchsorted(self._first_interior, nodes, "right") - 1
+        x = self.edge_spacing[e] * (nodes - self._first_interior[e] + 1)
+        low = net._edge[net._ptr[np.where(inside, 0, nodes)]]
+        at = np.where(net.edge_vertices[low, 0] == nodes, 0.0, net.edge_lengths[low])
+        return np.where(inside, e, low), np.where(inside, x, at)
+
+    @cached_property
+    def node_xy(self) -> np.ndarray:
+        """Planar coordinates of every lattice node."""
+        return _read_only(self.network._xy(*self._node_locations(np.arange(self.n_nodes))))[0]
 
     def compatible(self, other: "Lattice") -> bool:
         return self is other or (
@@ -190,10 +171,9 @@ class Lattice:
         """
         edge, j = self._chain_positions()
         h = self.edge_spacing[edge]
-        k = self._n_pieces[edge]
         lo = np.where(j == 0, 0.0, h * (j - 1) + h / 2)
-        hi = np.where(j == k, self.network.edge_lengths[edge], h * (j + 1) - h / 2)
-        return edge, lo, hi, self._chain
+        hi = np.where(j == self._n_pieces[edge], self.network.edge_lengths[edge], h * (j + 1) - h / 2)
+        return (*_read_only(edge, lo, hi), self._chain)
 
     # -- the heat solver's graph and shortest-path distances ------------------
 
@@ -201,9 +181,11 @@ class Lattice:
     def _solver(self) -> SolverGraph:
         """The lattice with the ends of links shorter than dx_target / 2 merged,
         shortest first (ties by end nodes).  A merge that would bring a cluster's
-        summed merged link length, which bounds its extent, to dx_target / 2 is refused."""
-        tau = self.dx_target / 2
-        root = np.arange(self.n_nodes)
+        summed merged link length, which bounds its extent, to dx_target / 2 is refused.
+        Only one-piece edges can be short (k >= 2 pieces are longer than dx_target / 2),
+        so clusters join vertices only and every inner node is its own."""
+        tau, nv, ev = self.dx_target / 2, self.network.n_vertices, self.network.edge_vertices
+        root = np.arange(nv)
         extent = {}  # summed merged link lengths by cluster root
 
         def find(x):
@@ -212,19 +194,21 @@ class Lattice:
                 x = root[x]
             return x
 
-        short = np.flatnonzero(self.link_h < tau)
-        for h, a, b in sorted(zip(*(x[short].tolist() for x in (self.link_h, self.link_i, self.link_j)))):
+        short = np.flatnonzero(self.edge_spacing < tau)
+        for h, a, b in sorted(zip(self.edge_spacing[short].tolist(), *ev[short].T.tolist())):
             a, b = find(a), find(b)
             if a != b and (e := extent.get(a, 0.0) + extent.get(b, 0.0) + h) < tau:
                 root[b] = a
                 extent[a] = e
         while not np.array_equal(root, root[root]):
             root = root[root]
-        cluster = (np.cumsum(root == np.arange(self.n_nodes)) - 1)[root]
-        ci, cj = cluster[self.link_i], cluster[self.link_j]
+        first = np.cumsum(root == np.arange(nv)) - 1  # clusters numbered by root id, inner nodes last
+        cluster = np.concatenate((first[root], np.arange(first[-1] + 1, first[-1] + 1 + self.n_nodes - nv)))
+        c = cluster[self._chain]  # a chain's links join its positions 0..k - 1 to 1..k
+        ci, cj = np.delete(c, self._chain_start + self._n_pieces), np.delete(c, self._chain_start)
         keep = ci != cj
-        return SolverGraph(cluster, np.bincount(cluster, self.node_weight), ci[keep], cj[keep],
-                           self.link_h[keep], tau)
+        h = np.repeat(self.edge_spacing, self._n_pieces)[keep]
+        return SolverGraph(*_read_only(cluster, np.bincount(cluster, self.node_weight), ci[keep], cj[keep], h), tau)
 
     def _distances(self, edge, offset, cutoff: float = math.inf):
         """Shortest-path distances from the locations (edge[s], offset[s]) to the
@@ -302,6 +286,12 @@ class LatticeFunction:
         """Linear interpolation along the containing edge chains (unchecked)."""
         left, right, theta = self.lattice.bracket(edge, offset)
         return (1.0 - theta) * self.values[left] + theta * self.values[right]
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def discretize(net: LinearNetwork, dx_target: float) -> Lattice:

@@ -143,11 +143,18 @@ def stub_network(run, pieces=1):
     return split_edge(build_network([(0.0, 0.0), (1000.0, 0.0), (1000.0, run)], [(0, 1), (1, 2)]), 1, pieces)
 
 
+def chain_links(lattice):
+    """(tail, head, length) of the links between neighbours on every edge chain,
+    edge by edge, from tail to head."""
+    chains = lattice.edge_chains
+    return (np.concatenate([c[:-1] for c in chains]), np.concatenate([c[1:] for c in chains]),
+            np.repeat(lattice.edge_spacing, [len(c) - 1 for c in chains]))
+
+
 def uncontracted(lattice):
     """A new lattice like ``lattice`` whose solver graph is the lattice itself."""
     lat = Lattice(lattice.network, lattice.dx_target)
-    lat._solver = SolverGraph(np.arange(lat.n_nodes), lat.node_weight, lat.link_i, lat.link_j, lat.link_h,
-                              0.0)
+    lat._solver = SolverGraph(np.arange(lat.n_nodes), lat.node_weight, *chain_links(lat), 0.0)
     return lat
 
 
@@ -155,7 +162,7 @@ def reference_clusters(lattice):
     """Cluster label of every lattice node under the solver's merge rule, with
     each merge relabelling the merged cluster's nodes."""
     tau = lattice.dx_target / 2
-    hs, li, lj = lattice.link_h, lattice.link_i, lattice.link_j
+    li, lj, hs = chain_links(lattice)
     label = list(range(lattice.n_nodes))
     extent = [0.0] * lattice.n_nodes
     for link in sorted(range(len(hs)), key=lambda k: (hs[k], li[k], lj[k])):
@@ -188,12 +195,12 @@ def special_locations(lat, rng):
     """Both ends of every edge, every chain node, random link interiors, and
     offsets one ulp below an edge's end."""
     net = lat.network
-    nv = net.n_vertices
+    inner_edge, inner_offset = lat._node_locations(np.arange(net.n_vertices, lat.n_nodes))
     e = rng.integers(net.n_edges, size=20)
-    edge = np.concatenate((np.tile(np.arange(net.n_edges), 3), lat.node_edge[nv:], e))
+    edge = np.concatenate((np.tile(np.arange(net.n_edges), 3), inner_edge, e))
     offset = np.concatenate((
         np.zeros(net.n_edges), net.edge_lengths, np.nextafter(net.edge_lengths, 0.0),
-        lat.node_offset[nv:], rng.random(20) * net.edge_lengths[e],
+        inner_offset, rng.random(20) * net.edge_lengths[e],
     ))
     return [NetworkLocation(int(a), float(b)) for a, b in zip(edge, offset)]
 
@@ -401,8 +408,6 @@ def reference_lattice(net: LinearNetwork, dx: float) -> dict:
     weight = np.zeros(n)
     node_edge = np.full(n, -1, dtype=np.int64)
     node_offset = np.full(n, np.nan)
-    node_vertex = np.full(n, -1, dtype=np.int64)
-    node_vertex[:nv] = np.arange(nv)
     cols = {k: [] for k in ("edge_chains", "link_i", "link_j", "link_h", "ce", "cl", "ch")}
     cursor = nv
     for e in range(net.n_edges):
@@ -433,7 +438,7 @@ def reference_lattice(net: LinearNetwork, dx: float) -> dict:
                          np.concatenate(cols["edge_chains"]))
     out.update(
         edge_chains=cols["edge_chains"], edge_spacing=spacing, node_xy=xy, node_weight=weight,
-        node_edge=node_edge, node_offset=node_offset, node_vertex=node_vertex,
+        node_edge=node_edge, node_offset=node_offset,
     )
     return out
 
@@ -727,8 +732,8 @@ def csv_write_lattice(f, path):
 
 def graph_links(g):
     """(n, tail, head, length) of the links of a Lattice or a LinearNetwork."""
-    if hasattr(g, "link_i"):
-        return g.n_nodes, g.link_i, g.link_j, g.link_h
+    if isinstance(g, Lattice):
+        return g.n_nodes, *chain_links(g)
     return g.n_vertices, g.edge_vertices[:, 0], g.edge_vertices[:, 1], g.edge_lengths
 
 
@@ -782,7 +787,8 @@ def loop_lattice_distances(lat, edge, offset, cutoff=math.inf):
     d = np.full((len(edge), lat.n_nodes), np.inf)
     d[:, :nv] = d_vertex
     for i in range(nv, lat.n_nodes):
-        e, x = int(lat.node_edge[i]), float(lat.node_offset[i])
+        loc = lat.node_location(i)
+        e, x = loc.edge, loc.offset
         u, v = net.edge_vertices[e]
         d[:, i] = np.minimum(d_vertex[:, u] + x, d_vertex[:, v] + (float(net.edge_lengths[e]) - x))
         own = np.flatnonzero(edge == e)

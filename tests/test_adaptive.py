@@ -78,7 +78,21 @@ class TestAbramson:
             bw = abramson_bandwidths(pat, pilot, 0.2)
         assert bw.n_clamped == 3
         assert np.all(np.isfinite(bw.bandwidths))
-        assert np.all(bw.pilot_at_points == PILOT_FLOOR)
+        assert np.all(bw.pilot_at_points == PILOT_FLOOR * 3 / pat.network.total_length)
+
+    def test_floor_is_scale_free(self):
+        # the same pattern on its network scaled by 1e150: the pilot scales by 1e-150,
+        # the bandwidths by 1e150, and no pilot value falls to the floor
+        out = []
+        for scale in (1.0, 1e150):
+            net = y_network(branch=2.0 * scale)
+            pat, _ = _pattern_and_lattice()
+            pat = PointPattern(net, [NetworkLocation(e, min(o * scale, net.edge_lengths[e]))
+                                     for e, o in zip(pat.edge.tolist(), pat.offset.tolist())])
+            pilot = estimate_heat(pat, discretize(net, 0.1 * scale), 0.5 * scale)
+            out.append(abramson_bandwidths(pat, pilot, 0.4 * scale))
+        assert [bw.n_clamped for bw in out] == [0, 0]
+        np.testing.assert_allclose(out[1].bandwidths / 1e150, out[0].bandwidths, rtol=1e-12)
 
     def test_gamma_self_consistency(self):
         pat, lat = _pattern_and_lattice()

@@ -23,6 +23,7 @@ from lineheat.network import NetworkLocation, PointPattern, build_network
 from nets import (
     add_spurs,
     assert_same,
+    chain_links,
     contract,
     dense_heat_batch,
     dense_heat_solve,
@@ -131,11 +132,11 @@ class TestHeatStep:
         # S(theta dt) = (1 - theta) I + theta S(dt): the premise of the two-step join
         for lat, rng in random_lattices(19):
             v = rng.random(lat.n_nodes) * 10.0 ** rng.integers(-3, 4, lat.n_nodes)
-            dt = step_size(lat)
-            full = heat._step_values(v, lat, dt)
+            dt, g = step_size(lat), uncontracted(lat)._solver
+            full = heat._step_values(v, g, dt)
             for theta in rng.random(5):
                 blend = (1.0 - theta) * v + theta * full
-                assert np.abs(heat._step_values(v, lat, theta * dt) - blend).max() <= 2e-15 * v.max()
+                assert np.abs(heat._step_values(v, g, theta * dt) - blend).max() <= 2e-15 * v.max()
 
     @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
     def test_non_finite_time_and_bandwidth_rejected(self, bad):
@@ -510,7 +511,7 @@ class TestContraction:
             sigma = float(rng.uniform(0.2, 0.8))
             bw = sigma * rng.uniform(1.0, 2.0, pat.n)
             lat = discretize(net, default_dx(net, sigma))
-            assert lat.link_h.min() >= lat.dx_target / 2
+            assert lat.edge_spacing.min() >= lat.dx_target / 2
             assert_same(lat._solver.cluster, np.arange(lat.n_nodes))
             un = uncontracted(lat)
             assert_same(estimate_heat(pat, lat, sigma).values, estimate_heat(pat, un, sigma).values)
@@ -541,13 +542,13 @@ class TestContraction:
         tau = lat.dx_target / 2
         g = lat._solver
         assert g.tau == tau
+        li, lj, lh = chain_links(lat)
         extent = np.zeros(len(g.node_weight))
         for c in range(len(extent)):
             members = np.flatnonzero(g.cluster == c)
-            inside = np.isin(lat.link_i, members) & np.isin(lat.link_j, members)
+            inside = np.isin(li, members) & np.isin(lj, members)
             at = {v: k for k, v in enumerate(members)}
-            a = coo_matrix((lat.link_h[inside], ([at[v] for v in lat.link_i[inside]],
-                                                 [at[v] for v in lat.link_j[inside]])),
+            a = coo_matrix((lh[inside], ([at[v] for v in li[inside]], [at[v] for v in lj[inside]])),
                            shape=(len(members),) * 2)
             extent[c] = minimum_spanning_tree(a).sum()
             span = lat.node_xy[members]
@@ -588,7 +589,7 @@ class TestContraction:
         lat = discretize(net, 0.1)
         tip = NetworkLocation(net.n_edges - 1, float(net.edge_lengths[-1]))
         f = deposit_initial_mass(PointPattern(net, [tip, *random_pattern(net, 5, rng)]), lat)
-        assert heat._step_values(f.values, lat, step_size(lat)).min() < 0.0
+        assert heat._step_values(f.values, uncontracted(lat)._solver, step_size(lat)).min() < 0.0
         for _ in range(200):
             f = heat_step(f)
             assert f.values.min() >= 0.0

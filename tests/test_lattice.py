@@ -3,15 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from lineheat.heat import estimate_heat, estimate_heat_batch
+from lineheat.kernels import Kernel1D, estimate_jones_diggle, estimate_uniform_corrected
 from lineheat.lattice import LatticeFunction, discretize
 from lineheat.network import NetworkLocation
 
 from nets import (
     assert_same,
     brute_force_distance,
+    chain_links,
     random_lattices,
     random_location,
     random_network,
+    random_pattern,
     reference_bracket,
     reference_lattice,
     segment_network,
@@ -38,15 +42,17 @@ class TestDiscretize:
         for lat, _ in random_lattices(33, 10):
             ev, nv = lat.network.edge_vertices, lat.network.n_vertices
             edge, offset = lat._node_locations(np.arange(lat.n_nodes))
-            assert_same(edge[nv:], lat.node_edge[nv:])
-            assert_same(offset[nv:], lat.node_offset[nv:])
+            for i in range(nv, lat.n_nodes):
+                e = int(edge[i])
+                j = int(np.flatnonzero(lat.edge_chains[e] == i)[0])
+                assert offset[i] == lat.edge_spacing[e] * j
             for v in range(nv):
                 e = int(np.flatnonzero((ev == v).any(axis=1))[0])
                 assert (edge[v], offset[v]) == (e, 0.0 if ev[e, 0] == v else lat.network.edge_lengths[e])
 
     def test_inner_node_windows(self):
         # the ids and offsets of inner chain positions lo..lo + n - 1 are
-        # edge_chains' nodes there and their node_offset
+        # edge_chains' nodes there and their offsets from _node_locations
         sizes = set()
         for lat, rng in random_lattices(34, 15):
             chains = lat.edge_chains
@@ -54,7 +60,7 @@ class TestDiscretize:
             inner = np.array([len(c) - 2 for c in chains])
             node, x = lat._inner_nodes(np.arange(len(chains)), 1, inner)
             assert_same(node, np.arange(nv, lat.n_nodes))
-            assert_same(x, lat.node_offset[nv:])
+            assert_same(x, lat._node_locations(node)[1])
             windows = []
             for e, m in enumerate(inner.tolist()):
                 a = int(rng.integers(1, m + 1)) if m else 1
@@ -66,7 +72,7 @@ class TestDiscretize:
             want = [chains[e][a : a + m] for e, a, m in windows]
             assert_same(n, np.array([len(w) for w in want]))
             assert_same(node, np.concatenate(want))
-            assert_same(x, lat.node_offset[node])
+            assert_same(x, lat._node_locations(node)[1])
             sizes.update(np.sign(n).tolist())
         assert sizes == {0, 1}  # empty windows and nonempty ones
 
@@ -122,16 +128,34 @@ class TestVectorizedMatchesLoops:
     """The array paths equal the per-edge and per-point loops bit for bit."""
 
     def test_lattice_arrays(self):
-        names = ("node_xy", "node_weight", "node_edge", "node_offset", "node_vertex",
-                 "link_i", "link_j", "link_h")
         for lat, _ in random_lattices(41):
             ref = reference_lattice(lat.network, lat.dx_target)
-            for name in names:
+            for name in ("node_xy", "node_weight", "edge_spacing"):
                 assert_same(getattr(lat, name), ref[name])
+            nv = lat.network.n_vertices
+            edge, offset = lat._node_locations(np.arange(nv, lat.n_nodes))
+            assert_same(edge, ref["node_edge"][nv:])
+            assert_same(offset, ref["node_offset"][nv:])
+            for got, name in zip(chain_links(lat), ("link_i", "link_j", "link_h"), strict=True):
+                assert_same(got, ref[name])
             for got, want in zip(lat.node_cells, ref["node_cells"], strict=True):
                 assert_same(got, want)
             for got, want in zip(lat.edge_chains, ref["edge_chains"], strict=True):
                 assert_same(got, want)
+
+    def test_node_locations_match_the_loop_and_inner_nodes(self):
+        # the inverse of _inner_nodes: (edge, offset) of every inner node from its id
+        for lat, _ in random_lattices(44):
+            ref = reference_lattice(lat.network, lat.dx_target)
+            nv, ne = lat.network.n_vertices, lat.network.n_edges
+            edge, offset = lat._node_locations(np.arange(lat.n_nodes))
+            assert_same(edge[nv:], ref["node_edge"][nv:])
+            assert_same(offset[nv:], ref["node_offset"][nv:])
+            inner = lat._n_pieces - 1
+            node, x = lat._inner_nodes(np.arange(ne), np.ones(ne, dtype=np.int64), inner)
+            assert_same(node, np.arange(nv, lat.n_nodes))
+            assert_same(edge[node], np.repeat(np.arange(ne), inner))
+            assert_same(offset[node], x)
 
     def test_bracket_and_values_at(self):
         for lat, rng in random_lattices(43):
@@ -148,6 +172,35 @@ class TestVectorizedMatchesLoops:
             assert_same(f.values_at(edge, offset), values)
 
 
+class TestDerivedOnRead:
+    OWN = ("_n_pieces", "edge_spacing", "_first_interior", "_chain_start", "_chain", "node_weight")
+
+    def test_constructor_keeps_the_chain_layout_and_weights(self):
+        lat, _ = next(random_lattices(46, 1))
+        assert {k for k, v in vars(lat).items() if isinstance(v, np.ndarray)} == set(self.OWN)
+
+    def test_every_array_is_read_only(self):
+        # a write would silently corrupt compatible() and every later solve
+        for lat, _ in random_lattices(45, 5):
+            derived = (lat.node_xy, lat._edge_nodes, *lat.node_cells, *lat._solver[:5], *lat.edge_chains)
+            for a in (*(getattr(lat, name) for name in self.OWN), *derived):
+                assert isinstance(a, np.ndarray) and not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                lat.edge_spacing[0] = 1.0
+
+    def test_estimates_build_only_what_they_read(self):
+        for lat, rng in random_lattices(47, 5):
+            pat = random_pattern(lat.network, 10, rng)
+            estimate_heat(pat, lat, 0.5)
+            estimate_heat_batch(pat, lat, rng.uniform(0.3, 0.6, pat.n))
+            assert "_solver" in vars(lat) and "node_xy" not in vars(lat)
+            lat = discretize(lat.network, lat.dx_target)
+            kernel = Kernel1D("gaussian", 0.3)
+            estimate_uniform_corrected(pat, lat, kernel)
+            estimate_jones_diggle(pat, lat, kernel)
+            assert "_solver" not in vars(lat) and "node_xy" not in vars(lat)
+
+
 def _source_kind(lat, src):
     left, right, theta = (x.item() for x in lat.bracket(src.edge, src.offset))
     if left == right:
@@ -162,7 +215,7 @@ def _source_kind(lat, src):
 def _candidate_sources(lat, rng):
     net = lat.network
     yield lat.node_location(int(rng.integers(net.n_vertices)))
-    interior = np.nonzero(lat.node_vertex < 0)[0]
+    interior = np.arange(net.n_vertices, lat.n_nodes)
     if len(interior):
         yield lat.node_location(int(rng.choice(interior)))
     yield random_location(net, rng)

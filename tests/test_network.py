@@ -452,7 +452,9 @@ class TestGraphDistances:
             got = [np.concatenate(c) for c in zip(*lat._distances(edge, offset, cutoff))]
             for g, w in zip(got, loop_lattice_distances(lat, edge, offset, cutoff)):
                 assert_same(g, w)
-            assert_same(np.unique(lat.node_edge[got[1][got[0] < 2]]), np.array([1]))
+            node = got[1][got[0] < 2]
+            assert node.min() >= net.n_vertices  # inner nodes only
+            assert_same(np.unique(lat._node_locations(node)[0]), np.array([1]))
         assert sorted(got[2][got[0] == 0]) == [0.0, 0.5, 0.5]
 
     def test_single_source_fields_match_dijkstra(self):
