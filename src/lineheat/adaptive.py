@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import BadDelta, EmptyPattern, NonpositivePilotWarning
 from .heat import DEFAULT_CONFIG, HeatConfig, estimate_heat_batch
-from .lattice import Lattice, LatticeFunction, _require_points
+from .lattice import Lattice, LatticeFunction, _require_same_network
 from .network import PointPattern
 
 #: Pilot values at or below this share of the mean intensity n / |L| are clamped to it.
@@ -72,10 +72,12 @@ def abramson_bandwidths(
     edge chain; values at or below ``PILOT_FLOOR * n / |L|`` are clamped to it
     (with a warning) so isolated points keep a finite bandwidth.
     """
-    _require_points(pattern, pilot.lattice)
+    _require_same_network(pattern, pilot.lattice)
     if not 0 < global_bandwidth < math.inf:
         raise ValueError("global bandwidth must be positive and finite")
     n = pattern.n
+    if n == 0:
+        raise EmptyPattern("adaptive bandwidths need at least one data point")
     floor = PILOT_FLOOR * n / pattern.network.total_length
     vals = pilot.values_at(pattern.edge, pattern.offset)
     clamp = vals <= floor
@@ -172,6 +174,6 @@ def estimate_adaptive_partition(
     a single batched solve whose full steps are governed by the largest
     midpoint.
     """
-    _require_points(pattern, lattice)
+    _require_same_network(pattern, lattice)
     plan = make_partition(bw, delta)
     return estimate_heat_batch(pattern, lattice, plan.midpoints[plan.assignment], cfg)

@@ -155,6 +155,8 @@ def _load_pattern(args):
         _bandwidth(args.bw, "--bw")
     if args.bw_global not in (None, "auto"):
         _bandwidth(args.bw_global)
+    if args.kernel is not None and args.method == "heat":
+        raise LineHeatError("--kernel applies to the kernel methods, not --method heat")
     if args.adaptive:
         if args.method != "heat":
             raise LineHeatError("adaptive estimation is supported for the heat method only")
@@ -162,8 +164,14 @@ def _load_pattern(args):
             bin_count(args.delta)
         if args.bw_global is None:
             raise LineHeatError("--adaptive requires --bw-global (number or 'auto')")
+        if args.bw is not None:
+            raise LineHeatError("--bw is for fixed-bandwidth estimation; --adaptive takes --bw-global")
     elif args.bw is None:
         raise LineHeatError("--bw is required for fixed-bandwidth estimation")
+    else:
+        for name, value in (("--bw-global", args.bw_global), ("--delta", args.delta)):
+            if value is not None:
+                raise LineHeatError(f"{name} requires --adaptive")
     if args.format == "raster-csv":
         check_raster_res(args.raster_res)
     _check_dx(args.dx)

@@ -19,7 +19,7 @@ from .adaptive import BandwidthSet, abramson_bandwidths, bin_count, heuristic_gl
 from .errors import LatticeMismatch
 from .heat import (DEFAULT_CONFIG, HeatConfig, _check_node_steps, deposit_initial_mass, estimate_heat,
                    estimate_heat_batch, heat_solve, resolve_dx, step_size)
-from .lattice import Lattice, LatticeFunction, _require_points, discretize
+from .lattice import Lattice, LatticeFunction, _require_same_network, discretize
 from .network import LinearNetwork, PointPattern
 from .sim import (
     ExpCovSpec,
@@ -164,7 +164,7 @@ def estimate_adaptive_direct(
     rounding, in one pass; the CLI runs that.  Contributions are summed in
     canonical point order, so the result is independent of input ordering.
     """
-    _require_points(pattern, lattice)
+    _require_same_network(pattern, lattice)
     steps = int(np.ceil(bw.bandwidths**2 / step_size(lattice, cfg)).sum())
     _check_node_steps(lattice, steps, "the direct estimate sums one solve per point: "
                       "use --delta, lower --bw-global")

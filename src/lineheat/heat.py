@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LocationOffNetwork, StepBudgetExceeded
-from .lattice import Lattice, LatticeFunction, SolverGraph
+from .errors import StepBudgetExceeded
+from .lattice import Lattice, LatticeFunction, SolverGraph, _require_same_network
 from .network import LinearNetwork, PointPattern
 
 #: Thermal diffusivity: time equals kernel variance (t = sigma^2).
@@ -95,8 +95,7 @@ def deposit_initial_mass(pattern: PointPattern, lattice: Lattice) -> LatticeFunc
 
 def _shares(pattern: PointPattern, lattice: Lattice, points):
     """(node, share) rows of ``points``' unit masses, split between their bracketing chain nodes."""
-    if pattern.network is not lattice.network:
-        raise LocationOffNetwork("pattern bound to a different network")
+    _require_same_network(pattern, lattice)
     left, right, theta = lattice.bracket(pattern.edge[points], pattern.offset[points])
     return np.column_stack((left, right)).ravel(), np.column_stack((1.0 - theta, theta)).ravel()
 

@@ -143,7 +143,7 @@ def read_points(path, net: LinearNetwork, max_snap_dist: float):
     if n and not len(kept):
         raise AllPointsTooFar(f"all {n} record(s) are farther than {max_snap_dist} from the network")
     report = SnapReport(n, len(kept), n - len(kept), max_snap_dist)
-    return PointPattern.from_columns(net, edge[kept], offset[kept]), report
+    return PointPattern(net, edge[kept], offset[kept]), report
 
 
 def _read_points_csv(path) -> np.ndarray:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import network
 from .errors import LatticeMismatch, PairBudgetExceeded, PathExplosion, UnboundedKernel
-from .lattice import Lattice, LatticeFunction, _require_points
+from .lattice import Lattice, LatticeFunction, _require_same_network
 from .network import PointPattern, _box_pairs, _csr_rows
 
 GAUSSIAN_TRUNCATION = 4.0  # support radius in standard deviations
@@ -109,7 +109,7 @@ def estimate_uniform_corrected(
     precomputed :func:`precompute_edge_correction` to amortize the expensive
     per-node corrections across many patterns.
     """
-    _require_points(pattern, lattice)
+    _require_same_network(pattern, lattice)
     _check_pairs(lattice, kernel.support, _per_edge(pattern), edge_correction_values is None)
     ksum = _kernel_sum(pattern, lattice, kernel)
     covered = np.nonzero(ksum > 0)[0]
@@ -132,7 +132,7 @@ def estimate_jones_diggle(
     Integrates to the point count (up to quadrature error) but is not
     unbiased.
     """
-    _require_points(pattern, lattice)
+    _require_same_network(pattern, lattice)
     _check_pairs(lattice, kernel.support, _per_edge(pattern))
     out = np.zeros(lattice.n_nodes)
     for row, node, k in _point_terms(pattern, lattice, kernel):
@@ -251,7 +251,7 @@ def _equal_split(pattern, lattice, kernel, continuous):
     deposits), the newest first, so memory does not grow with the point
     count; ``MAX_WALKS`` bounds the walks of each point.
     """
-    _require_points(pattern, lattice)
+    _require_same_network(pattern, lattice)
     if not kernel.bounded:
         raise UnboundedKernel(
             "equal-split estimators need a bounded kernel family "

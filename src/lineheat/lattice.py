@@ -18,7 +18,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import network
-from .errors import EmptyPattern
 from .network import LinearNetwork, NetworkLocation, PointPattern, _vertex_distances
 
 #: Most lattice nodes a spacing may ask for: a heat or uniform-corrected run
@@ -257,8 +256,7 @@ class Lattice:
         along each node's edge: one rounding past the vertex distance.
         Entries beyond ``cutoff`` stay inf.
         """
-        self.network.check_location(source)
-        _, at, d = next(self._distances(np.array([source.edge]), np.array([source.offset]), cutoff))
+        _, at, d = next(self._distances(*self.network.check_locations([source.edge], [source.offset]), cutoff))
         out = np.full(self.n_nodes, np.inf)
         out[at] = d
         return out
@@ -299,9 +297,7 @@ def discretize(net: LinearNetwork, dx_target: float) -> Lattice:
     return Lattice(net, dx_target)
 
 
-def _require_points(pattern: PointPattern, lattice: Lattice):
-    """Estimator input guard: same network as the lattice, at least one point."""
+def _require_same_network(pattern: PointPattern, lattice: Lattice):
+    """Estimator input guard: the pattern lies on the lattice's network."""
     if lattice.network is not pattern.network:
         raise ValueError("pattern and lattice refer to different networks")
-    if pattern.n == 0:
-        raise EmptyPattern("estimator needs at least one data point")

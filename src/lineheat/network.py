@@ -165,14 +165,19 @@ class LinearNetwork:
     def total_length(self) -> float:
         return float(self.edge_lengths.sum())
 
-    def check_location(self, loc: NetworkLocation) -> None:
-        if not 0 <= loc.edge < self.n_edges:
-            raise LocationOffNetwork(f"edge id {loc.edge} out of range")
-        if not 0.0 <= loc.offset <= self.edge_lengths[loc.edge]:
-            raise LocationOffNetwork(
-                f"offset {loc.offset} outside [0, {self.edge_lengths[loc.edge]}] "
-                f"on edge {loc.edge}"
-            )
+    def check_locations(self, edge, offset):
+        """The locations (edge[i], offset[i]) as new int64 and float arrays; the
+        first one off the network raises LocationOffNetwork."""
+        edge, offset = np.array(edge, dtype=np.int64), np.array(offset, dtype=float)
+        on = (0 <= edge) & (edge < self.n_edges)
+        length = self.edge_lengths[np.where(on, edge, 0)]
+        on &= (0.0 <= offset) & (offset <= length)
+        if not on.all():
+            i = int(np.argmin(on))
+            if not 0 <= edge[i] < self.n_edges:
+                raise LocationOffNetwork(f"edge id {edge[i]} out of range")
+            raise LocationOffNetwork(f"offset {offset[i]} outside [0, {length[i]}] on edge {edge[i]}")
+        return edge, offset
 
     def _xy(self, edge, offset) -> np.ndarray:
         """Planar coordinates of locations given as arrays or scalars (unchecked)."""
@@ -259,9 +264,8 @@ def shortest_path_distance(
 
     A vertex is reached at exactly 0.0 from itself, whichever edge names it.
     """
-    net.check_location(a)
-    net.check_location(b)
-    dist = next(_vertex_distances(net, np.array([a.edge]), np.array([a.offset]), math.inf, 1))[0]
+    edge, offset = net.check_locations([a.edge, b.edge], [a.offset, b.offset])
+    dist = next(_vertex_distances(net, edge[:1], offset[:1], math.inf, 1))[0]
     best = math.inf
     if a.edge == b.edge:
         best = abs(a.offset - b.offset)
@@ -386,44 +390,23 @@ class PointPattern:
 
     ``edge`` and ``offset`` keep the input order; ``order`` is the canonical
     (edge, offset) order in which estimators accumulate per-point terms.
-    Indexing (and so iteration) yields :class:`NetworkLocation`.
     """
 
-    def __init__(self, network: LinearNetwork, points: Sequence[NetworkLocation] = (), *, columns=None):
-        """Pattern of the ``points``, or of the ``columns`` (edge, offset), checked as
-        arrays: the first location off the network raises
-        :meth:`LinearNetwork.check_location`'s error."""
-        if columns is None:
-            pts = tuple(points)
-            columns = [p.edge for p in pts], [p.offset for p in pts]
+    def __init__(self, network: LinearNetwork, edge, offset):
+        """Pattern of the locations (edge[i], offset[i]), checked by
+        :meth:`LinearNetwork.check_locations`."""
         self.network = network
-        self.edge = np.array(columns[0], dtype=np.int64)
-        self.offset = np.array(columns[1], dtype=float)
-        on = (0 <= self.edge) & (self.edge < network.n_edges)
-        on &= (0.0 <= self.offset) & (self.offset <= network.edge_lengths[np.where(on, self.edge, 0)])
-        if not on.all():
-            network.check_location(self[int(np.argmin(on))])
+        self.edge, self.offset = network.check_locations(edge, offset)
         self.order = np.lexsort((self.offset, self.edge))
         for a in (self.edge, self.offset, self.order):
             a.setflags(write=False)
-
-    @classmethod
-    def from_columns(cls, network: LinearNetwork, edge, offset) -> "PointPattern":
-        """Pattern of the locations (edge[i], offset[i])."""
-        return cls(network, columns=(edge, offset))
 
     @property
     def n(self) -> int:
         return len(self.edge)
 
     def subset(self, indices) -> "PointPattern":
-        return PointPattern.from_columns(self.network, self.edge[indices], self.offset[indices])
-
-    def __getitem__(self, i) -> NetworkLocation:
-        return NetworkLocation(int(self.edge[i]), float(self.offset[i]))
-
-    def __len__(self):
-        return self.n
+        return PointPattern(self.network, self.edge[indices], self.offset[indices])
 
     def __repr__(self):
         return f"PointPattern(n={self.n})"

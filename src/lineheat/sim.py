@@ -222,6 +222,6 @@ def sample_poisson_on_network(intensity: LatticeFunction, seed) -> PointPattern:
     rng = np.random.default_rng(seed)
     n = 0 if total <= 0 else int(rng.poisson(total))
     if n == 0:
-        return PointPattern.from_columns(lat.network, [], [])
+        return PointPattern(lat.network, [], [])
     c = rng.choice(len(cell_mass), size=n, p=cell_mass / total)
-    return PointPattern.from_columns(lat.network, ce[c], cl[c] + rng.random(n) * (ch[c] - cl[c]))
+    return PointPattern(lat.network, ce[c], cl[c] + rng.random(n) * (ch[c] - cl[c]))

@@ -210,15 +210,30 @@ def random_location(net, rng):
     return NetworkLocation(e, float(rng.random() * net.edge_lengths[e]))
 
 
-def random_pattern(net, n, rng):
-    """Uniform-by-length points."""
+def random_locations(net, n, rng):
+    """Uniform-by-length locations."""
     p = net.edge_lengths / net.total_length
     edges = rng.choice(net.n_edges, size=n, p=p)
-    pts = [
+    return [
         NetworkLocation(int(e), float(rng.random() * net.edge_lengths[e]))
         for e in edges
     ]
-    return PointPattern(net, pts)
+
+
+def random_pattern(net, n, rng):
+    """Pattern of :func:`random_locations`."""
+    return pattern_of(net, random_locations(net, n, rng))
+
+
+def pattern_of(net, locations):
+    """Pattern of a sequence of :class:`NetworkLocation`, in order."""
+    locations = list(locations)
+    return PointPattern(net, [p.edge for p in locations], [p.offset for p in locations])
+
+
+def location(pattern, i):
+    """Point ``i`` of ``pattern`` as a :class:`NetworkLocation`."""
+    return NetworkLocation(int(pattern.edge[i]), float(pattern.offset[i]))
 
 
 # -- oracles -------------------------------------------------------------------
@@ -246,7 +261,7 @@ def scan_snap(net: LinearNetwork, point, max_dist: float):
 
 def canonical_location(net: LinearNetwork, loc: NetworkLocation):
     """Canonical form: ('v', vertex id) at edge ends, ('e', edge, offset) inside."""
-    net.check_location(loc)
+    net.check_locations([loc.edge], [loc.offset])
     u, v = net.edge_vertices[loc.edge]
     if loc.offset == 0.0:
         return ("v", int(u))
@@ -526,7 +541,7 @@ def dense_heat_batch(pattern, lattice, bandwidths, cfg, inject=dense_inject):
     members = [np.flatnonzero(group == k) for k in range(len(sigmas))]
     return inject(
         lattice, sigmas * sigmas,
-        lambda k: reference_mass(ref, lattice.network, [pattern[i] for i in members[k]]), cfg)
+        lambda k: reference_mass(ref, lattice.network, [location(pattern, i) for i in members[k]]), cfg)
 
 
 def assert_same(got, want):
@@ -583,7 +598,7 @@ def loop_precompute_edge_correction(lattice, kernel):
 def loop_kernel_sum(pattern, lattice, kernel):
     out = np.zeros(lattice.n_nodes)
     for i in pattern.order:
-        d = lattice.distance_field(pattern[i], cutoff=kernel.support)
+        d = lattice.distance_field(location(pattern, i), cutoff=kernel.support)
         m = np.isfinite(d)
         out[m] += kernel(d[m])
     return out
@@ -603,7 +618,7 @@ def loop_uniform_corrected(pattern, lattice, kernel):
 def loop_jones_diggle(pattern, lattice, kernel):
     out = np.zeros(lattice.n_nodes)
     for i in pattern.order:
-        d = lattice.distance_field(pattern[i], cutoff=kernel.support)
+        d = lattice.distance_field(location(pattern, i), cutoff=kernel.support)
         m = np.isfinite(d)
         k = kernel(d[m])
         c = float(lattice.node_weight[m] @ k)
@@ -625,7 +640,7 @@ def recursive_equal_split(pattern, lattice, kernel, continuous):
     walks = np.zeros(pattern.n, dtype=np.int64)
     for i in pattern.order:
         count = [0]
-        _deposit_from_point(lattice, pattern[i], kernel, out, continuous, count)
+        _deposit_from_point(lattice, location(pattern, i), kernel, out, continuous, count)
         walks[i] = count[0]
     return out, walks
 

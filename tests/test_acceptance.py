@@ -24,13 +24,14 @@ from lineheat.kernels import (
     precompute_edge_correction,
 )
 from lineheat.lattice import LatticeFunction, discretize
-from lineheat.network import NetworkLocation, PointPattern, shortest_path_distance
+from lineheat.network import NetworkLocation, shortest_path_distance
 from lineheat.sim import ExpCovSpec, sample_gaussian_field, sample_poisson_on_network
 
 from nets import (
     brute_force_distance,
     grid_network,
     images_series,
+    pattern_of,
     random_location,
     random_network,
     random_pattern,
@@ -51,7 +52,7 @@ class TestCriterion1HeatSolverOracle:
 
         t0 = time.perf_counter()
         lat = discretize(segment_network(1.0), 1 / 512)
-        f = deposit_initial_mass(PointPattern(lat.network, [NetworkLocation(0, 0.5)]), lat)
+        f = deposit_initial_mass(pattern_of(lat.network, [NetworkLocation(0, 0.5)]), lat)
         g = heat_solve(f, 0.01)
         elapsed = time.perf_counter() - t0
         chain = lat.edge_chains[0]
@@ -150,7 +151,7 @@ class TestCriterion5EqualSplit:
         lat = discretize(net, 0.1)
         k = Kernel1D("epanechnikov", 0.9)
         a, b = 0.3, 0.4
-        pat = PointPattern(net, [NetworkLocation(0, a)])
+        pat = pattern_of(net, [NetworkLocation(0, a)])
         node = lat.edge_chains[1][4]
         kd = equal_split_discontinuous(pat, lat, k).values[node]
         kc = equal_split_continuous(pat, lat, k).values[node]
@@ -168,7 +169,7 @@ class TestCriterion5EqualSplit:
         spreads = []
         for dx in (0.016, 0.004):  # 4x refinement
             lat = discretize(net, dx)
-            kc = equal_split_continuous(PointPattern(net, [NetworkLocation(0, 0.5)]), lat, k)
+            kc = equal_split_continuous(pattern_of(net, [NetworkLocation(0, 0.5)]), lat, k)
             lims = []
             for e in range(3):
                 c = lat.edge_chains[e]
@@ -209,7 +210,7 @@ class TestCriterion6Abramson:
         vals = np.zeros(lat.n_nodes)
         vals[lat.edge_chains[0]] = [2.0, 2.0, 5.0, 8.0, 8.0]
         pilot = LatticeFunction(lat, vals)
-        pat = PointPattern(net, [NetworkLocation(0, 0.25), NetworkLocation(0, 1.0)])
+        pat = pattern_of(net, [NetworkLocation(0, 0.25), NetworkLocation(0, 1.0)])
         h = abramson_bandwidths(pat, pilot, 0.1).bandwidths
         ok = abs(h[0] - 0.14142) <= 5e-6 and abs(h[1] - 0.07071) <= 5e-6
         report(6, ok, f"worked example h = ({h[0]:.5f}, {h[1]:.5f}) vs (0.14142, 0.07071)")

@@ -14,9 +14,9 @@ from lineheat.errors import BadDelta, EmptyPattern, NonpositivePilotWarning, Ste
 from lineheat.experiment import estimate_adaptive_direct, ise, partition_per_bin
 from lineheat.heat import estimate_heat, estimate_heat_batch, step_size
 from lineheat.lattice import LatticeFunction, discretize
-from lineheat.network import NetworkLocation, PointPattern
+from lineheat.network import NetworkLocation
 
-from nets import random_network, random_pattern, segment_network, y_network
+from nets import pattern_of, random_network, random_pattern, segment_network, y_network
 
 
 def _pattern_and_lattice(n=6, seed=3):
@@ -53,7 +53,7 @@ class TestAbramson:
         chain = lat.edge_chains[0]
         vals[chain] = [2.0, 2.0, 5.0, 8.0, 8.0]
         pilot = LatticeFunction(lat, vals)
-        pat = PointPattern(net, [NetworkLocation(0, 0.25), NetworkLocation(0, 1.0)])
+        pat = pattern_of(net, [NetworkLocation(0, 0.25), NetworkLocation(0, 1.0)])
         bw = abramson_bandwidths(pat, pilot, 0.1)
         assert bw.pilot_at_points == pytest.approx([2.0, 8.0], rel=1e-12)
         assert bw.bandwidths == pytest.approx([0.14142, 0.07071], abs=5e-6)
@@ -87,7 +87,7 @@ class TestAbramson:
         for scale in (1.0, 1e150):
             net = y_network(branch=2.0 * scale)
             pat, _ = _pattern_and_lattice()
-            pat = PointPattern(net, [NetworkLocation(e, min(o * scale, net.edge_lengths[e]))
+            pat = pattern_of(net, [NetworkLocation(e, min(o * scale, net.edge_lengths[e]))
                                      for e, o in zip(pat.edge.tolist(), pat.offset.tolist())])
             pilot = estimate_heat(pat, discretize(net, 0.1 * scale), 0.5 * scale)
             out.append(abramson_bandwidths(pat, pilot, 0.4 * scale))
@@ -105,11 +105,11 @@ class TestAbramson:
         net = segment_network()
         lat = discretize(net, 0.25)
         with pytest.raises(EmptyPattern):
-            abramson_bandwidths(PointPattern(net, []), _constant_pilot(lat, 1.0), 0.1)
+            abramson_bandwidths(pattern_of(net, []), _constant_pilot(lat, 1.0), 0.1)
 
     def test_pilot_on_another_network_rejected(self):
         pilot = _constant_pilot(discretize(y_network(), 0.25), 1.0)
-        pat = PointPattern(segment_network(), [NetworkLocation(0, 0.5)])
+        pat = pattern_of(segment_network(), [NetworkLocation(0, 0.5)])
         with pytest.raises(ValueError, match="different networks"):
             abramson_bandwidths(pat, pilot, 0.1)
 
@@ -192,7 +192,7 @@ class TestAdaptiveEstimates:
     def test_single_point_matches_fixed(self):
         net = y_network()
         lat = discretize(net, 0.1)
-        pat = PointPattern(net, [NetworkLocation(0, 0.4)])
+        pat = pattern_of(net, [NetworkLocation(0, 0.4)])
         bw = abramson_bandwidths(pat, _constant_pilot(lat, 1.0), 0.3)
         direct = estimate_adaptive_direct(pat, lat, bw)
         fixed = estimate_heat(pat, lat, 0.3)
@@ -277,7 +277,7 @@ class TestAdaptiveEstimates:
         pilot = estimate_heat(pat, lat, 0.5)
         bw = abramson_bandwidths(pat, pilot, 0.5)
         perm = np.random.default_rng(1).permutation(10)
-        pat2 = PointPattern(pat.network, [pat[i] for i in perm])
+        pat2 = pat.subset(perm)
         pilot2 = estimate_heat(pat2, lat, 0.5)
         bw2 = abramson_bandwidths(pat2, pilot2, 0.5)
         a = estimate_adaptive_direct(pat, lat, bw)

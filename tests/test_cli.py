@@ -221,10 +221,16 @@ class TestEstimate:
         (("--bw", "1", "--max-snap-dist", "-1"), "--max-snap-dist must be positive"),
         (("--bw", "1", "--max-snap-dist", "nan"), "--max-snap-dist must be positive"),
         (("--bw", "1", "--max-snap-dist", "0"), "--max-snap-dist must be positive"),
+        (("--bw", "100", "--delta", "0.3"), "--delta requires --adaptive"),
+        (("--bw", "100", "--bw-global", "50"), "--bw-global requires --adaptive"),
+        (("--adaptive", "--bw-global", "150", "--bw", "5"),
+         "--bw is for fixed-bandwidth estimation; --adaptive takes --bw-global"),
+        (("--bw", "100", "--kernel", "quartic"), "--kernel applies to the kernel methods, not --method heat"),
     ], ids=["delta", "adaptive-method", "adaptive-without-bw-global", "fixed-without-bw",
             "raster-cells", "raster-negative", "bw-square", "bw-global-square",
             "dx-negative", "dx-zero", "dx-nan", "adaptive-dx-inf",
-            "snap-negative", "snap-nan", "snap-zero"])
+            "snap-negative", "snap-nan", "snap-zero",
+            "fixed-with-delta", "fixed-with-bw-global", "adaptive-with-bw", "heat-with-kernel"])
     def test_bad_arguments_rejected_before_the_network_is_read(self, tmp_path, flags, message):
         proc = run_cli(
             "estimate", "--net", tmp_path / "nope.geojson", "--points", tmp_path / "nope.csv",
@@ -441,6 +447,60 @@ class TestEstimate:
             )
             assert proc.returncode == 0, (method, proc.stderr)
             assert out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ("--bw", "0.2"),
+        ("--adaptive", "--bw-global", "0.3"),
+        ("--adaptive", "--bw-global", "0.3", "--delta", "0.5"),
+        ("--adaptive", "--bw-global", "auto"),
+        ("--method", "uniform-corrected", "--bw", "0.2", "--format", "raster-csv", "--raster-res", "16"),
+        ("--method", "jones-diggle", "--bw", "0.2"),
+        ("--method", "esd", "--bw", "0.2"),
+        ("--method", "esc", "--bw", "0.2"),
+    ], ids=["heat", "adaptive", "adaptive-delta", "adaptive-auto", "uniform-corrected-raster",
+            "jones-diggle", "esd", "esc"])
+    def test_permuted_records_give_identical_output(self, toy, tmp_path, flags):
+        # the same files in two directories, the second with its data rows permuted;
+        # 200 more records on the toy network make kernels and deposits overlap
+        net, net_path, pts_path = toy
+        header, *rows = pts_path.read_text().splitlines()
+        rng = np.random.default_rng(5)
+        pat = random_pattern(net, 200, rng)
+        rows += [f"{x!r},{y!r}" for x, y in net._xy(pat.edge, pat.offset).tolist()]
+        runs = []
+        for name, order in (("given", rows), ("permuted", [rows[i] for i in rng.permutation(len(rows))])):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "pts.csv").write_text("\n".join([header, *order]) + "\n")
+            proc = run_cli("estimate", "--net", net_path, "--points", "pts.csv", *flags, "--out", "est.csv",
+                           cwd=tmp_path / name)
+            assert proc.returncode == 0, proc.stderr
+            runs.append((proc.stdout, proc.stderr, (tmp_path / name / "est.csv").read_bytes()))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("method", ["heat", "uniform-corrected", "jones-diggle", "esd", "esc"])
+    def test_header_only_points_give_the_zero_estimate(self, toy, tmp_path, method):
+        _, net_path, _ = toy
+        pts = tmp_path / "pts.csv"
+        pts.write_text("x,y\n")
+        proc = run_cli("estimate", "--net", net_path, "--points", pts, "--method", method, "--bw", "0.2",
+                       "--out", tmp_path / "est.csv")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines() == ["warning: input contained no event records"]
+        assert proc.stdout.splitlines()[1:3] == ["n_points: 0", "estimate_integral: 0"]
+        values = [float(r.split(",")[-1]) for r in (tmp_path / "est.csv").read_text().splitlines()[1:]]
+        assert values and all(v == 0.0 for v in values)
+
+    def test_header_only_points_refused_by_the_adaptive_estimate(self, toy, tmp_path):
+        _, net_path, _ = toy
+        pts = tmp_path / "pts.csv"
+        pts.write_text("x,y\n")
+        proc = run_cli("estimate", "--net", net_path, "--points", pts, "--adaptive", "--bw-global", "0.3",
+                       "--out", tmp_path / "est.csv")
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "warning: input contained no event records",
+            "error: adaptive bandwidths need at least one data point",
+        ]
 
 
 class TestSimulate:

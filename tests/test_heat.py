@@ -18,7 +18,7 @@ from lineheat.heat import (
     step_size,
 )
 from lineheat.lattice import LatticeFunction, discretize
-from lineheat.network import NetworkLocation, PointPattern, build_network
+from lineheat.network import NetworkLocation, build_network
 
 from nets import (
     add_spurs,
@@ -30,7 +30,9 @@ from nets import (
     edge_integrals,
     grid_network,
     images_series,
+    pattern_of,
     random_lattices,
+    random_locations,
     random_network,
     random_pattern,
     random_spur_network,
@@ -52,7 +54,7 @@ from nets import (
 class TestDeposit:
     def test_point_on_node(self):
         lat = discretize(segment_network(1.0), 0.25)
-        f = deposit_initial_mass(PointPattern(lat.network, [NetworkLocation(0, 0.5)]), lat)
+        f = deposit_initial_mass(pattern_of(lat.network, [NetworkLocation(0, 0.5)]), lat)
         node = lat.edge_chains[0][2]
         w = lat.node_weight[node]
         assert f.values[node] == 1.0 / w
@@ -60,7 +62,7 @@ class TestDeposit:
 
     def test_point_between_nodes_splits(self):
         lat = discretize(segment_network(1.0), 0.25)
-        f = deposit_initial_mass(PointPattern(lat.network, [NetworkLocation(0, 0.375)]), lat)
+        f = deposit_initial_mass(pattern_of(lat.network, [NetworkLocation(0, 0.375)]), lat)
         c = lat.edge_chains[0]
         assert f.values[c[1]] == pytest.approx(0.5 / lat.node_weight[c[1]], rel=1e-15)
         assert f.values[c[2]] == pytest.approx(0.5 / lat.node_weight[c[2]], rel=1e-15)
@@ -78,7 +80,7 @@ class TestDeposit:
         # ends, chain nodes and link interiors, against the per-point loop
         for lat, rng in random_lattices(47):
             locs = special_locations(lat, rng)
-            pat = PointPattern(lat.network, locs)
+            pat = pattern_of(lat.network, locs)
             got = deposit_initial_mass(pat, lat).values
             ref = reference_lattice(lat.network, lat.dx_target)
             assert_same(got, reference_deposit(ref, lat.network, locs))
@@ -97,7 +99,7 @@ class TestHeatStep:
     def test_mass_invariant_over_many_steps(self):
         net = y_network()
         lat = discretize(net, 0.1)
-        f = deposit_initial_mass(PointPattern(lat.network, [NetworkLocation(0, 0.45), NetworkLocation(1, 0.8)]), lat)
+        f = deposit_initial_mass(pattern_of(lat.network, [NetworkLocation(0, 0.45), NetworkLocation(1, 0.8)]), lat)
         m0 = f.integral()
         running_min = 0.0
         for _ in range(10_000):
@@ -141,7 +143,7 @@ class TestHeatStep:
     @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
     def test_non_finite_time_and_bandwidth_rejected(self, bad):
         lat = discretize(segment_network(1.0), 0.25)
-        pat = PointPattern(lat.network, [NetworkLocation(0, 0.5)])
+        pat = pattern_of(lat.network, [NetworkLocation(0, 0.5)])
         with pytest.raises(ValueError, match="finite"):
             heat_solve(deposit_initial_mass(pat, lat), bad)
         with pytest.raises(ValueError, match="finite"):
@@ -155,7 +157,7 @@ class TestHeatStep:
 class TestHeatSolve:
     def test_t_zero_returns_copy(self):
         lat = discretize(segment_network(1.0), 0.25)
-        f = deposit_initial_mass(PointPattern(lat.network, [NetworkLocation(0, 0.5)]), lat)
+        f = deposit_initial_mass(pattern_of(lat.network, [NetworkLocation(0, 0.5)]), lat)
         g = heat_solve(f, 0.0)
         assert np.array_equal(f.values, g.values)
         assert g is not f
@@ -163,7 +165,7 @@ class TestHeatSolve:
     def test_images_oracle_mid_segment(self):
         # unit mass at 0.5, t = 0.01 on [0, 1] with dx = 1/512
         lat = discretize(segment_network(1.0), 1 / 512)
-        f = deposit_initial_mass(PointPattern(lat.network, [NetworkLocation(0, 0.5)]), lat)
+        f = deposit_initial_mass(pattern_of(lat.network, [NetworkLocation(0, 0.5)]), lat)
         g = heat_solve(f, 0.01)
         chain = lat.edge_chains[0]
         x = np.arange(513) / 512
@@ -173,7 +175,7 @@ class TestHeatSolve:
 
     def test_long_time_uniform(self):
         lat = discretize(segment_network(1.0), 1 / 8)
-        f = deposit_initial_mass(PointPattern(lat.network, [NetworkLocation(0, 0.3)]), lat)
+        f = deposit_initial_mass(pattern_of(lat.network, [NetworkLocation(0, 0.3)]), lat)
         g = heat_solve(f, 100.0)
         assert np.allclose(g.values, 1.0, atol=1e-6)
 
@@ -182,7 +184,7 @@ class TestHeatSolve:
         errs = []
         for m in (128, 256):
             lat = discretize(segment_network(1.0), 1 / m)
-            f = deposit_initial_mass(PointPattern(lat.network, [NetworkLocation(0, 0.5)]), lat)
+            f = deposit_initial_mass(pattern_of(lat.network, [NetworkLocation(0, 0.5)]), lat)
             g = heat_solve(f, 0.01)
             chain = lat.edge_chains[0]
             x = np.arange(m + 1) / m
@@ -203,8 +205,8 @@ class TestHeatSolve:
         lat1 = discretize(net1, 0.1)
         lat2 = discretize(net2, 0.1)
         # the same physical point: 0.3 along the (1,0)-(2,0) edge
-        f1 = estimate_heat(PointPattern(net1, [NetworkLocation(1, 0.3)]), lat1, 0.4)
-        f2 = estimate_heat(PointPattern(net2, [NetworkLocation(0, 0.3)]), lat2, 0.4)
+        f1 = estimate_heat(pattern_of(net1, [NetworkLocation(1, 0.3)]), lat1, 0.4)
+        f2 = estimate_heat(pattern_of(net2, [NetworkLocation(0, 0.3)]), lat2, 0.4)
         # compare at shared physical positions
         off = np.array([0.0, 0.25, 0.55, 0.95])
         a = f1.values_at(np.zeros(4, dtype=np.int64), off)
@@ -228,7 +230,7 @@ class TestEstimateHeat:
 
         net = two_disjoint_segments()
         lat = discretize(net, 0.1)
-        pat = PointPattern(net, [NetworkLocation(0, 0.5)])
+        pat = pattern_of(net, [NetworkLocation(0, 0.5)])
         est = estimate_heat(pat, lat, 2.0)  # long time: uniform on component 0
         other = [
             i for i in range(lat.n_nodes)
@@ -241,7 +243,7 @@ class TestEstimateHeat:
         # far from vertices the heat kernel is the plain gaussian
         sigma = 0.05
         lat = discretize(segment_network(1.0), 1 / 512)
-        pat = PointPattern(lat.network, [NetworkLocation(0, 0.5)])
+        pat = pattern_of(lat.network, [NetworkLocation(0, 0.5)])
         est = estimate_heat(pat, lat, sigma)
         chain = lat.edge_chains[0]
         x = np.arange(513) / 512
@@ -252,8 +254,8 @@ class TestEstimateHeat:
     def test_doubling_pattern_doubles_estimate(self):
         lat = discretize(segment_network(1.0), 1 / 64)
         pts = [NetworkLocation(0, 0.3), NetworkLocation(0, 0.6)]
-        one = estimate_heat(PointPattern(lat.network, pts), lat, 0.1)
-        two = estimate_heat(PointPattern(lat.network, pts + pts), lat, 0.1)
+        one = estimate_heat(pattern_of(lat.network, pts), lat, 0.1)
+        two = estimate_heat(pattern_of(lat.network, pts + pts), lat, 0.1)
         assert np.allclose(two.values, 2 * one.values, rtol=1e-12, atol=1e-15)
 
 
@@ -261,7 +263,7 @@ class TestHeatBatch:
     def test_single_subset_matches_estimate_heat(self):
         net = y_network()
         lat = discretize(net, 0.05)
-        pat = PointPattern(net, [NetworkLocation(0, 0.4), NetworkLocation(2, 0.7)])
+        pat = pattern_of(net, [NetworkLocation(0, 0.4), NetworkLocation(2, 0.7)])
         a = estimate_heat_batch(pat, lat, [0.21, 0.21])
         b = estimate_heat(pat, lat, 0.21)
         assert np.array_equal(a.values, b.values)
@@ -271,10 +273,10 @@ class TestHeatBatch:
         net = y_network()
         lat = discretize(net, 0.05)
         p1, q, p2 = NetworkLocation(0, 0.4), NetworkLocation(2, 0.2), NetworkLocation(1, 0.7)
-        a = estimate_heat_batch(PointPattern(net, [p1, q, p2]), lat, [0.17, 0.3, 0.17])
+        a = estimate_heat_batch(pattern_of(net, [p1, q, p2]), lat, [0.17, 0.3, 0.17])
         b = (
-            estimate_heat(PointPattern(net, [p1, p2]), lat, 0.17).values
-            + estimate_heat(PointPattern(net, [q]), lat, 0.3).values
+            estimate_heat(pattern_of(net, [p1, p2]), lat, 0.17).values
+            + estimate_heat(pattern_of(net, [q]), lat, 0.3).values
         )
         assert np.allclose(a.values, b, rtol=1e-12, atol=1e-15)
 
@@ -285,25 +287,25 @@ class TestHeatBatch:
         pts, bws = [], []
         naive = np.zeros(lat.n_nodes)
         for sigma in (0.13, 0.24, 0.55):
-            sub = random_pattern(net, 4, rng)
-            pts += list(sub)
-            bws += [sigma] * sub.n
-            naive += estimate_heat(sub, lat, sigma).values
-        batch = estimate_heat_batch(PointPattern(net, pts), lat, bws)
+            sub = random_locations(net, 4, rng)
+            pts += sub
+            bws += [sigma] * len(sub)
+            naive += estimate_heat(pattern_of(net, sub), lat, sigma).values
+        batch = estimate_heat_batch(pattern_of(net, pts), lat, bws)
         scale = naive.max()
         assert np.abs(batch.values - naive).max() <= 1e-9 * scale
         assert batch.integral() == pytest.approx(12.0, rel=1e-9)
 
     def test_empty_pattern_gives_zero(self):
         lat = discretize(y_network(), 0.1)
-        est = estimate_heat_batch(PointPattern(lat.network, []), lat, [])
+        est = estimate_heat_batch(pattern_of(lat.network, []), lat, [])
         assert np.array_equal(est.values, np.zeros(lat.n_nodes))
 
     @pytest.mark.parametrize("bandwidths", [[0.2], [0.2, 0.3, 0.4]])
     def test_wrong_length_rejected(self, bandwidths):
         net = y_network()
         lat = discretize(net, 0.1)
-        pat = PointPattern(net, [NetworkLocation(0, 0.2), NetworkLocation(1, 0.2)])
+        pat = pattern_of(net, [NetworkLocation(0, 0.2), NetworkLocation(1, 0.2)])
         with pytest.raises(ValueError, match="one bandwidth per point"):
             estimate_heat_batch(pat, lat, bandwidths)
 
@@ -311,7 +313,7 @@ class TestHeatBatch:
     def test_nonpositive_bandwidth_rejected(self, bad):
         net = y_network()
         lat = discretize(net, 0.1)
-        pat = PointPattern(net, [NetworkLocation(0, 0.2), NetworkLocation(1, 0.2)])
+        pat = pattern_of(net, [NetworkLocation(0, 0.2), NetworkLocation(1, 0.2)])
         with pytest.raises(ValueError, match="positive"):
             estimate_heat_batch(pat, lat, [0.2, bad])
 
@@ -325,7 +327,7 @@ class TestSparseInjection:
     def _pattern(lat, rng):
         # points at vertices, one ulp inside edge ends, on chain nodes and inside links
         locs = special_locations(lat, rng)
-        return PointPattern(lat.network, [locs[i] for i in rng.choice(len(locs), 30)])
+        return pattern_of(lat.network, [locs[i] for i in rng.choice(len(locs), 30)])
 
     def test_batch_matches_dense_injection(self):
         zero_remainders = 0
@@ -572,7 +574,7 @@ class TestContraction:
         short = net.n_edges - 1
         lat = discretize(net, 0.1)
         u, v = net.edge_vertices[short]
-        pat = PointPattern(net, [NetworkLocation(short, 0.015), NetworkLocation(0, 0.004)])
+        pat = pattern_of(net, [NetworkLocation(short, 0.015), NetworkLocation(0, 0.004)])
         for est in (estimate_heat(pat, lat, 0.3), estimate_heat_batch(pat, lat, [0.3, 0.5])):
             assert est.values[u] == est.values[v]
             assert est.values[u] * 0.02 == pytest.approx(1.0 + alone, rel=1e-12)
@@ -588,7 +590,7 @@ class TestContraction:
         net = add_spurs(grid_network(4, 4, jitter=0.2, rng=rng), [0.01, 0.03], rng)
         lat = discretize(net, 0.1)
         tip = NetworkLocation(net.n_edges - 1, float(net.edge_lengths[-1]))
-        f = deposit_initial_mass(PointPattern(net, [tip, *random_pattern(net, 5, rng)]), lat)
+        f = deposit_initial_mass(pattern_of(net, [tip, *random_locations(net, 5, rng)]), lat)
         assert heat._step_values(f.values, uncontracted(lat)._solver, step_size(lat)).min() < 0.0
         for _ in range(200):
             f = heat_step(f)
@@ -607,7 +609,7 @@ class TestStepBudget:
         # solver keeps a 1 cm link, and the solve asks for about 1.1e8 steps
         net = stub_network(20.0, 2000)
         lat = discretize(net, default_dx(net, 100.0))
-        pat = PointPattern(net, [NetworkLocation(0, 500.0)])
+        pat = pattern_of(net, [NetworkLocation(0, 500.0)])
 
         def no_step(*args):
             raise AssertionError("stepped before the budget check")
@@ -626,7 +628,7 @@ class TestStepBudget:
         lat = discretize(net, default_dx(net, 100.0))
         assert len(lat._solver.node_weight) == lat.n_nodes - 1
         assert step_size(lat) == pytest.approx(0.9 * (1000.0 / 30) ** 2)
-        pat = PointPattern(net, [NetworkLocation(0, 500.0), NetworkLocation(1, 0.005)])
+        pat = pattern_of(net, [NetworkLocation(0, 500.0), NetworkLocation(1, 0.005)])
         est = estimate_heat(pat, lat, 100.0)
         assert est.integral() == pytest.approx(2.0, rel=1e-12)
         assert est.values.min() >= 0.0

@@ -17,7 +17,7 @@ from lineheat.ingest import (
     write_points_csv,
 )
 from lineheat.lattice import LatticeFunction, discretize
-from lineheat.network import MAX_COORDINATE, MERGE_TOLERANCE, NetworkLocation, PointPattern, build_network
+from lineheat.network import MAX_COORDINATE, MERGE_TOLERANCE, NetworkLocation, build_network
 
 from nets import (
     assert_same,
@@ -27,10 +27,11 @@ from nets import (
     kdtree_merge,
     kdtree_raster,
     lexsort_raster,
+    pattern_of,
     pointwise_read_network,
     random_lattices,
+    random_locations,
     random_network,
-    random_pattern,
     segment_network,
     special_locations,
 )
@@ -385,8 +386,7 @@ class TestReadPoints:
         p = tmp_path / "pts.csv"
         p.write_text("\n".join(rows) + "\n")
         pattern, report = read_points(p, net, max_snap_dist=0.3)
-        for q in pattern:
-            xy = net._xy(q.edge, q.offset)
+        for xy in net._xy(pattern.edge, pattern.offset):
             # snapped location is within max_snap_dist of SOME input row
             d = min(
                 math.hypot(xy[0] - float(r.split(",")[0]), xy[1] - float(r.split(",")[1]))
@@ -641,7 +641,7 @@ class TestRasterMatchesKdtree:
 class TestPointsCsv:
     def test_write_schema(self, tmp_path):
         net = segment_network(2.0)
-        pattern = PointPattern(net, [NetworkLocation(0, 0.5)])
+        pattern = pattern_of(net, [NetworkLocation(0, 0.5)])
         p = tmp_path / "pts.csv"
         write_points_csv(pattern, p)
         lines = p.read_text().strip().splitlines()
@@ -652,13 +652,13 @@ class TestPointsCsv:
         # the column writer against the scalar formula, one point at a time
         for lat, rng in random_lattices(71, 6):
             net = lat.network
-            pattern = PointPattern(net, list(random_pattern(net, 20, rng)) + special_locations(lat, rng))
+            pattern = pattern_of(net, random_locations(net, 20, rng) + special_locations(lat, rng))
             p = tmp_path / "pts.csv"
             write_points_csv(pattern, p)
             want = ["x,y,edge_id,offset"]
-            for loc in pattern:
-                u, v = net.edge_vertices[loc.edge]
-                t = loc.offset / float(net.edge_lengths[loc.edge])
+            for e, o in zip(pattern.edge.tolist(), pattern.offset.tolist()):
+                u, v = net.edge_vertices[e]
+                t = o / float(net.edge_lengths[e])
                 x, y = ((1.0 - t) * a + t * b for a, b in zip(net.vertex_xy[u], net.vertex_xy[v]))
-                want.append(f"{x:.17g},{y:.17g},{loc.edge},{loc.offset:.17g}")
+                want.append(f"{x:.17g},{y:.17g},{e},{o:.17g}")
             assert p.read_text().splitlines() == want

@@ -6,7 +6,6 @@ from scipy.integrate import quad
 
 from lineheat import kernels, network
 from lineheat.errors import (
-    EmptyPattern,
     LatticeMismatch,
     PairBudgetExceeded,
     PathExplosion,
@@ -22,7 +21,7 @@ from lineheat.kernels import (
     precompute_edge_correction,
 )
 from lineheat.lattice import Lattice, discretize
-from lineheat.network import NetworkLocation, PointPattern, build_network
+from lineheat.network import NetworkLocation, build_network
 
 from nets import (
     assert_same,
@@ -32,8 +31,9 @@ from nets import (
     loop_kernel_sum,
     loop_precompute_edge_correction,
     loop_uniform_corrected,
+    pattern_of,
     random_lattices,
-    random_pattern,
+    random_locations,
     recursive_equal_split,
     segment_network,
     special_locations,
@@ -116,7 +116,7 @@ class TestCorrectedEstimators:
         net = segment_network(100 * sigma)
         lat = discretize(net, sigma / 4)
         k = Kernel1D("gaussian", sigma)
-        pat = PointPattern(net, [NetworkLocation(0, 5.0)])
+        pat = pattern_of(net, [NetworkLocation(0, 5.0)])
         est = estimate_uniform_corrected(pat, lat, k)
         # c is ~1 so the peak is the kernel peak
         assert est.values_at(0, 5.0) == pytest.approx(k(0.0), rel=1e-3)
@@ -128,7 +128,7 @@ class TestCorrectedEstimators:
         lat = discretize(net, 0.02)
         k = Kernel1D("gaussian", 0.3)
         # points piled near a terminus: correction inflates nearby values
-        pat = PointPattern(net, [NetworkLocation(0, o) for o in (0.05, 0.1, 0.2)])
+        pat = pattern_of(net, [NetworkLocation(0, o) for o in (0.05, 0.1, 0.2)])
         est = estimate_uniform_corrected(pat, lat, k)
         assert abs(est.integral() - 3.0) > 0.05
 
@@ -141,7 +141,7 @@ class TestCorrectedEstimators:
                 NetworkLocation(int(rng.integers(3)), float(rng.random()))
                 for _ in range(6)
             ]
-            est = estimate_jones_diggle(PointPattern(net, pts), lat, Kernel1D("gaussian", 0.4))
+            est = estimate_jones_diggle(pattern_of(net, pts), lat, Kernel1D("gaussian", 0.4))
             assert est.integral() == pytest.approx(6.0, rel=1e-3)
 
     def test_jd_equals_uniform_far_from_vertices(self):
@@ -151,7 +151,7 @@ class TestCorrectedEstimators:
         net = segment_network(16.0)
         lat = discretize(net, 1 / 16)
         k = Kernel1D("gaussian", sigma)
-        pat = PointPattern(net, [NetworkLocation(0, 8.0)])
+        pat = pattern_of(net, [NetworkLocation(0, 8.0)])
         u = estimate_uniform_corrected(pat, lat, k)
         jd = estimate_jones_diggle(pat, lat, k)
         m = u.values > 0
@@ -162,21 +162,26 @@ class TestCorrectedEstimators:
         net = segment_network(100 * sigma)
         lat = discretize(net, sigma / 4)
         k = Kernel1D("gaussian", sigma)
-        pat = PointPattern(net, [NetworkLocation(0, 0.0)])
+        pat = pattern_of(net, [NetworkLocation(0, 0.0)])
         est = estimate_jones_diggle(pat, lat, k)
         assert est.values[0] == pytest.approx(2 * k(0.0), rel=2e-3)
 
     def test_empty_pattern_rejected(self):
+        # zero events give the zero estimate, as the heat estimator does
         net = segment_network()
         lat = discretize(net, 0.25)
-        with pytest.raises(EmptyPattern):
-            estimate_uniform_corrected(PointPattern(net, []), lat, Kernel1D("gaussian", 0.2))
+        empty = pattern_of(net, [])
+        for est in (estimate_uniform_corrected, estimate_jones_diggle,
+                    equal_split_discontinuous, equal_split_continuous):
+            f = est(empty, lat, Kernel1D("quartic", 0.2))
+            assert_same(f.values, np.zeros(lat.n_nodes))
+            assert f.integral() == 0.0
 
     def test_precomputed_correction_matches(self):
         net = triangle_network()
         lat = discretize(net, 0.1)
         k = Kernel1D("gaussian", 0.3)
-        pat = PointPattern(net, [NetworkLocation(0, 0.4), NetworkLocation(2, 0.7)])
+        pat = pattern_of(net, [NetworkLocation(0, 0.4), NetworkLocation(2, 0.7)])
         pre = precompute_edge_correction(lat, k)
         a = estimate_uniform_corrected(pat, lat, k)
         b = estimate_uniform_corrected(pat, lat, k, edge_correction_values=pre)
@@ -189,9 +194,9 @@ class TestCorrectedEstimators:
         xs = [NetworkLocation(0, 0.2), NetworkLocation(1, 0.6)]
         y = NetworkLocation(2, 0.8)  # sorts after every x
         for est in (estimate_jones_diggle, equal_split_discontinuous, equal_split_continuous):
-            fx = est(PointPattern(net, xs), lat, k)
-            fy = est(PointPattern(net, [y]), lat, k)
-            fxy = est(PointPattern(net, xs + [y]), lat, k)
+            fx = est(pattern_of(net, xs), lat, k)
+            fy = est(pattern_of(net, [y]), lat, k)
+            fxy = est(pattern_of(net, xs + [y]), lat, k)
             assert np.array_equal(fxy.values, fx.values + fy.values)
 
     def test_permutation_invariance(self):
@@ -199,8 +204,8 @@ class TestCorrectedEstimators:
         lat = discretize(net, 0.1)
         k = Kernel1D("gaussian", 0.4)
         pts = [NetworkLocation(0, 0.2), NetworkLocation(1, 0.6), NetworkLocation(2, 0.1)]
-        a = estimate_jones_diggle(PointPattern(net, pts), lat, k)
-        b = estimate_jones_diggle(PointPattern(net, pts[::-1]), lat, k)
+        a = estimate_jones_diggle(pattern_of(net, pts), lat, k)
+        b = estimate_jones_diggle(pattern_of(net, pts[::-1]), lat, k)
         assert np.array_equal(a.values, b.values)
 
 
@@ -217,10 +222,10 @@ def batched_cases(count, seed):
         net = lat.network
         special = special_locations(lat, rng)
         picks = rng.choice(len(special), size=min(8, len(special)), replace=False)
-        pts = list(random_pattern(net, 12, rng)) + [special[i] for i in picks]
+        pts = random_locations(net, 12, rng) + [special[i] for i in picks]
         scale = float(net.edge_lengths.mean())
         for kernel in (Kernel1D("gaussian", 0.3 * scale), Kernel1D("quartic", 1.2 * scale)):
-            yield lat, PointPattern(net, pts), kernel
+            yield lat, pattern_of(net, pts), kernel
 
 
 def all_estimates(pattern, lattice, kernel):
@@ -257,7 +262,7 @@ class TestBatchedMatchesLoop:
         # 1 solves every source alone; 3 leaves the 7-point pattern a
         # partial last block
         for lat, pat, k in batched_cases(5, 53):
-            pat = PointPattern(pat.network, list(pat)[:7])
+            pat = pat.subset(np.arange(7))
             monkeypatch.setattr(network, "BLOCK_PAIRS", 2**62)
             whole = all_estimates(pat, lat, k)
             monkeypatch.setattr(network, "BLOCK_PAIRS", per_block * lat.n_nodes)
@@ -282,7 +287,7 @@ class TestPairBudget:
         # source edge's box does not meet
         chain = build_network([(float(x), 0.0) for x in range(11)], [(i, i + 1) for i in range(10)])
         cases = list(batched_cases(10, 54)) + [
-            (discretize(chain, 0.1), PointPattern(chain, [NetworkLocation(4, 0.5)]),
+            (discretize(chain, 0.1), pattern_of(chain, [NetworkLocation(4, 0.5)]),
              Kernel1D("epanechnikov", 4.5))]
         for lat, pat, k in cases:
             o = pat.order
@@ -305,7 +310,7 @@ class TestPairBudget:
         net = grid_network(3, 3)
         lat = discretize(net, 0.05)
         k = Kernel1D("gaussian", 1.0)  # its support spans the network
-        pat = PointPattern(net, [NetworkLocation(0, 0.5), NetworkLocation(7, 0.5)])
+        pat = pattern_of(net, [NetworkLocation(0, 0.5), NetworkLocation(7, 0.5)])
         real = Lattice._distances
 
         def no_pass(*args):
@@ -328,7 +333,7 @@ class TestPrecomputedCorrectionLattice:
         net = grid_network(3, 3)
         lat = discretize(net, 0.1)
         k = Kernel1D("gaussian", 0.3)
-        pat = PointPattern(net, [NetworkLocation(0, 0.4), NetworkLocation(5, 0.7)])
+        pat = pattern_of(net, [NetworkLocation(0, 0.4), NetworkLocation(5, 0.7)])
         other = precompute_edge_correction(discretize(net, dx), k)
         with pytest.raises(LatticeMismatch):
             estimate_uniform_corrected(pat, lat, k, edge_correction_values=other)
@@ -336,7 +341,7 @@ class TestPrecomputedCorrectionLattice:
     def test_compatible_lattice_accepted(self):
         net = grid_network(3, 3)
         k = Kernel1D("gaussian", 0.3)
-        pat = PointPattern(net, [NetworkLocation(0, 0.4), NetworkLocation(5, 0.7)])
+        pat = pattern_of(net, [NetworkLocation(0, 0.4), NetworkLocation(5, 0.7)])
         pre = precompute_edge_correction(discretize(net, 0.1), k)
         lat = discretize(net, 0.1)
         got = estimate_uniform_corrected(pat, lat, k, edge_correction_values=pre)
@@ -347,7 +352,7 @@ class TestEqualSplit:
     def test_gaussian_rejected(self):
         net = y_network()
         lat = discretize(net, 0.1)
-        pat = PointPattern(net, [NetworkLocation(0, 0.5)])
+        pat = pattern_of(net, [NetworkLocation(0, 0.5)])
         with pytest.raises(UnboundedKernel):
             equal_split_discontinuous(pat, lat, Kernel1D("gaussian", 0.1))
 
@@ -355,7 +360,7 @@ class TestEqualSplit:
         net = segment_network(4.0)
         lat = discretize(net, 0.125)
         k = Kernel1D("epanechnikov", 0.9)
-        pat = PointPattern(net, [NetworkLocation(0, 2.0)])
+        pat = pattern_of(net, [NetworkLocation(0, 2.0)])
         for est in (equal_split_discontinuous, equal_split_continuous):
             f = est(pat, lat, k)
             d = np.abs(0.125 * np.arange(33) - 2.0)
@@ -368,7 +373,7 @@ class TestEqualSplit:
         k = Kernel1D("epanechnikov", 0.9)
         a, b = 0.3, 0.4
         src = NetworkLocation(0, a)  # edges run center -> leaf
-        pat = PointPattern(net, [src])
+        pat = pattern_of(net, [src])
         target_node = lat.edge_chains[1][4]  # offset 0.4 on branch 1
         assert lat.node_location(int(target_node)).offset == pytest.approx(b, abs=1e-12)
 
@@ -384,7 +389,7 @@ class TestEqualSplit:
             lat = discretize(net, 0.125)
             k = Kernel1D("quartic", 1.1)
             src = NetworkLocation(0, 0.625)
-            pat = PointPattern(net, [src])
+            pat = pattern_of(net, [src])
             kd = equal_split_discontinuous(pat, lat, k)
             kc = equal_split_continuous(pat, lat, k)
             for _ in range(12):
@@ -401,7 +406,7 @@ class TestEqualSplit:
         net = y_network(branch=3.0)
         lat = discretize(net, 0.002)
         k = Kernel1D("epanechnikov", 0.8)
-        pat = PointPattern(net, [NetworkLocation(0, 0.5)])
+        pat = pattern_of(net, [NetworkLocation(0, 0.5)])
         kd = equal_split_discontinuous(pat, lat, k)
         kc = equal_split_continuous(pat, lat, k)
         assert kd.integral() == pytest.approx(1.0, rel=1e-3)
@@ -412,7 +417,7 @@ class TestEqualSplit:
         net = y_network(branch=1.0)
         lat = discretize(net, 0.01)
         k = Kernel1D("epanechnikov", 0.7)
-        pat = PointPattern(net, [NetworkLocation(0, 0.6)])  # 0.4 from the leaf
+        pat = pattern_of(net, [NetworkLocation(0, 0.6)])  # 0.4 from the leaf
         kc = equal_split_continuous(pat, lat, k)
         assert kc.integral() == pytest.approx(1.0, rel=1e-3)
         kd = equal_split_discontinuous(pat, lat, k)
@@ -422,14 +427,14 @@ class TestEqualSplit:
         net = y_network()
         lat = discretize(net, 0.05)
         k = Kernel1D("epanechnikov", 1.4)
-        pat = PointPattern(net, [NetworkLocation(0, 0.5)])
+        pat = pattern_of(net, [NetworkLocation(0, 0.5)])
         kc = equal_split_continuous(pat, lat, k)
         assert kc.values.min() >= -1e-15
 
     def test_vertex_continuity_under_refinement(self):
         net = y_network(branch=2.0)
         k = Kernel1D("quartic", 1.2)
-        pat = lambda n: PointPattern(n, [NetworkLocation(0, 0.5)])
+        pat = lambda n: pattern_of(n, [NetworkLocation(0, 0.5)])
 
         def branch_limits(lat, f):
             # quadratic extrapolation of each incident chain onto the vertex
@@ -457,7 +462,7 @@ class TestEqualSplit:
         net = triangle_network()
         lat = discretize(net, 0.1)
         k = Kernel1D("epanechnikov", 20.0)
-        pat = PointPattern(net, [NetworkLocation(0, 0.5)])
+        pat = pattern_of(net, [NetworkLocation(0, 0.5)])
         monkeypatch.setattr(kernels, "MAX_WALKS", 10)
         with pytest.raises(PathExplosion, match=r"more than 10 edge walks; lower the bandwidth \(--bw\)$"):
             equal_split_continuous(pat, lat, k)
@@ -468,7 +473,7 @@ class TestEqualSplit:
         # aligned and the error constant is stable
         net = y_network(branch=3.0)
         k = Kernel1D("epanechnikov", 0.8)
-        pat = PointPattern(net, [NetworkLocation(0, 0.5)])
+        pat = pattern_of(net, [NetworkLocation(0, 0.5)])
         errs = []
         uni = []
         for dx in (0.1, 0.05, 0.025):
@@ -494,7 +499,7 @@ def equal_split_cases(seed, count):
     an epanechnikov kernel within about an edge and a quartic over several."""
     for lat, rng in random_lattices(seed, count):
         net = lat.network
-        pat = PointPattern(net, special_locations(lat, rng))
+        pat = pattern_of(net, special_locations(lat, rng))
         scale = float(net.edge_lengths.mean())
         for kernel in (Kernel1D("epanechnikov", 0.6 * scale), Kernel1D("quartic", 1.7 * scale)):
             yield lat, pat, kernel
@@ -519,7 +524,7 @@ class TestEqualSplitRounds:
         lat = discretize(net, 0.3)
         k = Kernel1D("epanechnikov", 0.9)
         src = NetworkLocation(0, offset)
-        pat = PointPattern(net, [src])
+        pat = pattern_of(net, [src])
         for continuous, est in ESTIMATORS.items():
             f = est(pat, lat, k).values
             for i in range(lat.n_nodes):
@@ -532,7 +537,7 @@ class TestEqualSplitRounds:
     def test_permuted_input_is_bit_identical(self):
         rng = np.random.default_rng(62)
         for lat, pat, k in equal_split_cases(62, 6):
-            shuffled = PointPattern(pat.network, [pat[i] for i in rng.permutation(pat.n)])
+            shuffled = pat.subset(rng.permutation(pat.n))
             for est in ESTIMATORS.values():
                 assert_same(est(shuffled, lat, k).values, est(pat, lat, k).values)
 
@@ -541,14 +546,14 @@ class TestEqualSplitRounds:
         net = grid_network(3, 3)
         lat = discretize(net, 0.1)
         k = Kernel1D("epanechnikov", 3.5)
-        pat = PointPattern(net, [NetworkLocation(0, 0.5)])
+        pat = pattern_of(net, [NetworkLocation(0, 0.5)])
         _, walks = recursive_equal_split(pat, lat, k, continuous)
         w = int(walks[0])  # 21 (esd) and 37 (esc)
         assert w > 20
         est = ESTIMATORS[continuous]
         monkeypatch.setattr(kernels, "MAX_WALKS", w)
         est(pat, lat, k)
-        est(PointPattern(net, [pat[0], pat[0]]), lat, k)
+        est(pat.subset([0, 0]), lat, k)
         monkeypatch.setattr(kernels, "MAX_WALKS", w - 1)
         with pytest.raises(PathExplosion):
             est(pat, lat, k)

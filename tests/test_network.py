@@ -35,8 +35,10 @@ from nets import (
     incident_edges,
     kdtree_close_pairs,
     lexsort_nearest,
+    location,
     loop_incident_edges,
     loop_lattice_distances,
+    pattern_of,
     random_lattices,
     random_location,
     random_network,
@@ -312,11 +314,19 @@ class TestNearest:
 
 class TestLocations:
     def test_offset_bounds(self):
+        # the one location check, also behind the scalar distance functions
         net = segment_network()
-        with pytest.raises(LocationOffNetwork):
-            net.check_location(NetworkLocation(0, 1.5))
-        with pytest.raises(LocationOffNetwork):
-            net.check_location(NetworkLocation(1, 0.5))
+        lat = Lattice(net, 0.25)
+        ok = NetworkLocation(0, 0.5)
+        for bad, message in ((NetworkLocation(0, 1.5), "offset 1.5 outside [0, 1.0] on edge 0"),
+                             (NetworkLocation(1, 0.5), "edge id 1 out of range")):
+            for call in (lambda: net.check_locations([bad.edge], [bad.offset]),
+                         lambda: shortest_path_distance(net, ok, bad),
+                         lambda: shortest_path_distance(net, bad, ok),
+                         lambda: lat.distance_field(bad)):
+                with pytest.raises(LocationOffNetwork) as got:
+                    call()
+                assert str(got.value) == message
 
     def test_canonical_endpoints(self):
         net = triangle_network()
@@ -670,55 +680,53 @@ class TestPointPattern:
     def test_validates_points(self):
         net = segment_network()
         with pytest.raises(LocationOffNetwork):
-            PointPattern(net, [NetworkLocation(0, 2.0)])
+            pattern_of(net, [NetworkLocation(0, 2.0)])
 
     def test_counts(self):
         net = segment_network()
-        pp = PointPattern(net, [NetworkLocation(0, 0.1), NetworkLocation(0, 0.9)])
+        pp = pattern_of(net, [NetworkLocation(0, 0.1), NetworkLocation(0, 0.9)])
         assert pp.n == 2
 
     def test_columns_keep_input_order(self):
         net = y_network()
         locs = [NetworkLocation(2, 0.5), NetworkLocation(0, 0.7), NetworkLocation(2, 0.1)]
-        pp = PointPattern(net, locs)
+        pp = pattern_of(net, locs)
         assert pp.edge.tolist() == [2, 0, 2] and pp.edge.dtype == np.int64
         assert pp.offset.tolist() == [0.5, 0.7, 0.1] and pp.offset.dtype == np.float64
         assert pp.order.tolist() == [1, 2, 0]
-        assert list(pp) == locs and pp[1] == locs[1]
         for col in (pp.edge, pp.offset, pp.order):
             assert not col.flags.writeable
 
 
     @pytest.mark.parametrize("build", [
-        lambda net, edge, offset: PointPattern(net, [NetworkLocation(e, float(o)) for e, o in zip(edge, offset)]),
-        lambda net, edge, offset: PointPattern.from_columns(net, np.array(edge), np.array(offset)),
+        lambda net, edge, offset: pattern_of(net, [NetworkLocation(e, float(o)) for e, o in zip(edge, offset)]),
+        lambda net, edge, offset: PointPattern(net, np.array(edge), np.array(offset)),
     ], ids=["locations", "columns"])
     def test_first_location_off_the_network_raises_its_error(self, build):
-        # the first location off the network names itself as check_location does
+        # the first location off the network names itself
         net = y_network()
         length = float(net.edge_lengths[1])
+        beyond = np.nextafter(length, 2.0)
         cases = [
-            ([0, 3, 1], [0.1, 0.2, 0.3], 1),
-            ([0, 1, -1], [0.1, -0.5, 0.3], 1),
-            ([2, 1, 1, 1], [0.0, length, np.nextafter(length, 2.0), -1.0], 2),
-            ([1, 2], [0.4, float("nan")], 1),
+            ([0, 3, 1], [0.1, 0.2, 0.3], "edge id 3 out of range"),
+            ([0, 1, -1], [0.1, -0.5, 0.3], f"offset -0.5 outside [0, {length}] on edge 1"),
+            ([2, 1, 1, 1], [0.0, length, beyond, -1.0], f"offset {beyond} outside [0, {length}] on edge 1"),
+            ([1, 2], [0.4, float("nan")], f"offset nan outside [0, {length}] on edge 2"),
         ]
-        for edge, offset, first in cases:
-            with pytest.raises(LocationOffNetwork) as want:
-                net.check_location(NetworkLocation(edge[first], float(offset[first])))
+        for edge, offset, message in cases:
             with pytest.raises(LocationOffNetwork) as got:
                 build(net, edge, offset)
-            assert str(got.value) == str(want.value)
+            assert str(got.value) == message
 
     def test_from_columns_and_subset_equal_the_object_path(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             net = random_network(rng)
             pat = random_pattern(net, int(rng.integers(0, 30)), rng)
-            cols = PointPattern.from_columns(net, pat.edge, pat.offset)
+            cols = PointPattern(net, pat.edge, pat.offset)
             picks = [[], rng.permutation(pat.n), list(rng.integers(0, max(pat.n, 1), pat.n))]
             for got, idx in [(cols, range(pat.n))] + [(pat.subset(i), i) for i in picks]:
-                want = PointPattern(net, [pat[i] for i in idx])
+                want = pattern_of(net, [location(pat, i) for i in idx])
                 for a, b in ((got.edge, want.edge), (got.offset, want.offset), (got.order, want.order)):
                     assert_same(a, b)
                     assert not a.flags.writeable
