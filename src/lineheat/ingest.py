@@ -20,7 +20,7 @@ import numpy as np
 from .errors import AllPointsTooFar, GeometryTypeError, ParseError
 from .lattice import Lattice, LatticeFunction
 from .network import MAX_COORDINATE, MERGE_TOLERANCE, LinearNetwork, PointPattern, build_network
-from .network import _box_pairs, _close_pairs, _min_labels, _nearest, _snap
+from .network import _box_pairs, _close_pairs, _min_labels, _nearest, _ragged, _snap
 
 FLOAT_FMT = "%.17g"
 _LATTICE_ROW = f"%d,{FLOAT_FMT},{FLOAT_FMT},{FLOAT_FMT}\r\n"  # a csv.writer row, terminator included
@@ -60,7 +60,7 @@ def read_network_geojson(path) -> LinearNetwork:
                 sizes.append(len(line))
                 owner.append(i)
     finally:  # also on an error: a bad position before it is reported instead
-        xy = _positions(pts, np.repeat(owner, sizes))
+        xy = _positions(pts, np.array(owner, dtype=np.int64)[_ragged(sizes)[0]])
 
     if not sizes:
         raise ParseError("no line segments found")

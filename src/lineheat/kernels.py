@@ -73,7 +73,7 @@ class Kernel1D:
     def __call__(self, d):
         """Kernel density at (absolute) distance d; vectorized."""
         d = np.asarray(d, dtype=float)
-        u = np.minimum(np.abs(d) / self.bandwidth, np.inf)
+        u = np.abs(d) / self.bandwidth
         if self.family == "gaussian":
             out = np.where(
                 u <= GAUSSIAN_TRUNCATION,
@@ -92,7 +92,7 @@ class Kernel1D:
 
 def precompute_edge_correction(lattice: Lattice, kernel: Kernel1D) -> LatticeFunction:
     """Edge-correction factor at every lattice node (reusable across patterns)."""
-    _check_pairs(lattice, kernel.support, lattice._edge_nodes)
+    _check_pairs(lattice, kernel.support, lattice._n_pieces + 1)
     return LatticeFunction(lattice, _node_corrections(lattice, kernel, np.arange(lattice.n_nodes)))
 
 
@@ -202,14 +202,14 @@ def _check_pairs(lattice, support, weight, then_nodes=False):
         meet = (lo[f] <= hi[e] + support).all(axis=1) & (hi[f] >= lo[e] - support).all(axis=1)
         near[f[meet]] = True
         # a block holds every pair of its source edges, so each reach is whole
-        reach = np.bincount(j[meet], lattice._edge_nodes[f[meet]], len(src))
+        reach = np.bincount(j[meet], lattice._n_pieces[f[meet]] + 1, len(src))
         total += int(weight[src] @ np.minimum(reach, n))
         if total > MAX_PAIRS:
             raise PairBudgetExceeded(
                 f"the kernel estimate would compute more than {MAX_PAIRS:.0e} (source, node) "
                 f"distances on {n} lattice nodes; raise --dx or lower --bw")
     if then_nodes:
-        _check_pairs(lattice, support, near * lattice._edge_nodes)
+        _check_pairs(lattice, support, near * (lattice._n_pieces + 1))
 
 
 # -- equal-split path enumeration ---------------------------------------------
@@ -264,7 +264,7 @@ def _equal_split(pattern, lattice, kernel, continuous):
     at_vertex = 2.0 / deg if continuous else np.ones(len(deg))
     # bounds on the deposits of a walk along each edge (an interior source's
     # window spans twice the support) and of an arrival's walks at each vertex
-    touch = np.minimum(lattice._edge_nodes, 2 * np.ceil(support / lattice.edge_spacing) + 5)
+    touch = np.minimum(lattice._n_pieces + 1, 2 * np.ceil(support / lattice.edge_spacing) + 5)
     cost = np.bincount(ev.ravel(), np.repeat(touch, 2))
     out = np.zeros(lattice.n_nodes)
     used = np.zeros(pattern.n, dtype=np.int64)  # walks per point
@@ -277,10 +277,9 @@ def _equal_split(pattern, lattice, kernel, continuous):
         return row[go], v[go], via[go], d[go], w[go]
 
     def branch(row, v, via, d, w):  # the walks out of each arrival
-        at, m = _csr_rows(net._ptr, v)
-        i = np.repeat(np.arange(len(v)), m)
+        at, i = _csr_rows(net._ptr, v)
         e = net._edge[at]
-        m, back = m[i], e == via[i]
+        m, back = deg[v][i], e == via[i]
         if continuous:  # 2/m on every edge, 2/m - 1 back along the arrival edge
             w = w[i] * (2.0 / m - back)
             keep = w != 0.0
@@ -297,8 +296,7 @@ def _equal_split(pattern, lattice, kernel, continuous):
 
     def scan(row, e, base, d, w):  # deposit along the walked edges; arrive at their ends
         r = support - d
-        node, x, n = lattice._inner_window(e, base - r, base + r)
-        t = np.repeat(np.arange(len(e)), n)
+        node, x, t = lattice._inner_window(e, base - r, base + r)
         dn = d[t] + np.abs(base[t] - x)
         ok = dn <= support
         np.add.at(out, node[ok], w[t[ok]] * kernel(dn[ok]))

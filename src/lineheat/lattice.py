@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from . import network
-from .network import LinearNetwork, NetworkLocation, PointPattern, _vertex_distances
+from .network import LinearNetwork, NetworkLocation, PointPattern, _ragged, _vertex_distances
 
 #: Most lattice nodes a spacing may ask for: a heat or uniform-corrected run
 #: at this size peaks at about 0.5 and 0.7 GB.
@@ -67,7 +67,7 @@ class Lattice:
         nv, ev = network.n_vertices, network.edge_vertices
         self._first_interior = nv + np.cumsum(self._n_pieces - 1) - (self._n_pieces - 1)
         self._chain_start = np.cumsum(self._n_pieces + 1) - (self._n_pieces + 1)
-        edge, j = self._chain_positions()
+        edge, j = _ragged(self._n_pieces + 1)
         # every edge's chain, edge by edge: position j = 0..k from the tail vertex to the head
         self._chain = self._first_interior[edge] + j - 1
         self._chain[self._chain_start], self._chain[self._chain_start + self._n_pieces] = ev.T
@@ -76,31 +76,21 @@ class Lattice:
         self.node_weight = np.concatenate((np.bincount(ev.ravel(), half, nv), inner))
         _read_only(*(a for a in vars(self).values() if isinstance(a, np.ndarray)))
 
-    def _chain_positions(self):
-        """(edge, j) for every chain position j = 0..k of every edge, edge by edge."""
-        edge = np.repeat(np.arange(self.network.n_edges), self._n_pieces + 1)
-        return edge, np.arange(len(edge)) - self._chain_start[edge]
-
     def _inner_nodes(self, edge, lo, n):
         """Ids and offsets h * j of the inner nodes j = lo..lo + n - 1 (within
-        1..k - 1) of the chain of each ``edge``, window by window."""
-        start = np.cumsum(n) - n - lo  # each window's first position, less its lo
-        i = np.arange(n.sum())
-        node = i + np.repeat(self._first_interior[edge] - 1 - start, n)
-        return node, np.repeat(self.edge_spacing[edge], n) * (i - np.repeat(start, n))
+        1..k - 1) of the chain of each ``edge``, window by window, and the
+        window each entry belongs to."""
+        w, j = _ragged(n)
+        j += np.broadcast_to(lo, len(n))[w]
+        return (self._first_interior[edge] - 1)[w] + j, self.edge_spacing[edge][w] * j, w
 
     def _inner_window(self, edge, a, b):
         """:meth:`_inner_nodes` of the positions j = floor(a / h)..ceil(b / h),
-        within 1..k - 1, of the chain of each ``edge``; also each window's size."""
+        within 1..k - 1, of the chain of each ``edge``."""
         h = self.edge_spacing[edge]
         lo = np.maximum(1, np.floor(a / h)).astype(np.int64)
         n = np.maximum(0, np.minimum(self._n_pieces[edge] - 1, np.ceil(b / h)) - lo + 1).astype(np.int64)
-        return (*self._inner_nodes(edge, lo, n), n)
-
-    @cached_property
-    def _edge_nodes(self) -> np.ndarray:
-        """Chain nodes of every edge, its end vertices included."""
-        return _read_only(self._n_pieces + 1)[0]
+        return self._inner_nodes(edge, lo, n)
 
     @property
     def n_nodes(self) -> int:
@@ -168,7 +158,7 @@ class Lattice:
         Arrays (cell_edge, cell_lo, cell_hi, cell_node): each cell is the piece
         of one edge owned by one node; cell lengths per node sum to its weight.
         """
-        edge, j = self._chain_positions()
+        edge, j = _ragged(self._n_pieces + 1)
         h = self.edge_spacing[edge]
         lo = np.where(j == 0, 0.0, h * (j - 1) + h / 2)
         hi = np.where(j == self._n_pieces[edge], self.network.edge_lengths[edge], h * (j + 1) - h / 2)
@@ -234,17 +224,15 @@ class Lattice:
             pair[mine, np.searchsorted(cut, own[mine])] = True
             s, e = np.divmod(np.flatnonzero(pair), len(cut))
             e = cut[e]
-            m = self._n_pieces[e] - 1
-            node, x = self._inner_nodes(e, 1, m)
-            each = partial(np.repeat, repeats=m)  # a per-pair column, once per inner node of its edge
+            node, x, w = self._inner_nodes(e, 1, self._n_pieces[e] - 1)  # w: each node's pair
             dist = dist.ravel()
-            d = np.minimum(each(dist[s * nv + ev[e, 0]]) + x, each(dist[s * nv + ev[e, 1]]) + (each(ell[e]) - x))
-            on = np.flatnonzero(each(e == own[s]))
-            d[on] = np.minimum(d[on], np.abs(x[on] - each(x0[s])[on]))
+            d = np.minimum(dist[s * nv + ev[e, 0]][w] + x, dist[s * nv + ev[e, 1]][w] + (ell[e][w] - x))
+            on = np.flatnonzero((e == own[s])[w])
+            d[on] = np.minimum(d[on], np.abs(x[on] - x0[s][w[on]]))
             ok = d <= cutoff
             key = np.flatnonzero(reached)
             # two runs sorted by (source, node): the vertices, then the inner nodes
-            row = np.concatenate((key // nv, each(s)[ok]))
+            row = np.concatenate((key // nv, s[w[ok]]))
             by = np.argsort(row, kind="stable")
             node = np.concatenate((key % nv, node[ok]))
             yield lo + row[by], node[by], np.concatenate((dist[key], d[ok]))[by]

@@ -168,16 +168,19 @@ class LinearNetwork:
     def check_locations(self, edge, offset):
         """The locations (edge[i], offset[i]) as new int64 and float arrays; the
         first one off the network raises LocationOffNetwork."""
-        edge, offset = np.array(edge, dtype=np.int64), np.array(offset, dtype=float)
-        on = (0 <= edge) & (edge < self.n_edges)
-        length = self.edge_lengths[np.where(on, edge, 0)]
-        on &= (0.0 <= offset) & (offset <= length)
+        edge, offset = np.asarray(edge), np.array(offset, dtype=float)
+        with np.errstate(invalid="ignore"):  # an object array warns on nan
+            valid = (0 <= edge) & (edge < self.n_edges)  # False for nan
+        ids = np.where(valid, edge, 0).astype(np.int64)  # cast only in range
+        valid &= ids == edge  # a fractional id differs from its cast
+        length = self.edge_lengths[ids]
+        on = valid & (0.0 <= offset) & (offset <= length)
         if not on.all():
             i = int(np.argmin(on))
-            if not 0 <= edge[i] < self.n_edges:
+            if not valid[i]:
                 raise LocationOffNetwork(f"edge id {edge[i]} out of range")
-            raise LocationOffNetwork(f"offset {offset[i]} outside [0, {length[i]}] on edge {edge[i]}")
-        return edge, offset
+            raise LocationOffNetwork(f"offset {offset[i]} outside [0, {length[i]}] on edge {ids[i]}")
+        return ids, offset
 
     def _xy(self, edge, offset) -> np.ndarray:
         """Planar coordinates of locations given as arrays or scalars (unchecked)."""
@@ -197,11 +200,21 @@ def _min_labels(n: int, i, j):
     return root
 
 
+def _ragged(n):
+    """(owner, position) of every slot of consecutive segments of sizes ``n``:
+    the segment it lies in and its index there, as int64 arrays."""
+    n = np.asarray(n, dtype=np.int64)
+    owner = np.repeat(np.arange(len(n)), n)
+    position = np.arange(len(owner))
+    position -= (np.cumsum(n) - n)[owner]  # in place: one temporary fewer at the peak
+    return owner, position
+
+
 def _csr_rows(ptr, u):
     """Positions of the rows ``u`` of a CSR structure with row pointer ``ptr``,
-    concatenated, and the length of each row."""
-    deg = ptr[u + 1] - ptr[u]
-    return np.arange(deg.sum()) + np.repeat(ptr[u] - (np.cumsum(deg) - deg), deg), deg
+    concatenated, and the index into ``u`` of each position's row."""
+    row, j = _ragged(ptr[u + 1] - ptr[u])
+    return ptr[u][row] + j, row
 
 
 def _vertex_distances(net: LinearNetwork, edge, offset, cutoff: float, block: int):
@@ -237,8 +250,8 @@ def _vertex_distances(net: LinearNetwork, edge, offset, cutoff: float, block: in
         hub = improve(np.concatenate((tail, head)), np.concatenate((x0, ell[own] - x0)))
         while len(hub):
             u = hub % nv
-            at, deg = _csr_rows(ptr, u)
-            hub = improve(np.repeat(hub - u, deg) + net._other[at], np.repeat(dist[hub], deg) + ell[adj[at]])
+            at, w = _csr_rows(ptr, u)
+            hub = improve((hub - u)[w] + net._other[at], dist[hub][w] + ell[adj[at]])
         yield dist[: b * nv].reshape(b, nv)
         dist[: b * nv] = np.inf
 
@@ -267,11 +280,11 @@ def shortest_path_distance(
     edge, offset = net.check_locations([a.edge, b.edge], [a.offset, b.offset])
     dist = next(_vertex_distances(net, edge[:1], offset[:1], math.inf, 1))[0]
     best = math.inf
-    if a.edge == b.edge:
+    if edge[0] == edge[1]:
         best = abs(a.offset - b.offset)
-    u, v = net.edge_vertices[b.edge]
+    u, v = net.edge_vertices[edge[1]]
     best = min(best, dist[u] + b.offset)
-    best = min(best, dist[v] + (net.edge_lengths[b.edge] - b.offset))
+    best = min(best, dist[v] + (net.edge_lengths[edge[1]] - b.offset))
     return float(best)
 
 
@@ -340,9 +353,7 @@ def _box_pairs(lo_a, hi_a, lo_b, hi_b, cell: float):
         c0 = np.floor(np.clip((lo - origin) / cell, 0, ncell)).astype(np.int64)
         c1 = np.floor(np.clip((hi - origin) / cell, -1, ncell - 1)).astype(np.int64)
         n = np.maximum(c1 - c0 + 1, 0)  # cells a side: 0 for an empty box or one off the grid
-        count = n[:, 0] * n[:, 1]
-        box = np.repeat(np.arange(len(lo)), count)
-        t = np.arange(len(box)) - (np.cumsum(count) - count)[box]
+        box, t = _ragged(n[:, 0] * n[:, 1])
         return box, c0[box, 0] + t // n[box, 1], c0[box, 1] + t % n[box, 1], c0
 
     box_a, xa, ya, corner_a = cells(lo_a, hi_a)
@@ -357,9 +368,9 @@ def _box_pairs(lo_a, hi_a, lo_b, hi_b, cell: float):
     block = ((np.cumsum(per_box) - per_box) // BLOCK_PAIRS)[box_b]
     cuts = np.flatnonzero(np.diff(block)) + 1
     for s, t in zip(np.r_[0, cuts], np.r_[cuts, len(block)]):
-        m = count[s:t]
-        at = np.repeat(np.arange(s, t), m)  # entry of b
-        i = box_a[by_key[start[at] + np.arange(len(at)) - np.repeat(np.cumsum(m) - m, m)]]
+        at, i = _ragged(count[s:t])
+        at += s  # entry of b
+        i = box_a[by_key[start[at] + i]]  # the a entries of at's cell, then their boxes
         j = box_b[at]
         own = (xb[at] == np.maximum(corner_a[i, 0], corner_b[j, 0])) & (
             yb[at] == np.maximum(corner_a[i, 1], corner_b[j, 1]))
@@ -370,11 +381,11 @@ def _nearest(seg, d2, tie):
     """Index of the winner of every run of equal ``seg``, in run order: the smallest
     ``d2``, then the smallest ``tie``.  Runs must be contiguous with distinct ties,
     as the ``j`` of a :func:`_box_pairs` block is; two ``reduceat`` passes, no sort."""
-    start = np.flatnonzero(np.diff(seg, prepend=-1))
-    size = np.diff(start, append=len(seg))
-    best = d2 == np.repeat(np.minimum.reduceat(d2, start), size)
+    change = np.diff(seg, prepend=-1) != 0
+    start, run = np.flatnonzero(change), np.cumsum(change) - 1  # run: each entry's owner
+    best = d2 == np.minimum.reduceat(d2, start)[run]
     tie = np.where(best, tie, np.iinfo(tie.dtype).max)
-    return np.flatnonzero(tie == np.repeat(np.minimum.reduceat(tie, start), size))
+    return np.flatnonzero(tie == np.minimum.reduceat(tie, start)[run])
 
 
 def _close_pairs(xy, tol: float):

@@ -975,6 +975,61 @@ def lexsort_nearest(seg, d2, tie):
     return np.sort(order[np.flatnonzero(np.diff(seg[order], prepend=-1))])
 
 
+def repeat_csr_rows(ptr, u):
+    """``network._csr_rows`` as np.repeat expands it: the positions of the rows
+    ``u`` of a CSR structure, concatenated, and the length of each row."""
+    deg = ptr[u + 1] - ptr[u]
+    return np.arange(deg.sum()) + np.repeat(ptr[u] - (np.cumsum(deg) - deg), deg), deg
+
+
+def repeat_inner_nodes(lattice, edge, lo, n):
+    """``Lattice._inner_nodes`` as np.repeat expands it: ids and offsets of the
+    inner nodes lo..lo + n - 1 of the chain of each ``edge``, window by window."""
+    start = np.cumsum(n) - n - lo
+    i = np.arange(n.sum())
+    node = i + np.repeat(lattice._first_interior[edge] - 1 - start, n)
+    return node, np.repeat(lattice.edge_spacing[edge], n) * (i - np.repeat(start, n))
+
+
+def repeat_box_pairs(lo_a, hi_a, lo_b, hi_b, cell: float):
+    """``network._box_pairs`` with its (box, cell) and (b entry, a entry)
+    expansions done by np.repeat: the same blocks, in the same order."""
+    origin, top = lo_a.min(axis=0), hi_a.max(axis=0)
+    area = (hi_a - lo_a).prod(axis=1).mean()
+    cell = max(cell, math.sqrt(area), float((top - origin).max()) * 2**-30)
+    cell = cell or 1.0
+    ncell = np.floor((top - origin) / cell).astype(np.int64) + 1
+
+    def cells(lo, hi):
+        c0 = np.floor(np.clip((lo - origin) / cell, 0, ncell)).astype(np.int64)
+        c1 = np.floor(np.clip((hi - origin) / cell, -1, ncell - 1)).astype(np.int64)
+        n = np.maximum(c1 - c0 + 1, 0)
+        count = n[:, 0] * n[:, 1]
+        box = np.repeat(np.arange(len(lo)), count)
+        t = np.arange(len(box)) - (np.cumsum(count) - count)[box]
+        return box, c0[box, 0] + t // n[box, 1], c0[box, 1] + t % n[box, 1], c0
+
+    box_a, xa, ya, corner_a = cells(lo_a, hi_a)
+    key_a = xa * ncell[1] + ya
+    by_key = np.argsort(key_a, kind="stable")
+    key_a = key_a[by_key]
+    box_b, xb, yb, corner_b = cells(lo_b, hi_b)
+    key_b = xb * ncell[1] + yb
+    start = np.searchsorted(key_a, key_b)
+    count = np.searchsorted(key_a, key_b, side="right") - start
+    per_box = np.bincount(box_b, count, len(lo_b)).astype(np.int64)
+    block = ((np.cumsum(per_box) - per_box) // network.BLOCK_PAIRS)[box_b]
+    cuts = np.flatnonzero(np.diff(block)) + 1
+    for s, t in zip(np.r_[0, cuts], np.r_[cuts, len(block)]):
+        m = count[s:t]
+        at = np.repeat(np.arange(s, t), m)
+        i = box_a[by_key[start[at] + np.arange(len(at)) - np.repeat(np.cumsum(m) - m, m)]]
+        j = box_b[at]
+        own = (xb[at] == np.maximum(corner_a[i, 0], corner_b[j, 0])) & (
+            yb[at] == np.maximum(corner_a[i, 1], corner_b[j, 1]))
+        yield i[own], j[own]
+
+
 def lexsort_raster(f, res):
     """The raster as a lexsort picks it: every node within half a cell diagonal
     of a centre is a candidate; the nearest wins, then the lowest node id."""

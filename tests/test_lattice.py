@@ -58,8 +58,9 @@ class TestDiscretize:
             chains = lat.edge_chains
             nv = lat.network.n_vertices
             inner = np.array([len(c) - 2 for c in chains])
-            node, x = lat._inner_nodes(np.arange(len(chains)), 1, inner)
+            node, x, w = lat._inner_nodes(np.arange(len(chains)), 1, inner)
             assert_same(node, np.arange(nv, lat.n_nodes))
+            assert_same(w, np.repeat(np.arange(len(chains)), inner))
             assert_same(x, lat._node_locations(node)[1])
             windows = []
             for e, m in enumerate(inner.tolist()):
@@ -68,10 +69,11 @@ class TestDiscretize:
                 windows += [(e, a, 0), (e, 1, min(m, 2)), (e, max(1, m - 1), min(m, 2)), (e, 1, m),
                             (e, a, int(rng.integers(0, m - a + 2)))]
             edge, lo, n = map(np.array, zip(*windows))
-            node, x = lat._inner_nodes(edge, lo, n)
+            node, x, w = lat._inner_nodes(edge, lo, n)
             want = [chains[e][a : a + m] for e, a, m in windows]
-            assert_same(n, np.array([len(w) for w in want]))
+            assert_same(n, np.array([len(c) for c in want]))
             assert_same(node, np.concatenate(want))
+            assert_same(w, np.concatenate([np.full(len(c), k) for k, c in enumerate(want)]))
             assert_same(x, lat._node_locations(node)[1])
             sizes.update(np.sign(n).tolist())
         assert sizes == {0, 1}  # empty windows and nonempty ones
@@ -152,7 +154,7 @@ class TestVectorizedMatchesLoops:
             assert_same(edge[nv:], ref["node_edge"][nv:])
             assert_same(offset[nv:], ref["node_offset"][nv:])
             inner = lat._n_pieces - 1
-            node, x = lat._inner_nodes(np.arange(ne), np.ones(ne, dtype=np.int64), inner)
+            node, x, _ = lat._inner_nodes(np.arange(ne), np.ones(ne, dtype=np.int64), inner)
             assert_same(node, np.arange(nv, lat.n_nodes))
             assert_same(edge[node], np.repeat(np.arange(ne), inner))
             assert_same(offset[node], x)
@@ -182,7 +184,7 @@ class TestDerivedOnRead:
     def test_every_array_is_read_only(self):
         # a write would silently corrupt compatible() and every later solve
         for lat, _ in random_lattices(45, 5):
-            derived = (lat.node_xy, lat._edge_nodes, *lat.node_cells, *lat._solver[:5], *lat.edge_chains)
+            derived = (lat.node_xy, *lat.node_cells, *lat._solver[:5], *lat.edge_chains)
             for a in (*(getattr(lat, name) for name in self.OWN), *derived):
                 assert isinstance(a, np.ndarray) and not a.flags.writeable
             with pytest.raises(ValueError, match="read-only"):

@@ -43,6 +43,9 @@ from nets import (
     random_location,
     random_network,
     random_pattern,
+    repeat_box_pairs,
+    repeat_csr_rows,
+    repeat_inner_nodes,
     scan_snap,
     scan_validate,
     scipy_components,
@@ -312,6 +315,70 @@ class TestNearest:
         assert network._nearest(none, np.empty(0), none).tolist() == []
 
 
+class TestRagged:
+    """``network._ragged`` against a loop, and the expansions it replaced."""
+
+    def test_segments_of_every_size(self):
+        rng = np.random.default_rng(48)
+        for _ in range(50):
+            n = rng.integers(0, 4, int(rng.integers(0, 12)))  # zero-size segments included
+            owner, position = network._ragged(n)
+            pairs = [(k, j) for k, m in enumerate(n.tolist()) for j in range(m)]
+            assert_same(owner, np.array([k for k, _ in pairs], dtype=np.int64))
+            assert_same(position, np.array([j for _, j in pairs], dtype=np.int64))
+
+    @pytest.mark.parametrize("n", [[], [0, 0, 0], np.zeros(0, dtype=np.int32)], ids=["list", "zeros", "int32"])
+    def test_empty(self, n):
+        for got in network._ragged(n):
+            assert_same(got, np.zeros(0, dtype=np.int64))
+
+    def test_int64_from_any_integer_sizes(self):
+        for n in ([2, 0, 1], np.array([2, 0, 1], dtype=np.int32), np.array([2, 0, 1], dtype=np.uint8)):
+            owner, position = network._ragged(n)
+            assert_same(owner, np.array([0, 0, 2]))
+            assert_same(position, np.array([0, 1, 0]))
+
+    def test_csr_rows_match_the_repeat_expansion(self):
+        rng = np.random.default_rng(49)
+        for _ in range(40):
+            net = random_network(rng)
+            u = rng.integers(0, net.n_vertices, int(rng.integers(0, 3 * net.n_vertices)))
+            at, row = network._csr_rows(net._ptr, u)
+            want, deg = repeat_csr_rows(net._ptr, u)
+            assert_same(at, want)
+            assert_same(row, np.repeat(np.arange(len(u)), deg))
+
+    def test_inner_nodes_match_the_repeat_expansion(self):
+        for lat, rng in random_lattices(50, 30):
+            inner = lat._n_pieces - 1
+            edge = rng.integers(0, lat.network.n_edges, 60)
+            lo = 1 + rng.integers(0, np.maximum(inner[edge], 1))  # 1 where an edge has no inner node
+            n = rng.integers(0, np.maximum(inner[edge] - lo + 2, 1))  # empty windows included
+            node, x, w = lat._inner_nodes(edge, lo, n)
+            want_node, want_x = repeat_inner_nodes(lat, edge, lo, n)
+            assert_same(node, want_node)
+            assert_same(x, want_x)
+            assert_same(w, np.repeat(np.arange(len(edge)), n))
+
+    @pytest.mark.parametrize("per_block", [1, 50, 2**18])
+    def test_box_pairs_match_the_repeat_expansion(self, monkeypatch, per_block):
+        monkeypatch.setattr(network, "BLOCK_PAIRS", per_block)
+        rng = np.random.default_rng(51)
+        for _ in range(30):
+            na, nb = rng.integers(1, 80, size=2)
+            lo_a = rng.uniform(-5, 5, (na, 2))
+            hi_a = lo_a + rng.exponential(1.0, (na, 2)) * (rng.random((na, 2)) < 0.8)
+            lo_b = rng.uniform(-8, 8, (nb, 2))
+            hi_b = lo_b + rng.exponential(2.0, (nb, 2)) - (rng.random((nb, 1)) < 0.1)  # some empty
+            cell = float(10 ** rng.uniform(-2, 1))
+            got = list(network._box_pairs(lo_a, hi_a, lo_b, hi_b, cell))
+            want = list(repeat_box_pairs(lo_a, hi_a, lo_b, hi_b, cell))
+            assert len(got) == len(want)
+            for block, ref in zip(got, want):
+                for a, b in zip(block, ref, strict=True):
+                    assert_same(a, b)
+
+
 class TestLocations:
     def test_offset_bounds(self):
         # the one location check, also behind the scalar distance functions
@@ -327,6 +394,28 @@ class TestLocations:
                 with pytest.raises(LocationOffNetwork) as got:
                     call()
                 assert str(got.value) == message
+
+    @pytest.mark.parametrize("edge", [1.9, -0.5, math.nan, math.inf, 2**70])
+    def test_bad_edge_ids_refused_before_the_cast(self, edge):
+        # a cast to int64 would truncate 1.9 to edge 1 and overflow on 2**70
+        net = triangle_network()
+        ok, bad = NetworkLocation(0, 0.5), NetworkLocation(edge, 0.5)
+        for call in (lambda: PointPattern(net, [edge], [0.5]),
+                     lambda: PointPattern(net, np.array([0, edge], dtype=object), [0.5, 0.5]),
+                     lambda: shortest_path_distance(net, ok, bad),
+                     lambda: shortest_path_distance(net, bad, ok),
+                     lambda: Lattice(net, 0.25).distance_field(bad)):
+            with pytest.raises(LocationOffNetwork) as got:
+                call()
+            assert str(got.value) == f"edge id {edge} out of range"
+
+    def test_whole_float_edge_ids_are_edges(self):
+        net = triangle_network()
+        pattern = PointPattern(net, [1.0, 2.0], [0.5, 0.25])
+        assert_same(pattern.edge, np.array([1, 2]))
+        a, b = NetworkLocation(1.0, 0.5), NetworkLocation(2.0, 0.25)
+        assert shortest_path_distance(net, a, b) == shortest_path_distance(net, NetworkLocation(1, 0.5),
+                                                                           NetworkLocation(2, 0.25))
 
     def test_canonical_endpoints(self):
         net = triangle_network()
