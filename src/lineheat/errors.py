@@ -69,9 +69,5 @@ class LatticeMismatch(LineHeatError):
     """Operation requires both functions on the same lattice."""
 
 
-class CholeskyFailure(NumericalError):
-    """Covariance matrix not positive definite even after jitter."""
-
-
 class NonpositivePilotWarning(UserWarning):
     """Pilot intensity at a data point was at or below the floor and was clamped."""

@@ -166,9 +166,13 @@ class LinearNetwork:
         return float(self.edge_lengths.sum())
 
     def check_locations(self, edge, offset):
-        """The locations (edge[i], offset[i]) as new int64 and float arrays; the
-        first one off the network raises LocationOffNetwork."""
+        """The locations (edge[i], offset[i]) as new int64 and float arrays; columns
+        that are not 1-D or differ in length, and the first location off the
+        network, raise LocationOffNetwork."""
         edge, offset = np.asarray(edge), np.array(offset, dtype=float)
+        if edge.ndim != 1 or offset.shape != edge.shape:
+            raise LocationOffNetwork(f"edge and offset must be 1-D columns of one length, got shapes "
+                                     f"{edge.shape} and {offset.shape}")
         with np.errstate(invalid="ignore"):  # an object array warns on nan
             valid = (0 <= edge) & (edge < self.n_edges)  # False for nan
         ids = np.where(valid, edge, 0).astype(np.int64)  # cast only in range

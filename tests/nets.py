@@ -822,10 +822,9 @@ def scipy_components(net):
     return connected_components(graph, directed=False)[1].astype(np.int64)
 
 
-def cdist_field_cholesky(res, variance, scale):
-    """Cholesky factor of the exponential covariance on the res x res grid,
-    with the distances from scipy's ``cdist`` over the grid points in row-major
-    order (axis 0 = x), as ``sim._field_cholesky`` once took them."""
+def cdist_field_covariance(res, variance, scale):
+    """Exponential covariance of the res x res grid points in row-major order
+    (axis 0 = x), with the distances from scipy's ``cdist``."""
     from scipy.spatial.distance import cdist
 
     ax = np.linspace(0.0, 1.0, res)
@@ -835,7 +834,7 @@ def cdist_field_cholesky(res, variance, scale):
     np.multiply(cov, -1.0 / scale, out=cov)
     np.exp(cov, out=cov)
     np.multiply(cov, variance, out=cov)
-    return np.linalg.cholesky(cov)
+    return cov
 
 
 # -- the scans and cKDTree queries the grid index replaced --------------------

@@ -544,8 +544,8 @@ class TestSimulate:
 
 
     @pytest.mark.parametrize("flags, message", [
-        (("--field-res", "200"), "field resolution must be from 2 to 72, got 200"),
-        (("--field-res", "1"), "field resolution must be from 2 to 72, got 1"),
+        (("--field-res", "1025"), "field resolution must be from 2 to 1024, got 1025"),
+        (("--field-res", "1"), "field resolution must be from 2 to 1024, got 1"),
         (("--target-points", "1e9"), "target points must be in (0, 1e+06], got 1e+09"),
         (("--target-points", "-5"), "target points must be in (0, 1e+06], got -5"),
         (("--target-points", "nan"), "target points must be in (0, 1e+06], got nan"),
@@ -557,7 +557,7 @@ class TestSimulate:
             "dx-negative", "dx-zero", "dx-nan", "dx-inf"])
     @pytest.mark.parametrize("command", ["simulate", "study"])
     def test_oversized_simulation_rejected_before_the_network_is_read(self, tmp_path, command, flags, message):
-        # the 11.9 GiB covariance of res 200 and the 1e9 points are never allocated
+        # refused before the network is read: no field is sampled and no points are drawn
         outs = (("--out-points", tmp_path / "p.csv", "--out-intensity", tmp_path / "l.csv")
                 if command == "simulate" else ("--out", tmp_path / "study.csv"))
         proc = run_cli(command, "--net", tmp_path / "nope.geojson", "--scenario", "loggaussian-1",

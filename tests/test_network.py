@@ -786,6 +786,19 @@ class TestPointPattern:
         for col in (pp.edge, pp.offset, pp.order):
             assert not col.flags.writeable
 
+    @pytest.mark.parametrize("edge, offset, shapes", [
+        ([0, 1], [0.5], "(2,) and (1,)"),
+        ([0], [0.5, 0.25], "(1,) and (2,)"),
+        (1, 0.5, "() and ()"),
+        ([[0, 1]], [[0.5, 0.5]], "(1, 2) and (1, 2)"),
+    ], ids=["more-edges", "more-offsets", "scalars", "2-d"])
+    def test_columns_must_be_1d_and_of_one_length(self, edge, offset, shapes):
+        net = y_network()
+        with pytest.raises(LocationOffNetwork) as got:
+            PointPattern(net, edge, offset)
+        assert str(got.value) == f"edge and offset must be 1-D columns of one length, got shapes {shapes}"
+        assert PointPattern(net, [], []).n == 0
+
 
     @pytest.mark.parametrize("build", [
         lambda net, edge, offset: pattern_of(net, [NetworkLocation(e, float(o)) for e, o in zip(edge, offset)]),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lineheat.errors import NumericalError
 from lineheat.experiment import LOGGAUSSIAN_SCENARIOS
 from lineheat.lattice import LatticeFunction, discretize
 from lineheat.network import build_network
@@ -15,11 +16,11 @@ from lineheat.sim import (
     mixture_to_network_intensity,
     sample_gaussian_field,
     sample_poisson_on_network,
-    _field_cholesky,
+    _embedding_eigenvalues,
     unit_square_map,
 )
 
-from nets import cdist_field_cholesky, grid_network, segment_network
+from nets import cdist_field_covariance, grid_network, segment_network
 
 
 def unit_segment_net():
@@ -36,11 +37,12 @@ class TestGaussianField:
         c = sample_gaussian_field(24, spec, seed=43)
         assert not np.array_equal(a, c)
 
-    def test_variance_monte_carlo(self):
+    @pytest.mark.parametrize("res", [16, 128])
+    def test_variance_monte_carlo(self, res):
         spec = ExpCovSpec(variance=0.9, scale=0.09)
         cell = (7, 11)
         vals = np.array(
-            [sample_gaussian_field(16, spec, seed=s)[cell] for s in range(200)]
+            [sample_gaussian_field(res, spec, seed=s)[cell] for s in range(200)]
         )
         s2 = vals.var(ddof=1)
         se = 0.9 * math.sqrt(2.0 / 199)
@@ -63,20 +65,46 @@ class TestGaussianField:
         assert abs(z_hat - z_want) <= 3.0 / math.sqrt(240 - 3)
 
     @pytest.mark.parametrize("res", [2, 8, 21, 64])
-    def test_cholesky_matches_cdist_oracle(self, res):
-        # the broadcast grid distances are cdist's to the bit; the factor at
-        # res 64 is 4096 x 4096, so one scenario covers it
-        names = list(LOGGAUSSIAN_SCENARIOS)
-        for name in names if res < 64 else names[:1]:
-            spec = LOGGAUSSIAN_SCENARIOS[name]
-            want = cdist_field_cholesky(res, spec.variance, spec.scale)
-            assert np.array_equal(_field_cholesky(res, spec.variance, spec.scale), want)
+    @pytest.mark.parametrize("name", list(LOGGAUSSIAN_SCENARIOS))
+    def test_embedding_covariance_matches_cdist_oracle(self, name, res):
+        # the embedded covariance between grid points (i, j) and (i', j') is the
+        # inverse transform of the clipped eigenvalues at the wrapped lag
+        spec = LOGGAUSSIAN_SCENARIOS[name]
+        eig = _embedding_eigenvalues(res, spec)
+        m = 2 * (res - 1)
+        assert eig.shape == (m, m)
+        cov = np.fft.ifft2(np.maximum(eig, 0.0)).real
+        i = np.arange(res)
+        lag = np.subtract.outer(i, i) % m
+        got = cov[lag[:, None, :, None], lag[None, :, None, :]].reshape(res * res, res * res)
+        want = cdist_field_covariance(res, spec.variance, spec.scale)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_embedding_refused_when_not_positive_semidefinite(self):
+        with pytest.raises(NumericalError, match=r"scale 1 on the 30 x 30 periodic grid of field resolution 16"):
+            sample_gaussian_field(16, ExpCovSpec(0.9, 1.0), seed=0)
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            ExpCovSpec(variance=-1.0, scale=0.1)
+        nan, inf = float("nan"), float("inf")
+        for variance, scale in [(-1.0, 0.1), (nan, 0.1), (0.9, nan), (inf, 0.1), (0.9, inf), (0.0, 0.1)]:
+            with pytest.raises(ValueError, match="variance and scale must be positive and finite"):
+                ExpCovSpec(variance=variance, scale=scale)
         with pytest.raises(ValueError):
             sample_gaussian_field(1, ExpCovSpec(1.0, 1.0), seed=0)
+        with pytest.raises(ValueError, match="field resolution must be from 2 to 1024, got 1025"):
+            sample_gaussian_field(1025, ExpCovSpec(1.0, 0.03), seed=0)
+        one = dict(weights=(1.0,), means=((0.5, 0.5),), covariances=(((0.01, 0.0), (0.0, 0.01)),))
+        MixtureSpec(**one)
+        for key, bad in [
+            ("weights", (nan,)),
+            ("covariances", (((nan, 0.0), (0.0, 0.01)),)),
+            ("covariances", (((0.01, 0.0), (0.0, inf)),)),
+            ("covariances", (((0.01, 0.02), (0.02, 0.01)),)),  # indefinite
+            ("covariances", (((0.01, 0.0), (0.001, 0.01)),)),  # not symmetric
+            ("covariances", (((0.01, 0.0), (0.0, 0.0)),)),  # singular
+        ]:
+            with pytest.raises(ValueError, match="mixture"):
+                MixtureSpec(**{**one, key: bad})
 
 
 class TestFieldToIntensity:
