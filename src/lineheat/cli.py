@@ -16,38 +16,15 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import __version__
-from .adaptive import (
-    abramson_bandwidths,
-    bin_count,
-    estimate_adaptive_partition,
-    heuristic_global_bandwidth,
-)
 from .errors import LineHeatError
-from .experiment import (SCENARIOS, STUDY_COLUMNS, check_simulation, run_partition_study,
-                         simulate_intensity, study_deltas)
-from .heat import DEFAULT_CONFIG, MAX_BANDWIDTH, estimate_heat, estimate_heat_batch, resolve_dx
-from .ingest import (
-    FLOAT_FMT,
-    check_raster_res,
-    read_network_geojson,
-    read_points,
-    write_lattice_function,
-    write_points_csv,
-)
-from .kernels import (
-    Kernel1D,
-    equal_split_continuous,
-    equal_split_discontinuous,
-    estimate_jones_diggle,
-    estimate_uniform_corrected,
-)
-from .lattice import discretize
-from .sim import sample_poisson_on_network
 
+# Only what --help and usage errors need is imported here, so they load no
+# numpy; each command imports the modules its own path runs.
 _METHODS = ("heat", "uniform-corrected", "jones-diggle", "esd", "esc")
+#: experiment.SCENARIOS, spelled out so that building the parser imports no
+#: simulator (a test keeps the two equal).
+_SCENARIOS = ("loggaussian-1", "loggaussian-2", "loggaussian-3", "loggaussian-4", "paper-gm5")
 
 
 def _echo_config(args: argparse.Namespace, file=None, **extra) -> None:
@@ -69,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("simulate", help="simulate an intensity and a point pattern")
     s.add_argument("--net", required=True, help="GeoJSON network file")
-    s.add_argument("--scenario", required=True, choices=SCENARIOS)
+    s.add_argument("--scenario", required=True, choices=_SCENARIOS)
     s.add_argument("--seed", type=int, required=True)
     s.add_argument("--target-points", type=float, default=520.0)
     s.add_argument("--field-res", type=int, default=64, help="field grid resolution")
@@ -100,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     st = sub.add_parser("study", help="partition-vs-direct ISE and timing study")
     st.add_argument("--net", required=True)
-    st.add_argument("--scenario", required=True, choices=SCENARIOS)
+    st.add_argument("--scenario", required=True, choices=_SCENARIOS)
     st.add_argument("--deltas", default="0.1,0.05,0.025,0.01",
                     help="comma-separated quantile steps")
     st.add_argument("--replicates", type=int, default=20)
@@ -119,6 +96,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_validate(args) -> int:
+    import numpy as np
+
+    from .ingest import FLOAT_FMT, read_network_geojson
+
     net = read_network_geojson(args.network)
     _echo_config(args)
     degs = np.bincount(net.degrees)
@@ -133,6 +114,12 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .experiment import check_simulation, simulate_intensity
+    from .heat import resolve_dx
+    from .ingest import FLOAT_FMT, read_network_geojson, write_lattice_function, write_points_csv
+    from .lattice import discretize
+    from .sim import sample_poisson_on_network
+
     check_simulation(args.target_points, args.field_res)
     _check_dx(args.dx)
     net = read_network_geojson(args.net)
@@ -151,6 +138,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _load_pattern(args):
+    from .ingest import check_raster_res, read_network_geojson, read_points
+
     if args.bw is not None:
         _bandwidth(args.bw, "--bw")
     if args.bw_global not in (None, "auto"):
@@ -161,6 +150,8 @@ def _load_pattern(args):
         if args.method != "heat":
             raise LineHeatError("adaptive estimation is supported for the heat method only")
         if args.delta is not None:
+            from .adaptive import bin_count
+
             bin_count(args.delta)
         if args.bw_global is None:
             raise LineHeatError("--adaptive requires --bw-global (number or 'auto')")
@@ -184,18 +175,17 @@ def _load_pattern(args):
     return net, pattern
 
 
-def _fixed_kernel(args, bw: float) -> Kernel1D:
-    family = args.kernel
-    if family is None:
-        family = "epanechnikov" if args.method in ("esd", "esc") else "gaussian"
-    return Kernel1D(family, bw)
-
-
 def _cmd_estimate(args) -> int:
+    from .heat import DEFAULT_CONFIG, estimate_heat, estimate_heat_batch, resolve_dx
+    from .ingest import FLOAT_FMT, write_lattice_function
+    from .lattice import discretize
+
     net, pattern = _load_pattern(args)
     cfg = DEFAULT_CONFIG
 
     if args.adaptive:
+        from .adaptive import abramson_bandwidths, estimate_adaptive_partition, heuristic_global_bandwidth
+
         if args.bw_global == "auto":
             star = heuristic_global_bandwidth(net.total_length, pattern.n)
             print(
@@ -219,7 +209,8 @@ def _cmd_estimate(args) -> int:
         dx = resolve_dx(args.dx, net, args.bw)
         _echo_config(args, resolved_dx=dx)
         lattice = discretize(net, dx)
-        est = _fixed_estimate(args, pattern, lattice, cfg)
+        est = (estimate_heat(pattern, lattice, args.bw, cfg) if args.method == "heat"
+               else _kernel_estimate(args, pattern, lattice))
 
     write_lattice_function(est, args.out, args.format, args.raster_res)
     print(f"n_points: {pattern.n}")
@@ -228,20 +219,19 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _fixed_estimate(args, pattern, lattice, cfg):
-    if args.method == "heat":
-        return estimate_heat(pattern, lattice, args.bw, cfg)
-    kernel = _fixed_kernel(args, args.bw)
-    if args.method == "uniform-corrected":
-        return estimate_uniform_corrected(pattern, lattice, kernel)
-    if args.method == "jones-diggle":
-        return estimate_jones_diggle(pattern, lattice, kernel)
-    if args.method == "esd":
-        return equal_split_discontinuous(pattern, lattice, kernel)
-    return equal_split_continuous(pattern, lattice, kernel)
+def _kernel_estimate(args, pattern, lattice):
+    from .kernels import (Kernel1D, equal_split_continuous, equal_split_discontinuous, estimate_jones_diggle,
+                          estimate_uniform_corrected)
+
+    family = args.kernel or ("epanechnikov" if args.method in ("esd", "esc") else "gaussian")
+    estimator = {"uniform-corrected": estimate_uniform_corrected, "jones-diggle": estimate_jones_diggle,
+                 "esd": equal_split_discontinuous, "esc": equal_split_continuous}[args.method]
+    return estimator(pattern, lattice, Kernel1D(family, args.bw))
 
 
 def _bandwidth(value, name: str = "global bandwidth") -> float:
+    from .heat import MAX_BANDWIDTH
+
     bw = float(value)
     if not 0 < bw < math.inf:
         raise LineHeatError(f"{name} must be positive and finite")
@@ -257,6 +247,9 @@ def _check_dx(dx) -> None:
 
 
 def _cmd_study(args) -> int:
+    from .experiment import STUDY_COLUMNS, check_simulation, run_partition_study, study_deltas
+    from .ingest import FLOAT_FMT, read_network_geojson
+
     eps_star = None
     if args.bw_global not in (None, "auto"):
         eps_star = _bandwidth(args.bw_global)

@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import network
 from .errors import LatticeMismatch, PairBudgetExceeded, PathExplosion, UnboundedKernel
 from .lattice import Lattice, LatticeFunction, _require_same_network
 from .network import PointPattern, _box_pairs, _csr_rows
+from . import network  # after the line above: bound by then, so no package __getattr__ runs
 
 GAUSSIAN_TRUNCATION = 4.0  # support radius in standard deviations
 _GAUSS_MASS = math.erf(GAUSSIAN_TRUNCATION / math.sqrt(2.0))

@@ -17,8 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import network
 from .network import LinearNetwork, NetworkLocation, PointPattern, _ragged, _vertex_distances
+from . import network  # after the line above: bound by then, so no package __getattr__ runs
 
 #: Most lattice nodes a spacing may ask for: a heat or uniform-corrected run
 #: at this size peaks at about 0.5 and 0.7 GB.

@@ -168,13 +168,16 @@ class LinearNetwork:
     def check_locations(self, edge, offset):
         """The locations (edge[i], offset[i]) as new int64 and float arrays; columns
         that are not 1-D or differ in length, and the first location off the
-        network, raise LocationOffNetwork."""
-        edge, offset = np.asarray(edge), np.array(offset, dtype=float)
+        network, raise LocationOffNetwork; so do ragged and non-numeric columns."""
+        try:  # numpy raises these for ragged columns and for ones that hold no numbers
+            edge, offset = np.asarray(edge), np.array(offset, dtype=float)
+            with np.errstate(invalid="ignore"):  # an object array warns on nan
+                valid = (0 <= edge) & (edge < self.n_edges)  # False for nan
+        except (TypeError, ValueError) as exc:
+            raise LocationOffNetwork(f"edge and offset must be 1-D columns of numbers: {exc}") from None
         if edge.ndim != 1 or offset.shape != edge.shape:
             raise LocationOffNetwork(f"edge and offset must be 1-D columns of one length, got shapes "
                                      f"{edge.shape} and {offset.shape}")
-        with np.errstate(invalid="ignore"):  # an object array warns on nan
-            valid = (0 <= edge) & (edge < self.n_edges)  # False for nan
         ids = np.where(valid, edge, 0).astype(np.int64)  # cast only in range
         valid &= ids == edge  # a fractional id differs from its cast
         length = self.edge_lengths[ids]

@@ -677,3 +677,80 @@ class TestStudy:
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [f"error: {message}"]
         assert proc.stdout == "" and not (tmp_path / "study.csv").exists()
+
+
+class TestImports:
+    """``import lineheat``, --help and usage errors load no numpy, and each
+    command loads only the modules its path runs (checked in fresh processes)."""
+
+    ESTIMATORS = tuple(f"lineheat.{m}" for m in
+                       ("adaptive", "heat", "ingest", "kernels", "lattice", "network", "experiment", "sim"))
+
+    @staticmethod
+    def loaded(code, prefixes, cwd=None):
+        """The modules under ``prefixes`` that ``code`` leaves in sys.modules."""
+        code += f"\nimport sys\nprint(sorted(m for m in sys.modules for p in {prefixes!r} "
+        code += "if m == p or m.startswith(p + '.')))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=cwd)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip().splitlines()[-1]
+
+    @pytest.mark.parametrize("code", [
+        "import lineheat",
+        "import runpy, sys\nsys.argv = ['lineheat', '--help']\n"
+        "try:\n    runpy.run_module('lineheat', run_name='__main__')\nexcept SystemExit as e:\n    assert e.code == 0",
+        "from lineheat.cli import main\ntry:\n    main(['--help'])\nexcept SystemExit as e:\n    assert e.code == 0",
+        "from lineheat.cli import main\ntry:\n    main(['simulate', '--help'])\nexcept SystemExit as e:\n    assert e.code == 0",
+        "from lineheat.cli import main\ntry:\n    main(['estimate'])\nexcept SystemExit as e:\n    assert e.code == 2",
+    ], ids=["import", "python-m-help", "help", "simulate-help", "usage-error"])
+    def test_startup_loads_no_numpy_and_no_estimator(self, code):
+        assert self.loaded(code, ("numpy",) + self.ESTIMATORS) == "[]"
+
+    @pytest.mark.parametrize("flags, absent", [
+        (("--bw", "0.3"), ("lineheat.adaptive", "lineheat.kernels", "lineheat.experiment", "lineheat.sim")),
+        (("--adaptive", "--bw-global", "0.3"), ("lineheat.kernels", "lineheat.experiment", "lineheat.sim")),
+        (("--adaptive", "--bw-global", "0.3", "--delta", "0.5"),
+         ("lineheat.kernels", "lineheat.experiment", "lineheat.sim")),
+        (("--method", "uniform-corrected", "--bw", "0.3"),
+         ("lineheat.adaptive", "lineheat.experiment", "lineheat.sim")),
+    ], ids=["heat", "adaptive-direct", "adaptive-partition", "kernel"])
+    def test_estimate_loads_only_its_modules(self, toy, tmp_path, flags, absent):
+        _, net_path, pts_path = toy
+        argv = ["estimate", "--net", str(net_path), "--points", str(pts_path), "--out", "out.csv", *flags]
+        code = f"from lineheat.cli import main\nassert main({argv!r}) == 0"
+        assert self.loaded(code, absent, cwd=tmp_path) == "[]"
+        assert (tmp_path / "out.csv").exists()
+
+    def test_first_access_binds_every_exported_name(self):
+        code = ("import sys, lineheat\nbefore = sorted(vars(lineheat))\nlineheat.BETA\n"
+                "print(all(n in vars(lineheat) for n in lineheat.__all__), before)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("True ") and "'BETA'" not in proc.stdout
+
+    def test_exports_are_their_modules_objects(self):
+        import importlib
+
+        import lineheat
+
+        assert len(lineheat.__all__) == len(set(lineheat.__all__)) == 45
+        for module, names in lineheat._EXPORTS.items():
+            defining = importlib.import_module(f"lineheat.{module}")
+            for name in names:
+                assert getattr(lineheat, name) is getattr(defining, name), name
+        assert set(lineheat.__all__) <= set(dir(lineheat))
+        star = {}
+        exec("from lineheat import *", star)
+        assert sorted(k for k in star if k != "__builtins__") == sorted(lineheat.__all__)
+        with pytest.raises(AttributeError, match="module 'lineheat' has no attribute 'nope'"):
+            lineheat.nope
+
+    def test_scenario_choices_are_the_simulators(self):
+        from lineheat import cli, experiment
+
+        assert cli._SCENARIOS == experiment.SCENARIOS
+        proc = run_cli("simulate", "--help")
+        assert proc.returncode == 0 and "{" + ",".join(experiment.SCENARIOS) + "}" in proc.stdout
+        proc = run_cli("simulate", "--net", "n.geojson", "--scenario", "nope", "--seed", "0",
+                       "--out-points", "p.csv", "--out-intensity", "l.csv")
+        assert proc.returncode == 2 and "invalid choice: 'nope'" in proc.stderr

@@ -786,17 +786,29 @@ class TestPointPattern:
         for col in (pp.edge, pp.offset, pp.order):
             assert not col.flags.writeable
 
-    @pytest.mark.parametrize("edge, offset, shapes", [
-        ([0, 1], [0.5], "(2,) and (1,)"),
-        ([0], [0.5, 0.25], "(1,) and (2,)"),
-        (1, 0.5, "() and ()"),
-        ([[0, 1]], [[0.5, 0.5]], "(1, 2) and (1, 2)"),
-    ], ids=["more-edges", "more-offsets", "scalars", "2-d"])
-    def test_columns_must_be_1d_and_of_one_length(self, edge, offset, shapes):
+    SHAPES = "edge and offset must be 1-D columns of one length, got shapes "
+    NUMBERS = "edge and offset must be 1-D columns of numbers: "
+
+    @pytest.mark.parametrize("edge, offset, message", [
+        ([0, 1], [0.5], SHAPES + "(2,) and (1,)"),
+        ([0], [0.5, 0.25], SHAPES + "(1,) and (2,)"),
+        (1, 0.5, SHAPES + "() and ()"),
+        ([[0, 1]], [[0.5, 0.5]], SHAPES + "(1, 2) and (1, 2)"),
+        # numpy's own ValueError or TypeError, named as the location error
+        ([0, 1], [[0.5], [0.2, 0.3]], NUMBERS),
+        ([[0], [1, 0]], [0.5, 0.5], NUMBERS),
+        ([0], ["a"], NUMBERS + "could not convert string to float: 'a'"),
+        (["a"], [0.5], NUMBERS),
+        ([None], [0.5], NUMBERS),
+        ([0], [1 + 2j], NUMBERS),
+    ], ids=["more-edges", "more-offsets", "scalars", "2-d", "ragged-offsets", "ragged-edges",
+            "text-offset", "text-edge", "none-edge", "complex-offset"])
+    def test_columns_must_be_1d_and_of_one_length(self, edge, offset, message):
         net = y_network()
         with pytest.raises(LocationOffNetwork) as got:
             PointPattern(net, edge, offset)
-        assert str(got.value) == f"edge and offset must be 1-D columns of one length, got shapes {shapes}"
+        text = str(got.value)
+        assert text.startswith(message) if message.endswith(": ") else text == message
         assert PointPattern(net, [], []).n == 0
 
 
@@ -889,7 +901,7 @@ print(rc, sorted(m for m in sys.modules if m.startswith("scipy")))
     def test_import_leaves_spatial_unimported(self):
         # scipy.spatial takes about a third of a second to import; commands
         # that never read a network (``--help``) should not pay it
-        code = "import sys, lineheat; print('scipy.spatial' in sys.modules)"
+        code = "import sys\nfrom lineheat import *\nprint('scipy.spatial' in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
@@ -907,7 +919,7 @@ print(rc, sorted(m for m in sys.modules if m.startswith("scipy")))
         return proc.stdout.strip().splitlines()[-1]
 
     def test_import_help_and_estimate_load_no_heavy_module(self, tmp_path):
-        assert self.heavy_modules("import lineheat") == "[]"
+        assert self.heavy_modules("from lineheat import *") == "[]"  # every module
         assert self.heavy_modules(
             "from lineheat.cli import main\ntry:\n    main(['--help'])\nexcept SystemExit:\n    pass") == "[]"
         write_network_geojson(grid_network(3, 3, spacing=0.5), tmp_path / "net.geojson")
@@ -920,7 +932,7 @@ print(rc, sorted(m for m in sys.modules if m.startswith("scipy")))
     def test_import_leaves_scipy_unimported(self):
         # scipy.sparse alone takes about a fifth of a second to import; no
         # module of the package loads scipy (the simulator included)
-        code = "import sys, lineheat; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        code = "import sys\nfrom lineheat import *\nprint(sorted(m for m in sys.modules if m.startswith('scipy')))"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
