@@ -285,6 +285,14 @@ def _cmd_study(args) -> int:
 
 
 def main(argv=None) -> int:
+    # OpenBLAS's idle workers spin for about 0.1 s of CPU after numpy's import
+    # before they sleep, and a run's time then depends on where the scheduler
+    # puts them.  Let them sleep at once (the fewest cycles OpenBLAS allows)
+    # unless the caller chose; the thread count, and so every BLAS sum, stays.
+    if "numpy" not in sys.modules:
+        import os
+
+        os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -720,6 +721,19 @@ class TestImports:
         code = f"from lineheat.cli import main\nassert main({argv!r}) == 0"
         assert self.loaded(code, absent, cwd=tmp_path) == "[]"
         assert (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("timeout, expect", [(None, "4"), ("20", "20")])
+    def test_blas_workers_sleep_when_idle_unless_asked(self, toy, tmp_path, timeout, expect):
+        _, net_path, pts_path = toy
+        argv = ["estimate", "--net", str(net_path), "--points", str(pts_path), "--out", "out.csv", "--bw", "0.3"]
+        code = (f"import os\nfrom lineheat.cli import main\nassert main({argv!r}) == 0\n"
+                "print(os.environ['OPENBLAS_THREAD_TIMEOUT'])")
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+        if timeout:
+            env["OPENBLAS_THREAD_TIMEOUT"] = timeout
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == expect
 
     def test_first_access_binds_every_exported_name(self):
         code = ("import sys, lineheat\nbefore = sorted(vars(lineheat))\nlineheat.BETA\n"
