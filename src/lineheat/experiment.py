@@ -67,7 +67,7 @@ def ise(estimate: LatticeFunction, reference: LatticeFunction) -> float:
     if not estimate.lattice.compatible(reference.lattice):
         raise LatticeMismatch("functions live on different lattices")
     diff = estimate.values - reference.values
-    return float(estimate.lattice.node_weight @ (diff * diff))
+    return float(np.add.reduce(estimate.lattice.node_weight * (diff * diff)))  # in a fixed order, as integral
 
 
 def check_simulation(target_points: float, field_res: int) -> None:

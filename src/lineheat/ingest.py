@@ -60,7 +60,7 @@ def read_network_geojson(path) -> LinearNetwork:
                 sizes.append(len(line))
                 owner.append(i)
     finally:  # also on an error: a bad position before it is reported instead
-        xy = _positions(pts, np.array(owner, dtype=np.int64)[_ragged(sizes)[0]])
+        xy = _positions(pts, np.array(owner, dtype=np.int64)[_ragged(sizes)[0]], "feature")
 
     if not sizes:
         raise ParseError("no line segments found")
@@ -75,35 +75,31 @@ def read_network_geojson(path) -> LinearNetwork:
     return build_network(xy[used], inverse.reshape(ends.shape))
 
 
-def _positions(pts: list, feature) -> np.ndarray:
-    """(n, 2) coordinates of GeoJSON positions, converted as one array where
-    all are numbers of one dimension within ``MAX_COORDINATE``; else one by
-    one, which names the first bad, non-finite or too large position and its
-    ``feature``."""
+def _positions(pts: list, ids, what: str) -> np.ndarray:
+    """(n, 2) float coordinates of positions, each a list of two or more
+    numbers (a GeoJSON position, RFC 7946 3.1.1) within ``MAX_COORDINATE``.
+    They are converted as one array; where that fails, one by one, and a
+    ParseError names the first bad position as ``{what} {id}``."""
     try:
         a = np.array(pts)
     except (ValueError, OverflowError):  # ragged, or an integer beyond 64 bits
         a = np.empty(0)
     if a.ndim == 2 and a.shape[1] >= 2 and a.dtype.kind in "biuf":
         xy = a[:, :2].astype(float)
-        if (np.abs(xy) <= MAX_COORDINATE).all():
+        if (np.abs(xy) <= MAX_COORDINATE).all():  # False for nan and inf too
             return xy
     xy = []
-    for pt, i in zip(pts, feature.tolist()):
-        xy.append(_position(pt, i))
-        if fault := _coordinate_fault(*xy[-1]):
-            raise ParseError(f"feature {i}: {fault}")
+    for pt, i in zip(pts, ids):
+        try:  # fewer than two values fail to unpack; an integer beyond any float overflows
+            x, y = map(float, pt[:2] if isinstance(pt, list) else ())
+        except (TypeError, ValueError, OverflowError):
+            raise ParseError(f"{what} {i}: bad position {pt!r}") from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ParseError(f"{what} {i}: non-finite coordinate {(x, y)}")
+        if max(abs(x), abs(y)) > MAX_COORDINATE:
+            raise ParseError(f"{what} {i}: coordinate beyond +-{MAX_COORDINATE:.6g} {(x, y)}")
+        xy.append((x, y))
     return np.array(xy).reshape(-1, 2)
-
-
-def _coordinate_fault(x: float, y: float) -> str | None:
-    """Why the coordinates (x, y) are refused, or None: they must be finite and
-    at most ``MAX_COORDINATE`` in magnitude."""
-    if not (math.isfinite(x) and math.isfinite(y)):
-        return f"non-finite coordinate {(x, y)}"
-    if max(abs(x), abs(y)) > MAX_COORDINATE:
-        return f"coordinate beyond +-{MAX_COORDINATE:.6g} {(x, y)}"
-    return None
 
 
 def write_network_geojson(net: LinearNetwork, path) -> None:
@@ -125,17 +121,17 @@ def read_points(path, net: LinearNetwork, max_snap_dist: float):
 
     Returns (pattern, report); records farther than ``max_snap_dist`` from the
     network are dropped and counted.  CSV needs header columns x,y; GeoJSON
-    needs Point features.  A coordinate that is non-finite or beyond
-    ``MAX_COORDINATE`` is a ParseError naming its record (counted from 1).
+    needs Point features.  A bad position is a ParseError naming its CSV
+    record or its feature (counted from 1), as :func:`_positions` does.
     """
     if str(path).endswith((".geojson", ".json")):
-        xy = np.array([_position(p, i) for i, _, p in _features(path, ("Point",))]).reshape(-1, 2)
+        pts = []
+        try:
+            pts.extend(p for _, _, p in _features(path, ("Point",)))
+        finally:  # also on an error: a bad position before it is reported instead
+            xy = _positions(pts, range(1, len(pts) + 1), "feature")
     else:
         xy = _read_points_csv(path)
-    ok = (np.abs(xy) <= MAX_COORDINATE).all(axis=1)  # False for nan and inf too
-    if not ok.all():
-        i = int(np.argmin(ok))
-        raise ParseError(f"record {i + 1}: {_coordinate_fault(*xy[i].tolist())}")
 
     n = len(xy)
     edge, offset, dist = _snap(net, xy, max_snap_dist)
@@ -149,7 +145,7 @@ def read_points(path, net: LinearNetwork, max_snap_dist: float):
 def _read_points_csv(path) -> np.ndarray:
     """(n, 2) array of the x, y columns, found by header name (the last of a
     repeated one); blank lines are skipped, as ``csv.DictReader`` does."""
-    xy: list[tuple[float, float]] = []
+    xy: list[list[float]] = []
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -157,14 +153,14 @@ def _read_points_csv(path) -> np.ndarray:
             if not {"x", "y"} <= col.keys():
                 raise ParseError("points CSV must have header columns x,y")
             ix, iy = col["x"], col["y"]
-            xy.extend((float(r[ix]), float(r[iy])) for r in reader if r)  # on an error, len(xy) were read
+            xy.extend([float(r[ix]), float(r[iy])] for r in reader if r)  # on an error, len(xy) were read
     except (OSError, UnicodeDecodeError, csv.Error) as exc:  # before ValueError, which UnicodeDecodeError is
         raise ParseError(f"cannot read points CSV: {exc}") from exc
     except IndexError:
         raise ParseError(f"record {len(xy) + 1}: too few fields for columns x,y") from None
     except ValueError as exc:
         raise ParseError(f"record {len(xy) + 1}: bad coordinate value: {exc}") from None
-    return np.array(xy).reshape(-1, 2)
+    return _positions(xy, range(1, len(xy) + 1), "record")
 
 
 def _features(path, types: tuple[str, ...]):
@@ -191,15 +187,6 @@ def _features(path, types: tuple[str, ...]):
         if not isinstance(geom.get("coordinates"), list):
             raise ParseError(f"feature {i}: {gtype} without a coordinates array")
         yield i, gtype, geom["coordinates"]
-
-
-def _position(pt, i: int) -> tuple[float, float]:
-    if isinstance(pt, list) and len(pt) >= 2:
-        try:
-            return float(pt[0]), float(pt[1])
-        except (TypeError, ValueError):
-            pass
-    raise ParseError(f"feature {i}: bad position {pt!r}")
 
 
 def write_points_csv(pattern: PointPattern, path) -> None:

@@ -265,8 +265,9 @@ class LatticeFunction:
             raise ValueError("lattice function values must be finite")
 
     def integral(self) -> float:
-        """Arc-length integral via the node quadrature weights."""
-        return float(self.lattice.node_weight @ self.values)
+        """Arc-length integral via the node quadrature weights, summed in a fixed
+        order: a BLAS dot product's order follows its thread count."""
+        return float(np.add.reduce(self.lattice.node_weight * self.values))
 
     def values_at(self, edge, offset) -> np.ndarray:
         """Linear interpolation along the containing edge chains (unchecked)."""

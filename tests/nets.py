@@ -1062,8 +1062,16 @@ def pointwise_read_network(path, merge_tolerance=1e-8):
     """``read_network_geojson`` with its position-by-position walk: the walk the
     one-array conversion replaced, errors included."""
     from lineheat.errors import ParseError
-    from lineheat.ingest import _features, _position
+    from lineheat.ingest import _features
     from lineheat.network import MAX_COORDINATE, _close_pairs, _min_labels
+
+    def position(pt, i):
+        if isinstance(pt, list) and len(pt) >= 2:
+            try:
+                return float(pt[0]), float(pt[1])
+            except (TypeError, ValueError, OverflowError):
+                pass
+        raise ParseError(f"feature {i}: bad position {pt!r}")
 
     coords, raw_segments = [], []
     for i, gtype, lines in _features(path, ("LineString", "MultiLineString")):
@@ -1072,7 +1080,7 @@ def pointwise_read_network(path, merge_tolerance=1e-8):
                 raise ParseError(f"feature {i}: LineString with fewer than 2 coordinates")
             idx = []
             for pt in line:
-                x, y = _position(pt, i)
+                x, y = position(pt, i)
                 if not (math.isfinite(x) and math.isfinite(y)):
                     raise ParseError(f"feature {i}: non-finite coordinate ({x}, {y})")
                 if max(abs(x), abs(y)) > MAX_COORDINATE:

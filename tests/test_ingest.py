@@ -34,6 +34,7 @@ from nets import (
     random_network,
     segment_network,
     special_locations,
+    two_disjoint_segments,
 )
 
 
@@ -163,6 +164,23 @@ class TestReadNetwork:
         assert sorted(back.degrees) == sorted(net.degrees)
 
 
+@pytest.mark.parametrize("doc, message", [
+    ([], "expected a GeoJSON FeatureCollection"),
+    ({"type": "Feature", "features": []}, "expected a GeoJSON FeatureCollection"),
+    ({"type": "FeatureCollection", "features": {}}, "FeatureCollection 'features' is not an array"),
+    ({"type": "FeatureCollection", "features": []}, "no line segments found"),
+    ({"type": "FeatureCollection", "features": [_line([[0, 0], [0, 0]]), _line([[1, 1], [1, 1 + 1e-9]])]},
+     "all segments collapsed under the merge tolerance"),
+    ({"type": "FeatureCollection", "features": [_line([[0, 0], [1, 0]]), _line([[1, 0], [10**400, 0]])]},
+     r"feature 2: bad position \[1000"),
+], ids=["array", "not-a-collection", "features-not-an-array", "no-features", "all-collapsed", "oversized-int"])
+def test_network_refusal_named(tmp_path, doc, message):
+    p = tmp_path / "net.geojson"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match=message):
+        read_network_geojson(p)
+
+
 def _outcome(read, path):
     """(vertex_xy, edge_vertices) of a read, or its error's type and message."""
     try:
@@ -216,9 +234,10 @@ class TestCoordinateWalk:
         [_line([[0, 0], 1])],
         [{"type": "Feature", "geometry": {"type": "MultiLineString", "coordinates": [[[0, 0], [1, 0]], 7]}}],
         [_line([[0, 0], [1, 0]]), _line([[1, 0], [1, -1e200]]), _line([[0, 0], [1]])],
+        [_line([[0, 0], [1, 0]]), _line([[1, 0], [10**400, 0]])],
     ], ids=["none", "nan-then-short", "string", "inf-then-polygon", "nan-then-one-position",
             "mixed-dims", "bool", "huge-int", "numeric-string", "nested", "number", "multi-not-a-list",
-            "beyond-bound-then-short"])
+            "beyond-bound-then-short", "oversized-int"])
     def test_bad_or_odd_positions_read_as_the_walk_did(self, tmp_path, features):
         p = tmp_path / "net.geojson"
         _write_geojson(p, features)
@@ -364,8 +383,31 @@ class TestReadPoints:
                 for xy in ([0.5, 0.0], [0.5, value])
             ],
         )
-        with pytest.raises(ParseError, match="record 2"):
+        with pytest.raises(ParseError, match="feature 2: (non-finite coordinate|coordinate beyond)"):
             read_points(p, net, max_snap_dist=math.inf)
+
+    def test_oversized_integer_point_rejected(self, tmp_path):
+        # an integer no float can hold is a bad position, not an OverflowError
+        p = tmp_path / "pts.geojson"
+        _write_geojson(p, [{"type": "Feature", "geometry": {"type": "Point", "coordinates": xy}}
+                           for xy in ([0.5, 0], [10**400, 0])])
+        with pytest.raises(ParseError, match=r"feature 2: bad position \[1000"):
+            read_points(p, segment_network(2.0), max_snap_dist=math.inf)
+
+    def test_oversized_integer_csv_record_rejected(self, tmp_path):
+        # float() reads the digits as inf
+        p = tmp_path / "pts.csv"
+        p.write_text(f"x,y\n0.5,0\n{10**400},0\n")
+        with pytest.raises(ParseError, match=r"record 2: non-finite coordinate \(inf, 0.0\)"):
+            read_points(p, segment_network(2.0), max_snap_dist=math.inf)
+
+    def test_geojson_point_fault_before_a_later_feature_error_is_named(self, tmp_path):
+        # as for lines: the positions read before a structural error are checked first
+        p = tmp_path / "pts.geojson"
+        _write_geojson(p, [{"type": "Feature", "geometry": {"type": "Point", "coordinates": [math.nan, 0]}},
+                           {"type": "Feature", "geometry": {"type": "Polygon", "coordinates": []}}])
+        with pytest.raises(ParseError, match="feature 1: non-finite coordinate"):
+            read_points(p, segment_network(2.0), max_snap_dist=math.inf)
 
     def test_records_at_the_coordinate_bound_snap(self, tmp_path):
         # records as far as the bound allows snap to the nearer end, with no RuntimeWarning
@@ -517,6 +559,21 @@ class TestLatticeCsv:
         rows = [f"{bad_id},{row.split(',', 1)[1]}" for row in rows]
         p.write_text("\n".join([header, *rows]) + "\n")
         with pytest.raises(ParseError, match=f"edge_id {bad_id} out of range"):
+            read_lattice_function(p, lat)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda header, rows: ["edge_id,offset_start,offset_end,v", *rows], "bad lattice-csv: 'value'"),
+        (lambda header, rows: [header, *rows[:-1]], "edge 1: 4 cells in file, lattice has 5"),
+        (lambda header, rows: [header, *(r for r in rows if not r.startswith("1,"))],
+         "file does not cover every lattice node"),
+    ], ids=["no-value-column", "cell-missing", "edge-missing"])
+    def test_lattice_csv_refusal_named(self, tmp_path, edit, message):
+        lat = discretize(two_disjoint_segments(), 0.25)  # 5 cells on each edge
+        p = tmp_path / "f.csv"
+        write_lattice_function(LatticeFunction(lat, np.ones(lat.n_nodes)), p, "lattice-csv")
+        header, *rows = p.read_text().splitlines()
+        p.write_text("\n".join(edit(header, rows)) + "\n")
+        with pytest.raises(ParseError, match=message):
             read_lattice_function(p, lat)
 
     def test_bytes_equal_the_csv_writer(self, tmp_path):

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -269,6 +272,23 @@ class TestLatticeFunction:
         lat = discretize(segment_network(2.0), 0.25)
         f = LatticeFunction(lat, np.full(lat.n_nodes, 3.0))
         assert f.integral() == pytest.approx(6.0, rel=1e-12)
+
+    def test_integral_and_ise_do_not_depend_on_the_blas_threads(self):
+        # a BLAS dot product sums in an order its thread count sets; both sums
+        # print the same digits with one OpenBLAS thread and with two
+        code = (
+            "import numpy as np\n"
+            "from lineheat.experiment import ise\n"
+            "from lineheat.lattice import LatticeFunction, discretize\n"
+            "from lineheat.network import build_network\n"
+            "lat = discretize(build_network([(0, 0), (1, 0)], [(0, 1)]), 1e-5)\n"
+            "rng = np.random.default_rng(3)\n"
+            "f, g = (LatticeFunction(lat, rng.uniform(0, 1e3, lat.n_nodes)) for _ in range(2))\n"
+            "print(repr(f.integral()), repr(ise(f, g)))\n"
+        )
+        got = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                              env={**os.environ, "OPENBLAS_NUM_THREADS": n}).stdout for n in ("1", "2")]
+        assert got[0] == got[1]
 
     def test_value_at_interpolates(self):
         lat = discretize(segment_network(1.0), 0.25)
