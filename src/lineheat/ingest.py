@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from .errors import AllPointsTooFar, GeometryTypeError, ParseError
 from .lattice import Lattice, LatticeFunction
 from .network import MAX_COORDINATE, MERGE_TOLERANCE, LinearNetwork, PointPattern, build_network
-from .network import _box_pairs, _close_pairs, _min_labels, _nearest, _ragged, _snap
+from .network import _close_pairs, _min_labels, _nearest, _ragged, _snap, _spans
 
 FLOAT_FMT = "%.17g"
 _LATTICE_ROW = f"%d,{FLOAT_FMT},{FLOAT_FMT},{FLOAT_FMT}\r\n"  # a csv.writer row, terminator included
@@ -153,7 +154,7 @@ def _read_points_csv(path) -> np.ndarray:
             if not {"x", "y"} <= col.keys():
                 raise ParseError("points CSV must have header columns x,y")
             ix, iy = col["x"], col["y"]
-            xy.extend([float(r[ix]), float(r[iy])] for r in reader if r)  # on an error, len(xy) were read
+            xy.extend([_number(r[ix]), _number(r[iy])] for r in reader if r)  # on an error, len(xy) were read
     except (OSError, UnicodeDecodeError, csv.Error) as exc:  # before ValueError, which UnicodeDecodeError is
         raise ParseError(f"cannot read points CSV: {exc}") from exc
     except IndexError:
@@ -163,12 +164,20 @@ def _read_points_csv(path) -> np.ndarray:
     return _positions(xy, range(1, len(xy) + 1), "record")
 
 
+def _number(text: str) -> float:
+    """``float(text)``, refusing a finite number too large for any float, which float() reads as inf."""
+    x = float(text)
+    if math.isinf(x) and "inf" not in text.lower():
+        raise ValueError(f"{reprlib.repr(text)} is beyond +-{MAX_COORDINATE:.6g}")
+    return x
+
+
 def _features(path, types: tuple[str, ...]):
     """Yield (number from 1, geometry type, coordinates) per GeoJSON feature."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
             doc = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8, bad JSON, an integer past the digit limit
         raise ParseError(f"cannot read GeoJSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise ParseError("expected a GeoJSON FeatureCollection")
@@ -276,28 +285,56 @@ def check_raster_res(res: int) -> None:
 
 
 def rasterize(f: LatticeFunction, res: int):
-    """Raster of nearest-node values; cells without a node in reach are NaN."""
+    """Raster of nearest-node values; cells without a node in reach are NaN.
+
+    Each node lists the pixels of its index window, whose centres can lie
+    within half a diagonal of it; the nodes go in runs of about ``BLOCK_PAIRS``
+    candidates, and each pixel carries its best (d2, node id) from run to run."""
     check_raster_res(res)
-    net = f.lattice.network
-    xs, ys, bbox, half_diag = raster_grid(net, res)
-    gx, gy = np.meshgrid(xs, ys)
-    centers = np.column_stack([gx.ravel(), gy.ravel()])
-    # every node within half a diagonal is a candidate; the nearest wins, then the lowest id
+    xs, ys, bbox, half_diag = raster_grid(f.lattice.network, res)
     node_xy = f.lattice.node_xy
     reach = half_diag * (1 + 1e-9) + 1e-9 * float(np.abs(node_xy).max())
-    vals = np.full(len(centers), np.nan)
-    for k, c in _box_pairs(node_xy - reach, node_xy + reach, centers, centers, 2 * half_diag):
-        d = centers[c] - node_xy[k]
-        d2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+    window = []  # per axis: each node's first index and index count, and the indices picked on
+    for axis, p in enumerate(node_xy.T):
+        origin, pitch = bbox[axis], (bbox[axis + 2] - bbox[axis]) / res
+        # centre i lies at origin + (i + 1/2) pitch; one index of slack a side for rounding.
+        # On a flat axis (zero pitch) all centres are one: the pick runs on index 0, then is copied.
+        lo = np.ceil((p - reach - origin) / (pitch or math.inf) - 0.5) - 1
+        hi = np.floor((p + reach - origin) / (pitch or math.inf) - 0.5) + 1
+        lo, hi = (np.clip(b, 0, res - 1).astype(np.int64) for b in (lo, hi))
+        window.append((lo, hi - lo + 1, res if pitch else 1))
+    (x0, nx, wx), (y0, ny, wy) = window
+    count = nx * ny
+    best, node = np.full(wx * wy, np.inf), np.full(wx * wy, -1)
+    for a, b in _spans(count):
+        k, t = _ragged(count[a:b])
+        k += a
+        col, row = x0[k] + t % nx[k], y0[k] + t // nx[k]
+        dx, dy = xs[col] - node_xy[k, 0], ys[row] - node_xy[k, 1]
+        d2 = dx * dx + dy * dy
         near = np.flatnonzero(np.sqrt(d2) <= half_diag)
-        win = near[_nearest(c[near], d2[near], k[near])]
-        vals[c[win]] = f.values[k[win]]
-    return vals.reshape(res, res), bbox
+        cell = row[near] * wx + col[near]
+        by_cell = np.argsort(cell)  # _nearest takes each cell's candidates as one run
+        near, cell = near[by_cell], cell[by_cell]
+        win = _nearest(cell, d2[near], k[near])
+        near, cell = near[win], cell[win]
+        gain = d2[near] < best[cell]  # on a tie the earlier run's node, the lower id, stays
+        best[cell[gain]], node[cell[gain]] = d2[near[gain]], k[near[gain]]
+    del best
+    vals = f.values[node]
+    vals[node < 0] = np.nan
+    grid = vals.reshape(wy, wx)
+    if grid.shape != (res, res):
+        grid = np.broadcast_to(grid, (res, res)).copy()
+    return grid, bbox
 
 
 def _write_raster_csv(f: LatticeFunction, path, res: int) -> None:
     grid, bbox = rasterize(f, res)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# raster xmin=%s ymin=%s xmax=%s ymax=%s res=%d\n" % (*(FLOAT_FMT % b for b in bbox), res))
-        for row in grid[::-1].tolist():  # north-up: top row = max y
-            fh.write(",".join("NA" if math.isnan(v) else FLOAT_FMT % v for v in row) + "\n")
+        for row in grid[::-1]:  # north-up: top row = max y
+            line, at = ["NA"] * res, np.flatnonzero(~np.isnan(row))  # only covered cells are formatted
+            for i, v in zip(at.tolist(), row[at].tolist()):
+                line[i] = FLOAT_FMT % v
+            fh.write(",".join(line) + "\n")

@@ -26,8 +26,7 @@ import numpy as np
 
 from .errors import LatticeMismatch, PairBudgetExceeded, PathExplosion, UnboundedKernel
 from .lattice import Lattice, LatticeFunction, _require_same_network
-from .network import PointPattern, _box_pairs, _csr_rows
-from . import network  # after the line above: bound by then, so no package __getattr__ runs
+from .network import PointPattern, _box_pairs, _csr_rows, _spans
 
 GAUSSIAN_TRUNCATION = 4.0  # support radius in standard deviations
 _GAUSS_MASS = math.erf(GAUSSIAN_TRUNCATION / math.sqrt(2.0))
@@ -321,13 +320,3 @@ def _equal_split(pattern, lattice, kernel, continuous):
             push(scan(*branch(*stack.pop())))
     return LatticeFunction(lattice, out)
 
-
-def _spans(cost):
-    """(start, stop) runs of consecutive items costing at most ``BLOCK_PAIRS`` in
-    all, or one item that alone costs more."""
-    total, a, spans = np.cumsum(cost), 0, []
-    while a < len(total):
-        b = int(np.searchsorted(total, total[a] - cost[a] + network.BLOCK_PAIRS, "right"))
-        spans.append((a, max(a + 1, b)))
-        a = spans[-1][1]
-    return spans

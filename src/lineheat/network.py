@@ -217,6 +217,17 @@ def _ragged(n):
     return owner, position
 
 
+def _spans(cost):
+    """(start, stop) runs of consecutive items costing at most ``BLOCK_PAIRS`` in
+    all, or one item that alone costs more."""
+    total, a, spans = np.cumsum(cost), 0, []
+    while a < len(total):
+        b = int(np.searchsorted(total, total[a] - cost[a] + BLOCK_PAIRS, "right"))
+        spans.append((a, max(a + 1, b)))
+        a = spans[-1][1]
+    return spans
+
+
 def _csr_rows(ptr, u):
     """Positions of the rows ``u`` of a CSR structure with row pointer ``ptr``,
     concatenated, and the index into ``u`` of each position's row."""

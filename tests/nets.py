@@ -1030,8 +1030,10 @@ def repeat_box_pairs(lo_a, hi_a, lo_b, hi_b, cell: float):
 
 
 def lexsort_raster(f, res):
-    """The raster as a lexsort picks it: every node within half a cell diagonal
-    of a centre is a candidate; the nearest wins, then the lowest node id."""
+    """The raster as a lexsort picks it over the grid index's box pairs of all
+    res**2 centres, the search the per-node index window replaced: every node
+    within half a cell diagonal of a centre is a candidate; the nearest wins,
+    then the lowest node id."""
     from lineheat.ingest import raster_grid
     from lineheat.network import _box_pairs
 
@@ -1049,6 +1051,17 @@ def lexsort_raster(f, res):
         win = order[np.flatnonzero(np.diff(c[order], prepend=-1))]
         vals[c[win]] = f.values[k[win]]
     return vals.reshape(res, res), bbox
+
+
+def loop_raster_csv(grid, bbox, res):
+    """raster-csv text as the per-cell loop writes it, testing every cell for
+    NaN: the loop the writer that formats only covered cells replaced."""
+    from lineheat.ingest import FLOAT_FMT
+
+    lines = ["# raster xmin=%s ymin=%s xmax=%s ymax=%s res=%d\n" % (*(FLOAT_FMT % b for b in bbox), res)]
+    for row in grid[::-1].tolist():  # north-up: top row = max y
+        lines.append(",".join("NA" if math.isnan(v) else FLOAT_FMT % v for v in row) + "\n")
+    return "".join(lines)
 
 
 def dictreader_points(path):

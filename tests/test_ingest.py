@@ -27,6 +27,7 @@ from nets import (
     kdtree_merge,
     kdtree_raster,
     lexsort_raster,
+    loop_raster_csv,
     pattern_of,
     pointwise_read_network,
     random_lattices,
@@ -178,6 +179,15 @@ def test_network_refusal_named(tmp_path, doc, message):
     p = tmp_path / "net.geojson"
     p.write_text(json.dumps(doc))
     with pytest.raises(ParseError, match=message):
+        read_network_geojson(p)
+
+
+def test_network_digit_limit_is_a_parse_error(tmp_path):
+    # json.load raises a plain ValueError for an integer past Python's digit limit
+    p = tmp_path / "net.geojson"
+    p.write_text('{"type": "FeatureCollection", "features": [{"type": "Feature", "geometry": '
+                 '{"type": "LineString", "coordinates": [[0, 0], [1' + "0" * 5000 + ', 0]]}}]}')
+    with pytest.raises(ParseError, match=r"cannot read GeoJSON: Exceeds the limit \(4300 digits\)"):
         read_network_geojson(p)
 
 
@@ -395,11 +405,12 @@ class TestReadPoints:
             read_points(p, segment_network(2.0), max_snap_dist=math.inf)
 
     def test_oversized_integer_csv_record_rejected(self, tmp_path):
-        # float() reads the digits as inf
+        # float() reads these finite numbers as inf: they lie beyond the bound, as in GeoJSON
         p = tmp_path / "pts.csv"
-        p.write_text(f"x,y\n0.5,0\n{10**400},0\n")
-        with pytest.raises(ParseError, match=r"record 2: non-finite coordinate \(inf, 0.0\)"):
-            read_points(p, segment_network(2.0), max_snap_dist=math.inf)
+        for value, shown in ((10**400, r"'10+\.\.\.0+'"), ("-1e400", "'-1e400'")):
+            p.write_text(f"x,y\n0.5,0\n{value},0\n")
+            with pytest.raises(ParseError, match=rf"record 2: bad coordinate value: {shown} is beyond \+-3.35195e\+153"):
+                read_points(p, segment_network(2.0), max_snap_dist=math.inf)
 
     def test_geojson_point_fault_before_a_later_feature_error_is_named(self, tmp_path):
         # as for lines: the positions read before a structural error are checked first
@@ -484,7 +495,11 @@ class TestPointsDialect:
         (".csv", b"x,y\n" + b"1" * 200_000 + b",0\n", "cannot read points CSV: field larger than field limit"),
         (".csv", "x,y\n0.5,0\n\u00e9,0\n".encode("latin-1"), "cannot read points CSV: 'utf-8' codec"),
         (".geojson", '{"type": "FeatureCollection", "n\u00e9": []}'.encode("latin-1"), "cannot read GeoJSON: 'utf-8'"),
-    ], ids=["csv-huge-field", "csv-latin-1", "geojson-latin-1"])
+        # json.load raises a plain ValueError for an integer past Python's digit limit
+        (".geojson", b'{"type": "FeatureCollection", "features": [{"type": "Feature", "geometry": '
+         b'{"type": "Point", "coordinates": [1' + b"0" * 5000 + b', 0]}}]}',
+         r"cannot read GeoJSON: Exceeds the limit \(4300 digits\)"),
+    ], ids=["csv-huge-field", "csv-latin-1", "geojson-latin-1", "geojson-digit-limit"])
     def test_unreadable_file_is_a_parse_error(self, tmp_path, suffix, content, message):
         p = tmp_path / f"pts{suffix}"
         p.write_bytes(content)
@@ -635,6 +650,23 @@ class TestRasterCsv:
         assert both.any()
         assert np.array_equal(coarse[both], common_fine[both])
 
+    @pytest.mark.parametrize("kind", ["no-nan", "all-nan", "mix"])
+    def test_text_matches_per_cell_loop(self, tmp_path, monkeypatch, kind):
+        # formatting only the covered cells writes the bytes the per-cell loop wrote
+        from lineheat import ingest
+
+        rng, res = np.random.default_rng(37), 9
+        grid = rng.normal(size=(res, res)) * 10.0 ** rng.integers(-300, 300, (res, res))
+        grid.flat[:5] = [0.0, -0.0, 1 / 3, 2.0**-1074, np.inf]
+        if kind != "no-nan":
+            grid[rng.random((res, res)) < (0.5 if kind == "mix" else 2.0)] = np.nan
+        bbox = (-1.5, 0.0, 1 / 3, 1e300)
+        monkeypatch.setattr(ingest, "rasterize", lambda f, r: (grid, bbox))
+        p = tmp_path / "r.csv"
+        write_lattice_function(LatticeFunction(discretize(segment_network(), 0.5), np.ones(3)), p,
+                               "raster-csv", raster_res=res)
+        assert p.read_bytes() == loop_raster_csv(grid, bbox, res).encode()
+
     @pytest.mark.parametrize("res", [0, -3, 2001])
     def test_resolution_outside_limits_rejected(self, res):
         f = LatticeFunction(discretize(segment_network(), 0.5), np.ones(3))
@@ -656,23 +688,59 @@ class TestRasterMatchesKdtree:
 
     def test_random_lattices_match_lexsort_pick(self, monkeypatch):
         # every pixel, ties included: an axis-aligned grid at a spacing that
-        # divides its cells puts pixel centres halfway between nodes
-        from lineheat import network
+        # divides its cells puts pixel centres halfway between nodes; at 1 and
+        # 97 pairs a run, a pixel's candidates span several runs
+        from lineheat import ingest, network
 
         cases = list(random_lattices(34, count=12))
         cases += [(discretize(grid_network(4, 3), 0.5), np.random.default_rng(k)) for k in range(3)]
-        ties = 0
-        for pairs in (97, network.BLOCK_PAIRS):
-            monkeypatch.setattr(network, "BLOCK_PAIRS", pairs)
-            for lat, rng in cases:
-                f = LatticeFunction(lat, rng.random(lat.n_nodes))
-                for res in (1, 6, 12, 40):
-                    got, bbox = rasterize(f, res)
-                    want, want_bbox = lexsort_raster(f, res)
-                    assert_same(got, want)
-                    assert bbox == want_bbox
-                    ties += int((~kdtree_raster(f, res)[1] & ~np.isnan(want)).sum())
+        fs = [LatticeFunction(lat, rng.random(lat.n_nodes)) for lat, rng in cases]
+        wants = [[lexsort_raster(f, res) for res in (1, 6, 12, 40)] for f in fs]
+        ties = sum(int((~kdtree_raster(f, res)[1] & ~np.isnan(w)).sum())
+                   for f, want in zip(fs, wants) for res, (w, _) in zip((1, 6, 12, 40), want))
         assert ties > 0
+        spans = ingest._spans
+        for pairs in (1, 97, network.BLOCK_PAIRS):
+            runs = []
+            monkeypatch.setattr(ingest, "_spans", lambda cost: runs.append(len(spans(cost))) or spans(cost))
+            monkeypatch.setattr(network, "BLOCK_PAIRS", pairs)
+            for f, want in zip(fs, wants):
+                for res, (w, want_bbox) in zip((1, 6, 12, 40), want):
+                    got, bbox = rasterize(f, res)
+                    assert_same(got, w)
+                    assert bbox == want_bbox
+            assert max(runs) > 1 if pairs < 100 else max(runs) == 1
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_straight_polyline_matches_lexsort(self, axis):
+        # a zero-height (axis 0) or zero-width (axis 1) bounding box: the pixels
+        # along the flat axis share one centre
+        rng = np.random.default_rng(35)
+        along = np.cumsum(rng.uniform(0.2, 1.0, 8))
+        xy = np.column_stack([along, np.full(8, -2.0)])[:, [axis, 1 - axis]]
+        net = build_network(xy, [(k, k + 1) for k in range(7)])
+        for dx in (0.13, 0.5):
+            f = LatticeFunction(discretize(net, dx), rng.random(discretize(net, dx).n_nodes))
+            for res in (1, 3, 9, 50):
+                got, bbox = rasterize(f, res)
+                want, want_bbox = lexsort_raster(f, res)
+                assert (bbox[2] == bbox[0]) == (axis == 1) and (bbox[3] == bbox[1]) == (axis == 0)
+                assert_same(got, want)
+                assert bbox == want_bbox
+
+    def test_thin_box_matches_lexsort(self):
+        # pixels at least 1,000 times wider than tall: a node's window spans many rows
+        rng = np.random.default_rng(36)
+        xy = np.column_stack([np.linspace(0.0, 3000.0, 12), rng.uniform(0.0, 1.0, 12)])
+        net = build_network(xy, [(k, k + 1) for k in range(11)])
+        lat = discretize(net, 7.0)
+        f = LatticeFunction(lat, rng.random(lat.n_nodes))
+        for res in (1, 6, 40, 97):
+            got, bbox = rasterize(f, res)
+            want, want_bbox = lexsort_raster(f, res)
+            assert bbox[2] - bbox[0] >= 1000 * (bbox[3] - bbox[1])
+            assert_same(got, want)
+            assert bbox == want_bbox
 
     def test_vertical_line_ties_take_lowest_node_id(self):
         # zero-width bounding box; each pixel centre lies halfway between two nodes
