@@ -27,7 +27,7 @@ FLOAT_FMT = "%.17g"
 _LATTICE_ROW = f"%d,{FLOAT_FMT},{FLOAT_FMT},{FLOAT_FMT}\r\n"  # a csv.writer row, terminator included
 
 #: Most raster cells (resolution squared) one raster may have: a raster of
-#: this size peaks at about 0.6 GB.
+#: this size adds about 0.07 GB to an estimate's peak.
 MAX_RASTER_CELLS = 4_000_000
 
 
@@ -288,8 +288,9 @@ def rasterize(f: LatticeFunction, res: int):
     """Raster of nearest-node values; cells without a node in reach are NaN.
 
     Each node lists the pixels of its index window, whose centres can lie
-    within half a diagonal of it; the nodes go in runs of about ``BLOCK_PAIRS``
-    candidates, and each pixel carries its best (d2, node id) from run to run."""
+    within half a diagonal of it.  The nodes go in runs of about ``BLOCK_PAIRS``
+    candidates, and each pixel keeps its best (d2, node id) from run to run:
+    the nearest node wins, then the lowest id."""
     check_raster_res(res)
     xs, ys, bbox, half_diag = raster_grid(f.lattice.network, res)
     node_xy = f.lattice.node_xy

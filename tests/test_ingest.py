@@ -699,17 +699,23 @@ class TestRasterMatchesKdtree:
         ties = sum(int((~kdtree_raster(f, res)[1] & ~np.isnan(w)).sum())
                    for f, want in zip(fs, wants) for res, (w, _) in zip((1, 6, 12, 40), want))
         assert ties > 0
-        spans = ingest._spans
-        for pairs in (1, 97, network.BLOCK_PAIRS):
-            runs = []
-            monkeypatch.setattr(ingest, "_spans", lambda cost: runs.append(len(spans(cost))) or spans(cost))
+        spans, runs = ingest._spans, []
+
+        def recorded(cost):
+            out = spans(cost)
+            runs.append(len(out))
+            return out
+
+        monkeypatch.setattr(ingest, "_spans", recorded)
+        for pairs, several in ((1, True), (97, True), (network.BLOCK_PAIRS, False)):
+            runs.clear()
             monkeypatch.setattr(network, "BLOCK_PAIRS", pairs)
             for f, want in zip(fs, wants):
                 for res, (w, want_bbox) in zip((1, 6, 12, 40), want):
                     got, bbox = rasterize(f, res)
                     assert_same(got, w)
                     assert bbox == want_bbox
-            assert max(runs) > 1 if pairs < 100 else max(runs) == 1
+            assert (max(runs) > 1) == several
 
     @pytest.mark.parametrize("axis", [0, 1])
     def test_straight_polyline_matches_lexsort(self, axis):
@@ -719,8 +725,8 @@ class TestRasterMatchesKdtree:
         along = np.cumsum(rng.uniform(0.2, 1.0, 8))
         xy = np.column_stack([along, np.full(8, -2.0)])[:, [axis, 1 - axis]]
         net = build_network(xy, [(k, k + 1) for k in range(7)])
-        for dx in (0.13, 0.5):
-            f = LatticeFunction(discretize(net, dx), rng.random(discretize(net, dx).n_nodes))
+        for lat in (discretize(net, 0.13), discretize(net, 0.5)):
+            f = LatticeFunction(lat, rng.random(lat.n_nodes))
             for res in (1, 3, 9, 50):
                 got, bbox = rasterize(f, res)
                 want, want_bbox = lexsort_raster(f, res)
