@@ -18,8 +18,7 @@ _EXPORTS = {
                  "heuristic_global_bandwidth", "make_partition"),
     "heat": ("BETA", "HeatConfig", "default_dx", "deposit_initial_mass", "estimate_heat",
              "estimate_heat_batch", "heat_solve", "heat_step"),
-    "ingest": ("read_lattice_function", "read_network_geojson", "read_points", "write_lattice_function",
-               "write_network_geojson", "write_points_csv"),
+    "ingest": ("read_network_geojson", "read_points", "write_lattice_function", "write_points_csv"),
     "kernels": ("Kernel1D", "equal_split_continuous", "equal_split_discontinuous", "estimate_jones_diggle",
                 "estimate_uniform_corrected", "precompute_edge_correction"),
     "lattice": ("Lattice", "LatticeFunction", "discretize"),

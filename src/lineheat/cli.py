@@ -6,7 +6,7 @@ reproducible; seeded runs are byte-identical across invocations (timing
 measurements are inherently machine-dependent, so `study` offers
 --no-timing).  Every argument is checked before any file is read.
 
-Exit codes: 0 success, 2 input/usage error, 3 numerical failure.
+Exit codes: 0 success, 2 input/usage error, 3 numerical failure or out of memory.
 """
 
 from __future__ import annotations
@@ -303,6 +303,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # the frames that held the allocations are gone by now
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

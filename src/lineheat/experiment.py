@@ -240,12 +240,3 @@ def run_partition_study(
     return [row for rep in range(replicates) for row in _one_replicate(
         net, scenario, seed, deltas, target_points, field_res, eps_star, gamma_exponent, dx, timing, rep)]
 
-
-def median_by_delta(rows: list[dict], key: str) -> dict[float, float]:
-    """Median of a study column per delta (NaN-aware), for trend checks."""
-    out: dict[float, float] = {}
-    for d in sorted({r["delta"] for r in rows}, reverse=True):
-        vals = [r[key] for r in rows if r["delta"] == d and r[key] is not None]
-        vals = [v for v in vals if not np.isnan(v)]
-        out[d] = float(np.median(vals)) if vals else float("nan")
-    return out

@@ -19,9 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllPointsTooFar, GeometryTypeError, ParseError
-from .lattice import Lattice, LatticeFunction
+from .lattice import LatticeFunction
 from .network import MAX_COORDINATE, MERGE_TOLERANCE, LinearNetwork, PointPattern, build_network
 from .network import _close_pairs, _min_labels, _nearest, _ragged, _snap, _spans
+from . import network  # after the lines above: bound by then, so no package __getattr__ runs
 
 FLOAT_FMT = "%.17g"
 _LATTICE_ROW = f"%d,{FLOAT_FMT},{FLOAT_FMT},{FLOAT_FMT}\r\n"  # a csv.writer row, terminator included
@@ -101,20 +102,6 @@ def _positions(pts: list, ids, what: str) -> np.ndarray:
             raise ParseError(f"{what} {i}: coordinate beyond +-{MAX_COORDINATE:.6g} {(x, y)}")
         xy.append((x, y))
     return np.array(xy).reshape(-1, 2)
-
-
-def write_network_geojson(net: LinearNetwork, path) -> None:
-    xy = net.vertex_xy.tolist()
-    feats = [
-        {
-            "type": "Feature",
-            "properties": {"edge_id": e},
-            "geometry": {"type": "LineString", "coordinates": [xy[u], xy[v]]},
-        }
-        for e, (u, v) in enumerate(net.edge_vertices.tolist())
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"type": "FeatureCollection", "features": feats}, fh)
 
 
 def read_points(path, net: LinearNetwork, max_snap_dist: float):
@@ -231,40 +218,13 @@ def write_lattice_function(
 
 def _write_lattice_csv(f: LatticeFunction, path) -> None:
     ce, cl, ch, cn = f.lattice.node_cells
-    rows = zip(ce.tolist(), cl.tolist(), ch.tolist(), f.values[cn].tolist())
+    run = network.BLOCK_PAIRS  # cells per run: one run's Python lists, not all cells', set the peak
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("edge_id,offset_start,offset_end,value\r\n")
-        fh.writelines(_LATTICE_ROW % row for row in rows)
-
-
-def read_lattice_function(path, lattice: Lattice) -> LatticeFunction:
-    """Read a lattice-csv written for the same lattice back into node values."""
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            col = {name: k for k, name in enumerate(next(reader, []))}
-            at = [col[name] for name in ("edge_id", "offset_start", "value")]
-            rows = np.array([[r[k] for k in at] for r in reader if r]).reshape(-1, 3)
-        edge, (start, value) = rows[:, 0].astype(np.int64), rows[:, 1:].T.astype(float)
-    except (OSError, KeyError, IndexError, ValueError, csv.Error) as exc:
-        raise ParseError(f"bad lattice-csv: {exc}") from exc
-
-    order = np.lexsort((start, edge))
-    edge, value = edge[order], value[order]
-    ne, (cell_edge, _, _, cell_node) = lattice.network.n_edges, lattice.node_cells
-    cells = np.bincount(cell_edge, minlength=ne)
-    off = (edge < 0) | (edge >= ne)
-    if off.any():
-        raise ParseError(f"edge_id {edge[off][0]} out of range [0, {ne})")
-    count = np.bincount(edge, minlength=ne)
-    bad = np.flatnonzero((count > 0) & (count != cells))
-    if len(bad):
-        raise ParseError(f"edge {bad[0]}: {count[bad[0]]} cells in file, lattice has {cells[bad[0]]}")
-    values = np.full(lattice.n_nodes, np.nan)
-    values[cell_node[(count > 0)[cell_edge]]] = value  # the cells of the edges read
-    if np.isnan(values).any():
-        raise ParseError("file does not cover every lattice node")
-    return LatticeFunction(lattice, values)
+        for a in range(0, len(ce), run):
+            cells = slice(a, a + run)
+            rows = zip(ce[cells].tolist(), cl[cells].tolist(), ch[cells].tolist(), f.values[cn[cells]].tolist())
+            fh.writelines(_LATTICE_ROW % row for row in rows)
 
 
 def raster_grid(net: LinearNetwork, res: int):

@@ -100,11 +100,6 @@ class Lattice:
     def min_spacing(self) -> float:
         return float(self.edge_spacing.min())
 
-    @cached_property
-    def edge_chains(self):
-        """Node ids along every edge's chain, tail to head, one array per edge."""
-        return np.split(self._chain, self._chain_start[1:])
-
     def node_location(self, i: int) -> NetworkLocation:
         e, offset = self._node_locations(i)
         return NetworkLocation(int(e), float(offset))

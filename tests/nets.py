@@ -1,13 +1,14 @@
 """Shared test networks, random generators, and independent oracles."""
 
 import csv
+import json
 import math
 
 import numpy as np
 
 from lineheat.heat import _step_values, step_size
 from lineheat import network
-from lineheat.lattice import Lattice, SolverGraph
+from lineheat.lattice import Lattice, LatticeFunction, SolverGraph
 from lineheat.network import (
     CROSS_TOLERANCE,
     LinearNetwork,
@@ -143,10 +144,31 @@ def stub_network(run, pieces=1):
     return split_edge(build_network([(0.0, 0.0), (1000.0, 0.0), (1000.0, run)], [(0, 1), (1, 2)]), 1, pieces)
 
 
+def write_network_geojson(net: LinearNetwork, path) -> None:
+    xy = net.vertex_xy.tolist()
+    feats = [
+        {
+            "type": "Feature",
+            "properties": {"edge_id": e},
+            "geometry": {"type": "LineString", "coordinates": [xy[u], xy[v]]},
+        }
+        for e, (u, v) in enumerate(net.edge_vertices.tolist())
+    ]
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"type": "FeatureCollection", "features": feats}, fh)
+
+
+def edge_chains(lattice):
+    """Node ids along every edge's chain, tail to head, one array per edge: the
+    node column of ``node_cells``, split by edge."""
+    cell_edge, _, _, cell_node = lattice.node_cells
+    return np.split(cell_node, np.cumsum(np.bincount(cell_edge, minlength=lattice.network.n_edges))[:-1])
+
+
 def chain_links(lattice):
     """(tail, head, length) of the links between neighbours on every edge chain,
     edge by edge, from tail to head."""
-    chains = lattice.edge_chains
+    chains = edge_chains(lattice)
     return (np.concatenate([c[:-1] for c in chains]), np.concatenate([c[1:] for c in chains]),
             np.repeat(lattice.edge_spacing, [len(c) - 1 for c in chains]))
 
@@ -662,7 +684,7 @@ def _deposit_from_point(lattice, loc, kernel, out, continuous, count):
             _walk_edge(lattice, e, v, 0.0, w0, kernel, out, continuous, count)
         return
     e, off = kind[1], kind[2]
-    chain = lattice.edge_chains[e]
+    chain = edge_chains(lattice)[e]
     h = float(lattice.edge_spacing[e])
     ell = float(net.edge_lengths[e])
     inner = chain[1:-1]
@@ -709,7 +731,7 @@ def _walk_edge(lattice, e, from_vertex, dist, weight, kernel, out, continuous, c
     count[0] += 1
     net = lattice.network
     support = kernel.support
-    chain = lattice.edge_chains[e]
+    chain = edge_chains(lattice)[e]
     h = float(lattice.edge_spacing[e])
     ell = float(net.edge_lengths[e])
     u, v = net.edge_vertices[e]
@@ -740,6 +762,25 @@ def csv_write_lattice(f, path):
             w.writerow(
                 [int(ce[k]), "%.17g" % cl[k], "%.17g" % ch[k], "%.17g" % f.values[cn[k]]]
             )
+
+
+def read_lattice_csv(path, lattice) -> LatticeFunction:
+    """A lattice-csv the CLI wrote for ``lattice``: its edge, start and end
+    columns must be ``lattice.node_cells`` exactly, and each node's cells must
+    carry one value."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["edge_id", "offset_start", "offset_end", "value"]
+    edge, start, end, value = zip(*rows)
+    cell_edge, cell_lo, cell_hi, cell_node = lattice.node_cells
+    assert_same(np.array(edge, dtype=np.int64), cell_edge)
+    assert_same(np.array(start, dtype=float), cell_lo)
+    assert_same(np.array(end, dtype=float), cell_hi)
+    value = np.array(value, dtype=float)
+    values = np.full(lattice.n_nodes, np.nan)
+    values[cell_node] = value
+    assert_same(values[cell_node], value)
+    return LatticeFunction(lattice, values)
 
 
 # -- the scipy code the numpy code replaced ------------------------------------

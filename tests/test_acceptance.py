@@ -12,9 +12,8 @@ import numpy as np
 import pytest
 
 from lineheat.adaptive import abramson_bandwidths, estimate_adaptive_partition
-from lineheat.experiment import estimate_adaptive_direct, median_by_delta, run_partition_study, simulate_intensity
+from lineheat.experiment import estimate_adaptive_direct, run_partition_study, simulate_intensity
 from lineheat.heat import deposit_initial_mass, estimate_heat, heat_solve
-from lineheat.ingest import write_network_geojson
 from lineheat.kernels import (
     Kernel1D,
     equal_split_continuous,
@@ -29,6 +28,7 @@ from lineheat.sim import ExpCovSpec, sample_gaussian_field, sample_poisson_on_ne
 
 from nets import (
     brute_force_distance,
+    edge_chains,
     grid_network,
     images_series,
     pattern_of,
@@ -36,6 +36,7 @@ from nets import (
     random_network,
     random_pattern,
     segment_network,
+    write_network_geojson,
     y_network,
 )
 
@@ -55,7 +56,7 @@ class TestCriterion1HeatSolverOracle:
         f = deposit_initial_mass(pattern_of(lat.network, [NetworkLocation(0, 0.5)]), lat)
         g = heat_solve(f, 0.01)
         elapsed = time.perf_counter() - t0
-        chain = lat.edge_chains[0]
+        chain = edge_chains(lat)[0]
         x = np.arange(513) / 512
         want = images_series(x, 0.5, 0.01)
         err = float(np.abs(g.values[chain] - want).max() / want.max())
@@ -152,7 +153,7 @@ class TestCriterion5EqualSplit:
         k = Kernel1D("epanechnikov", 0.9)
         a, b = 0.3, 0.4
         pat = pattern_of(net, [NetworkLocation(0, a)])
-        node = lat.edge_chains[1][4]
+        node = edge_chains(lat)[1][4]
         kd = equal_split_discontinuous(pat, lat, k).values[node]
         kc = equal_split_continuous(pat, lat, k).values[node]
         err_d = abs(kd - k(a + b) / 2)
@@ -172,7 +173,7 @@ class TestCriterion5EqualSplit:
             kc = equal_split_continuous(pattern_of(net, [NetworkLocation(0, 0.5)]), lat, k)
             lims = []
             for e in range(3):
-                c = lat.edge_chains[e]
+                c = edge_chains(lat)[e]
                 lims.append(3 * kc.values[c[1]] - 3 * kc.values[c[2]] + kc.values[c[3]])
             spreads.append(max(lims) - min(lims))
         report(
@@ -208,12 +209,34 @@ class TestCriterion6Abramson:
         net = segment_network(1.0)
         lat = discretize(net, 0.25)
         vals = np.zeros(lat.n_nodes)
-        vals[lat.edge_chains[0]] = [2.0, 2.0, 5.0, 8.0, 8.0]
+        vals[edge_chains(lat)[0]] = [2.0, 2.0, 5.0, 8.0, 8.0]
         pilot = LatticeFunction(lat, vals)
         pat = pattern_of(net, [NetworkLocation(0, 0.25), NetworkLocation(0, 1.0)])
         h = abramson_bandwidths(pat, pilot, 0.1).bandwidths
         ok = abs(h[0] - 0.14142) <= 5e-6 and abs(h[1] - 0.07071) <= 5e-6
         report(6, ok, f"worked example h = ({h[0]:.5f}, {h[1]:.5f}) vs (0.14142, 0.07071)")
+
+
+def median_by_delta(rows: list[dict], key: str) -> dict[float, float]:
+    """Median of a study column per delta (NaN-aware), coarse to fine."""
+    out: dict[float, float] = {}
+    for d in sorted({r["delta"] for r in rows}, reverse=True):
+        vals = [r[key] for r in rows if r["delta"] == d and r[key] is not None]
+        vals = [v for v in vals if not np.isnan(v)]
+        out[d] = float(np.median(vals)) if vals else float("nan")
+    return out
+
+
+def test_median_by_delta():
+    rows = [
+        {"delta": 0.1, "ise": 1.0},
+        {"delta": 0.1, "ise": 3.0},
+        {"delta": 0.05, "ise": 0.5},
+    ]
+    med = median_by_delta(rows, "ise")
+    assert med[0.1] == 2.0
+    assert med[0.05] == 0.5
+    assert list(med) == [0.1, 0.05]
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from lineheat.heat import estimate_heat, estimate_heat_batch, step_size
 from lineheat.lattice import LatticeFunction, discretize
 from lineheat.network import NetworkLocation
 
-from nets import pattern_of, random_network, random_pattern, segment_network, y_network
+from nets import edge_chains, pattern_of, random_network, random_pattern, segment_network, y_network
 
 
 def _pattern_and_lattice(n=6, seed=3):
@@ -50,7 +52,7 @@ class TestAbramson:
         net = segment_network(1.0)
         lat = discretize(net, 0.25)
         vals = np.zeros(lat.n_nodes)
-        chain = lat.edge_chains[0]
+        chain = edge_chains(lat)[0]
         vals[chain] = [2.0, 2.0, 5.0, 8.0, 8.0]
         pilot = LatticeFunction(lat, vals)
         pat = pattern_of(net, [NetworkLocation(0, 0.25), NetworkLocation(0, 1.0)])
@@ -70,6 +72,8 @@ class TestAbramson:
         # result depends on the pilot scale
         assert not np.allclose(b1.bandwidths, 0.3)
         assert not np.allclose(b1.bandwidths, b2.bandwidths)
+        with pytest.raises(ValueError, match=r"^gamma_exponent must be -0\.5 or -2\.0$"):
+            abramson_bandwidths(pat, pilot, 0.3, gamma_exponent=-1.0)
 
     def test_nonpositive_pilot_clamped_with_warning(self):
         pat, lat = _pattern_and_lattice(n=3)
@@ -155,6 +159,8 @@ class TestPartitionPlan:
             make_partition(bw, 0.0)
         with pytest.raises(BadDelta):
             make_partition(bw, 1.5)
+        with pytest.raises(EmptyPattern, match="^no bandwidths to partition$"):
+            make_partition(dataclasses.replace(bw, bandwidths=np.empty(0)), 0.5)
 
     def test_midpoint_within_half_bin_width(self):
         pat, lat = _pattern_and_lattice(n=60, seed=11)

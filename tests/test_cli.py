@@ -10,10 +10,10 @@ import pytest
 from lineheat.adaptive import abramson_bandwidths
 from lineheat.experiment import estimate_adaptive_direct
 from lineheat.heat import default_dx, estimate_heat
-from lineheat.ingest import read_lattice_function, read_network_geojson, read_points, write_network_geojson
+from lineheat.ingest import read_network_geojson, read_points
 from lineheat.lattice import discretize
 
-from nets import grid_network, random_pattern, stub_network
+from nets import grid_network, random_pattern, read_lattice_csv, stub_network, write_network_geojson
 
 
 def run_cli(*argv, cwd=None, timeout=None):
@@ -119,8 +119,8 @@ class TestEstimate:
         back = read_network_geojson(net_path)
         lat = discretize(back, 0.05)
         rows = out.read_text().strip().splitlines()[1:]
-        assert len(rows) == sum(len(c) for c in lat.edge_chains)
-        f = read_lattice_function(out, lat)  # parses means the spacing matched
+        assert len(rows) == 11 * back.n_edges
+        f = read_lattice_csv(out, lat)  # its cells are the lattice's: the spacing matched
         assert f.integral() == pytest.approx(3.0, rel=1e-9)
 
     def test_bad_delta_exits_2_with_message(self, toy, tmp_path):
@@ -370,6 +370,25 @@ class TestEstimate:
         assert line.startswith("error: ") and all(name in line for name in names)
         assert not (tmp_path / "est.csv").exists()
 
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 14.3 MiB for an array with shape (1876701,) and data type float64",
+         "error: out of memory: Unable to allocate 14.3 MiB for an array with shape (1876701,) and data type float64"),
+        ("", "error: out of memory"),
+    ], ids=["numpy", "bare"])
+    def test_out_of_memory_exits_3_with_one_line(self, toy, tmp_path, monkeypatch, capsys, message, line):
+        from lineheat import cli, heat
+
+        def out_of_memory(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(heat, "estimate_heat", out_of_memory)
+        _, net_path, pts_path = toy
+        out = tmp_path / "est.csv"
+        assert cli.main(["estimate", "--net", str(net_path), "--points", str(pts_path), "--bw", "0.2",
+                         "--out", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [
         ("--bw", "1e154"), ("--bw", "100", "--dx", "1e200"), ("--adaptive", "--bw-global", "150", "--dx", "1e200"),
     ], ids=["bw-huge", "dx-huge", "adaptive-dx-huge"])
@@ -380,7 +399,7 @@ class TestEstimate:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         dx = json.loads(proc.stdout.splitlines()[0].split(" ", 1)[1])["resolved_dx"]
-        est = read_lattice_function(tmp_path / "est.csv", discretize(net, dx))
+        est = read_lattice_csv(tmp_path / "est.csv", discretize(net, dx))
         assert len(np.unique(est.values)) == 1
         assert est.integral() == pytest.approx(3.0, rel=1e-12)
 
@@ -403,7 +422,7 @@ class TestEstimate:
         bw = abramson_bandwidths(pattern, pilot, 20.0)
         lat = discretize(back, dx)
         direct = estimate_adaptive_direct(pattern, lat, bw).values
-        got = read_lattice_function(tmp_path / "est.csv", lat).values
+        got = read_lattice_csv(tmp_path / "est.csv", lat).values
         assert len(np.unique(bw.bandwidths)) == pattern.n == 60
         assert np.abs(got - direct).max() <= 1e-12 * direct.max()
 
@@ -747,7 +766,7 @@ class TestImports:
 
         import lineheat
 
-        assert len(lineheat.__all__) == len(set(lineheat.__all__)) == 45
+        assert len(lineheat.__all__) == len(set(lineheat.__all__)) == 43
         for module, names in lineheat._EXPORTS.items():
             defining = importlib.import_module(f"lineheat.{module}")
             for name in names:

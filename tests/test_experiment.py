@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from lineheat.experiment import (
     STUDY_COLUMNS,
     estimate_adaptive_direct,
     ise,
-    median_by_delta,
     partition_per_bin,
     run_partition_study,
     simulate_intensity,
@@ -145,28 +146,32 @@ class TestStudy:
             part = partition_per_bin(pattern, lat, make_partition(bw, 1.0))
             assert ise(part, direct) <= 1e-15
 
-    def test_median_by_delta(self):
-        rows = [
-            {"delta": 0.1, "ise": 1.0},
-            {"delta": 0.1, "ise": 3.0},
-            {"delta": 0.05, "ise": 0.5},
-        ]
-        med = median_by_delta(rows, "ise")
-        assert med[0.1] == 2.0
-        assert med[0.05] == 0.5
-        assert list(med) == [0.1, 0.05]
-
-    @pytest.mark.parametrize("deltas, replicates, error", [
-        ([0.5, 0.3], 1, BadDelta), ([1.5], 1, BadDelta), ([], 1, ValueError), ([0.5], 0, ValueError),
-    ], ids=["not-a-bin-count", "above-one", "no-delta", "no-replicate"])
-    def test_bad_arguments_rejected_before_a_replicate_runs(self, monkeypatch, deltas, replicates, error):
+    @pytest.mark.parametrize("deltas, replicates, target, error, message", [
+        ([0.5, 0.3], 1, 520.0, BadDelta, None), ([1.5], 1, 520.0, BadDelta, None),
+        ([], 1, 520.0, ValueError, None), ([0.5], 0, 520.0, ValueError, None),
+        ([0.5], 1, 0.0, ValueError, r"^target points must be in \(0, 1e\+06\], got 0$"),
+        ([0.5], 1, 2e6, ValueError, r"^target points must be in \(0, 1e\+06\], got 2e\+06$"),
+    ], ids=["not-a-bin-count", "above-one", "no-delta", "no-replicate", "no-target", "target-above-cap"])
+    def test_bad_arguments_rejected_before_a_replicate_runs(self, monkeypatch, deltas, replicates, target, error,
+                                                            message):
         def no_replicate(*args):
             raise AssertionError("a replicate ran before the arguments were checked")
 
         monkeypatch.setattr(experiment, "_one_replicate", no_replicate)
-        with pytest.raises(error):
-            run_partition_study(study_net(), "loggaussian-1", deltas, replicates, 0)
+        with pytest.raises(error, match=message):
+            run_partition_study(study_net(), "loggaussian-1", deltas, replicates, 0, target_points=target)
 
     def test_unknown_scenario(self):
         with pytest.raises(ValueError):
             run_partition_study(study_net(), "nope", [0.5], 1, 0)
+        net = study_net()
+        with pytest.raises(ValueError, match="^unknown scenario 'nope'; choose from"):
+            simulate_intensity(net, discretize(net, 0.1), "nope", [0, 0], 50, 16)
+
+    def test_replicate_without_points_gives_nan_rows(self):
+        rows = run_partition_study(study_net(), "loggaussian-1", [0.5, 0.25], 2, 9, target_points=1e-6,
+                                   field_res=16, timing=False)
+        assert [(r["replicate"], r["delta"], r["n_points"]) for r in rows] == [
+            (0, 0.5, 0), (0, 0.25, 0), (1, 0.5, 0), (1, 0.25, 0)]
+        for r in rows:
+            assert math.isnan(r["ise"]) and r["time_direct_s"] is None and r["time_ratio"] is None

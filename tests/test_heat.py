@@ -27,6 +27,7 @@ from nets import (
     contract,
     dense_heat_batch,
     dense_heat_solve,
+    edge_chains,
     edge_integrals,
     grid_network,
     images_series,
@@ -55,7 +56,7 @@ class TestDeposit:
     def test_point_on_node(self):
         lat = discretize(segment_network(1.0), 0.25)
         f = deposit_initial_mass(pattern_of(lat.network, [NetworkLocation(0, 0.5)]), lat)
-        node = lat.edge_chains[0][2]
+        node = edge_chains(lat)[0][2]
         w = lat.node_weight[node]
         assert f.values[node] == 1.0 / w
         assert np.count_nonzero(f.values) == 1
@@ -63,7 +64,7 @@ class TestDeposit:
     def test_point_between_nodes_splits(self):
         lat = discretize(segment_network(1.0), 0.25)
         f = deposit_initial_mass(pattern_of(lat.network, [NetworkLocation(0, 0.375)]), lat)
-        c = lat.edge_chains[0]
+        c = edge_chains(lat)[0]
         assert f.values[c[1]] == pytest.approx(0.5 / lat.node_weight[c[1]], rel=1e-15)
         assert f.values[c[2]] == pytest.approx(0.5 / lat.node_weight[c[2]], rel=1e-15)
 
@@ -110,7 +111,7 @@ class TestHeatStep:
 
     def test_symmetric_initial_stays_symmetric(self):
         lat = discretize(segment_network(1.0), 1 / 64)
-        chain = lat.edge_chains[0]
+        chain = edge_chains(lat)[0]
         vals = np.zeros(lat.n_nodes)
         bump = np.exp(-(((np.arange(65) - 32) / 8.0) ** 2))
         vals[chain] = bump
@@ -167,7 +168,7 @@ class TestHeatSolve:
         lat = discretize(segment_network(1.0), 1 / 512)
         f = deposit_initial_mass(pattern_of(lat.network, [NetworkLocation(0, 0.5)]), lat)
         g = heat_solve(f, 0.01)
-        chain = lat.edge_chains[0]
+        chain = edge_chains(lat)[0]
         x = np.arange(513) / 512
         want = images_series(x, 0.5, 0.01)
         err = np.abs(g.values[chain] - want).max() / want.max()
@@ -186,7 +187,7 @@ class TestHeatSolve:
             lat = discretize(segment_network(1.0), 1 / m)
             f = deposit_initial_mass(pattern_of(lat.network, [NetworkLocation(0, 0.5)]), lat)
             g = heat_solve(f, 0.01)
-            chain = lat.edge_chains[0]
+            chain = edge_chains(lat)[0]
             x = np.arange(m + 1) / m
             want = images_series(x, 0.5, 0.01)
             errs.append(np.abs(g.values[chain] - want).max() / want.max())
@@ -245,7 +246,7 @@ class TestEstimateHeat:
         lat = discretize(segment_network(1.0), 1 / 512)
         pat = pattern_of(lat.network, [NetworkLocation(0, 0.5)])
         est = estimate_heat(pat, lat, sigma)
-        chain = lat.edge_chains[0]
+        chain = edge_chains(lat)[0]
         x = np.arange(513) / 512
         want = images_series(x, 0.5, sigma**2)
         err = np.abs(est.values[chain] - want).max() / want.max()

@@ -1,19 +1,19 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from lineheat import network
 from lineheat.errors import AllPointsTooFar, GeometryTypeError, ParseError
 from lineheat.ingest import (
     _read_points_csv,
     rasterize,
-    read_lattice_function,
     read_network_geojson,
     read_points,
     write_lattice_function,
-    write_network_geojson,
     write_points_csv,
 )
 from lineheat.lattice import LatticeFunction, discretize
@@ -35,7 +35,7 @@ from nets import (
     random_network,
     segment_network,
     special_locations,
-    two_disjoint_segments,
+    write_network_geojson,
 )
 
 
@@ -546,62 +546,56 @@ class TestLatticeCsv:
         assert len(lines) == 1 + 5
         assert all(line.endswith(",2") for line in lines[1:])
 
-    def test_roundtrip_bit_exact(self, tmp_path):
+    def test_value_column_bit_exact(self, tmp_path):
         rng = np.random.default_rng(13)
         net = grid_network(3, 2, rng=rng)
         lat = discretize(net, 0.3)
         f = LatticeFunction(lat, rng.uniform(0, 7, lat.n_nodes))
         p = tmp_path / "f.csv"
         write_lattice_function(f, p, "lattice-csv")
-        g = read_lattice_function(p, lat)
-        assert np.array_equal(f.values, g.values)
+        with open(p, newline="") as fh:
+            value = np.array([row[3] for row in list(csv.reader(fh))[1:]], dtype=float)
+        assert_same(value, f.values[lat.node_cells[3]])
 
-    def test_bom_reads_as_without(self, tmp_path):
-        lat = discretize(grid_network(2, 2), 0.3)
-        f = LatticeFunction(lat, np.random.default_rng(5).random(lat.n_nodes))
-        p = tmp_path / "f.csv"
-        write_lattice_function(f, p, "lattice-csv")
-        p.write_bytes(b"\xef\xbb\xbf" + p.read_bytes())
-        assert_same(read_lattice_function(p, lat).values, f.values)
-
-    @pytest.mark.parametrize("bad_id", [-1, 1])
-    def test_edge_id_out_of_range_rejected(self, tmp_path, bad_id):
-        # one edge: without the check -1 would wrap around to edge 0
+    def test_unknown_format_refused(self, tmp_path):
         lat = discretize(segment_network(1.0), 0.25)
-        p = tmp_path / "f.csv"
-        write_lattice_function(LatticeFunction(lat, np.ones(lat.n_nodes)), p, "lattice-csv")
-        header, *rows = p.read_text().splitlines()
-        rows = [f"{bad_id},{row.split(',', 1)[1]}" for row in rows]
-        p.write_text("\n".join([header, *rows]) + "\n")
-        with pytest.raises(ParseError, match=f"edge_id {bad_id} out of range"):
-            read_lattice_function(p, lat)
+        with pytest.raises(ValueError, match="^unknown format 'lattice-json'$"):
+            write_lattice_function(LatticeFunction(lat, np.ones(lat.n_nodes)), tmp_path / "f.json", "lattice-json")
+        assert not (tmp_path / "f.json").exists()
 
-    @pytest.mark.parametrize("edit, message", [
-        (lambda header, rows: ["edge_id,offset_start,offset_end,v", *rows], "bad lattice-csv: 'value'"),
-        (lambda header, rows: [header, *rows[:-1]], "edge 1: 4 cells in file, lattice has 5"),
-        (lambda header, rows: [header, *(r for r in rows if not r.startswith("1,"))],
-         "file does not cover every lattice node"),
-    ], ids=["no-value-column", "cell-missing", "edge-missing"])
-    def test_lattice_csv_refusal_named(self, tmp_path, edit, message):
-        lat = discretize(two_disjoint_segments(), 0.25)  # 5 cells on each edge
-        p = tmp_path / "f.csv"
-        write_lattice_function(LatticeFunction(lat, np.ones(lat.n_nodes)), p, "lattice-csv")
-        header, *rows = p.read_text().splitlines()
-        p.write_text("\n".join(edit(header, rows)) + "\n")
-        with pytest.raises(ParseError, match=message):
-            read_lattice_function(p, lat)
-
-    def test_bytes_equal_the_csv_writer(self, tmp_path):
-        # zeros of both signs, the smallest normal and subnormals, integers, random values
+    def test_bytes_equal_the_csv_writer(self, tmp_path, monkeypatch):
+        # zeros of both signs, the smallest normal and subnormals, integers, random values;
+        # the rows go in runs of BLOCK_PAIRS cells: one, 97, or all of them
         special = [0.0, -0.0, 1e-300, 2.2250738585072014e-308, 5e-324, 1.5e-310, 3.0, -7.0,
                    1e16, 2.0**53 + 2, 1 / 3, -1e300]
-        for lat, rng in random_lattices(61, count=15):
-            values = np.where(rng.random(lat.n_nodes) < 0.5, rng.choice(special, lat.n_nodes),
-                              rng.normal(0.0, 10.0 ** rng.uniform(-5, 5), lat.n_nodes))
-            f = LatticeFunction(lat, values)
-            write_lattice_function(f, tmp_path / "got.csv", "lattice-csv")
-            csv_write_lattice(f, tmp_path / "want.csv")
-            assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        for block in (network.BLOCK_PAIRS, 1, 97):
+            monkeypatch.setattr(network, "BLOCK_PAIRS", block)
+            for lat, rng in random_lattices(61, count=15):
+                values = np.where(rng.random(lat.n_nodes) < 0.5, rng.choice(special, lat.n_nodes),
+                                  rng.normal(0.0, 10.0 ** rng.uniform(-5, 5), lat.n_nodes))
+                f = LatticeFunction(lat, values)
+                write_lattice_function(f, tmp_path / "got.csv", "lattice-csv")
+                csv_write_lattice(f, tmp_path / "want.csv")
+                assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_rows_are_formatted_in_bounded_runs(self, tmp_path, monkeypatch):
+        # the Python lists of one run of 1,000 cells, not of all 200k, set the writer's peak
+        lat = discretize(segment_network(1.0), 5e-6)
+        f = LatticeFunction(lat, np.random.default_rng(7).random(lat.n_nodes))
+        cell_edge, cell_lo, cell_hi, cell_node = lat.node_cells
+        tracemalloc.start()
+        try:
+            whole = [cell_edge.tolist(), cell_lo.tolist(), cell_hi.tolist(), f.values[cell_node].tolist()]
+            whole_peak = tracemalloc.get_traced_memory()[1]
+            del whole
+            tracemalloc.reset_peak()
+            monkeypatch.setattr(network, "BLOCK_PAIRS", 1000)
+            write_lattice_function(f, tmp_path / "f.csv", "lattice-csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(cell_edge) == 200_001
+        assert peak < whole_peak / 20, (peak, whole_peak)
 
     def test_integral_preserved_through_cells(self, tmp_path):
         net = grid_network(3, 2, rng=np.random.default_rng(1))

@@ -25,6 +25,7 @@ from lineheat.network import NetworkLocation, build_network
 
 from nets import (
     assert_same,
+    edge_chains,
     enumerate_equal_split,
     grid_network,
     loop_jones_diggle,
@@ -365,7 +366,7 @@ class TestEqualSplit:
             f = est(pat, lat, k)
             d = np.abs(0.125 * np.arange(33) - 2.0)
             want = k(d)
-            assert np.allclose(f.values[lat.edge_chains[0]], want, rtol=0, atol=1e-12)
+            assert np.allclose(f.values[edge_chains(lat)[0]], want, rtol=0, atol=1e-12)
 
     def test_y_closed_forms(self):
         net = y_network(branch=1.0)
@@ -374,7 +375,7 @@ class TestEqualSplit:
         a, b = 0.3, 0.4
         src = NetworkLocation(0, a)  # edges run center -> leaf
         pat = pattern_of(net, [src])
-        target_node = lat.edge_chains[1][4]  # offset 0.4 on branch 1
+        target_node = edge_chains(lat)[1][4]  # offset 0.4 on branch 1
         assert lat.node_location(int(target_node)).offset == pytest.approx(b, abs=1e-12)
 
         kd = equal_split_discontinuous(pat, lat, k)
@@ -440,7 +441,7 @@ class TestEqualSplit:
             # quadratic extrapolation of each incident chain onto the vertex
             lims = []
             for e in range(3):
-                chain = lat.edge_chains[e]
+                chain = edge_chains(lat)[e]
                 f1, f2, f3 = f.values[chain[1]], f.values[chain[2]], f.values[chain[3]]
                 lims.append(3 * f1 - 3 * f2 + f3)
             return np.array(lims)

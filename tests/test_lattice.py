@@ -15,6 +15,7 @@ from nets import (
     assert_same,
     brute_force_distance,
     chain_links,
+    edge_chains,
     random_lattices,
     random_location,
     random_network,
@@ -31,7 +32,7 @@ class TestDiscretize:
     def test_single_segment_trapezoid(self):
         lat = discretize(segment_network(1.0), 0.25)
         assert lat.n_nodes == 5
-        chain = lat.edge_chains[0]
+        chain = edge_chains(lat)[0]
         offs = [0.0, 0.25, 0.5, 0.75, 1.0]
         for node, off in zip(chain, offs):
             loc = lat.node_location(int(node))
@@ -45,9 +46,10 @@ class TestDiscretize:
         for lat, _ in random_lattices(33, 10):
             ev, nv = lat.network.edge_vertices, lat.network.n_vertices
             edge, offset = lat._node_locations(np.arange(lat.n_nodes))
+            chains = edge_chains(lat)
             for i in range(nv, lat.n_nodes):
                 e = int(edge[i])
-                j = int(np.flatnonzero(lat.edge_chains[e] == i)[0])
+                j = int(np.flatnonzero(chains[e] == i)[0])
                 assert offset[i] == lat.edge_spacing[e] * j
             for v in range(nv):
                 e = int(np.flatnonzero((ev == v).any(axis=1))[0])
@@ -58,7 +60,7 @@ class TestDiscretize:
         # edge_chains' nodes there and their offsets from _node_locations
         sizes = set()
         for lat, rng in random_lattices(34, 15):
-            chains = lat.edge_chains
+            chains = edge_chains(lat)
             nv = lat.network.n_vertices
             inner = np.array([len(c) - 2 for c in chains])
             node, x, w = lat._inner_nodes(np.arange(len(chains)), 1, inner)
@@ -145,7 +147,7 @@ class TestVectorizedMatchesLoops:
                 assert_same(got, ref[name])
             for got, want in zip(lat.node_cells, ref["node_cells"], strict=True):
                 assert_same(got, want)
-            for got, want in zip(lat.edge_chains, ref["edge_chains"], strict=True):
+            for got, want in zip(edge_chains(lat), ref["edge_chains"], strict=True):
                 assert_same(got, want)
 
     def test_node_locations_match_the_loop_and_inner_nodes(self):
@@ -187,7 +189,7 @@ class TestDerivedOnRead:
     def test_every_array_is_read_only(self):
         # a write would silently corrupt compatible() and every later solve
         for lat, _ in random_lattices(45, 5):
-            derived = (lat.node_xy, *lat.node_cells, *lat._solver[:5], *lat.edge_chains)
+            derived = (lat.node_xy, *lat.node_cells, *lat._solver[:5])
             for a in (*(getattr(lat, name) for name in self.OWN), *derived):
                 assert isinstance(a, np.ndarray) and not a.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -273,6 +275,17 @@ class TestLatticeFunction:
         f = LatticeFunction(lat, np.full(lat.n_nodes, 3.0))
         assert f.integral() == pytest.approx(6.0, rel=1e-12)
 
+    @pytest.mark.parametrize("values, message", [
+        (np.ones(8), "^values must have one entry per lattice node$"),
+        (np.ones((9, 1)), "^values must have one entry per lattice node$"),
+        (np.r_[np.ones(8), np.nan], "^lattice function values must be finite$"),
+        (np.r_[np.ones(8), -np.inf], "^lattice function values must be finite$"),
+    ], ids=["short", "2-d", "nan", "inf"])
+    def test_bad_values_refused(self, values, message):
+        lat = discretize(segment_network(2.0), 0.25)  # 9 nodes
+        with pytest.raises(ValueError, match=message):
+            LatticeFunction(lat, values)
+
     def test_integral_and_ise_do_not_depend_on_the_blas_threads(self):
         # a BLAS dot product sums in an order its thread count sets; both sums
         # print the same digits with one OpenBLAS thread and with two
@@ -293,7 +306,7 @@ class TestLatticeFunction:
     def test_value_at_interpolates(self):
         lat = discretize(segment_network(1.0), 0.25)
         vals = np.zeros(lat.n_nodes)
-        chain = lat.edge_chains[0]
+        chain = edge_chains(lat)[0]
         vals[chain] = [0.0, 1.0, 2.0, 3.0, 4.0]
         f = LatticeFunction(lat, vals)
         got = f.values_at(np.zeros(3, dtype=np.int64), np.array([0.375, 0.0, 1.0]))

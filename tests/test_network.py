@@ -14,7 +14,6 @@ from lineheat.errors import (
     ZeroLengthEdge,
 )
 from lineheat import network
-from lineheat.ingest import write_network_geojson
 from lineheat.lattice import Lattice
 from lineheat.network import (
     MAX_COORDINATE,
@@ -55,6 +54,7 @@ from nets import (
     triangle_network,
     two_disjoint_segments,
     vertex_distances,
+    write_network_geojson,
     y_network,
 )
 
@@ -103,6 +103,17 @@ class TestBuildNetwork:
     def test_dangling_reference(self):
         with pytest.raises(DanglingReference):
             build_network([(0, 0), (1, 0)], [(0, 2)])
+
+    @pytest.mark.parametrize("vertices, segments, message", [
+        ([(0, 0, 0), (1, 0, 0)], [(0, 1)], r"^vertex_xy must be an \(V, 2\) array$"),
+        ([0, 1], [(0, 1)], r"^vertex_xy must be an \(V, 2\) array$"),
+        ([(0, 0), (1, 0)], [0, 1], r"^edge_vertices must be an \(E, 2\) array$"),
+        ([(0, 0), (1, 0)], [(0, 1, 0)], r"^edge_vertices must be an \(E, 2\) array$"),
+        ([(0, 0), (1, 0)], np.empty((0, 2), dtype=np.int64), "^a network needs at least one edge$"),
+    ], ids=["vertex-3d", "vertex-1d", "edge-1d", "edge-triple", "no-edge"])
+    def test_array_shapes_refused(self, vertices, segments, message):
+        with pytest.raises(ValueError, match=message):
+            build_network(vertices, segments)
 
     def test_edge_length_matches_euclid(self):
         rng = np.random.default_rng(3)

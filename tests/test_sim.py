@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,11 +17,12 @@ from lineheat.sim import (
     mixture_to_network_intensity,
     sample_gaussian_field,
     sample_poisson_on_network,
+    scale_to_target,
     _embedding_eigenvalues,
     unit_square_map,
 )
 
-from nets import cdist_field_covariance, grid_network, segment_network
+from nets import cdist_field_covariance, edge_chains, grid_network, segment_network
 
 
 def unit_segment_net():
@@ -95,6 +97,8 @@ class TestGaussianField:
             sample_gaussian_field(1025, ExpCovSpec(1.0, 0.03), seed=0)
         one = dict(weights=(1.0,), means=((0.5, 0.5),), covariances=(((0.01, 0.0), (0.0, 0.01)),))
         MixtureSpec(**one)
+        with pytest.raises(ValueError, match="^weights, means, covariances must have equal length$"):
+            MixtureSpec(**{**one, "means": ((0.5, 0.5), (0.2, 0.2))})
         for key, bad in [
             ("weights", (nan,)),
             ("covariances", (((nan, 0.0), (0.0, 0.01)),)),
@@ -113,6 +117,8 @@ class TestFieldToIntensity:
         lat = discretize(net, 0.05)
         lam = field_to_network_intensity(np.zeros((8, 8)), lat, mu=0.0)
         assert np.allclose(lam.values, 1.0, rtol=0, atol=0)
+        with pytest.raises(ValueError, match="^field grid must be square$"):
+            field_to_network_intensity(np.zeros((8, 4)), lat, mu=0.0)
 
     def test_constant_shift_scales(self):
         net = unit_segment_net()
@@ -138,6 +144,9 @@ class TestFieldToIntensity:
         assert u.min() >= 0 and u.max() <= 1
         lam = field_to_network_intensity(grid, lat, mu=0.0)
         assert np.allclose(np.log(lam.values), u[:, 0] + 2 * u[:, 1], rtol=0, atol=1e-12)
+        # no valid network has a zero extent (its edges would have zero length): a stand-in reaches the check
+        with pytest.raises(ValueError, match="^degenerate network bounding box$"):
+            unit_square_map(SimpleNamespace(vertex_xy=np.ones((2, 2))))
 
 
 class TestMixture:
@@ -188,8 +197,13 @@ class TestMixture:
 class TestPoissonSampler:
     def test_zero_intensity_empty(self):
         lat = discretize(segment_network(1.0), 0.25)
-        pat = sample_poisson_on_network(LatticeFunction(lat, np.zeros(lat.n_nodes)), 1)
+        zero = LatticeFunction(lat, np.zeros(lat.n_nodes))
+        pat = sample_poisson_on_network(zero, 1)
         assert pat.n == 0
+        with pytest.raises(ValueError, match="^cannot rescale a zero intensity$"):
+            scale_to_target(zero, 10.0)
+        with pytest.raises(ValueError, match="^intensity must be nonnegative$"):
+            sample_poisson_on_network(LatticeFunction(lat, np.r_[np.ones(4), -1e-300]), 1)
 
     def test_mean_count(self):
         net = segment_network(10.0)
@@ -204,7 +218,7 @@ class TestPoissonSampler:
         net = build_network([(0, 0), (1, 0), (2, 0)], [(0, 1), (1, 2)])
         lat = discretize(net, 0.1)
         vals = np.zeros(lat.n_nodes)
-        chain = lat.edge_chains[1]
+        chain = edge_chains(lat)[1]
         vals[chain[1:-1]] = 50.0  # interior of edge 1 only
         pat = sample_poisson_on_network(LatticeFunction(lat, vals), 3)
         assert pat.n > 0

@@ -12,10 +12,9 @@ import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from lineheat.ingest import write_network_geojson
-
-from nets import grid_network
+from nets import grid_network, write_network_geojson
 
 TRACE_LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "trace_layers.py"
 
@@ -27,11 +26,16 @@ def load_trace_layers():
     return module
 
 
-def test_uniform_corrected_raster_pipeline_and_micro_timings(tmp_path):
+def write_inputs(workdir):
+    """A 3 x 3 grid and three events on it, as the traced run reads them."""
     net = grid_network(3, 3, spacing=0.5, rng=np.random.default_rng(0))
-    write_network_geojson(net, tmp_path / "net.geojson")
+    write_network_geojson(net, workdir / "net.geojson")
     xy = net._xy(np.array([0, 3, 5]), 0.2)
-    (tmp_path / "events.csv").write_text("x,y\n" + "".join(f"{x},{y}\n" for x, y in xy))
+    (workdir / "events.csv").write_text("x,y\n" + "".join(f"{x},{y}\n" for x, y in xy))
+
+
+def test_uniform_corrected_raster_pipeline_and_micro_timings(tmp_path):
+    write_inputs(tmp_path)
     tl = load_trace_layers()
     tr = tl.Tracer("tiny")
     args = ["--method", "uniform-corrected", "--bw", "0.3", "--format", "raster-csv", "--raster-res", "16"]
@@ -41,3 +45,20 @@ def test_uniform_corrected_raster_pipeline_and_micro_timings(tmp_path):
     tl.micro_timings(tr, net, lattice, est)
     us = tr.counts["lattice.dijkstra_us"]
     assert math.isfinite(us) and us > 0
+
+
+@pytest.mark.parametrize("args", [
+    ["--bw", "0.3"],
+    ["--adaptive", "--bw-global", "0.3"],
+    ["--adaptive", "--bw-global", "0.3", "--delta", "0.5"],
+], ids=["heat", "adaptive-direct", "adaptive-partition"])
+def test_heat_and_adaptive_pipelines_and_micro_timings(tmp_path, args):
+    # the heat solver, the deposit, the per-point direct estimate and the partition's bins
+    write_inputs(tmp_path)
+    tl = load_trace_layers()
+    tr = tl.Tracer("tiny")
+    out = tmp_path / "est.csv"
+    net, lattice, est = tl.run_pipeline(tr, tmp_path, out, args)
+    assert out.exists() and tr.counts["n_points"] == 3 and tr.counts["heat.steps"] > 0
+    tl.micro_timings(tr, net, lattice, est)
+    assert tr.counts["heat.step_us"] > 0
