@@ -14,8 +14,8 @@ exported name at once (PEP 562).
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "adaptive": ("BandwidthSet", "PartitionPlan", "abramson_bandwidths", "estimate_adaptive_partition",
-                 "heuristic_global_bandwidth", "make_partition"),
+    "adaptive": ("BandwidthSet", "PartitionPlan", "abramson_bandwidths", "adaptive_bandwidths",
+                 "estimate_adaptive_partition", "heuristic_global_bandwidth", "make_partition"),
     "heat": ("BETA", "HeatConfig", "default_dx", "deposit_initial_mass", "estimate_heat",
              "estimate_heat_batch", "heat_solve", "heat_step"),
     "ingest": ("read_network_geojson", "read_points", "write_lattice_function", "write_points_csv"),

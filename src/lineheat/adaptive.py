@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDelta, EmptyPattern, NonpositivePilotWarning
-from .heat import DEFAULT_CONFIG, HeatConfig, estimate_heat_batch
+from .heat import DEFAULT_CONFIG, HeatConfig, estimate_heat, estimate_heat_batch, resolve_dx
 from .lattice import Lattice, LatticeFunction, _require_same_network
 from .network import PointPattern
 
@@ -42,8 +42,6 @@ PILOT_FLOOR = 1e-12
 class BandwidthSet:
     """Per-point bandwidths with the ingredients used to compute them."""
 
-    global_bandwidth: float
-    pilot: LatticeFunction
     pilot_at_points: np.ndarray
     bandwidths: np.ndarray
     gamma: float
@@ -91,15 +89,27 @@ def abramson_bandwidths(
         vals = np.where(clamp, floor, vals)
     gamma = _gamma(vals, n, gamma_exponent)
     h = global_bandwidth * np.sqrt(n / vals) / gamma
-    return BandwidthSet(
-        global_bandwidth=float(global_bandwidth),
-        pilot=pilot,
-        pilot_at_points=vals,
-        bandwidths=h,
-        gamma=gamma,
-        gamma_exponent=gamma_exponent,
-        n_clamped=n_clamped,
-    )
+    return BandwidthSet(vals, h, gamma, gamma_exponent, n_clamped)
+
+
+def adaptive_bandwidths(
+    pattern: PointPattern,
+    global_bandwidth: float,
+    dx: float | None = None,
+    gamma_exponent: float = -0.5,
+    cfg: HeatConfig = DEFAULT_CONFIG,
+) -> tuple[BandwidthSet, float]:
+    """The adaptive estimator's first stage: per-point bandwidths and the estimation spacing.
+
+    The pilot is the heat estimate at ``global_bandwidth`` on its own lattice
+    (spacing ``dx``, or the default for that bandwidth); the returned spacing is
+    ``dx``, or the default for the smallest bandwidth.  Neither the pilot nor its
+    lattice outlives the call.
+    """
+    lattice = Lattice(pattern.network, resolve_dx(dx, pattern.network, global_bandwidth))
+    bw = abramson_bandwidths(pattern, estimate_heat(pattern, lattice, global_bandwidth, cfg),
+                             global_bandwidth, gamma_exponent)
+    return bw, resolve_dx(dx, pattern.network, float(bw.bandwidths.min()))
 
 
 def heuristic_global_bandwidth(total_length: float, n: int) -> float:
@@ -118,7 +128,6 @@ class PartitionPlan:
     the others are left-open; every point lands in exactly one bin.
     """
 
-    delta: float
     n_bins: int
     edges: np.ndarray
     midpoints: np.ndarray
@@ -149,7 +158,7 @@ def make_partition(bw: BandwidthSet, delta: float) -> PartitionPlan:
     edges = _quantile(h, np.linspace(0.0, 1.0, n_bins + 1))
     mids = 0.5 * (edges[:-1] + edges[1:])
     assignment = np.searchsorted(edges[1:-1], h, side="left")
-    return PartitionPlan(float(delta), int(n_bins), edges, mids, assignment.astype(np.int64))
+    return PartitionPlan(int(n_bins), edges, mids, assignment.astype(np.int64))
 
 
 def _quantile(h, q):

@@ -44,49 +44,47 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("network", help="GeoJSON network file")
     v.set_defaults(func=_cmd_validate)
 
-    s = sub.add_parser("simulate", help="simulate an intensity and a point pattern")
-    s.add_argument("--net", required=True, help="GeoJSON network file")
-    s.add_argument("--scenario", required=True, choices=_SCENARIOS)
-    s.add_argument("--seed", type=int, required=True)
-    s.add_argument("--target-points", type=float, default=520.0)
-    s.add_argument("--field-res", type=int, default=64, help="field grid resolution")
-    s.add_argument("--dx", type=float, default=None, help="lattice spacing")
+    # options that two or three commands share, each declared once
+    lattice = argparse.ArgumentParser(add_help=False)
+    lattice.add_argument("--net", required=True, help="GeoJSON network file")
+    lattice.add_argument("--dx", type=float, default=None, help="lattice spacing")
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("--scenario", required=True, choices=_SCENARIOS)
+    scenario.add_argument("--seed", type=int, required=True)
+    scenario.add_argument("--target-points", type=float, default=520.0)
+    scenario.add_argument("--field-res", type=int, default=64, help="field grid resolution")
+    adaptive = argparse.ArgumentParser(add_help=False)
+    adaptive.add_argument("--bw-global", default=None,
+                          help="adaptive global bandwidth (number, or 'auto' for |L|/(2 sqrt n))")
+    adaptive.add_argument("--gamma-exponent", type=float, default=-0.5, choices=(-0.5, -2.0))
+
+    s = sub.add_parser("simulate", parents=[lattice, scenario],
+                       help="simulate an intensity and a point pattern")
     s.add_argument("--out-points", required=True, help="pattern CSV path")
     s.add_argument("--out-intensity", required=True, help="true-intensity lattice-csv path")
     s.set_defaults(func=_cmd_simulate)
 
-    e = sub.add_parser("estimate", help="estimate intensity from points on a network")
-    e.add_argument("--net", required=True)
+    e = sub.add_parser("estimate", parents=[lattice, adaptive],
+                       help="estimate intensity from points on a network")
     e.add_argument("--points", required=True, help="CSV (x,y) or GeoJSON points")
     e.add_argument("--method", choices=_METHODS, default="heat")
     e.add_argument("--adaptive", action="store_true", help="per-point bandwidths (heat only)")
     e.add_argument("--bw", type=float, default=None, help="fixed bandwidth")
-    e.add_argument("--bw-global", default=None,
-                   help="adaptive global bandwidth (number, or 'auto' for |L|/(2 sqrt n))")
     e.add_argument("--delta", type=float, default=None,
                    help="quantile step for the partition estimator (1/delta integer)")
-    e.add_argument("--gamma-exponent", type=float, default=-0.5, choices=(-0.5, -2.0))
     e.add_argument("--kernel", default=None, choices=("gaussian", "epanechnikov", "quartic"),
                    help="kernel family for the non-heat methods")
-    e.add_argument("--dx", type=float, default=None)
     e.add_argument("--max-snap-dist", type=float, default=float("inf"))
     e.add_argument("--out", required=True)
     e.add_argument("--format", choices=("lattice-csv", "raster-csv"), default="lattice-csv")
     e.add_argument("--raster-res", type=int, default=128)
     e.set_defaults(func=_cmd_estimate)
 
-    st = sub.add_parser("study", help="partition-vs-direct ISE and timing study")
-    st.add_argument("--net", required=True)
-    st.add_argument("--scenario", required=True, choices=_SCENARIOS)
+    st = sub.add_parser("study", parents=[lattice, scenario, adaptive],
+                        help="partition-vs-direct ISE and timing study")
     st.add_argument("--deltas", default="0.1,0.05,0.025,0.01",
                     help="comma-separated quantile steps")
     st.add_argument("--replicates", type=int, default=20)
-    st.add_argument("--seed", type=int, required=True)
-    st.add_argument("--target-points", type=float, default=520.0)
-    st.add_argument("--field-res", type=int, default=64)
-    st.add_argument("--bw-global", default=None)
-    st.add_argument("--gamma-exponent", type=float, default=-0.5, choices=(-0.5, -2.0))
-    st.add_argument("--dx", type=float, default=None)
     st.add_argument("--no-timing", action="store_true",
                     help="write NA time columns for byte-reproducible output")
     st.add_argument("--out", required=True, help="results CSV path")
@@ -184,7 +182,7 @@ def _cmd_estimate(args) -> int:
     cfg = DEFAULT_CONFIG
 
     if args.adaptive:
-        from .adaptive import abramson_bandwidths, estimate_adaptive_partition, heuristic_global_bandwidth
+        from .adaptive import adaptive_bandwidths, estimate_adaptive_partition, heuristic_global_bandwidth
 
         if args.bw_global == "auto":
             star = heuristic_global_bandwidth(net.total_length, pattern.n)
@@ -195,10 +193,7 @@ def _cmd_estimate(args) -> int:
             )
         else:
             star = _bandwidth(args.bw_global)
-        pilot_lat = discretize(net, resolve_dx(args.dx, net, star))
-        pilot = estimate_heat(pattern, pilot_lat, star, cfg)
-        bw = abramson_bandwidths(pattern, pilot, star, args.gamma_exponent)
-        dx = resolve_dx(args.dx, net, float(bw.bandwidths.min()))
+        bw, dx = adaptive_bandwidths(pattern, star, args.dx, args.gamma_exponent, cfg)
         _echo_config(args, resolved_dx=dx, resolved_bw_global=star)
         lattice = discretize(net, dx)
         if args.delta is not None:
@@ -275,10 +270,8 @@ def _cmd_study(args) -> int:
         _echo_config(args, file=fh)
         fh.write(",".join(STUDY_COLUMNS) + "\n")
         for r in rows:
-            cells = [r["scenario"], str(r["replicate"]), FLOAT_FMT % r["delta"],
-                     str(r["n_points"]), FLOAT_FMT % r["ise"]]
-            cells += ["NA" if r[k] is None else FLOAT_FMT % r[k] for k in STUDY_COLUMNS[5:]]
-            fh.write(",".join(cells) + "\n")
+            fh.write(",".join("NA" if v is None else FLOAT_FMT % v if isinstance(v, float) else str(v)
+                              for v in r.values()) + "\n")
     print(f"rows: {len(rows)}")
     print(f"out: {args.out}")
     return 0

@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from .adaptive import BandwidthSet, abramson_bandwidths, bin_count, heuristic_global_bandwidth, make_partition
+from .adaptive import BandwidthSet, adaptive_bandwidths, bin_count, heuristic_global_bandwidth, make_partition
 from .errors import LatticeMismatch
 from .heat import (DEFAULT_CONFIG, HeatConfig, _check_node_steps, deposit_initial_mass, estimate_heat,
                    estimate_heat_batch, heat_solve, resolve_dx, step_size)
@@ -103,31 +103,24 @@ def _one_replicate(
     dx_override, timing, rep,
 ) -> list[dict]:
     rep_seed = seed + rep
-    # stage 1: simulate truth and the pattern on a pilot lattice; with no
-    # global bandwidth yet, the shortest edge sets a scale-free spacing
+    # simulate truth and the pattern on a lattice of their own; with no global
+    # bandwidth yet, the shortest edge sets a scale-free spacing
     sigma = float(net.edge_lengths.min()) if eps_star is None else eps_star
     lat1 = discretize(net, resolve_dx(dx_override, net, sigma))
     truth = simulate_intensity(net, lat1, scenario, [rep_seed, 0], target_points, field_res)
     pattern = sample_poisson_on_network(truth, [rep_seed, 1])
 
     def record(delta, ise_value, t_direct=None, t_onepass=None, t_part=None):
-        return {
-            "scenario": scenario, "replicate": rep, "delta": delta, "n_points": pattern.n,
-            "ise": ise_value, "time_direct_s": t_direct, "time_exact_onepass_s": t_onepass,
-            "time_partition_s": t_part,
-            "time_ratio": None if t_direct is None else t_part / t_direct,
-        }
+        t_ratio = None if t_direct is None else t_part / t_direct
+        return dict(zip(STUDY_COLUMNS, (scenario, rep, delta, pattern.n, ise_value, t_direct, t_onepass, t_part,
+                                        t_ratio)))
 
     if pattern.n == 0:
         return [record(d, float("nan")) for d in deltas]
 
     star = heuristic_global_bandwidth(net.total_length, pattern.n) if eps_star is None else eps_star
-    lat1 = discretize(net, resolve_dx(dx_override, net, star))
-    pilot = estimate_heat(pattern, lat1, star)
-    bw = abramson_bandwidths(pattern, pilot, star, gamma_exponent)
-
-    # stage 2: estimation lattice resolves the smallest bandwidth
-    lat2 = discretize(net, resolve_dx(dx_override, net, float(bw.bandwidths.min())))
+    bw, dx = adaptive_bandwidths(pattern, star, dx_override, gamma_exponent)
+    lat2 = discretize(net, dx)  # resolves the smallest bandwidth
 
     if timing:
         _warmup(lat2, pattern, bw)

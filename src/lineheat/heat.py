@@ -236,7 +236,7 @@ def estimate_heat_batch(
         raise ValueError("all bandwidths must be positive with finite squares")
     sigmas, group = np.unique(h, return_inverse=True)
     # each group's unit masses, summed per node in pattern.order as deposit_initial_mass sums them
-    points = pattern.order[np.argsort(group[pattern.order], kind="stable")]
-    nodes, share = _shares(pattern, lattice, points)
-    key, at = np.unique(np.repeat(group[points] * lattice.n_nodes, 2) + nodes, return_inverse=True)
+    # (bincount adds each (group, node) key's shares in input order)
+    nodes, share = _shares(pattern, lattice, pattern.order)
+    key, at = np.unique(np.repeat(group[pattern.order] * lattice.n_nodes, 2) + nodes, return_inverse=True)
     return LatticeFunction(lattice, _inject(lattice, sigmas * sigmas, key, np.bincount(at, share, len(key)), cfg))

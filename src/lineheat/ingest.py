@@ -22,10 +22,13 @@ from .errors import AllPointsTooFar, GeometryTypeError, ParseError
 from .lattice import LatticeFunction
 from .network import MAX_COORDINATE, MERGE_TOLERANCE, LinearNetwork, PointPattern, build_network
 from .network import _close_pairs, _min_labels, _nearest, _ragged, _snap, _spans
-from . import network  # after the lines above: bound by then, so no package __getattr__ runs
 
 FLOAT_FMT = "%.17g"
 _LATTICE_ROW = f"%d,{FLOAT_FMT},{FLOAT_FMT},{FLOAT_FMT}\r\n"  # a csv.writer row, terminator included
+
+#: Cells per run of the lattice-csv writer: one run's Python lists, not all
+#: cells', set its peak (about 1 MB at this size).
+LATTICE_CSV_RUN = 4096
 
 #: Most raster cells (resolution squared) one raster may have: a raster of
 #: this size adds about 0.07 GB to an estimate's peak.
@@ -39,7 +42,6 @@ class SnapReport:
     n_records: int
     n_snapped: int
     n_dropped: int
-    max_snap_dist: float
 
     @property
     def warning(self) -> str | None:
@@ -126,7 +128,7 @@ def read_points(path, net: LinearNetwork, max_snap_dist: float):
     kept = np.flatnonzero(dist <= max_snap_dist)
     if n and not len(kept):
         raise AllPointsTooFar(f"all {n} record(s) are farther than {max_snap_dist} from the network")
-    report = SnapReport(n, len(kept), n - len(kept), max_snap_dist)
+    report = SnapReport(n, len(kept), n - len(kept))
     return PointPattern(net, edge[kept], offset[kept]), report
 
 
@@ -218,11 +220,10 @@ def write_lattice_function(
 
 def _write_lattice_csv(f: LatticeFunction, path) -> None:
     ce, cl, ch, cn = f.lattice.node_cells
-    run = network.BLOCK_PAIRS  # cells per run: one run's Python lists, not all cells', set the peak
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("edge_id,offset_start,offset_end,value\r\n")
-        for a in range(0, len(ce), run):
-            cells = slice(a, a + run)
+        for a in range(0, len(ce), LATTICE_CSV_RUN):
+            cells = slice(a, a + LATTICE_CSV_RUN)
             rows = zip(ce[cells].tolist(), cl[cells].tolist(), ch[cells].tolist(), f.values[cn[cells]].tolist())
             fh.writelines(_LATTICE_ROW % row for row in rows)
 

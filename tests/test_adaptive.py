@@ -1,4 +1,5 @@
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -8,17 +9,18 @@ from lineheat.adaptive import (
     PILOT_FLOOR,
     _quantile,
     abramson_bandwidths,
+    adaptive_bandwidths,
     estimate_adaptive_partition,
     heuristic_global_bandwidth,
     make_partition,
 )
 from lineheat.errors import BadDelta, EmptyPattern, NonpositivePilotWarning, StepBudgetExceeded
 from lineheat.experiment import estimate_adaptive_direct, ise, partition_per_bin
-from lineheat.heat import estimate_heat, estimate_heat_batch, step_size
-from lineheat.lattice import LatticeFunction, discretize
+from lineheat.heat import estimate_heat, estimate_heat_batch, resolve_dx, step_size
+from lineheat.lattice import Lattice, LatticeFunction, discretize
 from lineheat.network import NetworkLocation
 
-from nets import edge_chains, pattern_of, random_network, random_pattern, segment_network, y_network
+from nets import assert_same, edge_chains, pattern_of, random_network, random_pattern, segment_network, y_network
 
 
 def _pattern_and_lattice(n=6, seed=3):
@@ -30,6 +32,40 @@ def _pattern_and_lattice(n=6, seed=3):
 
 def _constant_pilot(lat, c):
     return LatticeFunction(lat, np.full(lat.n_nodes, float(c)))
+
+
+class TestAdaptiveBandwidths:
+    """The first stage: pilot on its own lattice, bandwidths, estimation spacing."""
+
+    def test_equals_the_stage_written_out(self):
+        rng = np.random.default_rng(67)
+        for case in range(16):
+            net = random_network(rng, max_side=4, spacing=float(rng.uniform(0.5, 3.0)))
+            pat = random_pattern(net, int(rng.integers(1, 40)), rng)
+            star = float(rng.uniform(0.2, 1.5)) * float(net.edge_lengths.mean())
+            gamma_exponent = (-0.5, -2.0)[case % 2]
+            for dx in (None, float(rng.uniform(0.05, 0.5)) * star):
+                pilot = estimate_heat(pat, discretize(net, resolve_dx(dx, net, star)), star)
+                want = abramson_bandwidths(pat, pilot, star, gamma_exponent)
+                got, got_dx = adaptive_bandwidths(pat, star, dx, gamma_exponent)
+                assert_same(got.pilot_at_points, want.pilot_at_points)
+                assert_same(got.bandwidths, want.bandwidths)
+                assert (got.gamma, got.gamma_exponent, got.n_clamped) == (
+                    want.gamma, want.gamma_exponent, want.n_clamped)
+                assert got_dx == resolve_dx(dx, net, float(want.bandwidths.min()))
+
+    def test_pilot_lattice_is_freed_on_return(self, monkeypatch):
+        pilots = []
+
+        def recorded(pattern, lattice, sigma, cfg):
+            pilots.append(weakref.ref(lattice))
+            return estimate_heat(pattern, lattice, sigma, cfg)
+
+        monkeypatch.setattr(adaptive, "estimate_heat", recorded)
+        pat, _ = _pattern_and_lattice(n=20)
+        bw, _ = adaptive_bandwidths(pat, 0.5)
+        assert len(pilots) == 1 and pilots[0]() is None
+        assert not any(isinstance(v, (Lattice, LatticeFunction)) for v in vars(bw).values())
 
 
 class TestAbramson:

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -50,6 +51,71 @@ class TestSubcommands:
         proc = run_cli("bench", "--net", net_path, "--points", pts_path, "--method", "heat", "--bw", "0.2")
         assert proc.returncode == 2
         assert "invalid choice: 'bench'" in proc.stderr
+
+
+_SCENARIO_CHOICES = ("loggaussian-1", "loggaussian-2", "loggaussian-3", "loggaussian-4", "paper-gm5")
+_SHARED = {  # option: (type, default, choices, required, nargs)
+    "--net": (None, None, None, True, None),
+    "--dx": (float, None, None, False, None),
+    "--scenario": (None, None, _SCENARIO_CHOICES, True, None),
+    "--seed": (int, None, None, True, None),
+    "--target-points": (float, 520.0, None, False, None),
+    "--field-res": (int, 64, None, False, None),
+    "--bw-global": (None, None, None, False, None),
+    "--gamma-exponent": (float, -0.5, (-0.5, -2.0), False, None),
+}
+#: Every option of the three commands that share options, as the parser must declare them.
+_OPTIONS = {
+    "simulate": {
+        **{k: _SHARED[k] for k in ("--net", "--dx", "--scenario", "--seed", "--target-points", "--field-res")},
+        "--out-points": (None, None, None, True, None),
+        "--out-intensity": (None, None, None, True, None),
+    },
+    "estimate": {
+        **{k: _SHARED[k] for k in ("--net", "--dx", "--bw-global", "--gamma-exponent")},
+        "--points": (None, None, None, True, None),
+        "--method": (None, "heat", ("heat", "uniform-corrected", "jones-diggle", "esd", "esc"), False, None),
+        "--adaptive": (None, False, None, False, 0),
+        "--bw": (float, None, None, False, None),
+        "--delta": (float, None, None, False, None),
+        "--kernel": (None, None, ("gaussian", "epanechnikov", "quartic"), False, None),
+        "--max-snap-dist": (float, float("inf"), None, False, None),
+        "--out": (None, None, None, True, None),
+        "--format": (None, "lattice-csv", ("lattice-csv", "raster-csv"), False, None),
+        "--raster-res": (int, 128, None, False, None),
+    },
+    "study": {
+        **{k: _SHARED[k] for k in _SHARED},
+        "--deltas": (None, "0.1,0.05,0.025,0.01", None, False, None),
+        "--replicates": (int, 20, None, False, None),
+        "--no-timing": (None, False, None, False, 0),
+        "--out": (None, None, None, True, None),
+    },
+}
+
+
+class TestParser:
+    @staticmethod
+    def _commands():
+        from lineheat import cli
+
+        sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
+        return sub.choices
+
+    @pytest.mark.parametrize("command", sorted(_OPTIONS))
+    def test_options_are_unchanged(self, command):
+        actions = [a for a in self._commands()[command]._actions if a.dest != "help"]
+        got = {a.option_strings[0]: (a.type, a.default, a.choices, a.required, a.nargs) for a in actions}
+        assert all(len(a.option_strings) == 1 for a in actions)
+        assert got == _OPTIONS[command]
+        assert {a.dest for a in actions} == {k[2:].replace("-", "_") for k in _OPTIONS[command]}
+
+    def test_shared_options_are_declared_once(self):
+        commands = self._commands()
+        for option in _SHARED:
+            declared = {id(commands[c]._option_string_actions[option]) for c in _OPTIONS
+                        if option in _OPTIONS[c]}
+            assert len(declared) == 1, option
 
 
 class TestValidate:
@@ -388,6 +454,23 @@ class TestEstimate:
                          "--out", str(out)]) == 3
         assert capsys.readouterr().err.splitlines() == [line]
         assert not out.exists()
+
+    @pytest.mark.parametrize("delta", [[], ["--delta", "0.5"]], ids=["exact", "partition"])
+    def test_pilot_lattice_is_freed_before_the_estimation_lattice(self, toy, tmp_path, monkeypatch, delta):
+        from lineheat import cli
+        from lineheat.lattice import Lattice
+
+        built, init = [], Lattice.__init__  # per lattice: (weakref, lattices alive when it was built)
+
+        def recorded(self, *args):
+            built.append((weakref.ref(self), sum(ref() is not None for ref, _ in built)))
+            init(self, *args)
+
+        monkeypatch.setattr(Lattice, "__init__", recorded)
+        _, net_path, pts_path = toy
+        assert cli.main(["estimate", "--net", str(net_path), "--points", str(pts_path), "--adaptive",
+                         "--bw-global", "0.3", *delta, "--out", str(tmp_path / "est.csv")]) == 0
+        assert [alive for _, alive in built] == [0, 0]
 
     @pytest.mark.parametrize("flags", [
         ("--bw", "1e154"), ("--bw", "100", "--dx", "1e200"), ("--adaptive", "--bw-global", "150", "--dx", "1e200"),
@@ -766,7 +849,7 @@ class TestImports:
 
         import lineheat
 
-        assert len(lineheat.__all__) == len(set(lineheat.__all__)) == 43
+        assert len(lineheat.__all__) == len(set(lineheat.__all__)) == 44
         for module, names in lineheat._EXPORTS.items():
             defining = importlib.import_module(f"lineheat.{module}")
             for name in names:

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lineheat import network
+from lineheat import ingest, network
 from lineheat.errors import AllPointsTooFar, GeometryTypeError, ParseError
 from lineheat.ingest import (
     _read_points_csv,
@@ -565,11 +565,11 @@ class TestLatticeCsv:
 
     def test_bytes_equal_the_csv_writer(self, tmp_path, monkeypatch):
         # zeros of both signs, the smallest normal and subnormals, integers, random values;
-        # the rows go in runs of BLOCK_PAIRS cells: one, 97, or all of them
+        # the rows go in runs of LATTICE_CSV_RUN cells: one, 97, or all of them
         special = [0.0, -0.0, 1e-300, 2.2250738585072014e-308, 5e-324, 1.5e-310, 3.0, -7.0,
                    1e16, 2.0**53 + 2, 1 / 3, -1e300]
-        for block in (network.BLOCK_PAIRS, 1, 97):
-            monkeypatch.setattr(network, "BLOCK_PAIRS", block)
+        for run in (ingest.LATTICE_CSV_RUN, 1, 97):
+            monkeypatch.setattr(ingest, "LATTICE_CSV_RUN", run)
             for lat, rng in random_lattices(61, count=15):
                 values = np.where(rng.random(lat.n_nodes) < 0.5, rng.choice(special, lat.n_nodes),
                                   rng.normal(0.0, 10.0 ** rng.uniform(-5, 5), lat.n_nodes))
@@ -578,8 +578,8 @@ class TestLatticeCsv:
                 csv_write_lattice(f, tmp_path / "want.csv")
                 assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
-    def test_rows_are_formatted_in_bounded_runs(self, tmp_path, monkeypatch):
-        # the Python lists of one run of 1,000 cells, not of all 200k, set the writer's peak
+    def test_rows_are_formatted_in_bounded_runs(self, tmp_path):
+        # the Python lists of one default run of cells, not of all 200k, set the writer's peak
         lat = discretize(segment_network(1.0), 5e-6)
         f = LatticeFunction(lat, np.random.default_rng(7).random(lat.n_nodes))
         cell_edge, cell_lo, cell_hi, cell_node = lat.node_cells
@@ -589,7 +589,6 @@ class TestLatticeCsv:
             whole_peak = tracemalloc.get_traced_memory()[1]
             del whole
             tracemalloc.reset_peak()
-            monkeypatch.setattr(network, "BLOCK_PAIRS", 1000)
             write_lattice_function(f, tmp_path / "f.csv", "lattice-csv")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
