@@ -46,7 +46,7 @@ LOGGAUSSIAN_SCENARIOS = {
 SCENARIOS = tuple(LOGGAUSSIAN_SCENARIOS) + ("paper-gm5",)
 
 #: Most points a simulation may expect: a ``simulate`` run peaks at about
-#: 0.31 GB at this target with ``paper-gm5``, which samples no field.
+#: 90 MB at this target with ``paper-gm5``, which samples no field.
 MAX_TARGET_POINTS = 10**6
 
 STUDY_COLUMNS = (

@@ -15,6 +15,7 @@ import json
 import math
 import reprlib
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -24,11 +25,12 @@ from .network import MAX_COORDINATE, MERGE_TOLERANCE, LinearNetwork, PointPatter
 from .network import _close_pairs, _min_labels, _nearest, _ragged, _snap, _spans
 
 FLOAT_FMT = "%.17g"
-_LATTICE_ROW = f"%d,{FLOAT_FMT},{FLOAT_FMT},{FLOAT_FMT}\r\n"  # a csv.writer row, terminator included
 
-#: Cells per run of the lattice-csv writer: one run's Python lists, not all
-#: cells', set its peak (about 1 MB at this size).
-LATTICE_CSV_RUN = 4096
+#: Rows per run of the CSV writers (points CSV and lattice-csv): one run's
+#: Python lists, not all rows', set their peak (about 1 MB at this size).
+CSV_RUN = 4096
+
+_NUMBER = {int, float}  # the types json.load gives a JSON number
 
 #: Most raster cells (resolution squared) one raster may have: a raster of
 #: this size adds about 0.07 GB to an estimate's peak.
@@ -81,21 +83,23 @@ def read_network_geojson(path) -> LinearNetwork:
 
 def _positions(pts: list, ids, what: str) -> np.ndarray:
     """(n, 2) float coordinates of positions, each a list of two or more
-    numbers (a GeoJSON position, RFC 7946 3.1.1) within ``MAX_COORDINATE``.
+    numbers (a GeoJSON position, RFC 7946 3.1.1: each value an ``int`` or
+    ``float``, not a ``bool`` or a string) within ``MAX_COORDINATE``.
     They are converted as one array; where that fails, one by one, and a
     ParseError names the first bad position as ``{what} {id}``."""
     try:
         a = np.array(pts)
     except (ValueError, OverflowError):  # ragged, or an integer beyond 64 bits
         a = np.empty(0)
-    if a.ndim == 2 and a.shape[1] >= 2 and a.dtype.kind in "biuf":
+    numeric = a.ndim == 2 and a.shape[1] >= 2 and a.dtype.kind in "iuf"
+    if numeric and set(map(type, chain.from_iterable(pts))) <= _NUMBER:  # numpy reads booleans as numbers
         xy = a[:, :2].astype(float)
         if (np.abs(xy) <= MAX_COORDINATE).all():  # False for nan and inf too
             return xy
     xy = []
     for pt, i in zip(pts, ids):
         try:  # fewer than two values fail to unpack; an integer beyond any float overflows
-            x, y = map(float, pt[:2] if isinstance(pt, list) else ())
+            x, y = map(float, pt[:2] if isinstance(pt, list) and set(map(type, pt)) <= _NUMBER else ())
         except (TypeError, ValueError, OverflowError):
             raise ParseError(f"{what} {i}: bad position {pt!r}") from None
         if not (math.isfinite(x) and math.isfinite(y)):
@@ -189,15 +193,21 @@ def _features(path, types: tuple[str, ...]):
 
 def write_points_csv(pattern: PointPattern, path) -> None:
     """Event pattern as CSV rows (x, y, edge_id, offset)."""
-    edge, offset = pattern.edge, pattern.offset
-    xy = pattern.network._xy(edge, offset)
+    edge, offset, xy_of = pattern.edge, pattern.offset, pattern.network._xy
+    _write_rows(path, "x,y,edge_id,offset", f"{FLOAT_FMT},{FLOAT_FMT},%d,{FLOAT_FMT}", len(edge),
+                lambda s: (*xy_of(edge[s], offset[s]).T, edge[s], offset[s]))
+
+
+def _write_rows(path, header: str, row: str, n: int, columns) -> None:
+    """Write ``header`` and ``n`` rows, each ``row % cells``, as ``csv.writer``
+    would (numbers need no quoting); ``columns(s)`` gives the column arrays
+    of the rows in slice ``s``, taken in runs of ``CSV_RUN`` rows."""
+    row += "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "y", "edge_id", "offset"])
-        w.writerows(
-            [FLOAT_FMT % x, FLOAT_FMT % y, e, FLOAT_FMT % o]
-            for (x, y), e, o in zip(xy.tolist(), edge.tolist(), offset.tolist())
-        )
+        fh.write(header + "\r\n")
+        for a in range(0, n, CSV_RUN):
+            cols = [c.tolist() for c in columns(slice(a, a + CSV_RUN))]
+            fh.writelines(row % cells for cells in zip(*cols))
 
 
 def write_lattice_function(
@@ -211,21 +221,13 @@ def write_lattice_function(
     node within half a pixel diagonal, NA otherwise.
     """
     if format == "lattice-csv":
-        _write_lattice_csv(f, path)
+        ce, cl, ch, cn = f.lattice.node_cells
+        _write_rows(path, "edge_id,offset_start,offset_end,value", f"%d,{FLOAT_FMT},{FLOAT_FMT},{FLOAT_FMT}", len(ce),
+                    lambda s: (ce[s], cl[s], ch[s], f.values[cn[s]]))
     elif format == "raster-csv":
         _write_raster_csv(f, path, raster_res)
     else:
         raise ValueError(f"unknown format {format!r}")
-
-
-def _write_lattice_csv(f: LatticeFunction, path) -> None:
-    ce, cl, ch, cn = f.lattice.node_cells
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("edge_id,offset_start,offset_end,value\r\n")
-        for a in range(0, len(ce), LATTICE_CSV_RUN):
-            cells = slice(a, a + LATTICE_CSV_RUN)
-            rows = zip(ce[cells].tolist(), cl[cells].tolist(), ch[cells].tolist(), f.values[cn[cells]].tolist())
-            fh.writelines(_LATTICE_ROW % row for row in rows)
 
 
 def raster_grid(net: LinearNetwork, res: int):

@@ -764,6 +764,20 @@ def csv_write_lattice(f, path):
             )
 
 
+def csv_write_points(pattern, path):
+    """The points CSV writer as one ``csv.writer.writerows`` over whole-pattern
+    lists: the writer the bounded runs replaced."""
+    edge, offset = pattern.edge, pattern.offset
+    xy = pattern.network._xy(edge, offset)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["x", "y", "edge_id", "offset"])
+        w.writerows(
+            ["%.17g" % x, "%.17g" % y, e, "%.17g" % o]
+            for (x, y), e, o in zip(xy.tolist(), edge.tolist(), offset.tolist())
+        )
+
+
 def read_lattice_csv(path, lattice) -> LatticeFunction:
     """A lattice-csv the CLI wrote for ``lattice``: its edge, start and end
     columns must be ``lattice.node_cells`` exactly, and each node's cells must
@@ -1114,13 +1128,14 @@ def dictreader_points(path):
 
 def pointwise_read_network(path, merge_tolerance=1e-8):
     """``read_network_geojson`` with its position-by-position walk: the walk the
-    one-array conversion replaced, errors included."""
+    one-array conversion replaced, errors included.  A position's values must
+    be JSON numbers: ``int`` or ``float``, not ``bool`` or ``str``."""
     from lineheat.errors import ParseError
     from lineheat.ingest import _features
     from lineheat.network import MAX_COORDINATE, _close_pairs, _min_labels
 
     def position(pt, i):
-        if isinstance(pt, list) and len(pt) >= 2:
+        if isinstance(pt, list) and len(pt) >= 2 and all(type(v) in (int, float) for v in pt):
             try:
                 return float(pt[0]), float(pt[1])
             except (TypeError, ValueError, OverflowError):

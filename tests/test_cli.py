@@ -139,7 +139,9 @@ class TestValidate:
          "feature 1: LineString without a coordinates array"),
         ([{"type": "Feature", "geometry": {"type": "LineString", "coordinates": [[0, 0], [1]]}}],
          "feature 1: bad position [1]"),
-    ], ids=["not-an-object", "no-coordinates", "short-position"])
+        ([{"type": "Feature", "geometry": {"type": "LineString", "coordinates": [[0, 0], [True, 5]]}}],
+         "feature 1: bad position [True, 5]"),
+    ], ids=["not-an-object", "no-coordinates", "short-position", "boolean-coordinate"])
     def test_malformed_feature_exits_2(self, tmp_path, features, message):
         net_path = tmp_path / "bad.geojson"
         net_path.write_text(json.dumps({"type": "FeatureCollection", "features": features}))

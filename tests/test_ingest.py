@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -17,11 +18,12 @@ from lineheat.ingest import (
     write_points_csv,
 )
 from lineheat.lattice import LatticeFunction, discretize
-from lineheat.network import MAX_COORDINATE, MERGE_TOLERANCE, NetworkLocation, build_network
+from lineheat.network import MAX_COORDINATE, MERGE_TOLERANCE, NetworkLocation, PointPattern, build_network
 
 from nets import (
     assert_same,
     csv_write_lattice,
+    csv_write_points,
     dictreader_points,
     grid_network,
     kdtree_merge,
@@ -182,6 +184,26 @@ def test_network_refusal_named(tmp_path, doc, message):
         read_network_geojson(p)
 
 
+@pytest.mark.parametrize("value", [True, False, "0", "1.5", None], ids=["true", "false", "zero-string",
+                                                                    "numeric-string", "null"])
+@pytest.mark.parametrize("gtype", ["LineString", "MultiLineString", "Point"])
+def test_non_number_coordinate_is_a_bad_position(tmp_path, gtype, value):
+    # RFC 7946 3.1.1: a position's values are JSON numbers; numpy would read a boolean as 0 or 1
+    bad = [1, value]
+    first, second = {
+        "LineString": ([[0, 0], [1, 0]], [[1, 0], bad]),
+        "MultiLineString": ([[[0, 0], [1, 0]]], [[[1, 0], [2, 0]], [[2, 0], bad]]),
+        "Point": ([0.5, 0], bad),
+    }[gtype]
+    p = tmp_path / "in.geojson"
+    _write_geojson(p, [{"type": "Feature", "geometry": {"type": gtype, "coordinates": c}} for c in (first, second)])
+    with pytest.raises(ParseError, match=re.escape(f"feature 2: bad position {bad!r}") + "$"):
+        if gtype == "Point":
+            read_points(p, segment_network(2.0), max_snap_dist=math.inf)
+        else:
+            read_network_geojson(p)
+
+
 def test_network_digit_limit_is_a_parse_error(tmp_path):
     # json.load raises a plain ValueError for an integer past Python's digit limit
     p = tmp_path / "net.geojson"
@@ -238,16 +260,19 @@ class TestCoordinateWalk:
         [_line([[0, math.nan], [1, 0]]), _line([[0, 0]])],
         [_line([[0, 0], [1, 0, 5]]), _line([[2, 2], [3, 3]])],
         [_line([[True, 0], [1, 1]])],
+        [_line([[True, False], [False, True]])],
+        [_line([[0, 0], [5, 0, True]])],
         [_line([[10**30, 0], [0, 0]])],
         [_line([["1.5", "0"], [0, 0]])],
+        [_line([["0", "0"], ["5", "0"]])],
         [_line([[0, 0], [[1], [2]]])],
         [_line([[0, 0], 1])],
         [{"type": "Feature", "geometry": {"type": "MultiLineString", "coordinates": [[[0, 0], [1, 0]], 7]}}],
         [_line([[0, 0], [1, 0]]), _line([[1, 0], [1, -1e200]]), _line([[0, 0], [1]])],
         [_line([[0, 0], [1, 0]]), _line([[1, 0], [10**400, 0]])],
     ], ids=["none", "nan-then-short", "string", "inf-then-polygon", "nan-then-one-position",
-            "mixed-dims", "bool", "huge-int", "numeric-string", "nested", "number", "multi-not-a-list",
-            "beyond-bound-then-short", "oversized-int"])
+            "mixed-dims", "bool", "all-bool", "bool-z", "huge-int", "numeric-string", "all-string", "nested",
+            "number", "multi-not-a-list", "beyond-bound-then-short", "oversized-int"])
     def test_bad_or_odd_positions_read_as_the_walk_did(self, tmp_path, features):
         p = tmp_path / "net.geojson"
         _write_geojson(p, features)
@@ -535,6 +560,11 @@ class TestPointsDialect:
         assert ra == rb
 
 
+# zeros of both signs, the smallest normal and subnormals, integers, random values
+SPECIAL_FLOATS = [0.0, -0.0, 1e-300, 2.2250738585072014e-308, 5e-324, 1.5e-310, 3.0, -7.0,
+                  1e16, 2.0**53 + 2, 1 / 3, -1e300]
+
+
 class TestLatticeCsv:
     def test_constant_function_rows(self, tmp_path):
         lat = discretize(segment_network(1.0), 0.25)
@@ -564,14 +594,11 @@ class TestLatticeCsv:
         assert not (tmp_path / "f.json").exists()
 
     def test_bytes_equal_the_csv_writer(self, tmp_path, monkeypatch):
-        # zeros of both signs, the smallest normal and subnormals, integers, random values;
-        # the rows go in runs of LATTICE_CSV_RUN cells: one, 97, or all of them
-        special = [0.0, -0.0, 1e-300, 2.2250738585072014e-308, 5e-324, 1.5e-310, 3.0, -7.0,
-                   1e16, 2.0**53 + 2, 1 / 3, -1e300]
-        for run in (ingest.LATTICE_CSV_RUN, 1, 97):
-            monkeypatch.setattr(ingest, "LATTICE_CSV_RUN", run)
+        # the rows go in runs of CSV_RUN cells: one, 97, or all of them
+        for run in (ingest.CSV_RUN, 1, 97):
+            monkeypatch.setattr(ingest, "CSV_RUN", run)
             for lat, rng in random_lattices(61, count=15):
-                values = np.where(rng.random(lat.n_nodes) < 0.5, rng.choice(special, lat.n_nodes),
+                values = np.where(rng.random(lat.n_nodes) < 0.5, rng.choice(SPECIAL_FLOATS, lat.n_nodes),
                                   rng.normal(0.0, 10.0 ** rng.uniform(-5, 5), lat.n_nodes))
                 f = LatticeFunction(lat, values)
                 write_lattice_function(f, tmp_path / "got.csv", "lattice-csv")
@@ -786,3 +813,40 @@ class TestPointsCsv:
                 x, y = ((1.0 - t) * a + t * b for a, b in zip(net.vertex_xy[u], net.vertex_xy[v]))
                 want.append(f"{x:.17g},{y:.17g},{e},{o:.17g}")
             assert p.read_text().splitlines() == want
+
+    def test_bytes_equal_the_csv_writer(self, tmp_path, monkeypatch):
+        # the special floats as offsets and as vertex coordinates (all but -1e300,
+        # beyond MAX_COORDINATE); the rows go in runs of CSV_RUN: one, 97, or all of them
+        rng = np.random.default_rng(77)
+        odd = build_network([(5e-324, -0.0), (3.0, 1e-300), (2.0**53 + 2, -7.0), (1e16, 1 / 3)],
+                            [(0, 1), (1, 2), (2, 3)])
+        nets = [odd] + [lat.network for lat, _ in random_lattices(78, count=12)]
+        offsets = [v for v in SPECIAL_FLOATS if v >= 0]  # -0.0 too
+        for run in (ingest.CSV_RUN, 1, 97):
+            monkeypatch.setattr(ingest, "CSV_RUN", run)
+            for net, n in zip(nets, [0, 2 * ingest.CSV_RUN + 5, *rng.integers(1, 300, len(nets))]):
+                edge = rng.integers(net.n_edges, size=n)
+                length = net.edge_lengths[edge]
+                offset = np.where(rng.random(n) < 0.5, np.minimum(rng.choice(offsets, n), length),
+                                  rng.random(n) * length)
+                pattern = PointPattern(net, edge, offset)
+                write_points_csv(pattern, tmp_path / "got.csv")
+                csv_write_points(pattern, tmp_path / "want.csv")
+                assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_points_rows_are_formatted_in_bounded_runs(self, tmp_path):
+        # the Python lists of one default run of points, not of all 200k, set the writer's peak
+        n = 200_001
+        pattern = PointPattern(segment_network(1.0), np.zeros(n, dtype=np.int64), np.linspace(0.0, 1.0, n))
+        tracemalloc.start()
+        try:
+            xy = pattern.network._xy(pattern.edge, pattern.offset)
+            whole = [xy.tolist(), pattern.edge.tolist(), pattern.offset.tolist()]
+            whole_peak = tracemalloc.get_traced_memory()[1]
+            del xy, whole
+            tracemalloc.reset_peak()
+            write_points_csv(pattern, tmp_path / "pts.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < whole_peak / 20, (peak, whole_peak)
