@@ -20,7 +20,7 @@ _EXPORTS = {
              "estimate_heat_batch", "heat_solve", "heat_step"),
     "ingest": ("read_network_geojson", "read_points", "write_lattice_function", "write_points_csv"),
     "kernels": ("Kernel1D", "equal_split_continuous", "equal_split_discontinuous", "estimate_jones_diggle",
-                "estimate_uniform_corrected", "precompute_edge_correction"),
+                "estimate_uniform_corrected"),
     "lattice": ("Lattice", "LatticeFunction", "discretize"),
     "network": ("LinearNetwork", "NetworkLocation", "PointPattern", "build_network",
                 "shortest_path_distance"),

@@ -114,11 +114,12 @@ def read_points(path, net: LinearNetwork, max_snap_dist: float):
     """Read event points and snap them to the network.
 
     Returns (pattern, report); records farther than ``max_snap_dist`` from the
-    network are dropped and counted.  CSV needs header columns x,y; GeoJSON
-    needs Point features.  A bad position is a ParseError naming its CSV
+    network are dropped and counted.  A path ending in .geojson or .json, in
+    any letter case, is read as GeoJSON of Point features, any other as CSV
+    with header columns x,y.  A bad position is a ParseError naming its CSV
     record or its feature (counted from 1), as :func:`_positions` does.
     """
-    if str(path).endswith((".geojson", ".json")):
+    if str(path).lower().endswith((".geojson", ".json")):
         pts = []
         try:
             pts.extend(p for _, _, p in _features(path, ("Point",)))
@@ -154,7 +155,8 @@ def _read_points_csv(path) -> np.ndarray:
         raise ParseError(f"record {len(xy) + 1}: too few fields for columns x,y") from None
     except ValueError as exc:
         raise ParseError(f"record {len(xy) + 1}: bad coordinate value: {exc}") from None
-    return _positions(xy, range(1, len(xy) + 1), "record")
+    a = np.array(xy).reshape(-1, 2)  # floats already, so only the bounds need checking
+    return a if (np.abs(a) <= MAX_COORDINATE).all() else _positions(xy, range(1, len(xy) + 1), "record")
 
 
 def _number(text: str) -> float:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LatticeMismatch, PairBudgetExceeded, PathExplosion, UnboundedKernel
+from .errors import PairBudgetExceeded, PathExplosion, UnboundedKernel
 from .lattice import Lattice, LatticeFunction, _require_same_network
 from .network import PointPattern, _box_pairs, _csr_rows, _spans
 
@@ -89,37 +89,20 @@ class Kernel1D:
         return out if out.ndim else float(out)
 
 
-def precompute_edge_correction(lattice: Lattice, kernel: Kernel1D) -> LatticeFunction:
-    """Edge-correction factor at every lattice node (reusable across patterns)."""
-    _check_pairs(lattice, kernel.support, lattice._n_pieces + 1)
-    return LatticeFunction(lattice, _node_corrections(lattice, kernel, np.arange(lattice.n_nodes)))
-
-
 def estimate_uniform_corrected(
-    pattern: PointPattern,
-    lattice: Lattice,
-    kernel: Kernel1D,
-    edge_correction_values: LatticeFunction | None = None,
+    pattern: PointPattern, lattice: Lattice, kernel: Kernel1D
 ) -> LatticeFunction:
     """Kernel sum divided by the correction factor at the evaluation point.
 
     Unbiased for homogeneous intensity but does not integrate to the point
-    count.  Zero beyond the union of the kernels' supports.  Pass a
-    precomputed :func:`precompute_edge_correction` to amortize the expensive
-    per-node corrections across many patterns.
+    count.  Zero beyond the union of the kernels' supports.
     """
     _require_same_network(pattern, lattice)
-    _check_pairs(lattice, kernel.support, _per_edge(pattern), edge_correction_values is None)
+    _check_pairs(lattice, kernel.support, _per_edge(pattern), then_nodes=True)
     ksum = _kernel_sum(pattern, lattice, kernel)
     covered = np.nonzero(ksum > 0)[0]
     out = np.zeros(lattice.n_nodes)
-    if edge_correction_values is None:
-        c = _node_corrections(lattice, kernel, covered)
-    elif edge_correction_values.lattice.compatible(lattice):
-        c = edge_correction_values.values[covered]
-    else:
-        raise LatticeMismatch("the edge correction was computed on another lattice")
-    out[covered] = ksum[covered] / c
+    out[covered] = ksum[covered] / _node_corrections(lattice, kernel, covered)
     return LatticeFunction(lattice, out)
 
 
@@ -151,25 +134,16 @@ def _node_corrections(lattice, kernel, nodes):
     """Edge correction at each of the lattice ``nodes``: the lattice quadrature
     of the kernel around it, each node its own source."""
     c = np.zeros(len(nodes))
-    for row, at, k in _kernel_terms(lattice, kernel, *lattice._node_locations(nodes)):
-        np.add.at(c, row, lattice.node_weight[at] * k)
+    for row, at, d in lattice._distances(*lattice._node_locations(nodes), kernel.support):
+        np.add.at(c, row, lattice.node_weight[at] * kernel(d))
     return c
 
 
 def _point_terms(pattern, lattice, kernel):
-    """:func:`_kernel_terms` around the points, row k the k-th in ``pattern.order``."""
+    """Kernel values (row, node, k) around the points, row k the k-th in ``pattern.order``,
+    a block of rows at a time, by row then node, over the nodes within the support."""
     o = pattern.order
-    return _kernel_terms(lattice, kernel, pattern.edge[o], pattern.offset[o])
-
-
-def _kernel_terms(lattice, kernel, edge, offset):
-    """Kernel values (row, node, k) around the locations (edge[row], offset[row]),
-    one block of sources at a time.
-
-    Entries run by row (the source), then by node, and cover the nodes within
-    the kernel's support.
-    """
-    for row, at, d in lattice._distances(edge, offset, kernel.support):
+    for row, at, d in lattice._distances(pattern.edge[o], pattern.offset[o], kernel.support):
         yield row, at, kernel(d)
 
 

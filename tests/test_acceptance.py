@@ -20,7 +20,6 @@ from lineheat.kernels import (
     equal_split_discontinuous,
     estimate_jones_diggle,
     estimate_uniform_corrected,
-    precompute_edge_correction,
 )
 from lineheat.lattice import LatticeFunction, discretize
 from lineheat.network import NetworkLocation, shortest_path_distance
@@ -128,13 +127,12 @@ class TestCriterion4CorrectedEstimators:
         sigma = 0.25
         lat = discretize(net, sigma / 3)
         kernel = Kernel1D("gaussian", sigma)
-        correction = precompute_edge_correction(lat, kernel)
         lam = LatticeFunction(lat, np.full(lat.n_nodes, 20.0))
         probes = [0, 3, lat.n_nodes // 2, lat.n_nodes - 5, lat.n_nodes - 1]
         samples = np.empty((500, len(probes)))
         for rep in range(500):
             pat = sample_poisson_on_network(lam, rep)
-            est = estimate_uniform_corrected(pat, lat, kernel, edge_correction_values=correction)
+            est = estimate_uniform_corrected(pat, lat, kernel)
             samples[rep] = est.values[probes]
         mean = samples.mean(axis=0)
         se = samples.std(axis=0, ddof=1) / math.sqrt(500)

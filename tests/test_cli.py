@@ -851,7 +851,7 @@ class TestImports:
 
         import lineheat
 
-        assert len(lineheat.__all__) == len(set(lineheat.__all__)) == 44
+        assert len(lineheat.__all__) == len(set(lineheat.__all__)) == 43
         for module, names in lineheat._EXPORTS.items():
             defining = importlib.import_module(f"lineheat.{module}")
             for name in names:

@@ -385,6 +385,15 @@ class TestReadPoints:
         pattern, _ = read_points(p, net, max_snap_dist=0.5)
         assert pattern.n == 1
 
+    @pytest.mark.parametrize("name", ["pts.GeoJSON", "pts.JSON", "pts.Json"])
+    def test_geojson_suffix_in_any_letter_case(self, tmp_path, name):
+        net = segment_network(2.0)
+        p = tmp_path / name
+        point = {"type": "Point", "coordinates": [0.5, 0.0]}
+        _write_geojson(p, [{"type": "Feature", "properties": {}, "geometry": point}])
+        pattern, _ = read_points(p, net, max_snap_dist=0.5)
+        assert (pattern.edge.tolist(), pattern.offset.tolist()) == ([0], [0.5])
+
     def test_geojson_point_without_coordinates_rejected(self, tmp_path):
         net = segment_network(2.0)
         p = tmp_path / "pts.geojson"

@@ -5,12 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from lineheat import kernels, network
-from lineheat.errors import (
-    LatticeMismatch,
-    PairBudgetExceeded,
-    PathExplosion,
-    UnboundedKernel,
-)
+from lineheat.errors import PairBudgetExceeded, PathExplosion, UnboundedKernel
 from lineheat.kernels import (
     Kernel1D,
     _kernel_sum,
@@ -18,7 +13,6 @@ from lineheat.kernels import (
     equal_split_discontinuous,
     estimate_jones_diggle,
     estimate_uniform_corrected,
-    precompute_edge_correction,
 )
 from lineheat.lattice import Lattice, discretize
 from lineheat.network import NetworkLocation, build_network
@@ -72,10 +66,10 @@ class TestKernel1D:
 
 
 def node_correction(lattice, loc, kernel):
-    """The precomputed edge correction at ``loc``, a lattice node."""
+    """The edge correction at ``loc``, a lattice node."""
     left, right, theta = lattice.bracket(loc.edge, loc.offset)
     assert left == right or theta == 0.0
-    return float(precompute_edge_correction(lattice, kernel).values[left])
+    return float(kernels._node_corrections(lattice, kernel, np.array([left]))[0])
 
 
 class TestEdgeCorrection:
@@ -178,16 +172,6 @@ class TestCorrectedEstimators:
             assert_same(f.values, np.zeros(lat.n_nodes))
             assert f.integral() == 0.0
 
-    def test_precomputed_correction_matches(self):
-        net = triangle_network()
-        lat = discretize(net, 0.1)
-        k = Kernel1D("gaussian", 0.3)
-        pat = pattern_of(net, [NetworkLocation(0, 0.4), NetworkLocation(2, 0.7)])
-        pre = precompute_edge_correction(lat, k)
-        a = estimate_uniform_corrected(pat, lat, k)
-        b = estimate_uniform_corrected(pat, lat, k, edge_correction_values=pre)
-        assert np.array_equal(a.values, b.values)
-
     def test_linearity_appending_one_point(self):
         net = triangle_network()
         lat = discretize(net, 0.1)
@@ -234,7 +218,7 @@ def all_estimates(pattern, lattice, kernel):
         "kernel_sum": _kernel_sum(pattern, lattice, kernel),
         "uniform": estimate_uniform_corrected(pattern, lattice, kernel).values,
         "jones_diggle": estimate_jones_diggle(pattern, lattice, kernel).values,
-        "precomputed": precompute_edge_correction(lattice, kernel).values,
+        "corrections": kernels._node_corrections(lattice, kernel, np.arange(lattice.n_nodes)),
     }
 
 
@@ -253,10 +237,19 @@ class TestBatchedMatchesLoop:
             want = {
                 "uniform": loop_uniform_corrected(pat, lat, k),
                 "jones_diggle": loop_jones_diggle(pat, lat, k),
-                "precomputed": loop_precompute_edge_correction(lat, k),
+                "corrections": loop_precompute_edge_correction(lat, k),
             }
             for name, w in want.items():
                 np.testing.assert_allclose(got[name], w, rtol=1e-12, atol=0, err_msg=name)
+
+    def test_permuted_input_is_bit_identical_and_nonnegative(self):
+        rng = np.random.default_rng(55)
+        for lat, pat, k in batched_cases(10, 55):
+            shuffled = pat.subset(rng.permutation(pat.n))
+            for est in (estimate_uniform_corrected, estimate_jones_diggle):
+                values = est(pat, lat, k).values
+                assert_same(est(shuffled, lat, k).values, values)
+                assert (values >= 0).all()
 
     @pytest.mark.parametrize("per_block", [1, 3])
     def test_blocks_match_one_block(self, monkeypatch, per_block):
@@ -279,11 +272,11 @@ class TestPairBudget:
 
     @staticmethod
     def pairs(lattice, kernel, edge, offset):
-        return sum(len(row) for row, _, _ in kernels._kernel_terms(lattice, kernel, edge, offset))
+        return sum(len(row) for row, _, _ in lattice._distances(edge, offset, kernel.support))
 
     def test_bound_is_never_below_the_pairs(self, monkeypatch):
         # a budget one below a pass's pairs is refused: the planar bound is
-        # an upper bound, for the points, the covered nodes and every node;
+        # an upper bound, for the points and the covered nodes;
         # on a straight chain the support reaches edges whose boxes the
         # source edge's box does not meet
         chain = build_network([(float(x), 0.0) for x in range(11)], [(i, i + 1) for i in range(10)])
@@ -294,14 +287,10 @@ class TestPairBudget:
             o = pat.order
             points = self.pairs(lat, k, pat.edge[o], pat.offset[o])
             covered = np.flatnonzero(_kernel_sum(pat, lat, k) > 0)
-            nodes = np.arange(lat.n_nodes)
-            corrections, every = (
-                self.pairs(lat, k, *lat._node_locations(x))
-                for x in (covered, nodes))
+            corrections = self.pairs(lat, k, *lat._node_locations(covered))
             for budget, run in (
                 (points, lambda: estimate_jones_diggle(pat, lat, k)),
                 (max(points, corrections), lambda: estimate_uniform_corrected(pat, lat, k)),
-                (every, lambda: precompute_edge_correction(lat, k)),
             ):
                 monkeypatch.setattr(kernels, "MAX_PAIRS", budget - 1)
                 with pytest.raises(PairBudgetExceeded):
@@ -320,33 +309,11 @@ class TestPairBudget:
         monkeypatch.setattr(Lattice, "_distances", no_pass)
         # every point may reach every node, but not every node every node
         monkeypatch.setattr(kernels, "MAX_PAIRS", pat.n * lat.n_nodes)
-        for run in (estimate_uniform_corrected, lambda p, lat, k: precompute_edge_correction(lat, k)):
-            with pytest.raises(PairBudgetExceeded, match="; raise --dx or lower --bw$") as exc:
-                run(pat, lat, k)
-            assert exc.value.exit_code == 3
+        with pytest.raises(PairBudgetExceeded, match="; raise --dx or lower --bw$") as exc:
+            estimate_uniform_corrected(pat, lat, k)
+        assert exc.value.exit_code == 3
         monkeypatch.setattr(Lattice, "_distances", real)
         estimate_jones_diggle(pat, lat, k)
-
-
-class TestPrecomputedCorrectionLattice:
-    @pytest.mark.parametrize("dx", [0.25, 0.05], ids=["coarser", "finer"])
-    def test_other_lattice_rejected(self, dx):
-        net = grid_network(3, 3)
-        lat = discretize(net, 0.1)
-        k = Kernel1D("gaussian", 0.3)
-        pat = pattern_of(net, [NetworkLocation(0, 0.4), NetworkLocation(5, 0.7)])
-        other = precompute_edge_correction(discretize(net, dx), k)
-        with pytest.raises(LatticeMismatch):
-            estimate_uniform_corrected(pat, lat, k, edge_correction_values=other)
-
-    def test_compatible_lattice_accepted(self):
-        net = grid_network(3, 3)
-        k = Kernel1D("gaussian", 0.3)
-        pat = pattern_of(net, [NetworkLocation(0, 0.4), NetworkLocation(5, 0.7)])
-        pre = precompute_edge_correction(discretize(net, 0.1), k)
-        lat = discretize(net, 0.1)
-        got = estimate_uniform_corrected(pat, lat, k, edge_correction_values=pre)
-        assert_same(got.values, estimate_uniform_corrected(pat, lat, k).values)
 
 
 class TestEqualSplit:
