@@ -106,10 +106,10 @@ def adaptive_bandwidths(
     ``dx``, or the default for the smallest bandwidth.  Neither the pilot nor its
     lattice outlives the call.
     """
-    lattice = Lattice(pattern.network, resolve_dx(dx, pattern.network, global_bandwidth))
+    lattice = Lattice(pattern.network, resolve_dx(dx, global_bandwidth))
     bw = abramson_bandwidths(pattern, estimate_heat(pattern, lattice, global_bandwidth, cfg),
                              global_bandwidth, gamma_exponent)
-    return bw, resolve_dx(dx, pattern.network, float(bw.bandwidths.min()))
+    return bw, resolve_dx(dx, float(bw.bandwidths.min()))
 
 
 def heuristic_global_bandwidth(total_length: float, n: int) -> float:

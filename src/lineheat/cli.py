@@ -112,22 +112,18 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from .experiment import check_simulation, simulate_intensity
+    from .experiment import check_simulation, simulate_pattern
     from .heat import resolve_dx
     from .ingest import FLOAT_FMT, read_network_geojson, write_lattice_function, write_points_csv
-    from .lattice import discretize
-    from .sim import sample_poisson_on_network
+    from .lattice import Lattice
 
     check_simulation(args.target_points, args.field_res)
     _check_dx(args.dx)
+    _check_out(args.out_points, args.out_intensity)
     net = read_network_geojson(args.net)
-    dx = resolve_dx(args.dx, net, net.edge_lengths.min())
+    dx = resolve_dx(args.dx, net.edge_lengths.min())
     _echo_config(args, resolved_dx=dx)
-    lattice = discretize(net, dx)
-    truth = simulate_intensity(
-        net, lattice, args.scenario, [args.seed, 0], args.target_points, args.field_res
-    )
-    pattern = sample_poisson_on_network(truth, [args.seed, 1])
+    truth, pattern = simulate_pattern(Lattice(net, dx), args.scenario, args.seed, args.target_points, args.field_res)
     write_points_csv(pattern, args.out_points)
     write_lattice_function(truth, args.out_intensity, "lattice-csv")
     print(f"n_points: {pattern.n}")
@@ -166,6 +162,7 @@ def _load_pattern(args):
     _check_dx(args.dx)
     if not args.max_snap_dist > 0:
         raise LineHeatError("--max-snap-dist must be positive")
+    _check_out(args.out)
     net = read_network_geojson(args.net)
     pattern, report = read_points(args.points, net, args.max_snap_dist)
     if report.warning:
@@ -176,7 +173,7 @@ def _load_pattern(args):
 def _cmd_estimate(args) -> int:
     from .heat import DEFAULT_CONFIG, estimate_heat, estimate_heat_batch, resolve_dx
     from .ingest import FLOAT_FMT, write_lattice_function
-    from .lattice import discretize
+    from .lattice import Lattice
 
     net, pattern = _load_pattern(args)
     cfg = DEFAULT_CONFIG
@@ -195,15 +192,15 @@ def _cmd_estimate(args) -> int:
             star = _bandwidth(args.bw_global)
         bw, dx = adaptive_bandwidths(pattern, star, args.dx, args.gamma_exponent, cfg)
         _echo_config(args, resolved_dx=dx, resolved_bw_global=star)
-        lattice = discretize(net, dx)
+        lattice = Lattice(net, dx)
         if args.delta is not None:
             est = estimate_adaptive_partition(pattern, lattice, bw, args.delta, cfg)
         else:
             est = estimate_heat_batch(pattern, lattice, bw.bandwidths, cfg)
     else:
-        dx = resolve_dx(args.dx, net, args.bw)
+        dx = resolve_dx(args.dx, args.bw)
         _echo_config(args, resolved_dx=dx)
-        lattice = discretize(net, dx)
+        lattice = Lattice(net, dx)
         est = (estimate_heat(pattern, lattice, args.bw, cfg) if args.method == "heat"
                else _kernel_estimate(args, pattern, lattice))
 
@@ -241,6 +238,16 @@ def _check_dx(dx) -> None:
         raise LineHeatError("--dx must be positive and finite")
 
 
+def _check_out(*paths) -> None:
+    """Refuse an output path that is a directory or whose directory does not exist."""
+    import os
+
+    for path in paths:
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+            why = "it is a directory" if os.path.isdir(path) else "its directory does not exist"
+            raise LineHeatError(f"cannot write {path}: {why}")
+
+
 def _cmd_study(args) -> int:
     from .experiment import STUDY_COLUMNS, check_simulation, run_partition_study, study_deltas
     from .ingest import FLOAT_FMT, read_network_geojson
@@ -251,6 +258,7 @@ def _cmd_study(args) -> int:
     deltas = study_deltas([x for x in args.deltas.split(",") if x], args.replicates)
     check_simulation(args.target_points, args.field_res)
     _check_dx(args.dx)
+    _check_out(args.out)
     net = read_network_geojson(args.net)
     _echo_config(args, resolved_deltas=deltas)
     rows = run_partition_study(
@@ -293,7 +301,7 @@ def main(argv=None) -> int:
     except LineHeatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an output that cannot be written after all
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # the frames that held the allocations are gone by now

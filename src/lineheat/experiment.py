@@ -19,7 +19,7 @@ from .adaptive import BandwidthSet, adaptive_bandwidths, bin_count, heuristic_gl
 from .errors import LatticeMismatch
 from .heat import (DEFAULT_CONFIG, HeatConfig, _check_node_steps, deposit_initial_mass, estimate_heat,
                    estimate_heat_batch, heat_solve, resolve_dx, step_size)
-from .lattice import Lattice, LatticeFunction, _require_same_network, discretize
+from .lattice import Lattice, LatticeFunction, _require_same_network
 from .network import LinearNetwork, PointPattern
 from .sim import (
     ExpCovSpec,
@@ -78,8 +78,9 @@ def check_simulation(target_points: float, field_res: int) -> None:
     check_field_res(field_res)
 
 
-def simulate_intensity(net, lattice, scenario: str, seed, target_points: float, field_res: int):
-    """True intensity for a named scenario, scaled/offset to the target count."""
+def simulate_intensity(lattice: Lattice, scenario: str, seed, target_points: float, field_res: int):
+    """True intensity for a named scenario on ``lattice``, scaled/offset to the target count."""
+    net = lattice.network
     if scenario in LOGGAUSSIAN_SCENARIOS:
         spec = LOGGAUSSIAN_SCENARIOS[scenario]
         grid = sample_gaussian_field(field_res, spec, seed)
@@ -98,49 +99,11 @@ def simulate_intensity(net, lattice, scenario: str, seed, target_points: float, 
     raise ValueError(f"unknown scenario {scenario!r}; choose from {SCENARIOS}")
 
 
-def _one_replicate(
-    net, scenario, seed, deltas, target_points, field_res, eps_star, gamma_exponent,
-    dx_override, timing, rep,
-) -> list[dict]:
-    rep_seed = seed + rep
-    # simulate truth and the pattern on a lattice of their own; with no global
-    # bandwidth yet, the shortest edge sets a scale-free spacing
-    sigma = float(net.edge_lengths.min()) if eps_star is None else eps_star
-    lat1 = discretize(net, resolve_dx(dx_override, net, sigma))
-    truth = simulate_intensity(net, lat1, scenario, [rep_seed, 0], target_points, field_res)
-    pattern = sample_poisson_on_network(truth, [rep_seed, 1])
-
-    def record(delta, ise_value, t_direct=None, t_onepass=None, t_part=None):
-        t_ratio = None if t_direct is None else t_part / t_direct
-        return dict(zip(STUDY_COLUMNS, (scenario, rep, delta, pattern.n, ise_value, t_direct, t_onepass, t_part,
-                                        t_ratio)))
-
-    if pattern.n == 0:
-        return [record(d, float("nan")) for d in deltas]
-
-    star = heuristic_global_bandwidth(net.total_length, pattern.n) if eps_star is None else eps_star
-    bw, dx = adaptive_bandwidths(pattern, star, dx_override, gamma_exponent)
-    lat2 = discretize(net, dx)  # resolves the smallest bandwidth
-
-    if timing:
-        _warmup(lat2, pattern, bw)
-    t0 = time.perf_counter()
-    direct = estimate_adaptive_direct(pattern, lat2, bw)
-    t_direct = time.perf_counter() - t0
-    if timing:
-        t0 = time.perf_counter()
-        estimate_heat_batch(pattern, lat2, bw.bandwidths)
-        t_onepass = time.perf_counter() - t0
-
-    rows = []
-    for d in deltas:
-        plan = make_partition(bw, d)
-        t0 = time.perf_counter()
-        part = partition_per_bin(pattern, lat2, plan)
-        t_part = time.perf_counter() - t0
-        times = (t_direct, t_onepass, t_part) if timing else ()
-        rows.append(record(d, ise(part, direct), *times))
-    return rows
+def simulate_pattern(lattice: Lattice, scenario: str, seed: int, target_points: float, field_res: int):
+    """(truth, pattern): a scenario's intensity on ``lattice`` from seed stream ``[seed, 0]``
+    and a Poisson pattern of it from ``[seed, 1]``; ``simulate`` and each study replicate draw here."""
+    truth = simulate_intensity(lattice, scenario, [seed, 0], target_points, field_res)
+    return truth, sample_poisson_on_network(truth, [seed, 1])
 
 
 def estimate_adaptive_direct(
@@ -186,11 +149,6 @@ def partition_per_bin(pattern, lattice, plan) -> LatticeFunction:
     return LatticeFunction(lattice, total)
 
 
-def _warmup(lattice, pattern, bw):
-    # one discarded solve so allocator/cache effects do not bias the first timing
-    estimate_heat(pattern.subset([0]), lattice, float(bw.bandwidths.min()))
-
-
 def study_deltas(deltas, replicates: int) -> list[float]:
     """A study's quantile steps as floats, checked with its replicate count:
     BadDelta for a step :func:`~lineheat.adaptive.bin_count` rejects,
@@ -230,6 +188,32 @@ def run_partition_study(
     check_simulation(target_points, field_res)
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}; choose from {SCENARIOS}")
-    return [row for rep in range(replicates) for row in _one_replicate(
-        net, scenario, seed, deltas, target_points, field_res, eps_star, gamma_exponent, dx, timing, rep)]
+    # the truth lattice is spaced as `simulate` spaces it: replicate r draws `simulate --seed seed+r`'s data
+    truth_lattice = Lattice(net, resolve_dx(dx, float(net.edge_lengths.min())))
+    rows = []
+    for rep in range(replicates):
+        pattern = simulate_pattern(truth_lattice, scenario, seed + rep, target_points, field_res)[1]
+        if pattern.n == 0:
+            rows += [dict(zip(STUDY_COLUMNS, (scenario, rep, d, 0, float("nan")) + (None,) * 4)) for d in deltas]
+            continue
+        star = heuristic_global_bandwidth(net.total_length, pattern.n) if eps_star is None else eps_star
+        bw, bw_dx = adaptive_bandwidths(pattern, star, dx, gamma_exponent)
+        lattice = Lattice(net, bw_dx)  # resolves the smallest bandwidth
+        if timing:  # one discarded solve, so allocator and cache effects do not bias the first timing
+            estimate_heat(pattern.subset([0]), lattice, float(bw.bandwidths.min()))
+        t0 = time.perf_counter()
+        direct = estimate_adaptive_direct(pattern, lattice, bw)
+        t_direct = time.perf_counter() - t0
+        if timing:
+            t0 = time.perf_counter()
+            estimate_heat_batch(pattern, lattice, bw.bandwidths)
+            t_onepass = time.perf_counter() - t0
+        for d in deltas:
+            plan = make_partition(bw, d)
+            t0 = time.perf_counter()
+            part = partition_per_bin(pattern, lattice, plan)
+            t_part = time.perf_counter() - t0
+            times = (t_direct, t_onepass, t_part, t_part / t_direct) if timing else (None,) * 4
+            rows.append(dict(zip(STUDY_COLUMNS, (scenario, rep, d, pattern.n, ise(part, direct), *times))))
+    return rows
 

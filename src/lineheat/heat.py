@@ -70,9 +70,9 @@ def default_dx(net: LinearNetwork, sigma_min: float) -> float:
     return sigma_min / 3.0
 
 
-def resolve_dx(dx: float | None, net: LinearNetwork, sigma_min: float) -> float:
+def resolve_dx(dx: float | None, sigma_min: float) -> float:
     """``dx`` when one is given (not None), else :func:`default_dx`."""
-    return default_dx(net, sigma_min) if dx is None else dx
+    return default_dx(None, sigma_min) if dx is None else dx
 
 
 def step_size(lattice: Lattice, cfg: HeatConfig = DEFAULT_CONFIG) -> float:

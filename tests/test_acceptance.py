@@ -303,7 +303,7 @@ class TestCriterion9SimulatorCalibration:
         lat = discretize(net, 0.05)
         counts = []
         for s in range(200):
-            lam = simulate_intensity(net, lat, "loggaussian-1", [s, 0], 520.0, 64)
+            lam = simulate_intensity(lat, "loggaussian-1", [s, 0], 520.0, 64)
             counts.append(sample_poisson_on_network(lam, [s, 1]).n)
         mean = float(np.mean(counts))
         se = float(np.std(counts, ddof=1) / math.sqrt(len(counts)))

@@ -45,14 +45,14 @@ class TestAdaptiveBandwidths:
             star = float(rng.uniform(0.2, 1.5)) * float(net.edge_lengths.mean())
             gamma_exponent = (-0.5, -2.0)[case % 2]
             for dx in (None, float(rng.uniform(0.05, 0.5)) * star):
-                pilot = estimate_heat(pat, discretize(net, resolve_dx(dx, net, star)), star)
+                pilot = estimate_heat(pat, discretize(net, resolve_dx(dx, star)), star)
                 want = abramson_bandwidths(pat, pilot, star, gamma_exponent)
                 got, got_dx = adaptive_bandwidths(pat, star, dx, gamma_exponent)
                 assert_same(got.pilot_at_points, want.pilot_at_points)
                 assert_same(got.bandwidths, want.bandwidths)
                 assert (got.gamma, got.gamma_exponent, got.n_clamped) == (
                     want.gamma, want.gamma_exponent, want.n_clamped)
-                assert got_dx == resolve_dx(dx, net, float(want.bandwidths.min()))
+                assert got_dx == resolve_dx(dx, float(want.bandwidths.min()))
 
     def test_pilot_lattice_is_freed_on_return(self, monkeypatch):
         pilots = []

@@ -784,6 +784,66 @@ class TestStudy:
         assert proc.stdout == "" and not (tmp_path / "study.csv").exists()
 
 
+class TestStudyData:
+    def test_replicate_r_draws_what_simulate_seed_plus_r_draws(self, toy, tmp_path):
+        # the truth lattice is spaced as simulate spaces it, whatever the global bandwidth
+        _, net_path, _ = toy
+        common = ("--net", net_path, "--scenario", "loggaussian-1", "--target-points", "40", "--field-res", "16")
+
+        def simulated(seed, *dx):
+            proc = run_cli("simulate", *common, "--seed", seed, *dx,
+                           "--out-points", tmp_path / "p.csv", "--out-intensity", tmp_path / "l.csv")
+            assert proc.returncode == 0, proc.stderr
+            return int(proc.stdout.splitlines()[1].removeprefix("n_points: "))
+
+        for flags in (("--bw-global", "0.3"), ("--bw-global", "0.6"), ("--bw-global", "0.3", "--dx", "0.05")):
+            out = tmp_path / "study.csv"
+            proc = run_cli("study", *common, "--seed", "5", "--replicates", "2", "--deltas", "0.5", "--no-timing",
+                           *flags, "--out", out)
+            assert proc.returncode == 0, proc.stderr
+            drawn = [int(line.split(",")[3]) for line in out.read_text().splitlines()[2:]]
+            assert drawn == [simulated(5 + r, *flags[2:]) for r in range(2)], flags
+
+
+class TestUnwritableOutput:
+    """An output path that is a directory, or whose directory does not exist, is
+    refused before any input is read: one error line, exit 2 and no file written."""
+
+    @pytest.mark.parametrize("where", ["no-directory", "a-directory"])
+    @pytest.mark.parametrize("command, option", [
+        ("estimate", "--out"), ("study", "--out"), ("simulate", "--out-points"), ("simulate", "--out-intensity"),
+    ])
+    def test_refused_with_one_error_line(self, toy, tmp_path, command, option, where):
+        _, net_path, pts_path = toy
+        bad, why = ((tmp_path / "nope" / "x.csv", "its directory does not exist") if where == "no-directory"
+                    else (tmp_path, "it is a directory"))
+        outs = {"estimate": {"--out": tmp_path / "est.csv"}, "study": {"--out": tmp_path / "study.csv"},
+                "simulate": {"--out-points": tmp_path / "p.csv", "--out-intensity": tmp_path / "l.csv"}}[command]
+        outs[option] = bad
+        scenario = ("--scenario", "loggaussian-1", "--seed", "0", "--target-points", "40", "--field-res", "16")
+        args = {"estimate": ("--points", pts_path, "--bw", "0.2"), "simulate": scenario,
+                "study": (*scenario, "--deltas", "0.5", "--replicates", "1", "--no-timing")}[command]
+        before = sorted(tmp_path.rglob("*"))
+        proc = run_cli(command, "--net", net_path, *args, *(x for pair in outs.items() for x in pair))
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [f"error: cannot write {bad}: {why}"]
+        assert proc.stdout == "" and sorted(tmp_path.rglob("*")) == before
+
+    def test_a_failing_write_ends_in_one_error_line(self, toy, tmp_path, monkeypatch, capsys):
+        from lineheat import cli, ingest
+
+        _, net_path, pts_path = toy
+        out = tmp_path / "est.csv"
+
+        def refuse(*args):
+            raise PermissionError(13, "Permission denied", str(out))
+
+        monkeypatch.setattr(ingest, "write_lattice_function", refuse)
+        assert cli.main(["estimate", "--net", str(net_path), "--points", str(pts_path), "--bw", "0.2",
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: [Errno 13] Permission denied: '{out}'"]
+
+
 class TestImports:
     """``import lineheat``, --help and usage errors load no numpy, and each
     command loads only the modules its path runs (checked in fresh processes)."""

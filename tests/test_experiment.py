@@ -13,10 +13,10 @@ from lineheat.experiment import (
     partition_per_bin,
     run_partition_study,
     simulate_intensity,
+    simulate_pattern,
 )
 from lineheat.heat import estimate_heat
 from lineheat.lattice import LatticeFunction, discretize
-from lineheat.sim import sample_poisson_on_network
 from nets import grid_network, segment_network, y_network
 
 
@@ -78,21 +78,21 @@ class TestSimulateIntensity:
         net = study_net()
         lat = discretize(net, 0.1)
         for scen in ("loggaussian-1", "loggaussian-4", "paper-gm5"):
-            lam = simulate_intensity(net, lat, scen, seed=5, target_points=120, field_res=24)
+            lam = simulate_intensity(lat, scen, seed=5, target_points=120, field_res=24)
             assert np.all(lam.values >= 0)
             assert lam.values.max() > 0
 
     def test_gm5_integral_hits_target_exactly(self):
         net = study_net()
         lat = discretize(net, 0.1)
-        lam = simulate_intensity(net, lat, "paper-gm5", seed=5, target_points=77.0, field_res=8)
+        lam = simulate_intensity(lat, "paper-gm5", seed=5, target_points=77.0, field_res=8)
         assert lam.integral() == pytest.approx(77.0, rel=1e-9)
 
     def test_loggaussian_expected_count_calibration(self):
         net = study_net()
         lat = discretize(net, 0.1)
         totals = [
-            simulate_intensity(net, lat, "loggaussian-2", seed=s, target_points=150, field_res=16).integral()
+            simulate_intensity(lat, "loggaussian-2", seed=s, target_points=150, field_res=16).integral()
             for s in range(120)
         ]
         mean = np.mean(totals)
@@ -137,8 +137,7 @@ class TestStudy:
         net = study_net()
         lat = discretize(net, 0.1)
         for seed in (21, 22):
-            truth = simulate_intensity(net, lat, "loggaussian-1", [seed, 0], 50, 16)
-            pattern = sample_poisson_on_network(truth, [seed, 1])
+            pattern = simulate_pattern(lat, "loggaussian-1", seed, 50, 16)[1]
             assert pattern.n > 0
             bw = abramson_bandwidths(pattern, estimate_heat(pattern, lat, 0.3), 0.3)
             bw.bandwidths = np.full(pattern.n, 0.3)
@@ -157,7 +156,7 @@ class TestStudy:
         def no_replicate(*args):
             raise AssertionError("a replicate ran before the arguments were checked")
 
-        monkeypatch.setattr(experiment, "_one_replicate", no_replicate)
+        monkeypatch.setattr(experiment, "simulate_pattern", no_replicate)
         with pytest.raises(error, match=message):
             run_partition_study(study_net(), "loggaussian-1", deltas, replicates, 0, target_points=target)
 
@@ -166,7 +165,7 @@ class TestStudy:
             run_partition_study(study_net(), "nope", [0.5], 1, 0)
         net = study_net()
         with pytest.raises(ValueError, match="^unknown scenario 'nope'; choose from"):
-            simulate_intensity(net, discretize(net, 0.1), "nope", [0, 0], 50, 16)
+            simulate_intensity(discretize(net, 0.1), "nope", [0, 0], 50, 16)
 
     def test_replicate_without_points_gives_nan_rows(self):
         rows = run_partition_study(study_net(), "loggaussian-1", [0.5, 0.25], 2, 9, target_points=1e-6,
